@@ -168,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--format", choices=("json", "csv"), default="json")
     pr.add_argument("--signature", default="lorentzian")
     pr.add_argument("--Lambda", type=float, default=0.0)
-    pr.add_argument("--threads", type=int, default=1)
     pr.set_defaults(func=_cmd_reduce)
 
     po = sub.add_parser("omega-tilde", help="structural representative for field files")
@@ -177,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--out", required=True)
     po.add_argument("--field-format", choices=("binary", "json"), default="binary")
     po.add_argument("--signature", default="lorentzian")
-    po.add_argument("--threads", type=int, default=1)
     po.set_defaults(func=_cmd_omega_tilde)
     return p
 

@@ -19,8 +19,66 @@ DEFAULTS = {
 }
 
 
+#: every check tolerance and workload size a config may override, with its default
+TOLERANCES = {
+    "twist_determinant": 1e-12,
+    "star_cyclic": 1e-13,
+    "morphism_zero": 1e-13,
+    "morphism_floor": 0.1,
+    "star_square": 1e-14,
+    "lie_axioms": 1e-13,
+    "wedge_axioms": 1e-13,
+    "twist_symmetry": 1e-13,
+    "kernel_samples": 100,
+    "sv_gap": 1e6,
+    "projector_algebra": 1e-12,
+    "annihilator": 1e-10,
+    "projector_smoothness": 1e3,
+    "matrix_crosscheck": 1e-13,
+    "exact_sequence_wedge": 1e-12,
+    "exact_sequence_containment": 1e-10,
+    "omega_tilde_states": 20,
+    "structural_residual": 1e-9,
+    "gauge_invariance": 1e-9,
+    "kernel_wedge": 1e-11,
+    "idempotence": 1e-10,
+    "slice_symplecto": 1e-11,
+    "order_low": 3.2,
+    "order_high": 4.8,
+    "linearity": 1e-12,
+    "psi_budget": 0.05,
+    "hvf_wedge": 1e-8,
+    "constrained_variation": 1e-9,
+    "bracket_ll": 1e-4,
+    "bracket_onshell_budget": 2.0,
+    "fd_linear": 1e-10,
+    "exact_divergence": 1e-12,
+    "eh_identities": 1e-11,
+    "gaugefix_budget": 0.05,
+    "isotropy": 1e-10,
+    "kernel_flow": 1e-11,
+    "round_trip": 1e-10,
+    "pairing_match": 1e-9,
+    "loci_floor": 0.1,
+    "loci_coincide": 1e-10,
+}
+
+
 class ConfigError(ValueError):
     pass
+
+
+def _finite_number(value, path: str, what: str = "a finite number") -> float:
+    """value as a float; booleans, non-numbers, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be {what}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path} must be {what}")
+    return number
 
 
 @dataclass
@@ -45,8 +103,8 @@ class RunConfig:
             "tolerances": dict(self.tolerances),
         }
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+    def tol(self, name: str) -> float:
+        return float(self.tolerances.get(name, TOLERANCES[name]))
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -63,14 +121,12 @@ def validate_config(raw: dict) -> RunConfig:
     gamma = merged["gamma"]
     if gamma == "infinity":
         gamma = math.inf
-    if not isinstance(gamma, (int, float)):
-        raise ConfigError("$.gamma must be a number or 'infinity'")
+    else:
+        gamma = _finite_number(gamma, "$.gamma", "a finite number or 'infinity'")
     if gamma == 0:
         raise ConfigError("$.gamma must be nonzero")
 
-    lam = merged["Lambda"]
-    if not isinstance(lam, (int, float)):
-        raise ConfigError("$.Lambda must be a number")
+    lam = _finite_number(merged["Lambda"], "$.Lambda")
 
     grid_n = merged["grid_n"]
     if not isinstance(grid_n, list) or not grid_n:
@@ -94,14 +150,15 @@ def validate_config(raw: dict) -> RunConfig:
     tolerances = merged["tolerances"]
     if not isinstance(tolerances, dict):
         raise ConfigError("$.tolerances must be an object")
-    for k, v in tolerances.items():
-        if not isinstance(v, (int, float)):
-            raise ConfigError(f"$.tolerances.{k} must be a number")
+    for k in sorted(tolerances):
+        if k not in TOLERANCES:
+            raise ConfigError(f"unknown tolerance at $.tolerances.{k}")
+        _finite_number(tolerances[k], f"$.tolerances.{k}")
 
     return RunConfig(
         signature=signature,
-        gamma=float(gamma),
-        Lambda=float(lam),
+        gamma=gamma,
+        Lambda=lam,
         grid_n=list(grid_n),
         seed=seed,
         suites=list(suites),

@@ -33,11 +33,11 @@ import numpy as np
 from . import fiber, reduction, wedgemaps
 from .fiber import PAIRS, Signature
 from .grid import (
-    COORD_WEDGE,
     Coframe,
     FormField,
     Grid3,
     TrigPoly,
+    action_wedge,
     cov_deriv,
     curvature,
     deriv_axis,
@@ -319,15 +319,7 @@ def act_field(alpha: FormField, f: FormField, sig: Signature) -> FormField:
     """Pointwise so(eta) action of a 0-form bivector on any field."""
     if alpha.p != 0 or alpha.grade != 2:
         raise ValueError("smearing must be a 0-form bivector")
-    out = np.zeros_like(f.data)
-    for c in range(f.data.shape[-2]):
-        if f.grade == 1:
-            out[..., c, :] = fiber.act_on_vector(alpha.data[..., 0, :], f.data[..., c, :], sig)
-        elif f.grade == 2:
-            out[..., c, :] = fiber.bracket2(alpha.data[..., 0, :], f.data[..., c, :], sig)
-        else:
-            raise ValueError("action implemented for vector/bivector values")
-    return FormField(f.grid, f.p, f.grade, out)
+    return action_wedge(alpha, f, sig)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +362,8 @@ def kernel_field_from_coords(coords: np.ndarray, pack: ProjectorPack, grid: Grid
 
 def _pairing_gram_22_12(gamma: float, sig: Signature) -> np.ndarray:
     """Gram of the twisted pairing int T^[Z ^ Y], Z in Omega^2(L^2), Y in Omega^1(L^2)."""
-    CW = COORD_WEDGE[(2, 1)][:, :, 0]
-    Gt = fiber.t_gamma_endo_matrix(gamma, sig).T @ fiber.TR_GRAM2
-    out = np.zeros((18, 18))
-    for cz in range(3):
-        for cx in range(3):
-            out[cz * 6:(cz + 1) * 6, cx * 6:(cx + 1) * 6] = CW[cz, cx] * Gt
-    return out
+    T = fiber.t_gamma_endo_matrix(gamma, sig)
+    return np.kron(np.eye(3), T.T) @ wedgemaps.dual_pairing_matrix(1, 2)
 
 
 def _pairing_gram_23_11(sig: Signature) -> np.ndarray:
@@ -411,23 +398,15 @@ def _cov_deriv_transpose(Y: FormField, omega: FormField, sig: Signature) -> Form
 
     Transpose with respect to the plain coefficient dot product over sites;
     central differences transpose to their negatives on the periodic grid, and
-    the algebraic wedge-action part transposes pointwise.
+    the algebraic wedge-action part transposes pointwise (the action tensor
+    with its second and output axes swapped).
     """
-    CW = COORD_WEDGE[(1, 1)]
-    act = fiber._ACTION_CACHE[sig.eta_diag]
+    CW = fiber.wedge_signs(3, 1, 1)
+    T = fiber.product_tensor(1, 1, 2, 1, sig)
     g = Y.grid
-    out = FormField.zeros(g, 1, 1)
-    for ci in range(3):
-        acc = np.zeros(Y.data.shape[:3] + (4,))
-        for a in range(3):
-            for co in range(3):
-                s = CW[a, ci, co]
-                if s == 0:
-                    continue
-                acc += -s * deriv_axis(Y.data[..., co, :], a, g)
-                acc += s * np.einsum("Ijk,...I,...k->...j", act, omega.data[..., a, :],
-                                     Y.data[..., co, :])
-        out.data[..., ci, :] = acc
+    out = _unflat(fiber.bilinear(T.transpose(0, 2, 1), _flat(omega), _flat(Y)), g, 1, 1)
+    for a, ci, co in zip(*np.nonzero(CW)):
+        out.data[..., ci, :] -= CW[a, ci, co] * deriv_axis(Y.data[..., co, :], a, g)
     return out
 
 

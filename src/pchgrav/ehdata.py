@@ -32,14 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fiber import PAIRS, Signature
-from .grid import FormField, Grid3, deriv_axis
+from .grid import COMP_BASIS, FormField, Grid3, deriv_axis
+
 EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
     EPS3[_i, _j, _k] = 1.0
 for _i, _j, _k in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:
     EPS3[_i, _j, _k] = -1.0
 
-SPATIAL_PAIRS = [(0, 1), (0, 2), (1, 2)]
+#: spatial index pairs (12, 13, 23), ordered as the coordinate 2-form components
+SPATIAL_PAIRS = COMP_BASIS[2]
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +56,6 @@ class AdaptedFrame:
     e_bar: np.ndarray     # (..., 3, 3) triad components e_a = ebar_a^i w_i
     eta_bar: np.ndarray   # (3,) signs eta(w_i, w_i)
     eta00: float          # sign eta(w_0, w_0)
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return self.frame
 
 
 class GramSchmidtError(RuntimeError):
@@ -346,7 +344,7 @@ def ricci_scalar_via_metric(g: np.ndarray, grid: Grid3) -> np.ndarray:
 
 def ricci_scalar(frame: AdaptedFrame, grid: Grid3, method: str = "via_frame",
                  gamma_blk=None) -> np.ndarray:
-    if method in ("via_frame", "via_F"):
+    if method == "via_frame":
         return ricci_scalar_via_frame(frame.e_bar, frame.eta_bar, grid, gamma_blk)
     if method == "via_metric":
         g = np.einsum("...ai,i,...bi->...ab", frame.e_bar, frame.eta_bar, frame.e_bar)

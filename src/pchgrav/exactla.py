@@ -12,10 +12,6 @@ from fractions import Fraction
 import numpy as np
 
 
-def frac_matrix(rows) -> list:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def rref(mat: list):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     m = [row[:] for row in mat]

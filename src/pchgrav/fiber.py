@@ -4,7 +4,10 @@ Everything here is exact structure-constant algebra: wedge products on
 Lambda^k V, the internal Hodge star on bivectors, the so(eta) bracket and its
 action on vectors, the volume pairing Tr, and the Barbero-Immirzi twist maps
 T_gamma.  All operations broadcast over arbitrary leading axes, so whole grids
-of fiber values can be processed in one call.
+of fiber values can be processed in one call.  Every wedge, bracket and action
+product, of fiber values or of whole form fields, is one call of the
+contraction kernel `bilinear` on a combined structure tensor from
+`product_tensor`.
 
 Conventions (fixed once, used everywhere):
   * basis u_1..u_4 of V, eta = diag(1,1,1,1) or diag(1,1,1,-1);
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -50,21 +54,21 @@ def _merge_sign(a: tuple, b: tuple):
     return tuple(sorted(merged)), sign
 
 
-def _wedge_tensor(k: int, m: int) -> np.ndarray:
-    """Structure constants W[i, j, out] for Lambda^k x Lambda^m -> Lambda^{k+m}."""
-    out_basis = {t: i for i, t in enumerate(GRADE_BASIS[k + m])}
-    W = np.zeros((GRADE_DIMS[k], GRADE_DIMS[m], GRADE_DIMS[k + m]), dtype=np.int64)
-    for i, a in enumerate(GRADE_BASIS[k]):
-        for j, b in enumerate(GRADE_BASIS[m]):
+def wedge_signs(n: int, k: int, m: int) -> np.ndarray:
+    """S[i, j, o]: sign of basis_k[i] ^ basis_m[j] along basis_{k+m}[o] of an n-space.
+
+    Bases are the sorted index tuples `combinations(range(n), k)`; n = 4 gives
+    the fiber wedge on Lambda^* V, n = 3 the coordinate wedge of forms on T^3.
+    """
+    basis = {g: list(combinations(range(n), g)) for g in (k, m, k + m)}
+    out_index = {t: i for i, t in enumerate(basis[k + m])}
+    S = np.zeros((len(basis[k]), len(basis[m]), len(basis[k + m])), dtype=np.int64)
+    for i, a in enumerate(basis[k]):
+        for j, b in enumerate(basis[m]):
             merged, sign = _merge_sign(a, b)
             if merged is not None:
-                W[i, j, out_basis[merged]] = sign
-    return W
-
-
-WEDGE_TENSORS = {
-    (k, m): _wedge_tensor(k, m) for k in range(5) for m in range(5) if k + m <= 4
-}
+                S[i, j, out_index[merged]] = sign
+    return S
 
 
 def eps4(i: int, j: int, k: int, l: int) -> int:
@@ -169,18 +173,7 @@ def wedge_comps(k: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Component-level wedge, broadcasting over leading axes."""
     if k + m > 4:
         raise ValueError("grade exceeds 4")
-    W = WEDGE_TENSORS[(k, m)]
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.dtype == object or b.dtype == object:
-        # exact-rational path
-        out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (W.shape[2],), dtype=object)
-        out[...] = Fraction(0)
-        ii, jj, kk = np.nonzero(W)
-        for i, j, o in zip(ii, jj, kk):
-            out[..., o] = out[..., o] + int(W[i, j, o]) * a[..., i] * b[..., j]
-        return out
-    return np.einsum("ijo,...i,...j->...o", W, a, b)
+    return bilinear(product_tensor(0, 0, k, m), a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -239,69 +232,99 @@ def hodge_star2(b: np.ndarray, sig: Signature) -> np.ndarray:
 
 
 def _bracket_tensor(sig: Signature) -> np.ndarray:
-    """C[I,J,K]: bracket of basis bivectors, [A,B]^{rs} = A^{rm} eta_{mn} B^{ns} - (A<->B)."""
-    C = np.zeros((6, 6, 6), dtype=np.int64)
-    eta = sig.eta_diag
-    for I, (i, j) in enumerate(PAIRS):
-        A = np.zeros((4, 4), dtype=np.int64)
-        A[i, j], A[j, i] = 1, -1
-        for J, (k, l) in enumerate(PAIRS):
-            B = np.zeros((4, 4), dtype=np.int64)
-            B[k, l], B[l, k] = 1, -1
-            Aeta = A * np.array(eta)[None, :]
-            Beta = B * np.array(eta)[None, :]
-            Cm = Aeta @ B - Beta @ A
-            for K, (m, n) in enumerate(PAIRS):
-                C[I, J, K] = Cm[m, n]
-    return C
+    """C[I,J,K] of the bracket, as the derivation [a, x ^ y] = (a.x) ^ y + x ^ (a.y).
 
-
-_BRACKET_CACHE = {sig.eta_diag: _bracket_tensor(sig) for sig in (EUCLIDEAN, LORENTZIAN)}
+    This is [A,B]^{rs} = A^{rm} eta_{mn} B^{ns} - (A <-> B) on basis bivectors.
+    """
+    W = wedge_signs(4, 1, 1)
+    return np.einsum("klJ,Iko,olK->IJK", W, _action_tensor(sig), W)
 
 
 def bracket2(a: np.ndarray, b: np.ndarray, sig: Signature) -> np.ndarray:
     """so(eta) bracket on bivector components (broadcasts over leading axes)."""
-    C = _BRACKET_CACHE[sig.eta_diag]
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.dtype == object or b.dtype == object:
-        out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (6,), dtype=object)
-        out[...] = Fraction(0)
-        ii, jj, kk = np.nonzero(C)
-        for i, j, k in zip(ii, jj, kk):
-            out[..., k] = out[..., k] + int(C[i, j, k]) * a[..., i] * b[..., j]
-        return out
-    return np.einsum("ijk,...i,...j->...k", C, a, b)
+    return bilinear(product_tensor(0, 0, 2, 2, sig), a, b)
 
 
 def _action_tensor(sig: Signature) -> np.ndarray:
-    """T[I,j,k]: (b_I . u_j)^k with (a.v)^i = a^{ij} eta_{jk} v^k."""
-    T = np.zeros((6, 4, 4), dtype=np.int64)
-    eta = sig.eta_diag
-    for I, (i, j) in enumerate(PAIRS):
-        A = np.zeros((4, 4), dtype=np.int64)
-        A[i, j], A[j, i] = 1, -1
-        for v in range(4):
-            T[I, v, :] = A[:, v] * eta[v]
-    return T
-
-
-_ACTION_CACHE = {sig.eta_diag: _action_tensor(sig) for sig in (EUCLIDEAN, LORENTZIAN)}
+    """act[I,j,k]: (b_I . u_j)^k with (a.v)^k = a^{kj} eta_{jj} v^j."""
+    return np.einsum("kjI,j->Ijk", wedge_signs(4, 1, 1), np.array(sig.eta_diag))
 
 
 def act_on_vector(a: np.ndarray, v: np.ndarray, sig: Signature) -> np.ndarray:
     """so(eta) module action of a bivector on a vector."""
-    T = _ACTION_CACHE[sig.eta_diag]
-    a = np.asarray(a)
-    v = np.asarray(v)
-    if a.dtype == object or v.dtype == object:
-        out = np.zeros(np.broadcast_shapes(a.shape[:-1], v.shape[:-1]) + (4,), dtype=object)
+    return bilinear(product_tensor(0, 0, 2, 1, sig), a, v)
+
+
+# ---------------------------------------------------------------------------
+# the contraction kernel: every wedge, bracket and action product goes here
+
+#: sites per block of the float path; bounds the per-block intermediate to a few MB
+_BLOCK = 2048
+
+
+@lru_cache(maxsize=None)
+def product_tensor(p: int, q: int, k: int, m: int, sig: Signature | None = None) -> np.ndarray:
+    """Combined structure tensor T[(a,i), (b,j), (c,o)] of a pointwise product.
+
+    The first factor is a p-form with Lambda^k values, the second a q-form with
+    Lambda^m values.  T is the coordinate wedge signs times the fiber wedge
+    (sig None) or, for k = 2 and a signature, the so(eta) action on Lambda^m
+    (m = 1: on vectors, m = 2: the bracket).  Each axis is flattened to
+    (form component, fiber component); the tensor is built on first use and
+    is read-only.
+    """
+    if sig is None:
+        F = wedge_signs(4, k, m)
+    elif k == 2 and m in (1, 2):
+        F = _action_tensor(sig) if m == 1 else _bracket_tensor(sig)
+    else:
+        raise ValueError("the action is implemented on vector/bivector values")
+    C = wedge_signs(3, p, q)
+    T = np.einsum("abc,ijo->aibjco", C, F).reshape(
+        C.shape[0] * F.shape[0], C.shape[1] * F.shape[1], C.shape[2] * F.shape[2]
+    )
+    T.flags.writeable = False
+    return T
+
+
+def bilinear(T: np.ndarray, x, y) -> np.ndarray:
+    """sum_ab T[a, b, o] x[..., a] y[..., b], broadcasting over leading axes.
+
+    Object (Fraction) operands take the exact path.  Floats are contracted in
+    blocks of sites with the operand of more components against T first, so
+    the per-site intermediate is (fewer components) x (output dim).
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    A, B, O = T.shape
+    if x.shape[:-1] != y.shape[:-1]:
+        lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        x, y = np.broadcast_to(x, lead + (A,)), np.broadcast_to(y, lead + (B,))
+    lead = x.shape[:-1]
+    if x.dtype == object or y.dtype == object:
+        out = np.zeros(lead + (O,), dtype=object)
         out[...] = Fraction(0)
-        ii, jj, kk = np.nonzero(T)
-        for i, j, k in zip(ii, jj, kk):
-            out[..., k] = out[..., k] + int(T[i, j, k]) * a[..., i] * v[..., j]
+        for a, b, o in zip(*np.nonzero(T)):
+            out[..., o] = out[..., o] + int(T[a, b, o]) * x[..., a] * y[..., b]
         return out
-    return np.einsum("ijk,...i,...j->...k", T, a, v)
+    if A < B:
+        T, x, y, A, B = T.transpose(1, 0, 2), y, x, B, A
+    x = x.reshape(-1, A)
+    y = y.reshape(-1, B)
+    out = np.empty((x.shape[0], O), dtype=np.result_type(x, y, T))
+    T2 = T.reshape(A, B * O).astype(out.dtype)
+    for s in range(0, x.shape[0], _BLOCK):
+        t = (x[s:s + _BLOCK] @ T2).reshape(-1, B, O)
+        np.einsum("sbo,sb->so", t, y[s:s + _BLOCK], out=out[s:s + _BLOCK])
+    return out.reshape(lead + (O,))
+
+
+def bilinear_matrix(T: np.ndarray, y) -> np.ndarray:
+    """Matrix M[..., o, a] of x -> bilinear(T, x, y) for a fixed y (Fractions stay exact)."""
+    A, B, O = T.shape
+    y = np.asarray(y)
+    M = y.reshape(-1, B) @ T.transpose(1, 2, 0).reshape(B, O * A)
+    return M.reshape(y.shape[:-1] + (O, A))
 
 
 def tr_gram2() -> np.ndarray:

@@ -33,25 +33,6 @@ COMP_BASIS = {
 NCOMP = {p: len(b) for p, b in COMP_BASIS.items()}
 
 
-def _coord_wedge_tensor(p: int, q: int) -> np.ndarray:
-    out_basis = {t: i for i, t in enumerate(COMP_BASIS[p + q])}
-    W = np.zeros((NCOMP[p], NCOMP[q], NCOMP[p + q]), dtype=np.int64)
-    for i, a in enumerate(COMP_BASIS[p]):
-        for j, b in enumerate(COMP_BASIS[q]):
-            merged, sign = fiber._merge_sign(a, b)
-            if merged is not None:
-                W[i, j, out_basis[merged]] = sign
-    return W
-
-
-COORD_WEDGE = {
-    (p, q): _coord_wedge_tensor(p, q)
-    for p in range(4)
-    for q in range(4)
-    if p + q <= 3
-}
-
-
 # ---------------------------------------------------------------------------
 # grid
 
@@ -117,9 +98,6 @@ class TrigPoly:
             terms.append((2 * np.pi * k[axis] * amp, k, ph + np.pi / 2))
         return TrigPoly(tuple(terms))
 
-    def max_mode(self) -> int:
-        return max((max(abs(int(ki)) for ki in k) for _, k, _ in self.terms), default=0)
-
 
 def harmonic(amp: float, k, phase: float = 0.0) -> TrigPoly:
     return TrigPoly(((float(amp), tuple(int(ki) for ki in k), float(phase)),))
@@ -156,9 +134,6 @@ class FieldSpec:
             self.grade,
             tuple(tuple(p.deriv(axis) for p in row) for row in self.polys),
         )
-
-    def max_mode(self) -> int:
-        return max((p.max_mode() for row in self.polys for p in row), default=0)
 
 
 def random_field_spec(rng, p, grade, n_modes=2, amp=0.1, kmax=2, base=None) -> FieldSpec:
@@ -237,14 +212,17 @@ def ext_deriv(f: FormField) -> FormField:
     g = f.grid
     d = np.stack([deriv_axis(f.data, a, g) for a in range(3)], axis=3)  # [..., a, c, f]
     out = FormField.zeros(g, f.p + 1, f.grade)
-    out_index = {t: i for i, t in enumerate(COMP_BASIS[f.p + 1])}
-    for a in range(3):
-        for ci, comp in enumerate(COMP_BASIS[f.p]):
-            merged, sign = fiber._merge_sign((a,), comp)
-            if merged is None:
-                continue
-            out.data[..., out_index[merged], :] += sign * d[..., a, ci, :]
+    S = fiber.wedge_signs(3, 1, f.p)      # dx^a ^ (component ci) along component co
+    for a, ci, co in zip(*np.nonzero(S)):
+        out.data[..., co, :] += S[a, ci, co] * d[..., a, ci, :]
     return out
+
+
+def _product(T: np.ndarray, x: FormField, y: FormField, p: int, grade: int) -> FormField:
+    """The p-form with Lambda^grade values sum T x y, over flattened (comp, fiber) slots."""
+    sites = x.data.shape[:3]
+    data = fiber.bilinear(T, x.data.reshape(sites + (-1,)), y.data.reshape(sites + (-1,)))
+    return FormField(x.grid, p, grade, data.reshape(sites + (NCOMP[p], GRADE_DIMS[grade])))
 
 
 def wedge_fields(x: FormField, y: FormField) -> FormField:
@@ -253,38 +231,16 @@ def wedge_fields(x: FormField, y: FormField) -> FormField:
         raise ValueError("coordinate degree exceeds 3")
     if x.grade + y.grade > 4:
         raise ValueError("grade exceeds 4")
-    CW = COORD_WEDGE[(x.p, y.p)]
-    FW = fiber.WEDGE_TENSORS[(x.grade, y.grade)]
-    data = np.einsum("abC,ijK,...ai,...bj->...CK", CW, FW, x.data, y.data, optimize=True)
-    return FormField(x.grid, x.p + y.p, x.grade + y.grade, data)
-
-
-def _action_apply(omega_comp, f_comp, grade, sig):
-    if grade == 1:
-        return fiber.act_on_vector(omega_comp, f_comp, sig)
-    if grade == 2:
-        return fiber.bracket2(omega_comp, f_comp, sig)
-    raise ValueError("covariant derivative implemented for vector/bivector values")
+    T = fiber.product_tensor(x.p, y.p, x.grade, y.grade)
+    return _product(T, x, y, x.p + y.p, x.grade + y.grade)
 
 
 def action_wedge(omega: FormField, f: FormField, sig: Signature) -> FormField:
     """[omega ^ f]: coordinate wedge with the so(eta) action on the values."""
-    if omega.grade != 2 or omega.p != 1:
-        raise ValueError("omega must be a bivector-valued 1-form")
-    CW = COORD_WEDGE[(1, f.p)]
-    out = FormField.zeros(f.grid, f.p + 1, f.grade)
-    out_dim = out.data.shape[-1]
-    for a in range(3):
-        for ci in range(NCOMP[f.p]):
-            acted = None
-            for co in range(NCOMP[f.p + 1]):
-                s = CW[a, ci, co]
-                if s == 0:
-                    continue
-                if acted is None:
-                    acted = _action_apply(omega.data[..., a, :], f.data[..., ci, :], f.grade, sig)
-                out.data[..., co, :] += s * acted
-    return out
+    if omega.grade != 2 or omega.p + f.p > 3:
+        raise ValueError("omega must be a bivector-valued form of degree <= 3 - p")
+    return _product(fiber.product_tensor(omega.p, f.p, 2, f.grade, sig), omega, f,
+                    omega.p + f.p, f.grade)
 
 
 def cov_deriv(f: FormField, omega: FormField, sig: Signature) -> FormField:
@@ -296,12 +252,7 @@ def curvature(omega: FormField, sig: Signature) -> FormField:
     """F_omega = d omega + 1/2 [omega ^ omega]."""
     if omega.p != 1 or omega.grade != 2:
         raise ValueError("connection must be a bivector-valued 1-form")
-    F = ext_deriv(omega)
-    for co, (a, b) in enumerate(COMP_BASIS[2]):
-        F.data[..., co, :] += fiber.bracket2(
-            omega.data[..., a, :], omega.data[..., b, :], sig
-        )
-    return F
+    return ext_deriv(omega) + 0.5 * action_wedge(omega, omega, sig)
 
 
 def integrate(density: FormField) -> float:

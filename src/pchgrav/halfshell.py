@@ -138,29 +138,18 @@ class IsotropyReport:
     locus: str
 
 
-def _locus_equation_matrix(e: Coframe, omega_ref: FormField, gamma: float,
-                           Lambda: float) -> np.ndarray:
+def _locus_equation_matrix(omega_ref: FormField, gamma: float, sig: Signature,
+                           Lambda: float = 0.0, e: Coframe | None = None) -> np.ndarray:
     """Per-site Jacobian of E(e) = e ^ T_gamma[F_ref] + Lambda e^3 in e.
 
     E is linear in e when Lambda = 0; for Lambda != 0 the cubic term is
-    linearized at the given e.  Returns (..., 4, 12).
+    linearized at the given e, as de ^ 3 e^2.  Returns (..., 4, 12).
     """
-    sig = e.sig
-    F = curvature(omega_ref, sig)
-    TF = t_gamma_field(F, gamma, sig)
-    n = e.grid.n
-    out = np.zeros((n, n, n, 4, 12))
-    basis = np.zeros((12, 3, 4))
-    for k in range(12):
-        basis[k, k // 4, k % 4] = 1.0
-    for k in range(12):
-        de = FormField(e.grid, 1, 1, np.broadcast_to(basis[k], e.data.shape).copy())
-        term = wedge_fields(de, TF)                     # Omega^3(L^3)
-        if Lambda != 0.0:
-            e2 = wedge_fields(e.field, e.field)
-            term = term + 3.0 * Lambda * wedge_fields(de, e2)
-        out[..., :, k] = term.data[..., 0, :]
-    return out
+    TF = t_gamma_field(curvature(omega_ref, sig), gamma, sig)
+    if Lambda != 0.0:
+        TF = TF + 3.0 * Lambda * wedge_fields(e.field, e.field)
+    data = TF.data.reshape(TF.data.shape[:3] + (18,))
+    return fiber.bilinear_matrix(fiber.product_tensor(1, 2, 1, 2), data)
 
 
 def sample_locus_state(grid: Grid3, sig: Signature, gamma: float, rng,
@@ -178,16 +167,8 @@ def sample_locus_state(grid: Grid3, sig: Signature, gamma: float, rng,
         ref[..., 1, :] = np.array([-0.2, 0.6, 0.1, -0.5, 0.3, 0.2])
         ref[..., 2, :] = np.array([0.1, 0.2, -0.7, 0.3, 0.4, -0.2])
         omega_ref = FormField(grid, 1, 2, ref)
-    F = curvature(omega_ref, sig)
-    TF = t_gamma_field(F, gamma, sig)
     # per-site kernel of e -> e ^ TF
-    J = np.zeros((n, n, n, 4, 12))
-    basis = np.zeros((12, 3, 4))
-    for k in range(12):
-        basis[k, k // 4, k % 4] = 1.0
-    for k in range(12):
-        de = FormField(grid, 1, 1, np.broadcast_to(basis[k], (n, n, n, 3, 4)).copy())
-        J[..., :, k] = wedge_fields(de, TF).data[..., 0, :]
+    J = _locus_equation_matrix(omega_ref, gamma, sig)
     _, _, vh = np.linalg.svd(J)
     null = vh[..., 4:, :]                                # (..., 8, 12)
     e_data = np.zeros((n, n, n, 3, 4))
@@ -227,7 +208,7 @@ def isotropy_diagnosis(state: HalfShellState, Lambda: float = 0.0,
     dim_e = nsites * 12
 
     if full_locus:
-        Jac = _locus_equation_matrix(state.e, state.omega_ref, state.gamma, Lambda)
+        Jac = _locus_equation_matrix(state.omega_ref, state.gamma, state.sig, Lambda, state.e)
         Jflat = Jac.reshape(nsites, 4, 12)
         e_blocks = []
         for s in range(nsites):

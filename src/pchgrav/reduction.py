@@ -30,39 +30,15 @@ from .fiber import Signature
 from .grid import Coframe, FormField, action_wedge, cov_deriv
 from .wedgemaps import KERNEL_TEMPLATES, complete_frame, compound_matrix
 
-SPATIAL_PAIRS = [(0, 1), (0, 2), (1, 2)]
-
-
 # ---------------------------------------------------------------------------
 # bracket-with-e matrices
 
 
-def _bracket_matrix_tensor(sig: Signature) -> np.ndarray:
-    """BT[cod, dom, b, j]: matrix of v -> [v, e] in u-coords, linear in e_b^j."""
-    act = fiber._ACTION_CACHE[sig.eta_diag]  # act[I, j, k]
-    BT = np.zeros((12, 18, 3, 4))
-    for a in range(3):  # domain coordinate index of v
-        for I in range(6):
-            dom = a * 6 + I
-            for d in range(3):  # coframe leg e_d
-                if a == d:
-                    continue
-                pair = (a, d) if a < d else (d, a)
-                s = 1 if a < d else -1
-                co = SPATIAL_PAIRS.index(pair)
-                for j in range(4):
-                    for k in range(4):
-                        if act[I, j, k]:
-                            BT[co * 4 + k, dom, d, j] += s * act[I, j, k]
-    return BT
-
-
-_BRACKET_TENSORS = {sig.eta_diag: _bracket_matrix_tensor(sig) for sig in (fiber.EUCLIDEAN, fiber.LORENTZIAN)}
-
-
 def bracket_matrix(e: np.ndarray, sig: Signature) -> np.ndarray:
     """Per-site matrix of [., e]: Omega^1(L^2 V) -> Omega^2(V), u-coords."""
-    return np.einsum("CDbj,...bj->...CD", _BRACKET_TENSORS[sig.eta_diag], e)
+    e = np.asarray(e)
+    return fiber.bilinear_matrix(fiber.product_tensor(1, 1, 2, 1, sig),
+                                 e.reshape(e.shape[:-2] + (12,)))
 
 
 def bracket_with_e(v: FormField, e: Coframe) -> FormField:
@@ -70,59 +46,28 @@ def bracket_with_e(v: FormField, e: Coframe) -> FormField:
     return action_wedge(v, e.field, e.sig)
 
 
-def _frame_bracket_rows(g, one=1.0):
-    """Matrix of v -> [v,e] in the e-frame as a function of the boundary metric.
+def frame_bracket_matrix(g: np.ndarray) -> np.ndarray:
+    """Batched e-frame matrix of v -> [v,e] from the boundary metric g (..., 3, 3).
 
     Domain: v[a, P] over all 6 frame pairs (18); codomain: spatial-pair by
-    frame-vector components (12).  Only the spatial block of the frame Gram
-    enters: act(e_m ^ e_n, e_d) = e_m G_{nd} - e_n G_{md} with G_{nd} = 0 for
-    the orthogonal completion.
+    frame-vector components (12).  In the e-frame the action carries the frame
+    Gram G in place of eta, act(e_m ^ e_n, e_d) = e_m G_{nd} - e_n G_{md}, and
+    only its spatial block g enters (G_{nd} = 0 for the orthogonal
+    completion).  That is the eta = identity action on the lowered legs G e_d,
+    so the matrix is bracket_matrix at the coframe (g^T | 0).  Object
+    (Fraction) metrics give exact matrices.
     """
-    rows = [[0 * one for _ in range(18)] for _ in range(12)]
+    g = np.asarray(g)
+    legs = np.concatenate([np.swapaxes(g, -1, -2), np.zeros_like(g[..., :1])], axis=-1)
+    return bracket_matrix(legs, fiber.EUCLIDEAN)
 
-    def add(co, k, dom, val):
-        rows[co * 4 + k][dom] += val
-
-    for a in range(3):
-        for Pi, (m, n) in enumerate(fiber.PAIRS):
-            dom = a * 6 + Pi
-            for d in range(3):
-                if a == d:
-                    continue
-                pair = (a, d) if a < d else (d, a)
-                s = 1 if a < d else -1
-                co = SPATIAL_PAIRS.index(pair)
-                # act(e_m ^ e_n, e_d) = e_m G_{nd} - e_n G_{md}
-                if n < 3:
-                    add(co, m, dom, s * g[n][d] if isinstance(g, list) else s * g[n, d])
-                if m < 3:
-                    add(co, n, dom, -s * g[m][d] if isinstance(g, list) else -s * g[m, d])
-    return rows
-
-
-def frame_bracket_matrix(g: np.ndarray) -> np.ndarray:
-    """Batched e-frame bracket matrix from the boundary metric g (..., 3, 3)."""
-    BT = _FRAME_BRACKET_TENSOR
-    return np.einsum("CDcd,...cd->...CD", BT, g)
-
-
-def _frame_bracket_tensor() -> np.ndarray:
-    T = np.zeros((12, 18, 3, 3))
-    for c in range(3):
-        for d in range(3):
-            g = np.zeros((3, 3))
-            g[c, d] = 1.0
-            T[..., c, d] = np.array(_frame_bracket_rows(g))
-    return T
-
-
-_FRAME_BRACKET_TENSOR = _frame_bracket_tensor()
 
 K12HAT = KERNEL_TEMPLATES[(1, 2)]  # (18, 6) orthonormal
 K21HAT = KERNEL_TEMPLATES[(2, 1)]  # (12, 6) orthonormal
 
-#: phi(g) = K21^T B(g) K12, batched over g
-_PHI_TENSOR = np.einsum("Dk,DEcd,El->klcd", K21HAT, _FRAME_BRACKET_TENSOR, K12HAT)
+#: phi(g) = K21^T B(g) K12 is linear in g; coefficients of the unit metrics E_cd
+_PHI_TENSOR = np.einsum("Dk,cdDE,El->klcd", K21HAT,
+                        frame_bracket_matrix(np.eye(9).reshape(3, 3, 3, 3)), K12HAT)
 
 
 def phi_matrix(g: np.ndarray) -> np.ndarray:
@@ -213,89 +158,30 @@ def omega_tilde(e: Coframe, omega: FormField) -> OmegaTildeResult:
 # kernel intersection at exact boundary metrics
 
 
+def _kernel_intersection_dim_exact(g) -> int:
+    """dim( ker([.,e]) cap ker W_e^{(1,2)} ) from an exact 3x3 boundary metric g.
+
+    Pure frame algebra over rationals: in the e-frame, ker W^{(1,2)} is cut out
+    by the integer template equations and [., e] is the frame bracket matrix,
+    which involves only the boundary metric.
+    """
+    rows = exactla.from_numpy_int(wedgemaps.kernel_equations((1, 2)))
+    rows += frame_bracket_matrix(np.asarray(g, dtype=object)).tolist()
+    return 18 - exactla.rank(rows)
+
+
 def kernel_intersection_dim(gdiag) -> int:
     """dim( ker([.,e]) cap ker W_e^{(1,2)} ) for an exact diagonal boundary metric.
 
-    Pure frame algebra over rationals: kernel elements carry only spatial-pair
-    components v[a, (b,c)] subject to the trace conditions, and the bracket
-    equations involve only the boundary metric.  Expected: twice the dimension
-    of ker(g).
+    Expected: twice the dimension of ker(g).
     """
-    g = [[Fraction(0)] * 3 for _ in range(3)]
-    for i, val in enumerate(gdiag):
-        g[i][i] = Fraction(val)
-
-    def vcomp(a, b, c):
-        # coefficient index and sign of v_a^{bc} among the 9 spatial variables
-        if b == c:
-            return None, 0
-        if b < c:
-            return a * 3 + SPATIAL_PAIRS.index((b, c)), 1
-        return a * 3 + SPATIAL_PAIRS.index((c, b)), -1
-
-    rows = []
-    # trace conditions sum_a v_a^{ab} = 0
-    for b in range(3):
-        row = [Fraction(0)] * 9
-        for a in range(3):
-            idx, s = vcomp(a, a, b)
-            if idx is not None:
-                row[idx] += s
-        rows.append(row)
-    # bracket equations [v,e]^b_{ad} = sum_c v_a^{bc} g_{cd} - v_d^{bc} g_{ca} = 0
-    for b in range(3):
-        for a in range(3):
-            for d in range(a + 1, 3):
-                row = [Fraction(0)] * 9
-                for c in range(3):
-                    idx, s = vcomp(a, b, c)
-                    if idx is not None:
-                        row[idx] += s * g[c][d]
-                    idx, s = vcomp(d, b, c)
-                    if idx is not None:
-                        row[idx] -= s * g[c][a]
-                rows.append(row)
-    return 9 - exactla.rank(rows)
+    return _kernel_intersection_dim_exact(np.diag([Fraction(v) for v in gdiag]))
 
 
 def kernel_intersection_dim_from_coframe(e_exact, sig: Signature) -> int:
     """Same count from an exactly given coframe: g = e eta e^T computed exactly."""
-    eta = [Fraction(x) for x in sig.eta_diag]
-    e = [[Fraction(x) for x in row] for row in e_exact]
-    g = [
-        [sum(e[a][i] * eta[i] * e[b][i] for i in range(4)) for b in range(3)]
-        for a in range(3)
-    ]
-    gd = [[g[a][b] for b in range(3)] for a in range(3)]
-    # reuse the diagonal-independent assembly by inlining the general metric
-    def vcomp(a, b, c):
-        if b == c:
-            return None, 0
-        if b < c:
-            return a * 3 + SPATIAL_PAIRS.index((b, c)), 1
-        return a * 3 + SPATIAL_PAIRS.index((c, b)), -1
-
-    rows = []
-    for b in range(3):
-        row = [Fraction(0)] * 9
-        for a in range(3):
-            idx, s = vcomp(a, a, b)
-            if idx is not None:
-                row[idx] += s
-        rows.append(row)
-    for b in range(3):
-        for a in range(3):
-            for d in range(a + 1, 3):
-                row = [Fraction(0)] * 9
-                for c in range(3):
-                    idx, s = vcomp(a, b, c)
-                    if idx is not None:
-                        row[idx] += s * gd[c][d]
-                    idx, s = vcomp(d, b, c)
-                    if idx is not None:
-                        row[idx] -= s * gd[c][a]
-                rows.append(row)
-    return 9 - exactla.rank(rows)
+    e = np.array([[Fraction(x) for x in row] for row in e_exact], dtype=object)
+    return _kernel_intersection_dim_exact((e * np.array(sig.eta_diag)) @ e.T)
 
 
 def make_degenerate_coframe(signs, sig: Signature) -> np.ndarray:
@@ -406,10 +292,7 @@ def phi_pairing_det_exact(gdiag) -> Fraction:
 
     Nonzero iff phi_e is an isomorphism at that boundary metric.
     """
-    g = [[Fraction(0)] * 3 for _ in range(3)]
-    for i, v in enumerate(gdiag):
-        g[i][i] = Fraction(v)
-    B = _frame_bracket_rows(g, one=Fraction(1))
+    B = frame_bracket_matrix(np.diag([Fraction(v) for v in gdiag])).tolist()
     K12 = integer_kernel_basis_12()   # columns
     K21 = integer_kernel_basis_21()
     K12m = [[col[i] for col in K12] for i in range(18)]

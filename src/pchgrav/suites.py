@@ -172,7 +172,7 @@ def run_algebra(cfg: RunConfig) -> list:
         fdets[str(al)] = det
         worst = max(worst, abs(det - (1 + al**2) ** 3) / (1 + al**2) ** 3)
     runtime = time.perf_counter() - t0
-    tol = cfg.tol("twist_determinant", 1e-12)
+    tol = cfg.tol("twist_determinant")
     s.check("twist-determinants", "pairing-matrix determinant -(1+1/g^2)^3; basis map (1+a^2)^3",
             {"rel_error": worst, "det_pairing": dets, "det_basis_map": fdets},
             worst <= tol and runtime < 1.0, tol, t0)
@@ -188,7 +188,7 @@ def run_algebra(cfg: RunConfig) -> list:
             worst = max(worst,
                         np.abs(l1 - fiber.bracket2(S @ a, b, sig)).max(),
                         np.abs(l1 - fiber.bracket2(a, S @ b, sig)).max())
-    tol = cfg.tol("star_cyclic", 1e-13)
+    tol = cfg.tol("star_cyclic")
     s.check("star-cyclic", "star[A,B] = [star A, B] = [A, star B]",
             {"max_residual": worst, "pairs": 120}, worst <= tol, tol, t0)
 
@@ -197,11 +197,11 @@ def run_algebra(cfg: RunConfig) -> list:
         "euclid_+1": fiber.morphism_residual(1.0, EUCLIDEAN),
         "euclid_-1": fiber.morphism_residual(-1.0, EUCLIDEAN),
     }
-    ok = all(v <= cfg.tol("morphism_zero", 1e-13) for v in vals.values())
+    ok = all(v <= cfg.tol("morphism_zero") for v in vals.values())
     for g in (0.5, 1.0, 2.0):
         r = fiber.morphism_residual(g, LORENTZIAN)
         vals[f"lorentz_{g}"] = r
-        ok = ok and r >= cfg.tol("morphism_floor", 0.1)
+        ok = ok and r >= cfg.tol("morphism_floor")
     s.check("twist-morphism", "algebra morphism iff gamma^2 = sign(det eta)",
             vals, ok, None, t0)
 
@@ -215,7 +215,7 @@ def run_algebra(cfg: RunConfig) -> list:
                          for i in range(6)])
         exact_ok = all(prod[i, j] == (sig.s if i == j else 0) for i in range(6) for j in range(6))
         worst = worst if exact_ok else np.inf
-    tol = cfg.tol("star_square", 1e-14)
+    tol = cfg.tol("star_square")
     s.check("star-squared", "star o star = sign(det eta) id, float and exact modes",
             {"max_residual": float(worst)}, worst <= tol, tol, t0)
 
@@ -235,7 +235,7 @@ def run_algebra(cfg: RunConfig) -> list:
                    - fiber.act_on_vector(a, fiber.act_on_vector(b, v, sig), sig)
                    + fiber.act_on_vector(b, fiber.act_on_vector(a, v, sig), sig))
             worst_d = max(worst_d, np.abs(der).max())
-    tol = cfg.tol("lie_axioms", 1e-13)
+    tol = cfg.tol("lie_axioms")
     s.check("bracket-axioms", "Jacobi identity and module derivation property",
             {"jacobi": worst_j, "derivation": worst_d},
             max(worst_j, worst_d) <= tol, tol, t0)
@@ -257,7 +257,7 @@ def run_algebra(cfg: RunConfig) -> list:
         r = fiber.wedge_comps(1, 2, x, fiber.wedge_comps(1, 1, y, z))
         worst = max(worst, np.abs(l - r).max())
     gram_rank = np.linalg.matrix_rank(fiber.TR_GRAM2)
-    tol = cfg.tol("wedge_axioms", 1e-13)
+    tol = cfg.tol("wedge_axioms")
     s.check("wedge-axioms", "graded anticommutativity, associativity, nondegenerate pairing",
             {"max_residual": worst, "tr_gram_rank": int(gram_rank)},
             worst <= tol and gram_rank == 6, tol, t0)
@@ -278,7 +278,7 @@ def run_algebra(cfg: RunConfig) -> list:
                 worst_cyc = max(worst_cyc,
                                 np.abs(l1 - fiber.bracket2(ta, b, sig)).max(),
                                 np.abs(l1 - fiber.bracket2(a, tb, sig)).max())
-    tol = cfg.tol("twist_symmetry", 1e-13)
+    tol = cfg.tol("twist_symmetry")
     s.check("twist-symmetry", "Tr[T(a)^b] = Tr[a^T(b)]; T[a,b] = [Ta,b] = [a,Tb]",
             {"pairing_symmetry": worst_sym, "bracket_compat": worst_cyc},
             max(worst_sym, worst_cyc) <= tol, tol, t0)
@@ -307,7 +307,7 @@ def run_algebra(cfg: RunConfig) -> list:
 def run_kernels(cfg: RunConfig) -> list:
     s = _Suite("kernels", cfg)
     sig = signature_from_name(cfg.signature)
-    n_frames = int(cfg.tol("kernel_samples", 100))
+    n_frames = int(cfg.tol("kernel_samples"))
 
     t0 = time.perf_counter()
     rng = s.rng()
@@ -335,8 +335,8 @@ def run_kernels(cfg: RunConfig) -> list:
                 S = wm.domain_transform(P, *shape)
                 k_e = np.linalg.solve(S, split.kernel_basis)
                 worst_eq = max(worst_eq, np.abs(wm.kernel_equations(shape) @ k_e).max())
-    gap_floor = cfg.tol("sv_gap", 1e6)
-    tol = cfg.tol("projector_algebra", 1e-12)
+    gap_floor = cfg.tol("sv_gap")
+    tol = cfg.tol("projector_algebra")
     s.check("kernel-table", "kernel dims 0/6/6 with ranks 12/12/6 over random coframes",
             {"frames": n_frames, "min_gap": float(min_gap), "projector_residual": worst_proj,
              "explicit_equation_residual": worst_eq},
@@ -352,7 +352,7 @@ def run_kernels(cfg: RunConfig) -> list:
             split = wm.kernel_basis(wm.build_wedge_matrix(e, shape, sig))
             rep = wm.annihilator_check(split)
             worst = max(worst, rep["max_residual"])
-    tol = cfg.tol("annihilator", 1e-10)
+    tol = cfg.tol("annihilator")
     s.check("annihilator", "kernel annihilator realized as the image of the dual wedge map",
             {"max_residual": worst, "sites": 20}, worst <= tol, tol, t0)
 
@@ -366,7 +366,7 @@ def run_kernels(cfg: RunConfig) -> list:
         d = 1e-6 * d / np.abs(d).max()
         split_p = wm.kernel_basis(wm.build_wedge_matrix(e + d, (1, 2), sig))
         worst_lin = max(worst_lin, np.abs(split_p.p - split.p).max() / np.abs(d).max())
-    tol = cfg.tol("projector_smoothness", 1e3)   # O(1) Lipschitz expected
+    tol = cfg.tol("projector_smoothness")   # O(1) Lipschitz expected
     s.check("projector-smoothness", "projector family is Lipschitz in the coframe",
             {"max_ratio": worst_lin}, worst_lin <= tol, tol, t0)
 
@@ -381,11 +381,11 @@ def run_kernels(cfg: RunConfig) -> list:
         direct = np.zeros((3, 4))
         # wedge X ^ e with X a bivector-valued 1-form, per 2-form components
         X = x.reshape(3, 6)
-        for P, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
+        for P, (a, b) in enumerate(eh.SPATIAL_PAIRS):
             direct[P] = (fiber.wedge_comps(2, 1, X[a], e[b])
                          - fiber.wedge_comps(2, 1, X[b], e[a]))
         worst = max(worst, np.abs(M @ x - direct.reshape(-1)).max())
-    tol = cfg.tol("matrix_crosscheck", 1e-13)
+    tol = cfg.tol("matrix_crosscheck")
     s.check("matrix-crosscheck", "wedge-map matrices reproduce the fiber-algebra product",
             {"max_residual": worst}, worst <= tol, tol, t0)
     return s.rows
@@ -429,8 +429,8 @@ def run_reduction(cfg: RunConfig) -> list:
         worst_cont = max(worst_cont, rep.containment_residual, rep.reverse_residual)
         dims_ok &= (rep.dim_kernel_12 == rep.dim_image_bracket == rep.dim_kernel_21 == 6
                     and rep.rank_w21 == 6)
-    tolw = cfg.tol("exact_sequence_wedge", 1e-12)
-    tolc = cfg.tol("exact_sequence_containment", 1e-10)
+    tolw = cfg.tol("exact_sequence_wedge")
+    tolc = cfg.tol("exact_sequence_containment")
     s.check("exact-sequence", "short exact sequence via the bracket-with-e map",
             {"wedge_residual": worst_wedge, "containment_residual": worst_cont,
              "sites": 20}, dims_ok and worst_wedge <= tolw and worst_cont <= tolc,
@@ -465,7 +465,7 @@ def run_reduction(cfg: RunConfig) -> list:
     worst_kernel = 0.0
     worst_idem = 0.0
     worst_cond = 0.0
-    n_states = int(cfg.tol("omega_tilde_states", 20))
+    n_states = int(cfg.tol("omega_tilde_states"))
     for i in range(n_states):
         st = random_offshell_state(rng, grid, sig, cfg.gamma, cfg.Lambda)
         res = st.ot
@@ -482,10 +482,10 @@ def run_reduction(cfg: RunConfig) -> list:
         res3 = red.omega_tilde(st.e, st.omega)
         worst_idem = max(worst_idem, (res3.omega_tilde - st.omega).sup_norm())
     runtime = time.perf_counter() - t0
-    tol_s = cfg.tol("structural_residual", 1e-9)
-    tol_g = cfg.tol("gauge_invariance", 1e-9)
-    tol_k = cfg.tol("kernel_wedge", 1e-11)
-    tol_i = cfg.tol("idempotence", 1e-10)
+    tol_s = cfg.tol("structural_residual")
+    tol_g = cfg.tol("gauge_invariance")
+    tol_k = cfg.tol("kernel_wedge")
+    tol_i = cfg.tol("idempotence")
     s.check("omega-tilde", "unique structural representative: p d_w~ e = 0, basic, idempotent",
             {"states": n_states, "structural": worst_struct, "gauge_shift": worst_gauge,
              "kernel_wedge": worst_kernel, "idempotence": worst_idem,
@@ -509,7 +509,7 @@ def run_reduction(cfg: RunConfig) -> list:
             return integrate(tr_quad_field(wedge_fields(tex, vt)))
 
         worst = max(worst, abs(bilinear(st.e.field * 0 + de1, de2) - bilinear(de2, de1)))
-    tol = cfg.tol("slice_symplecto", 1e-11)
+    tol = cfg.tol("slice_symplecto")
     s.check("structural-slice-pairing", "kernel-valued corrections drop out of the boundary pairing",
             {"max_antisymmetry": worst}, worst <= tol, tol, t0)
 
@@ -575,7 +575,7 @@ def run_constraints(cfg: RunConfig) -> list:
         st = cst.make_on_shell(spec, g, gamma, sig, Lambda=0.1)
         Ls[n] = abs(cst.eval_L(st, trig_alpha_field(g)))
     ratio = Ls[8] / Ls[16]
-    lo, hi = cfg.tol("order_low", 3.2), cfg.tol("order_high", 4.8)
+    lo, hi = cfg.tol("order_low"), cfg.tol("order_high")
     s.check("on-shell-order2", "residual constraint converges at order 2 on trig states",
             {"L8": Ls[8], "L16": Ls[16], "ratio": ratio},
             lo <= ratio <= hi, None, t0)
@@ -594,7 +594,7 @@ def run_constraints(cfg: RunConfig) -> list:
     lin_J = abs(cst.eval_J(st, cst.smear_constant(g4, 1, m1 + m2))
                 - cst.eval_J(st, cst.smear_constant(g4, 1, m1))
                 - cst.eval_J(st, cst.smear_constant(g4, 1, m2)))
-    tol = cfg.tol("linearity", 1e-12)
+    tol = cfg.tol("linearity")
     s.check("linearity", "plumbing",
             {"L": lin_L, "J": lin_J}, max(lin_L, lin_J) <= tol, tol, t0)
 
@@ -607,7 +607,7 @@ def run_constraints(cfg: RunConfig) -> list:
     ratio = psis[8] / max(psis[16], 1e-300)
     s.check("psi-on-shell", "the kernel part of the gauge field response vanishes on shell",
             {"psi8": psis[8], "psi16": psis[16], "ratio": ratio},
-            psis[16] <= cfg.tol("psi_budget", 0.05) and ratio > 2.0, None, t0)
+            psis[16] <= cfg.tol("psi_budget") and ratio > 2.0, None, t0)
 
     t0 = time.perf_counter()
     rng = s.rng()
@@ -621,8 +621,8 @@ def run_constraints(cfg: RunConfig) -> list:
     worst_wedge = max(XL.wedge_residuals["X_omega"], XJ.wedge_residuals["X_omega"],
                       XJ.wedge_residuals["X_e"])
     worst_cv = max(XL.constraint_residual, XJ.constraint_residual)
-    tol_w = cfg.tol("hvf_wedge", 1e-8)
-    tol_cv = cfg.tol("constrained_variation", 1e-9)
+    tol_w = cfg.tol("hvf_wedge")
+    tol_cv = cfg.tol("constrained_variation")
     s.check("hamiltonian-fields", "defining wedge equations and constrained-variation relation",
             {"Xe_exactness": exact_xe, "wedge_residual": worst_wedge,
              "variation_residual": worst_cv},
@@ -660,7 +660,7 @@ def run_brackets(cfg: RunConfig) -> list:
     br, fd_err = cst.poisson_bracket(st, "L", alpha, "L", alpha2)
     rhs = cst.eval_L(st, cst.smear_constant(grid, 2, fiber.bracket2(ac2, ac, sig)))
     rel = abs(br - rhs) / max(abs(rhs), 1e-300)
-    tol = cfg.tol("bracket_ll", 1e-4)
+    tol = cfg.tol("bracket_ll")
     s.check("gauge-algebra", "{L_a, L_a'} = L_[a',a] off shell",
             {"bracket": br, "rhs": rhs, "rel_error": rel, "fd_error": fd_err,
              "lhs_magnitude": abs(br)},
@@ -673,7 +673,7 @@ def run_brackets(cfg: RunConfig) -> list:
     mu2 = cst.smear_constant(grid, 1, mc2)
     bJJ, _ = cst.poisson_bracket(st_on, "J", mu, "J", mu2)
     scale = 1.0 + abs(cst.eval_J(st_on, mu)) + abs(cst.eval_J(st_on, mu2))
-    budget = cfg.tol("bracket_onshell_budget", 2.0) * grid.h**2 * scale
+    budget = cfg.tol("bracket_onshell_budget") * grid.h**2 * scale
     st_on8 = cst.make_on_shell(spec, Grid3(8), gamma, sig, Lambda=0.1)
     bJJ8, _ = cst.poisson_bracket(st_on8, "J", cst.smear_constant(Grid3(8), 1, mc),
                                   "J", cst.smear_constant(Grid3(8), 1, mc2))
@@ -686,7 +686,7 @@ def run_brackets(cfg: RunConfig) -> list:
     bLJ, _ = cst.poisson_bracket(st_on, "L", alpha, "J", mu)
     Jam = cst.eval_J(st_on, cst.smear_constant(grid, 1, fiber.act_on_vector(ac, mc, sig)))
     lpart = bLJ + Jam
-    budget = cfg.tol("bracket_onshell_budget", 2.0) * grid.h**2 * (1.0 + abs(Jam))
+    budget = cfg.tol("bracket_onshell_budget") * grid.h**2 * (1.0 + abs(Jam))
     s.check("mixed-bracket", "{L_a, J_mu} + J_[a,mu] reduces to an on-shell-vanishing term",
             {"bracket": bLJ, "J_bracketed": Jam, "l_part": lpart, "budget": budget},
             abs(lpart) <= budget and abs(Jam) > 1e-8, None, t0)
@@ -707,7 +707,7 @@ def run_brackets(cfg: RunConfig) -> list:
 
     got, _ = cst.directional_derivative(st, linear_functional, Y)
     exact = integrate(tr_quad_field(wedge_fields(probe, Y.de)))
-    tol = cfg.tol("fd_linear", 1e-10)
+    tol = cfg.tol("fd_linear")
     s.check("fd-exactness", "plumbing",
             {"fd": got, "exact": exact, "error": abs(got - exact)},
             abs(got - exact) <= tol * max(1.0, abs(exact)), tol, t0)
@@ -735,7 +735,7 @@ def run_eh(cfg: RunConfig) -> list:
         g = Grid3(n)
         st = cst.make_on_shell(spec, g, gamma, sig, Lambda=0.1)
         comps[n] = eh.compare_pch_eh(st, LAPSE_PROBES, SHIFT_PROBES)
-    lo, hi = cfg.tol("order_low", 3.2), cfg.tol("order_high", 4.8)
+    lo, hi = cfg.tol("order_low"), cfg.tol("order_high")
     ratios = {
         "hamiltonian": comps[n1]["hamiltonian"] / comps[n2]["hamiltonian"],
         "momentum": comps[n1]["momentum"] / comps[n2]["momentum"],
@@ -762,7 +762,7 @@ def run_eh(cfg: RunConfig) -> list:
                       harmonic(0.5, (0, 1, 0), 1.0).eval(X, Y, Z),
                       harmonic(0.3, (1, 1, 1), 0.4).eval(X, Y, Z)], axis=-1)
     div_int = abs(eh.exact_divergence_integral(g, field))
-    tol = cfg.tol("exact_divergence", 1e-12)
+    tol = cfg.tol("exact_divergence")
     s.check("closed-boundary-term", "discrete total derivative integrates to zero on the torus",
             {"integral": div_int}, div_int <= tol, tol, t0)
 
@@ -791,7 +791,7 @@ def run_eh(cfg: RunConfig) -> list:
     det_res = eh.triad_determinant_identity_residual(frame.e_bar)
     worst = max(float(orth), float(recon), float(np.abs(K_back - K).max()),
                 float(tr_rel), float(np.abs(K_rt - K).max()), det_res)
-    tol = cfg.tol("eh_identities", 1e-11)
+    tol = cfg.tol("eh_identities")
     s.check("adapted-frame-identities",
             "orthonormality, reconstruction, K <-> Pi round trips, triad determinant identity",
             {"frame_orthonormality": float(orth), "reconstruction": float(recon),
@@ -816,7 +816,7 @@ def run_eh(cfg: RunConfig) -> list:
                          FormField(g, 1, 2, om_rot), gamma, 0.0)
     frame2 = eh.orthonormal_frame(st_rot.e.data, sig)
     split2 = eh.split_connection(st_rot.omega, frame2, g, sig)
-    budget = cfg.tol("gaugefix_budget", 0.05)
+    budget = cfg.tol("gaugefix_budget")
     s.check("gauge-fix-consistency",
             "rotating into the adapted frame and re-solving reproduces the block split",
             {"gamma_residual": split2.gamma_residual, "k_asymmetry": split2.k_asymmetry,
@@ -856,7 +856,7 @@ def run_halfshell(cfg: RunConfig) -> list:
     st = hs.sample_locus_state(grid, sig, gamma, rng)
     rep_full = hs.isotropy_diagnosis(st, full_locus=True)
     rep_t0 = hs.isotropy_diagnosis(st, full_locus=False)
-    tol = cfg.tol("isotropy", 1e-10)
+    tol = cfg.tol("isotropy")
     s.check("isotropy", "projected Euler-Lagrange locus is isotropic but not Lagrangian",
             {"max_pairing": rep_full.max_pairing,
              "dim_tangent": rep_full.dim_tangent, "dim_orthogonal": rep_full.dim_orthogonal,
@@ -872,7 +872,7 @@ def run_halfshell(cfg: RunConfig) -> list:
         sigma = random_field_spec(rng, 1, 2, n_modes=1, amp=0.5).sample(grid)
         tb1, _ = hs.hs_project(hs.kernel_flow(st, sigma))
         worst = max(worst, (tb1 - tb0).sup_norm())
-    tol = cfg.tol("kernel_flow", 1e-11)
+    tol = cfg.tol("kernel_flow")
     s.check("projection-invariance", "boundary data invariant under the multiplier kernel flow",
             {"max_shift": worst}, worst <= tol, tol, t0)
 
@@ -885,7 +885,7 @@ def run_halfshell(cfg: RunConfig) -> list:
         om_rec, _ = hs.phi_symplecto(tb, st.e, gamma)
         tb2 = wedge_fields(t_gamma_field(om_rec, gamma, sig), st.e.field)
         worst_rt = max(worst_rt, (tb2 - tb).sup_norm())
-    tol = cfg.tol("round_trip", 1e-10)
+    tol = cfg.tol("round_trip")
     s.check("symplectomorphism-roundtrip", "multiplier chart matches the reduced-connection chart",
             {"max_residual": worst_rt}, worst_rt <= tol, tol, t0)
 
@@ -907,7 +907,7 @@ def run_halfshell(cfg: RunConfig) -> list:
         lhs = hs.symplectic_form_hs((dt(de1, dw1), de1), (dt(de2, dw2), de2))
         rhs = hs.symplectic_form_pch(st.e, gamma, (de1, dw1), (de2, dw2))
         worst_pair = max(worst_pair, abs(lhs - rhs))
-    tol = cfg.tol("pairing_match", 1e-9)
+    tol = cfg.tol("pairing_match")
     s.check("pairing-pullback", "pulled-back symplectic pairings agree",
             {"max_deviation": worst_pair}, worst_pair <= tol, tol, t0)
 
@@ -930,8 +930,8 @@ def run_halfshell(cfg: RunConfig) -> list:
     dvec = diff.data.reshape((grid.n,) * 3 + (18,))
     class_res = float(np.abs(np.einsum("...ij,...j->...i", M12, dvec)).max())
     coincide = abs(t_bold_res - class_res)
-    floor = cfg.tol("loci_floor", 0.1)
-    tol = cfg.tol("loci_coincide", 1e-10)
+    floor = cfg.tol("loci_floor")
+    tol = cfg.tol("loci_coincide")
     s.check("loci-inequivalence",
             "the two projected critical loci are not mapped into one another; "
             "they coincide when the multiplier vanishes on the boundary",

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fiber
 from .fiber import GRADE_DIMS, PAIR_INDEX, Signature
-from .grid import COMP_BASIS, COORD_WEDGE, NCOMP
+from .grid import COMP_BASIS, NCOMP
 
 SHAPES = ((1, 1), (1, 2), (2, 1))
 
@@ -37,41 +37,17 @@ class RankDecisionError(RuntimeError):
     """Raised when the singular-value gap is too small to decide a rank."""
 
 
-def _wedge_matrix_tensor(p: int, k: int) -> np.ndarray:
-    """TT[cod, dom, a, i] with M(e)[cod, dom] = sum TT[cod,dom,a,i] e_a^i."""
-    CW = COORD_WEDGE[(p, 1)]
-    FW = fiber.WEDGE_TENSORS[(k, 1)]
-    ncomp_in, ncomp_out = NCOMP[p], NCOMP[p + 1]
-    fin, fout = GRADE_DIMS[k], GRADE_DIMS[k + 1]
-    TT = np.zeros((ncomp_out * fout, ncomp_in * fin, 3, 4))
-    for ci in range(ncomp_in):
-        for fi in range(fin):
-            for a in range(3):
-                for i in range(4):
-                    for co in range(ncomp_out):
-                        s1 = CW[ci, a, co]
-                        if s1 == 0:
-                            continue
-                        for fo in range(fout):
-                            s2 = FW[fi, i, fo]
-                            if s2 == 0:
-                                continue
-                            TT[co * fout + fo, ci * fin + fi, a, i] += s1 * s2
-    return TT
-
-
-#: matrix tensors also cover the dual shapes (0,k) needed by annihilator checks
-WEDGE_MATRIX_TENSORS = {
-    shape: _wedge_matrix_tensor(*shape)
-    for shape in ((1, 1), (1, 2), (2, 1), (0, 1), (0, 2), (0, 3))
-}
+#: shapes with a wedge matrix; the dual shapes (0,k) serve the annihilator checks
+MATRIX_SHAPES = SHAPES + ((0, 1), (0, 2), (0, 3))
 
 
 def wedge_matrix(e: np.ndarray, shape: tuple) -> np.ndarray:
     """Coefficient matrix of W_e^{(p,k)}; e has shape (..., 3, 4)."""
-    if shape not in WEDGE_MATRIX_TENSORS:
+    if shape not in MATRIX_SHAPES:
         raise ValueError(f"unsupported shape {shape}")
-    return np.einsum("CDai,...ai->...CD", WEDGE_MATRIX_TENSORS[shape], e)
+    e = np.asarray(e, dtype=float)
+    T = fiber.product_tensor(shape[0], 1, shape[1], 1)
+    return fiber.bilinear_matrix(T, e.reshape(e.shape[:-2] + (12,)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +174,6 @@ KERNEL_TEMPLATES = {
 }
 
 
-def template_projector(shape: tuple) -> np.ndarray:
-    """Orthogonal projector onto the kernel template in e-frame coordinates."""
-    K = KERNEL_TEMPLATES[shape]
-    return K @ K.T
-
-
 # ---------------------------------------------------------------------------
 # numerical splits
 
@@ -314,18 +284,7 @@ def kernel_basis(sample: WedgeMapSample, rel_threshold: float = 1e-10,
 
 def dual_pairing_matrix(p: int, k: int) -> np.ndarray:
     """PG[z, x] = Tr-coefficient of Z ^ X for Z in Omega^{3-p}(Lambda^{4-k})."""
-    pz, kz = 3 - p, 4 - k
-    CW = COORD_WEDGE[(pz, p)]
-    FW = fiber.WEDGE_TENSORS[(kz, k)]
-    nz, fz = NCOMP[pz], GRADE_DIMS[kz]
-    nx, fx = NCOMP[p], GRADE_DIMS[k]
-    PG = np.zeros((nz * fz, nx * fx))
-    for cz in range(nz):
-        for fzi in range(fz):
-            for cx in range(nx):
-                for fxi in range(fx):
-                    PG[cz * fz + fzi, cx * fx + fxi] = CW[cz, cx, 0] * FW[fzi, fxi, 0]
-    return PG
+    return fiber.product_tensor(3 - p, p, 4 - k, k)[:, :, 0].astype(float)
 
 
 def annihilator_check(split: ComplementSplit) -> dict:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -36,6 +37,19 @@ def test_gamma_infinity_accepted():
     cfg = validate_config({"gamma": "infinity"})
     assert math.isinf(cfg.gamma)
     assert cfg.as_dict()["gamma"] == "infinity"
+
+
+@pytest.mark.parametrize("raw,path", [
+    ({"gamma": math.nan}, "$.gamma"),
+    ({"Lambda": math.inf}, "$.Lambda"),
+    ({"gamma": True}, "$.gamma"),
+    ({"tolerances": {"kernel_sampels": 3}}, "$.tolerances.kernel_sampels"),
+    ({"tolerances": {"bracket_ll": math.nan}}, "$.tolerances.bracket_ll"),
+])
+def test_bad_numbers_and_tolerance_names_exit_2(tmp_path, capsys, raw, path):
+    cfgp = write_cfg(tmp_path, {"suites": ["algebra"], **raw})
+    assert cli.main(["verify", "--config", str(cfgp)]) == 2
+    assert path in capsys.readouterr().err
 
 
 def test_unknown_key_rejected_with_path():
@@ -137,7 +151,10 @@ def test_cli_field_pipeline(tmp_path):
 
 
 def test_cli_entrypoint_subprocess():
+    # the child imports the same package as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "pchgrav.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "verify" in proc.stdout and "omega-tilde" in proc.stdout

@@ -215,10 +215,7 @@ def test_exact_sequence_standard_coframe_exact_arithmetic():
     from pchgrav import exactla
 
     K12 = exactla.nullspace(exactla.from_numpy_int(wm.kernel_equations((1, 2))))
-    B = red._frame_bracket_rows([[Fraction(1), Fraction(0), Fraction(0)],
-                                 [Fraction(0), Fraction(1), Fraction(0)],
-                                 [Fraction(0), Fraction(0), Fraction(1)]],
-                                one=Fraction(1))
+    B = red.frame_bracket_matrix(np.diag([Fraction(1)] * 3)).tolist()
     img_cols = []
     for col in K12:
         img_cols.append([sum(B[r][i] * col[i] for i in range(18)) for r in range(12)])
