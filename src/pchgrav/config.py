@@ -144,7 +144,7 @@ def validate_config(raw: dict) -> RunConfig:
             raise ConfigError(f"$.grid_n[{i}] = {n} requires suites to be halfshell only")
 
     seed = merged["seed"]
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigError("$.seed must be a uint64")
 
     tolerances = merged["tolerances"]

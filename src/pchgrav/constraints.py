@@ -18,10 +18,11 @@ Hamiltonian vector fields solve the defining wedge equations
         e ^ p'X_omega = mu ^ (F + 3 Lambda e^2) + A+(mu ^ p' d_omega e),
 
 with the kernel part of X_omega fixed by the constrained-variation relation
-p X_omega = A(X_e) + B(p' X_omega).  The projector derivative inside A is a
-central finite difference in e; the adjoints are taken with respect to the
-twisted integral pairing (matrix transposes against its Gram, with the
-discrete transpose of the covariant derivative for the nonlocal part).
+p X_omega = A(X_e) + B(p' X_omega).  The projector derivative inside A is
+exact, d_e p = [block3(dP P^-1), p] for the moving e-adapted frame P; the
+adjoints are taken with respect to the twisted integral pairing (matrix
+transposes against its Gram, with the discrete transpose of the covariant
+derivative for the nonlocal part).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .grid import (
     wedge_fields,
 )
 from .reduction import K12HAT, K21HAT, OmegaTildeResult, omega_tilde
-from .wedgemaps import complete_frame, compound_matrix
+from .wedgemaps import block_diag, complete_frame, compound_matrix
 
 # ---------------------------------------------------------------------------
 # states
@@ -247,20 +248,12 @@ _U11 = np.linalg.svd(_W11_TEMPLATE)[0][:, :12]
 _P11DAG_E = _U11 @ _U11.T
 
 
-def _block3(M: np.ndarray) -> np.ndarray:
-    """kron(I_3, M), batched on the last two axes."""
-    d = M.shape[-1]
-    out = np.zeros(M.shape[:-2] + (3 * d, 3 * d))
-    for c in range(3):
-        out[..., c * d:(c + 1) * d, c * d:(c + 1) * d] = M
-    return out
-
-
 @dataclass
 class ProjectorPack:
     """Batched projector family for the wedge-map splits at every site."""
 
     frames: np.ndarray
+    frames_inv: np.ndarray
     p12: np.ndarray        # (..., 18, 18) kernel projector, domain of W^{(1,2)}
     p12_prime: np.ndarray
     p21: np.ndarray        # (..., 12, 12) kernel projector, domain of W^{(2,1)}
@@ -274,10 +267,11 @@ class ProjectorPack:
 def projector_pack(e: Coframe, cond_limit: float = 1e8) -> ProjectorPack:
     frames, _ = complete_frame(e.data, e.sig)
     L2 = compound_matrix(frames, 2)
-    S12 = _block3(L2)
-    S12_inv = _block3(np.linalg.inv(L2))
-    S2v = _block3(frames)
-    S2v_inv = _block3(np.linalg.inv(frames))
+    S12 = block_diag(L2, 3)
+    S12_inv = block_diag(np.linalg.inv(L2), 3)
+    frames_inv = np.linalg.inv(frames)
+    S2v = block_diag(frames, 3)
+    S2v_inv = block_diag(frames_inv, 3)
     phi = reduction.phi_matrix(e.gmetric)
     sv = np.linalg.svd(phi, compute_uv=False)
     cond = sv[..., 0] / np.maximum(sv[..., -1], 1e-300)
@@ -288,6 +282,7 @@ def projector_pack(e: Coframe, cond_limit: float = 1e8) -> ProjectorPack:
         )
     return ProjectorPack(
         frames=frames,
+        frames_inv=frames_inv,
         p12=S12 @ _P12_E @ S12_inv,
         p12_prime=S12 @ (np.eye(18) - _P12_E) @ S12_inv,
         p21=S2v @ _P21_E @ S2v_inv,
@@ -331,21 +326,26 @@ def kernel_coords_21(f: FormField, pack: ProjectorPack) -> np.ndarray:
     return np.einsum("...ij,...j->...i", pack.S2v_inv, _flat(f)) @ K21HAT
 
 
-def a_map(state: BoundaryState, de: FormField, pack: ProjectorPack,
-          fd_step: float = 1e-6) -> np.ndarray:
+def _frame_velocity(de: np.ndarray, pack: ProjectorPack, sig: Signature) -> np.ndarray:
+    """dP P^-1 for the frame P = [e^T | n] moving along de: dP = [de^T | dn] with
+    eta(e_a, dn) = -eta(de_a, n) =: r_a and eta(n, dn) = 0, i.e. dn = eta P^-T r."""
+    r = -np.einsum("...ai,i,...i->...a", de, sig.eta, pack.frames[..., :, 3])
+    dn = sig.eta * np.einsum("...ai,...a->...i", pack.frames_inv[..., :3, :], r)
+    dP = np.concatenate([np.swapaxes(de, -1, -2), dn[..., :, None]], axis=-1)
+    return dP @ pack.frames_inv
+
+
+def a_map(state: BoundaryState, de: FormField, pack: ProjectorPack) -> np.ndarray:
     """A(de) in kernel coordinates:  phi A(de) = -p[(d_e p)(d_w e) + p d_w de].
 
-    The projector derivative is a central finite difference of the projector
-    family along de (relative step `fd_step`).
+    The projector derivative is exact: d_e p21 = [X, p21] with
+    X = block3(dP P^-1) the velocity of the e-adapted frame along de.
     """
-    dvec = _flat(torsion(state))
-    scale = max(state.e.field.sup_norm(), 1e-12)
-    eps = fd_step * scale / max(de.sup_norm(), 1e-300)
-    pack_p = projector_pack(Coframe(state.e.field + eps * de, state.sig, check=False))
-    pack_m = projector_pack(Coframe(state.e.field + (-eps) * de, state.sig, check=False))
-    dp_d = np.einsum("...ij,...j->...i", (pack_p.p21 - pack_m.p21) / (2 * eps), dvec)
-    pd = np.einsum("...ij,...j->...i", pack.p21, _flat(cov_deriv(de, state.omega, state.sig)))
-    z = np.einsum("...ij,...j->...i", pack.S2v_inv, dp_d + pd) @ K21HAT
+    X = block_diag(_frame_velocity(de.data, pack, state.sig), 3)
+    dp = X @ pack.p21 - pack.p21 @ X
+    rhs = (np.einsum("...ij,...j->...i", dp, _flat(torsion(state)))
+           + np.einsum("...ij,...j->...i", pack.p21, _flat(cov_deriv(de, state.omega, state.sig))))
+    z = np.einsum("...ij,...j->...i", pack.S2v_inv, rhs) @ K21HAT
     return -np.linalg.solve(pack.phi, z[..., None])[..., 0]
 
 
@@ -410,14 +410,13 @@ def _cov_deriv_transpose(Y: FormField, omega: FormField, sig: Signature) -> Form
     return out
 
 
-def a_dagger(state: BoundaryState, Q: FormField, pack: ProjectorPack,
-             fd_step: float = 1e-6) -> FormField:
+def a_dagger(state: BoundaryState, Q: FormField, pack: ProjectorPack) -> FormField:
     """Adjoint of A under the twisted pairing, as an Omega^2(L^3)-valued field.
 
     <A+ Q, de>_Tr = <Q, A(de)>_T^ for all de; the pointwise part transposes
-    sitewise (with the projector-derivative tensor assembled from 12 central
-    finite differences) and the d_omega part through the discrete transpose of
-    the covariant derivative.
+    sitewise (the exact projector derivative contracted analytically against
+    the kernel covector and the torsion) and the d_omega part through the
+    discrete transpose of the covariant derivative.
     """
     PB = _pairing_gram_22_12(state.gamma, state.sig)
     # w = (chain)^T applied to Q: per-site 12-covector hitting (2,1)-coeff space
@@ -426,28 +425,24 @@ def a_dagger(state: BoundaryState, Q: FormField, pack: ProjectorPack,
     lam = -np.linalg.solve(np.swapaxes(pack.phi, -1, -2), qK[..., None])[..., 0]
     w = np.einsum("Dk,...k->...D", K21HAT, lam)
     w = np.einsum("...ji,...j->...i", pack.S2v_inv, w)             # covector on (2,1) coeffs
+    wp = np.einsum("...ji,...j->...i", pack.p21, w)
 
-    # pointwise part: tensor T1[out12, dir12] of de -> (d_e p21)(torsion) per site
+    # pointwise part: w . [X, p21] d = <dP, H> with H = G P^-T and
+    # G_ij = sum_c (w_ci (p21 d)_cj - (p21^T w)_ci d_cj); the dn column of dP
+    # is eliminated through dn = eta P^-T r
     dvec = _flat(torsion(state))
-    scale = max(state.e.field.sup_norm(), 1e-12)
-    psi = np.zeros(w.shape[:-1] + (12,))
-    for a in range(3):
-        for i in range(4):
-            de_dir = np.zeros((3, 4))
-            de_dir[a, i] = 1.0
-            eps = fd_step * scale
-            bump = np.broadcast_to(de_dir, state.e.data.shape)
-            pp = projector_pack(Coframe(
-                FormField(state.grid, 1, 1, state.e.data + eps * bump), state.sig, check=False))
-            pm = projector_pack(Coframe(
-                FormField(state.grid, 1, 1, state.e.data - eps * bump), state.sig, check=False))
-            col = np.einsum("...ij,...j->...i", (pp.p21 - pm.p21) / (2 * eps), dvec)
-            psi[..., a * 4 + i] = np.einsum("...i,...i->...", w, col)
+    pd = np.einsum("...ij,...j->...i", pack.p21, dvec)
+    split = w.shape[:-1] + (3, 4)
+    G = (np.einsum("...ci,...cj->...ij", w.reshape(split), pd.reshape(split))
+         - np.einsum("...ci,...cj->...ij", wp.reshape(split), dvec.reshape(split)))
+    H = G @ np.swapaxes(pack.frames_inv, -1, -2)
+    g = np.einsum("...ai,...i->...a", pack.frames_inv[..., :3, :], state.sig.eta * H[..., :, 3])
+    eta_n = state.sig.eta * pack.frames[..., :, 3]
+    psi = np.swapaxes(H[..., :, :3], -1, -2) - g[..., :, None] * eta_n[..., None, :]
+    psi = psi.reshape(w.shape)
 
     # nonlocal part: <w, p21 d_omega de> = <D^T(p21^T w), de>
-    wp = np.einsum("...ji,...j->...i", pack.p21, w)
-    Ywp = _unflat(wp, state.grid, 2, 1)
-    Dt = _cov_deriv_transpose(Ywp, state.omega, state.sig)
+    Dt = _cov_deriv_transpose(_unflat(wp, state.grid, 2, 1), state.omega, state.sig)
     psi += _flat(Dt)
 
     PG = _pairing_gram_23_11(state.sig)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .fiber import PAIRS, Signature
 from .grid import COMP_BASIS, FormField, Grid3, deriv_axis
+from .wedgemaps import complete_frame
 
 EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -99,19 +100,11 @@ def orthonormal_frame(e: np.ndarray, sig: Signature) -> AdaptedFrame:
     eta_bar = np.array([float(np.asarray(s).reshape(-1)[0]) for s in signs])
 
     # unit eta-orthogonal completion, orientation positive
-    W3 = np.stack(ws, axis=-2)                      # (..., 3, 4)
-    A = W3 * eta
-    _, _, vh = np.linalg.svd(A)
-    w0 = vh[..., 3, :]
-    q0 = np.einsum("...i,i,...i->...", w0, eta, w0)
-    if np.any(np.abs(q0) < 1e-12):
-        raise GramSchmidtError("degenerate boundary metric: null normal")
-    w0 = w0 / np.sqrt(np.abs(q0))[..., None]
-    frame = np.concatenate([np.swapaxes(W3, -1, -2), w0[..., :, None]], axis=-1)
-    det = np.linalg.det(frame)
-    frame = frame.copy()
-    frame[..., :, 3] *= np.where(det < 0, -1.0, 1.0)[..., None]
-    eta00 = float(np.sign(q0.reshape(-1)[0]))
+    try:
+        frame, q0 = complete_frame(np.stack(ws, axis=-2), sig)
+    except ValueError:
+        raise GramSchmidtError("degenerate boundary metric: null normal") from None
+    eta00 = float(q0.reshape(-1)[0])
 
     # triad: e_a = ebar_a^i w_i  =>  ebar = e . eta . w / eta_bar
     e_bar = np.einsum("...ai,i,...ij->...aj", e, eta, frame[..., :, :3]) / eta_bar

@@ -157,8 +157,9 @@ def sample_locus_state(grid: Grid3, sig: Signature, gamma: float, rng,
     """A point of the projected Euler-Lagrange locus with Lambda = 0.
 
     With a constant reference connection the curvature is pure algebra, and
-    e |-> e ^ T_gamma[F_ref] is linear per site: sample e from its kernel,
-    rejecting degenerate draws.
+    e |-> e ^ T_gamma[F_ref] is linear per site: sample e by projecting a
+    per-site Gaussian 12-vector onto its kernel with the (basis-independent)
+    orthogonal projector, rejecting degenerate draws.
     """
     n = grid.n
     if omega_ref is None:
@@ -170,12 +171,12 @@ def sample_locus_state(grid: Grid3, sig: Signature, gamma: float, rng,
     # per-site kernel of e -> e ^ TF
     J = _locus_equation_matrix(omega_ref, gamma, sig)
     _, _, vh = np.linalg.svd(J)
-    null = vh[..., 4:, :]                                # (..., 8, 12)
+    proj = np.swapaxes(vh[..., 4:, :], -1, -2) @ vh[..., 4:, :]   # (..., 12, 12)
     e_data = np.zeros((n, n, n, 3, 4))
     bad = np.ones((n, n, n), dtype=bool)
     for attempt in range(128):
-        coeff = rng.normal(size=null.shape[:-2] + (1, 8))
-        cand = (coeff @ null)[..., 0, :].reshape(n, n, n, 3, 4)
+        g = rng.normal(size=proj.shape[:-1])
+        cand = np.einsum("...ij,...j->...i", proj, g).reshape(n, n, n, 3, 4)
         e_data = np.where(bad[..., None, None], cand, e_data)
         sv = np.linalg.svd(e_data, compute_uv=False)
         bad = sv[..., 2] < 0.15 * sv[..., 0]

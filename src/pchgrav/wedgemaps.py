@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fiber
-from .fiber import GRADE_DIMS, PAIR_INDEX, Signature
+from .fiber import PAIR_INDEX, Signature
 from .grid import COMP_BASIS, NCOMP
 
 SHAPES = ((1, 1), (1, 2), (2, 1))
@@ -54,35 +54,40 @@ def wedge_matrix(e: np.ndarray, shape: tuple) -> np.ndarray:
 # e-adapted frame
 
 
-def complete_frame(e: np.ndarray, sig: Signature):
-    """Frame matrix P = [e_1 e_2 e_3 e_n] with eta-orthogonal unit e_n.
+#: cofactor expansion of det[e_1 e_2 e_3 x] along x: the columns kept per x-index
+_COF_COLS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_COF_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
+_PAIRS = np.array(fiber.PAIRS)
 
-    The fourth vector is the eta-orthogonal completion with |eta(e_n,e_n)| = 1
-    and sign fixed by orientation (positive volume pairing).  Returns
-    (P, q_n) with q_n = eta(e_n, e_n).
+
+def complete_frame(e: np.ndarray, sig: Signature):
+    """Frame matrix P = [e_1 e_2 e_3 e_n] with eta-orthogonal unit e_n, closed form.
+
+    With the cofactor vector c (det[e_1 e_2 e_3 x] = c . x) and q = eta(c, c),
+    e_n = sign(q) eta c / sqrt|q|, so det P = sqrt|q| > 0.  Returns (P, q_n)
+    with q_n = eta(e_n, e_n); ValueError when e_n is null or c = 0.
     """
     e = np.asarray(e, dtype=float)
-    # null space of the 3x4 system  e_a^i eta_i v^i = 0
-    A = e * sig.eta
-    _, sv, vh = np.linalg.svd(A)
-    v = vh[..., 3, :]
-    q = np.einsum("...i,i,...i->...", v, sig.eta, v)
-    if np.any(np.abs(q) < 1e-12):
+    sub = e[..., :, _COF_COLS]                                   # (..., 3, 4, 3)
+    c = _COF_SIGNS * np.einsum("...li,...li->...l", sub[..., 0, :, :],
+                               np.cross(sub[..., 1, :, :], sub[..., 2, :, :]))
+    q = np.einsum("...i,i,...i->...", c, sig.eta, c)
+    if np.any(np.abs(q) <= 1e-12 * np.einsum("...i,...i->...", c, c)):
         raise ValueError("cannot complete frame: normal direction is null")
-    v = v / np.sqrt(np.abs(q))[..., None]
-    P = np.concatenate([np.swapaxes(e, -1, -2), v[..., :, None]], axis=-1)
-    det = np.linalg.det(P)
-    flip = np.where(det < 0, -1.0, 1.0)
-    P = P.copy()
-    P[..., :, 3] *= flip[..., None]
-    qn = np.sign(np.einsum("...i,i,...i->...", P[..., :, 3], sig.eta, P[..., :, 3]))
-    return P, qn
+    qn = np.sign(q)
+    n = (qn / np.sqrt(np.abs(q)))[..., None] * sig.eta * c
+    return np.concatenate([np.swapaxes(e, -1, -2), n[..., :, None]], axis=-1), qn
 
 
 def compound_matrix(P: np.ndarray, k: int) -> np.ndarray:
     """Induced map Lambda^k P on the ordered-basis components."""
     if k == 1:
         return P
+    if k == 2:
+        # minor ((a, b), (c, d)) = P[a, c] P[b, d] - P[a, d] P[b, c]
+        a, b = _PAIRS[:, 0, None], _PAIRS[:, 1, None]
+        c, d = _PAIRS[None, :, 0], _PAIRS[None, :, 1]
+        return P[..., a, c] * P[..., b, d] - P[..., a, d] * P[..., b, c]
     basis = fiber.GRADE_BASIS[k]
     dim = len(basis)
     out = np.zeros(P.shape[:-2] + (dim, dim))
@@ -93,15 +98,15 @@ def compound_matrix(P: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def block_diag(M: np.ndarray, m: int) -> np.ndarray:
+    """kron(I_m, M), batched on the last two axes."""
+    d = M.shape[-1]
+    return np.einsum("cd,...ij->...cidj", np.eye(m), M).reshape(M.shape[:-2] + (m * d, m * d))
+
+
 def domain_transform(P: np.ndarray, p: int, k: int) -> np.ndarray:
     """Coefficient map from e-frame to u-frame for Omega^p(Lambda^k)."""
-    Pk = compound_matrix(P, k)
-    ncomp, fdim = NCOMP[p], GRADE_DIMS[k]
-    out = np.zeros(P.shape[:-2] + (ncomp * fdim, ncomp * fdim))
-    for c in range(ncomp):
-        sl = slice(c * fdim, (c + 1) * fdim)
-        out[..., sl, sl] = Pk
-    return out
+    return block_diag(compound_matrix(P, k), NCOMP[p])
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ def test_gamma_infinity_accepted():
     ({"gamma": True}, "$.gamma"),
     ({"tolerances": {"kernel_sampels": 3}}, "$.tolerances.kernel_sampels"),
     ({"tolerances": {"bracket_ll": math.nan}}, "$.tolerances.bracket_ll"),
+    ({"seed": True}, "$.seed"),
 ])
 def test_bad_numbers_and_tolerance_names_exit_2(tmp_path, capsys, raw, path):
     cfgp = write_cfg(tmp_path, {"suites": ["algebra"], **raw})

@@ -1,0 +1,129 @@
+"""Exact projector derivative and closed-form frame completion.
+
+The central-difference implementations of A and A+ (rebuilding the projector
+pack at e +- eps de) are kept here as references for the exact derivative.
+"""
+
+import numpy as np
+import pytest
+
+from pchgrav import constraints as cst, fiber, reduction as red, wedgemaps as wm
+from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
+from pchgrav.grid import Coframe, FormField, Grid3, cov_deriv, random_field_spec
+from pchgrav.suites import random_nondegenerate_coframe, random_offshell_state
+
+RNG = np.random.Generator(np.random.Philox(key=1973))
+FD_STEP = 1e-6
+
+
+def _fd_dp21(state, de):
+    """Central difference of the p21 projector field along de."""
+    scale = max(state.e.field.sup_norm(), 1e-12)
+    eps = FD_STEP * scale / max(de.sup_norm(), 1e-300)
+    pp = cst.projector_pack(Coframe(state.e.field + eps * de, state.sig, check=False))
+    pm = cst.projector_pack(Coframe(state.e.field + (-eps) * de, state.sig, check=False))
+    return (pp.p21 - pm.p21) / (2 * eps)
+
+
+def _fd_a_map(state, de, pack):
+    dvec = cst._flat(cst.torsion(state))
+    dp_d = np.einsum("...ij,...j->...i", _fd_dp21(state, de), dvec)
+    pd = np.einsum("...ij,...j->...i", pack.p21,
+                   cst._flat(cov_deriv(de, state.omega, state.sig)))
+    z = np.einsum("...ij,...j->...i", pack.S2v_inv, dp_d + pd) @ red.K21HAT
+    return -np.linalg.solve(pack.phi, z[..., None])[..., 0]
+
+
+def _fd_a_dagger(state, Q, pack):
+    PB = cst._pairing_gram_22_12(state.gamma, state.sig)
+    K12S = np.einsum("...ij,jk->...ik", pack.S12, red.K12HAT)
+    qK = np.einsum("...j,...jk->...k", cst._flat(Q) @ PB, K12S)
+    lam = -np.linalg.solve(np.swapaxes(pack.phi, -1, -2), qK[..., None])[..., 0]
+    w = np.einsum("Dk,...k->...D", red.K21HAT, lam)
+    w = np.einsum("...ji,...j->...i", pack.S2v_inv, w)
+    dvec = cst._flat(cst.torsion(state))
+    psi = np.zeros(w.shape[:-1] + (12,))
+    for a in range(3):
+        for i in range(4):
+            bump = np.zeros(state.e.data.shape)
+            bump[..., a, i] = 1.0
+            dp = _fd_dp21(state, FormField(state.grid, 1, 1, bump))
+            col = np.einsum("...ij,...j->...i", dp, dvec)
+            psi[..., a * 4 + i] = np.einsum("...i,...i->...", w, col)
+    wp = np.einsum("...ji,...j->...i", pack.p21, w)
+    Dt = cst._cov_deriv_transpose(cst._unflat(wp, state.grid, 2, 1), state.omega, state.sig)
+    psi += cst._flat(Dt)
+    PG = cst._pairing_gram_23_11(state.sig)
+    return cst._unflat(psi @ np.linalg.inv(PG.T).T, state.grid, 2, 3)
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+@pytest.fixture(scope="module", params=[4, 8])
+def offshell(request):
+    rng = np.random.Generator(np.random.Philox(key=request.param))
+    st = random_offshell_state(rng, Grid3(request.param), LORENTZIAN, 1.0, 0.1)
+    return st, cst.projector_pack(st.e)
+
+
+def test_exact_dp21_matches_central_difference(offshell):
+    st, pack = offshell
+    de = random_field_spec(RNG, 1, 1, n_modes=2, amp=0.3).sample(st.grid)
+    X = cst._frame_velocity(de.data, pack, st.sig)
+    XB = wm.block_diag(X, 3)
+    exact = XB @ pack.p21 - pack.p21 @ XB
+    assert _rel(exact, _fd_dp21(st, de)) <= 1e-8
+
+
+def test_a_map_matches_central_difference(offshell):
+    st, pack = offshell
+    for _ in range(2):
+        de = random_field_spec(RNG, 1, 1, n_modes=2, amp=0.3).sample(st.grid)
+        assert _rel(cst.a_map(st, de, pack), _fd_a_map(st, de, pack)) <= 1e-8
+
+
+def test_a_dagger_matches_central_difference(offshell):
+    st, pack = offshell
+    Q = random_field_spec(RNG, 2, 2, n_modes=2, amp=0.3).sample(st.grid)
+    assert _rel(cst.a_dagger(st, Q, pack).data, _fd_a_dagger(st, Q, pack).data) <= 1e-8
+
+
+def _svd_frame(e, sig):
+    """Reference completion: SVD null vector, normalized, orientation fixed by det."""
+    v = np.linalg.svd(e * sig.eta)[2][..., 3, :]
+    q = np.einsum("...i,i,...i->...", v, sig.eta, v)
+    v = v / np.sqrt(np.abs(q))[..., None]
+    P = np.concatenate([np.swapaxes(e, -1, -2), v[..., :, None]], axis=-1)
+    P[..., :, 3] *= np.where(np.linalg.det(P) < 0, -1.0, 1.0)[..., None]
+    return P, np.sign(q)
+
+
+@pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN], ids=["euclidean", "lorentzian"])
+def test_closed_form_frame_matches_svd(sig):
+    e = np.stack([random_nondegenerate_coframe(RNG, sig) for _ in range(64)])
+    P, qn = wm.complete_frame(e, sig)
+    Pr, qr = _svd_frame(e, sig)
+    assert np.abs(P - Pr).max() <= 1e-10 * max(1.0, np.abs(Pr).max())
+    assert np.array_equal(qn, qr)
+    assert np.all(np.linalg.det(P) > 0)
+
+
+def test_null_normal_and_dependent_coframe_rejected():
+    with pytest.raises(ValueError, match="null"):
+        wm.complete_frame(red.make_degenerate_coframe((1, 1, 0), LORENTZIAN), LORENTZIAN)
+    rank2 = np.array([[1.0, 0, 2, 0], [0, 1, 0, 3], [1, 1, 2, 3]])   # e_3 = e_1 + e_2
+    for sig in (EUCLIDEAN, LORENTZIAN):
+        with pytest.raises(ValueError, match="null"):
+            wm.complete_frame(rank2, sig)
+
+
+def test_compound_matrix_matches_minor_loop():
+    P = RNG.normal(size=(10, 4, 4))
+    basis = fiber.GRADE_BASIS[2]
+    ref = np.zeros((10, 6, 6))
+    for J, cols in enumerate(basis):
+        for I, rows in enumerate(basis):
+            ref[:, I, J] = np.linalg.det(P[:, list(rows)][:, :, list(cols)])
+    assert np.abs(wm.compound_matrix(P, 2) - ref).max() <= 1e-13
