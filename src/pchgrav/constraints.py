@@ -3,13 +3,17 @@
 States are pairs (e, omega~) with the structural part of the torsion killed:
 p d_omega~ e = 0, certified by the kernel-correction solve.  On such states
 
-    L_alpha = integral T^_gamma[alpha ^ e ^ d_omega~ e]
-    J_mu    = integral T^_gamma[mu ^ e ^ F_omega~] + Tr[Lambda mu ^ e^3]
+    L_alpha = integral Tr[T_gamma alpha ^ e ^ d_omega~ e]
+            = integral Tr[alpha ^ T_gamma(e ^ d_omega~ e)]
+    J_mu    = integral Tr[T_gamma(mu ^ e) ^ F_omega~ + Lambda mu ^ e^3]
+            = integral Tr[mu ^ (e ^ F + gamma^-1 e ^ star F + Lambda e^3)]
 
-are evaluated with the full fiber-algebra machinery.  Functionals are always
-evaluated through re-certification, so they are invariant under kernel-valued
-shifts of the connection, and finite-difference directional derivatives stay
-on the slice automatically.
+since T_gamma = 1 + gamma^-1 star is symmetric under the trace pairing
+(a ^ star b = <a, b> vol) and the wedge is associative.  A state builds these
+densities (and F, e ^ e, the torsion) once, on first use, so each smearing
+costs one pointwise wedge.  Functionals are always evaluated through
+re-certification, so they are invariant under kernel-valued shifts of the
+connection, and finite-difference directional derivatives stay on the slice.
 
 Hamiltonian vector fields solve the defining wedge equations
 
@@ -27,7 +31,7 @@ derivative for the nonlocal part).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +59,7 @@ from .wedgemaps import block_diag, complete_frame, compound_matrix
 # states
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryState:
     e: Coframe
     omega: FormField            # certified structural representative
@@ -63,6 +67,7 @@ class BoundaryState:
     Lambda: float
     ot: OmegaTildeResult
     on_shell: bool = False      # built on the residual-constraint surface
+    _fields: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid3:
@@ -71,6 +76,36 @@ class BoundaryState:
     @property
     def sig(self) -> Signature:
         return self.e.sig
+
+    def _once(self, key: str, build) -> FormField:
+        if key not in self._fields:
+            self._fields[key] = build()
+        return self._fields[key]
+
+    @property
+    def F(self) -> FormField:
+        return self._once("F", lambda: curvature(self.omega, self.sig))
+
+    @property
+    def ee(self) -> FormField:
+        return self._once("ee", lambda: wedge_fields(self.e.field, self.e.field))
+
+    def j_density(self, gamma: float) -> FormField:
+        """e ^ T_gamma F + Lambda e^3, so that J_mu = integral Tr[mu ^ density]."""
+        e = self.e.field
+        D = self._once("eF", lambda: wedge_fields(e, self.F))
+        if not np.isinf(gamma):
+            D = D + self._once("e*F", lambda: wedge_fields(e, FormField(
+                self.grid, 2, 2, fiber.hodge_star2(self.F.data, self.sig)))) * (1.0 / gamma)
+        if self.Lambda != 0.0:
+            D = D + self._once("e3", lambda: wedge_fields(e, self.ee)) * self.Lambda
+        return D
+
+    @property
+    def l_density(self) -> FormField:
+        """T_gamma(e ^ d_omega e), so that L_alpha = integral Tr[alpha ^ density]."""
+        return self._once("L", lambda: t_gamma_field(
+            wedge_fields(self.e.field, torsion(self)), self.gamma, self.sig))
 
 
 def certify(e: Coframe, omega: FormField, gamma: float, Lambda: float = 0.0,
@@ -98,32 +133,26 @@ def smear_constant(grid: Grid3, grade: int, comps) -> FormField:
 
 
 def torsion(state: BoundaryState) -> FormField:
-    return cov_deriv(state.e.field, state.omega, state.sig)
+    return state._once("torsion", lambda: cov_deriv(state.e.field, state.omega, state.sig))
 
 
 def eval_L(state: BoundaryState, alpha: FormField) -> float:
-    """L_alpha; linear in alpha, O(h^2) on on-shell states."""
+    """L_alpha = integral Tr[alpha ^ T_gamma(e ^ d_omega e)] (T_gamma moved across the
+    symmetric trace pairing); linear in alpha, O(h^2) on on-shell states."""
     if alpha.grid.n != state.grid.n:
         raise ValueError("grid mismatch")
-    x = wedge_fields(state.e.field, torsion(state))   # Omega^3(L^2 V)
-    talpha = t_gamma_field(alpha, state.gamma, state.sig)
-    return integrate(tr_quad_field(wedge_fields(talpha, x)))
+    return integrate(tr_quad_field(wedge_fields(alpha, state.l_density)))
 
 
 def eval_J(state: BoundaryState, mu: FormField, gamma: float | None = None) -> float:
-    """J_mu with the cosmological term Tr[Lambda mu ^ e^3]."""
+    """J_mu = integral Tr[T_gamma(mu ^ e) ^ F + Lambda mu ^ e^3] as mu wedged with the
+    per-state density e ^ F + gamma^-1 e ^ star F + Lambda e^3 (any gamma)."""
     if mu.grid.n != state.grid.n:
         raise ValueError("grid mismatch")
     g = state.gamma if gamma is None else gamma
-    F = curvature(state.omega, state.sig)
-    me = wedge_fields(mu, state.e.field)              # Omega^1(L^2 V)
-    tme = t_gamma_field(me, g, state.sig)
-    val = integrate(tr_quad_field(wedge_fields(tme, F)))
-    if state.Lambda != 0.0:
-        e = state.e.field
-        e3 = wedge_fields(e, wedge_fields(e, e))
-        val += state.Lambda * integrate(tr_quad_field(wedge_fields(mu, e3)))
-    return val
+    if g == 0:
+        raise ValueError("gamma must be nonzero")
+    return integrate(tr_quad_field(wedge_fields(mu, state.j_density(g))))
 
 
 def eval_J_infinity(state: BoundaryState, mu: FormField) -> float:
@@ -502,11 +531,9 @@ def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormFiel
         if offshell_corrections is None:
             offshell_corrections = not state.on_shell
         dmu = cov_deriv(mu, state.omega, sig)
-        F = curvature(state.omega, sig)
-        rhs_w12 = wedge_fields(mu, F)
+        rhs_w12 = wedge_fields(mu, state.F)
         if state.Lambda != 0.0:
-            ee = wedge_fields(state.e.field, state.e.field)
-            rhs_w12 = rhs_w12 + 3.0 * state.Lambda * wedge_fields(mu, ee)
+            rhs_w12 = rhs_w12 + 3.0 * state.Lambda * wedge_fields(mu, state.ee)
         rhs_e = wedge_fields(dmu, state.e.field) * (-1.0)
         if offshell_corrections:
             d = torsion(state)
@@ -532,8 +559,7 @@ def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormFiel
 
     psi = None
     if kind == "L":
-        dal = cov_deriv(smearing, state.omega, sig)
-        psi = (_apply_sitewise(pack.p12, X_omega) + _apply_sitewise(pack.p12, dal)).sup_norm()
+        psi = (pX + _apply_sitewise(pack.p12, dal)).sup_norm()
     return TangentVector(X_e, X_omega, kind, residual, psi, wedge_res)
 
 
@@ -572,10 +598,7 @@ def z_mu(state: BoundaryState, mu: FormField, pack: ProjectorPack | None = None)
     """Auxiliary Z with p Z = 0 and e ^ Z = mu F_omega, least squares."""
     if pack is None:
         pack = projector_pack(state.e)
-    F = curvature(state.omega, state.sig)
-    rhs = wedge_fields(mu, F)
-    Z = _solve_complement_12(rhs * (-1.0), state, pack)
-    return Z
+    return _solve_complement_12(wedge_fields(mu, state.F) * (-1.0), state, pack)
 
 
 # ---------------------------------------------------------------------------

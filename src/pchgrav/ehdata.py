@@ -41,6 +41,9 @@ for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
 for _i, _j, _k in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:
     EPS3[_i, _j, _k] = -1.0
 
+#: eps_abc eps_fda summed over a, as a (f) x (b, c, d) matrix for the momentum density
+EPS_MOMENTUM = np.einsum("abc,fda->fbcd", EPS3, EPS3).reshape(3, 27)
+
 #: spatial index pairs (12, 13, 23), ordered as the coordinate 2-form components
 SPATIAL_PAIRS = COMP_BASIS[2]
 
@@ -74,21 +77,21 @@ def orthonormal_frame(e: np.ndarray, sig: Signature) -> AdaptedFrame:
     GramSchmidtError when a pivot is null (degenerate boundary metric).
     """
     e = np.asarray(e, dtype=float)
-    eta = sig.eta
+    eta_e = e * sig.eta
     ws = []
     signs = []
     for a in range(3):
         v = e[..., a, :].copy()
         for w, sgn in zip(ws, signs):
-            proj = np.einsum("...i,i,...i->...", w, eta, v)
+            proj = ((w * sig.eta) * v).sum(-1)
             v = v - (proj / sgn)[..., None] * w
-        q = np.einsum("...i,i,...i->...", v, eta, v)
-        scale = np.einsum("...i,i,...i->...", e[..., a, :], eta, e[..., a, :])
+        q = ((v * sig.eta) * v).sum(-1)
+        scale = (eta_e[..., a, :] * e[..., a, :]).sum(-1)
         if np.any(np.abs(q) < 1e-10 * np.maximum(np.abs(scale), 1.0)):
             raise GramSchmidtError("degenerate boundary metric: null pivot in Gram-Schmidt")
         v = v / np.sqrt(np.abs(q))[..., None]
         # orient so eta(e_a, w_a) > 0: diagonal (leading) triad entry positive
-        lead = np.einsum("...i,i,...i->...", e[..., a, :], eta, v)
+        lead = (eta_e[..., a, :] * v).sum(-1)
         v = v * np.where(lead < 0, -1.0, 1.0)[..., None]
         ws.append(v)
         signs.append(np.sign(q))
@@ -107,7 +110,7 @@ def orthonormal_frame(e: np.ndarray, sig: Signature) -> AdaptedFrame:
     eta00 = float(q0.reshape(-1)[0])
 
     # triad: e_a = ebar_a^i w_i  =>  ebar = e . eta . w / eta_bar
-    e_bar = np.einsum("...ai,i,...ij->...aj", e, eta, frame[..., :, :3]) / eta_bar
+    e_bar = (eta_e @ frame[..., :, :3]) / eta_bar
     return AdaptedFrame(frame=frame, e_bar=e_bar, eta_bar=eta_bar, eta00=eta00)
 
 
@@ -119,9 +122,7 @@ def so3_bracket(a: np.ndarray, b: np.ndarray, eta_bar: np.ndarray) -> np.ndarray
     """Bracket on 3x3 antisymmetric blocks stored on pairs (12, 13, 23)."""
     A = block_to_mat(a)
     B = block_to_mat(b)
-    C = np.einsum("...rm,m,...ms->...rs", A, eta_bar, B)
-    C = C - np.einsum("...rm,m,...ms->...rs", B, eta_bar, A)
-    return mat_to_block(C)
+    return mat_to_block((A * eta_bar) @ B - (B * eta_bar) @ A)
 
 
 def block_to_mat(a: np.ndarray) -> np.ndarray:
@@ -147,16 +148,15 @@ def gamma_of_triad(e_bar: np.ndarray, eta_bar: np.ndarray, grid: Grid3,
 
     Returns Gamma[..., a, i, j] as antisymmetric internal matrices.
     """
-    N = np.linalg.inv(e_bar)                        # N[..., i, a]
-    Eup = N / eta_bar[:, None]                      # E^{a i} with index raised
+    E = (np.linalg.inv(e_bar) / eta_bar[:, None])[..., None, :, :]   # E^{a i}, [..., 1, i, a]
     if C is None:
         de = np.stack([deriv_axis(e_bar, c, grid) for c in range(3)], axis=-3)
         C = de - np.swapaxes(de, -3, -2)            # C[..., a, b, i]
-    Clow = C * eta_bar
-    t1 = 0.5 * np.einsum("...ib,...abj->...aij", Eup, C)
-    t2 = -0.5 * np.einsum("...jb,...abi->...aij", Eup, C)
-    t3 = -0.5 * np.einsum("...ib,...jc,...bck,...ak->...aij", Eup, Eup, Clow, e_bar)
-    return t1 + t2 + t3
+    T = 0.5 * (E @ C)                               # T[a] = 1/2 E C[a]: t1 + t2 = T - T^T
+    # t3[a] = -1/2 E Y[a] E^T with Y[a, b, c] = sum_k C_low[b, c, k] ebar[a, k]
+    Y = np.moveaxis(((C * eta_bar).reshape(C.shape[:-3] + (9, 3))
+                     @ np.swapaxes(e_bar, -1, -2)).reshape(C.shape), -1, -3)
+    return T - np.swapaxes(T, -1, -2) - 0.5 * (E @ Y @ np.swapaxes(E, -1, -2))
 
 
 def gamma_block(e_bar, eta_bar, grid, C=None) -> np.ndarray:
@@ -190,7 +190,7 @@ def so3_cov_deriv_vec(A: np.ndarray, gamma_blk: np.ndarray, eta_bar: np.ndarray,
                       grid: Grid3, axis: int) -> np.ndarray:
     """(d_Gamma)_axis A for an internal-vector-valued field A[..., c, i]."""
     G = block_to_mat(gamma_blk[..., axis, :])
-    return deriv_axis(A, axis, grid) + np.einsum("...ik,k,...ck->...ci", G, eta_bar, A)
+    return deriv_axis(A, axis, grid) + (A * eta_bar) @ np.swapaxes(G, -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +224,19 @@ def split_connection(omega: FormField, frame: AdaptedFrame, grid: Grid3,
     eta = sig.eta
     eta_w = np.concatenate([frame.eta_bar, [frame.eta00]])
     V = frame.frame
-    Vinv = np.linalg.inv(V)
+    gamma_ref = gamma_block(frame.e_bar, frame.eta_bar, grid)   # before M: lower peak memory
     # connection as matrices in u-coords: M^i_j = omega^{ik} eta_kj
     M = np.zeros(omega.data.shape[:3] + (3, 4, 4))
     for I, (i, j) in enumerate(PAIRS):
         M[..., :, i, j] += omega.data[..., I] * eta[j]
         M[..., :, j, i] -= omega.data[..., I] * eta[i]
-    Mw = np.einsum("...ij,...ajk,...kl->...ail", Vinv, M, V)
+    Vinv = np.linalg.inv(V)[..., None, :, :]
     dV = np.stack([deriv_axis(V, a, grid) for a in range(3)], axis=-3)  # [..., a, i, j]
-    Mw = Mw + np.einsum("...ij,...ajk->...aik", Vinv, dV)
+    Mw = Vinv @ M @ V[..., None, :, :] + Vinv @ dV
     # bivector components with the adapted-frame metric
     om_w = np.einsum("...aij,j->...aij", Mw, 1.0 / eta_w)
     gamma_part = np.stack([om_w[..., i, j] for (i, j) in SPATIAL_PAIRS], axis=-1)
     a_part = np.stack([om_w[..., 3, i] for i in range(3)], axis=-1)
-    gamma_ref = gamma_block(frame.e_bar, frame.eta_bar, grid)
     gres = float(np.abs(gamma_part - gamma_ref).max())
     K = extrinsic_tensor(frame, a_part)
     kasym = float(np.abs(K - np.swapaxes(K, -1, -2)).max())
@@ -246,7 +245,7 @@ def split_connection(omega: FormField, frame: AdaptedFrame, grid: Grid3,
 
 def extrinsic_tensor(frame: AdaptedFrame, a_part: np.ndarray) -> np.ndarray:
     """K_ab = ebar_(a^i A_b)^j eta_ij (symmetrized)."""
-    KA = np.einsum("...ai,i,...bi->...ab", frame.e_bar, frame.eta_bar, a_part)
+    KA = (frame.e_bar * frame.eta_bar) @ np.swapaxes(a_part, -1, -2)
     return 0.5 * (KA + np.swapaxes(KA, -1, -2))
 
 
@@ -313,10 +312,10 @@ def christoffel(g: np.ndarray, grid: Grid3) -> np.ndarray:
     """Levi-Civita symbols Gamma^c_{ab} with central differences, (..., c, a, b)."""
     ginv = np.linalg.inv(g)
     dg = np.stack([deriv_axis(g, c, grid) for c in range(3)], axis=-3)  # [..., c, a, b]
-    t = np.einsum("...cd,...abd->...cab", ginv, dg)
-    t2 = np.einsum("...cd,...bad->...cab", ginv, dg)
-    t3 = np.einsum("...cd,...dab->...cab", ginv, dg)
-    return 0.5 * (t + t2 - t3)
+    # lowered symbols d_a g_bd + d_b g_ad - d_d g_ab, laid out as [..., (a, b), d]
+    low = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    lead = g.shape[:-2]
+    return 0.5 * (ginv @ np.swapaxes(low.reshape(lead + (9, 3)), -1, -2)).reshape(lead + (3, 3, 3))
 
 
 def ricci_scalar_via_metric(g: np.ndarray, grid: Grid3) -> np.ndarray:
@@ -328,11 +327,13 @@ def ricci_scalar_via_metric(g: np.ndarray, grid: Grid3) -> np.ndarray:
     dGam = np.stack([deriv_axis(Gam, c, grid) for c in range(3)], axis=-4)  # [..., d, c, a, b]
     term1 = np.einsum("...aacb->...cb", dGam)
     term2 = np.einsum("...caab->...cb", dGam)
-    term3 = np.einsum("...aad,...dcb->...cb", Gam, Gam)
-    term4 = np.einsum("...acd,...dab->...cb", Gam, Gam)
+    lead = g.shape[:-2]
+    trace = np.einsum("...aad->...d", Gam)[..., None, :]
+    term3 = (trace @ Gam.reshape(lead + (3, 9))).reshape(lead + (3, 3))
+    P = np.swapaxes(Gam, -3, -2)                    # P[..., c, a, d] = Gam[..., a, c, d]
+    term4 = P.reshape(lead + (3, 9)) @ P.reshape(lead + (9, 3))
     Ric = term1 - term2 + term3 - term4
-    ginv = np.linalg.inv(g)
-    return np.einsum("...cb,...cb->...", ginv, Ric)
+    return np.einsum("...cb,...cb->...", np.linalg.inv(g), Ric)
 
 
 def ricci_scalar(frame: AdaptedFrame, grid: Grid3, method: str = "via_frame",
@@ -340,7 +341,7 @@ def ricci_scalar(frame: AdaptedFrame, grid: Grid3, method: str = "via_frame",
     if method == "via_frame":
         return ricci_scalar_via_frame(frame.e_bar, frame.eta_bar, grid, gamma_blk)
     if method == "via_metric":
-        g = np.einsum("...ai,i,...bi->...ab", frame.e_bar, frame.eta_bar, frame.e_bar)
+        g = (frame.e_bar * frame.eta_bar) @ np.swapaxes(frame.e_bar, -1, -2)
         return ricci_scalar_via_metric(g, grid)
     raise ValueError(f"unknown method {method!r}")
 
@@ -368,11 +369,8 @@ def momentum_density_frame(frame: AdaptedFrame, a_part, gamma_blk, grid) -> np.n
     # pre-contract internal indices: eps_{kij} ebar_f^k ebar_a^j = det(ebar) eps_{fda} E^d_i
     N = np.linalg.inv(frame.e_bar)
     dete = np.linalg.det(frame.e_bar)
-    M = np.einsum(
-        "abc,fda,...,...id,...bci->...f",
-        EPS3, EPS3, dete, N, dA,
-    )
-    return M
+    W = (dA.reshape(dA.shape[:-3] + (9, 3)) @ N).reshape(dA.shape[:-3] + (27,))  # [..., (b, c, d)]
+    return dete[..., None] * (W @ EPS_MOMENTUM.T)
 
 
 def momentum_density_metric(g, Pi, grid) -> np.ndarray:
@@ -387,7 +385,7 @@ def momentum_density_metric(g, Pi, grid) -> np.ndarray:
 
 def eh_data(frame: AdaptedFrame, a_part: np.ndarray, grid: Grid3, Lambda: float = 0.0,
             ricci_method: str = "via_frame") -> EHData:
-    g = np.einsum("...ai,i,...bi->...ab", frame.e_bar, frame.eta_bar, frame.e_bar)
+    g = (frame.e_bar * frame.eta_bar) @ np.swapaxes(frame.e_bar, -1, -2)
     K = extrinsic_tensor(frame, a_part)
     Pi = momentum_density_tensor(g, K)
     gamma_blk = gamma_block(frame.e_bar, frame.eta_bar, grid)
@@ -426,7 +424,6 @@ def compare_pch_eh(state, lam0_polys, xi_polys, force: bool = False) -> dict:
     forced: the reduction formulas presuppose the residual constraint.
     """
     from . import constraints as cst
-    from .grid import FormField
 
     if not state.on_shell and not force:
         raise ValueError("compare_pch_eh expects an on-shell state")

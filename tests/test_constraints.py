@@ -1,11 +1,23 @@
 """Constraint functionals, on-shell construction, Hamiltonian fields, brackets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pchgrav import constraints as cst, fiber
 from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
-from pchgrav.grid import Grid3, TrigPoly, random_field_spec
+from pchgrav.grid import (
+    FormField,
+    Grid3,
+    TrigPoly,
+    cov_deriv,
+    curvature,
+    random_field_spec,
+    t_gamma_field,
+    tr_quad_field,
+    wedge_fields,
+)
 from pchgrav.suites import (
     acceptance_triad_spec,
     constant_k_spec,
@@ -283,3 +295,85 @@ def test_kernel_shift_invariance_of_functionals(offshell_state):
     mu = cst.smear_constant(st.grid, 1, RNG.normal(size=4))
     assert abs(cst.eval_L(st, alpha) - cst.eval_L(st2, alpha)) <= 1e-12
     assert abs(cst.eval_J(st, mu) - cst.eval_J(st2, mu)) <= 1e-12
+
+
+# --- constraint densities against the direct formulas ------------------------------
+
+def _integral_and_scale(density: FormField):
+    """Riemann sum of a scalar 3-form and the sum of its absolute values."""
+    h3 = density.grid.h**3
+    return float(density.data.sum() * h3), float(np.abs(density.data).sum() * h3)
+
+
+def _J_direct(st, mu, gamma):
+    """Tr[T_gamma(mu ^ e) ^ F] + Lambda Tr[mu ^ e^3], every product rebuilt."""
+    e = st.e.field
+    tme = t_gamma_field(wedge_fields(mu, e), gamma, st.sig)
+    dens = tr_quad_field(wedge_fields(tme, curvature(st.omega, st.sig)))
+    e3 = wedge_fields(e, wedge_fields(e, e))
+    dens = dens + st.Lambda * tr_quad_field(wedge_fields(mu, e3))
+    return _integral_and_scale(dens)
+
+
+def _L_direct(st, alpha):
+    """Tr[T_gamma alpha ^ e ^ d_omega e], every product rebuilt."""
+    x = wedge_fields(st.e.field, cov_deriv(st.e.field, st.omega, st.sig))
+    talpha = t_gamma_field(alpha, st.gamma, st.sig)
+    return _integral_and_scale(tr_quad_field(wedge_fields(talpha, x)))
+
+
+def _smearings(grid, seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    shape = (grid.n,) * 3 + (1,)
+    return (FormField(grid, 0, 1, rng.normal(size=shape + (4,))),
+            FormField(grid, 0, 2, rng.normal(size=shape + (6,))))
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("sig", [LORENTZIAN, EUCLIDEAN], ids=["lorentzian", "euclidean"])
+@pytest.mark.parametrize("Lambda", [0.0, 0.1])
+@pytest.mark.parametrize("shell", ["on", "off"])
+def test_densities_match_direct_formulas(n, sig, Lambda, shell):
+    grid = Grid3(n)
+    if shell == "on":
+        base = cst.make_on_shell(acceptance_triad_spec(), grid, 1.0, sig, Lambda=Lambda)
+    else:
+        base = random_offshell_state(np.random.Generator(np.random.Philox(key=n)),
+                                     grid, sig, 1.0, Lambda)
+    mu, alpha = _smearings(grid, 7 * n)
+    for gamma in (0.5, 10.0, np.inf):
+        st = dataclasses.replace(base, gamma=gamma)
+        for g in (None, 0.5, 10.0, np.inf):
+            ref, scale = _J_direct(st, mu, gamma if g is None else g)
+            assert abs(cst.eval_J(st, mu, gamma=g) - ref) <= 1e-12 * scale
+        ref, scale = _J_direct(st, mu, np.inf)
+        assert abs(cst.eval_J_infinity(st, mu) - ref) <= 1e-12 * scale
+        ref, scale = _L_direct(st, alpha)
+        assert abs(cst.eval_L(st, alpha) - ref) <= 1e-12 * scale
+
+
+def test_shifted_state_gets_fresh_densities(offshell_state):
+    st = offshell_state
+    mu, alpha = _smearings(st.grid, 3)
+    before = cst.eval_J(st, mu), cst.eval_L(st, alpha)
+    X = cst.hamiltonian_vector_field(st, "J", mu)
+    st2 = cst.shifted_state(st, 1e-2, X.de, X.domega)
+    ref_J, scale_J = _J_direct(st2, mu, st2.gamma)
+    ref_L, scale_L = _L_direct(st2, alpha)
+    assert abs(cst.eval_J(st2, mu) - ref_J) <= 1e-12 * scale_J
+    assert abs(cst.eval_L(st2, alpha) - ref_L) <= 1e-12 * scale_L
+    assert abs(ref_J - before[0]) > 1e-6 and abs(ref_L - before[1]) > 1e-6
+    assert (cst.eval_J(st, mu), cst.eval_L(st, alpha)) == before
+
+
+def test_eval_J_rejects_zero_gamma(offshell_state):
+    mu = cst.smear_constant(offshell_state.grid, 1, [0, 0, 0, 1])
+    with pytest.raises(ValueError, match="nonzero"):
+        cst.eval_J(offshell_state, mu, gamma=0.0)
+
+
+def test_boundary_state_is_frozen(offshell_state):
+    st = offshell_state
+    for name, value in (("omega", st.omega), ("e", st.e), ("gamma", 2.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(st, name, value)

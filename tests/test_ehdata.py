@@ -5,7 +5,8 @@ import pytest
 
 from pchgrav import constraints as cst, ehdata as eh
 from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
-from pchgrav.grid import Grid3, TrigPoly, harmonic
+from pchgrav.fiber import PAIRS
+from pchgrav.grid import Grid3, TrigPoly, deriv_axis, harmonic
 from pchgrav.suites import (
     LAPSE_PROBES,
     SHIFT_PROBES,
@@ -308,3 +309,102 @@ def test_exact_divergence_integral():
                       harmonic(0.5, (0, 1, 0), 1.0).eval(X, Y, Z),
                       harmonic(0.3, (1, 1, 1), 0.4).eval(X, Y, Z)], axis=-1)
     assert abs(eh.exact_divergence_integral(g, field)) <= 1e-12
+
+
+# --- pairwise contractions against the multi-operand einsum references ---------------
+
+def _gamma_of_triad_reference(e_bar, eta_bar, grid):
+    N = np.linalg.inv(e_bar)
+    Eup = N / eta_bar[:, None]
+    de = np.stack([deriv_axis(e_bar, c, grid) for c in range(3)], axis=-3)
+    C = de - np.swapaxes(de, -3, -2)
+    Clow = C * eta_bar
+    t1 = 0.5 * np.einsum("...ib,...abj->...aij", Eup, C)
+    t2 = -0.5 * np.einsum("...jb,...abi->...aij", Eup, C)
+    t3 = -0.5 * np.einsum("...ib,...jc,...bck,...ak->...aij", Eup, Eup, Clow, e_bar)
+    return t1 + t2 + t3
+
+
+def _split_reference(omega, frame, grid, sig):
+    """(gamma_part, a_part) through V^-1 M V + V^-1 dV as 3- and 2-operand einsums."""
+    eta = sig.eta
+    eta_w = np.concatenate([frame.eta_bar, [frame.eta00]])
+    V = frame.frame
+    Vinv = np.linalg.inv(V)
+    M = np.zeros(omega.data.shape[:3] + (3, 4, 4))
+    for I, (i, j) in enumerate(PAIRS):
+        M[..., :, i, j] += omega.data[..., I] * eta[j]
+        M[..., :, j, i] -= omega.data[..., I] * eta[i]
+    Mw = np.einsum("...ij,...ajk,...kl->...ail", Vinv, M, V)
+    dV = np.stack([deriv_axis(V, a, grid) for a in range(3)], axis=-3)
+    Mw = Mw + np.einsum("...ij,...ajk->...aik", Vinv, dV)
+    om_w = np.einsum("...aij,j->...aij", Mw, 1.0 / eta_w)
+    gamma_part = np.stack([om_w[..., i, j] for (i, j) in eh.SPATIAL_PAIRS], axis=-1)
+    a_part = np.stack([om_w[..., 3, i] for i in range(3)], axis=-1)
+    return gamma_part, a_part
+
+
+def _momentum_reference(frame, a_part, gamma_blk, grid):
+    dA = np.stack([eh.so3_cov_deriv_vec(a_part, gamma_blk, frame.eta_bar, grid, b)
+                   for b in range(3)], axis=-3)
+    N = np.linalg.inv(frame.e_bar)
+    dete = np.linalg.det(frame.e_bar)
+    return np.einsum("abc,fda,...,...id,...bci->...f", eh.EPS3, eh.EPS3, dete, N, dA)
+
+
+def _christoffel_reference(g, grid):
+    ginv = np.linalg.inv(g)
+    dg = np.stack([deriv_axis(g, c, grid) for c in range(3)], axis=-3)
+    t = np.einsum("...cd,...abd->...cab", ginv, dg)
+    t2 = np.einsum("...cd,...bad->...cab", ginv, dg)
+    t3 = np.einsum("...cd,...dab->...cab", ginv, dg)
+    return 0.5 * (t + t2 - t3)
+
+
+def _ricci_metric_reference(g, grid):
+    Gam = _christoffel_reference(g, grid)
+    dGam = np.stack([deriv_axis(Gam, c, grid) for c in range(3)], axis=-4)
+    Ric = (np.einsum("...aacb->...cb", dGam) - np.einsum("...caab->...cb", dGam)
+           + np.einsum("...aad,...dcb->...cb", Gam, Gam)
+           - np.einsum("...acd,...dab->...cb", Gam, Gam))
+    return np.einsum("...cb,...cb->...", np.linalg.inv(g), Ric)
+
+
+def _rel(got, ref):
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("sig", [LORENTZIAN, EUCLIDEAN], ids=["lorentzian", "euclidean"])
+@pytest.mark.parametrize("shell", ["on", "off"])
+def test_eh_contractions_match_einsum_references(n, sig, shell):
+    grid = Grid3(n)
+    if shell == "on":
+        st = cst.make_on_shell(acceptance_triad_spec(), grid, 1.0, sig, Lambda=0.1)
+    else:
+        st = random_offshell_state(np.random.Generator(np.random.Philox(key=n)), grid, sig, 1.0, 0.1)
+    frame = eh.orthonormal_frame(st.e.data, sig)
+    got = eh.gamma_of_triad(frame.e_bar, frame.eta_bar, grid)
+    assert _rel(got, _gamma_of_triad_reference(frame.e_bar, frame.eta_bar, grid)) <= 1e-13
+    split = eh.split_connection(st.omega, frame, grid, sig)
+    gamma_ref, a_ref = _split_reference(st.omega, frame, grid, sig)
+    assert _rel(split.gamma_part, gamma_ref) <= 1e-13
+    assert _rel(split.a_part, a_ref) <= 1e-13
+    gamma_blk = eh.gamma_block(frame.e_bar, frame.eta_bar, grid)
+    assert _rel(eh.momentum_density_frame(frame, split.a_part, gamma_blk, grid),
+                _momentum_reference(frame, split.a_part, gamma_blk, grid)) <= 1e-13
+    eta_bar = frame.eta_bar
+    G = eh.block_to_mat(gamma_blk[..., 1, :])
+    dA_ref = deriv_axis(split.a_part, 1, grid) + np.einsum("...ik,k,...ck->...ci", G, eta_bar,
+                                                           split.a_part)
+    assert _rel(eh.so3_cov_deriv_vec(split.a_part, gamma_blk, eta_bar, grid, 1), dA_ref) <= 1e-13
+    x, y = gamma_blk[..., 0, :], split.gamma_part[..., 2, :]
+    X, Y = eh.block_to_mat(x), eh.block_to_mat(y)
+    bracket_ref = eh.mat_to_block(np.einsum("...rm,m,...ms->...rs", X, eta_bar, Y)
+                                  - np.einsum("...rm,m,...ms->...rs", Y, eta_bar, X))
+    assert _rel(eh.so3_bracket(x, y, eta_bar), bracket_ref) <= 1e-13
+    KA = np.einsum("...ai,i,...bi->...ab", frame.e_bar, eta_bar, split.a_part)
+    assert _rel(eh.extrinsic_tensor(frame, split.a_part), 0.5 * (KA + np.swapaxes(KA, -1, -2))) <= 1e-13
+    g = np.einsum("...ai,i,...bi->...ab", frame.e_bar, eta_bar, frame.e_bar)
+    assert _rel(eh.christoffel(g, grid), _christoffel_reference(g, grid)) <= 1e-13
+    assert _rel(eh.ricci_scalar_via_metric(g, grid), _ricci_metric_reference(g, grid)) <= 1e-13
