@@ -6,7 +6,7 @@ Subcommands:
   omega-tilde  emit the structural connection representative for field files
 
 Exit codes: 0 all checks passed, 1 check failure, 2 configuration error,
-3 numerical-conditioning error.
+3 numerical-conditioning error (any ConditioningError, which names its site).
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from .config import ALL_SUITES, ConfigError, load_config
 from .fiber import signature_from_name
 from .grid import Coframe, load_field, save_field
 from .report import write_report
-from .reduction import PhiSingularError, omega_tilde
+from .reduction import omega_tilde
 from .suites import SuiteAbort, run_suites
-from .wedgemaps import RankDecisionError
+from .wedgemaps import ConditioningError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -43,7 +43,7 @@ def _cmd_verify(args) -> int:
         if args.out:
             write_report(abort.report, args.out, fmt=args.format)
             print(f"partial report written to {args.out}", file=sys.stderr)
-        if isinstance(abort.cause, (PhiSingularError, RankDecisionError)):
+        if isinstance(abort.cause, ConditioningError):
             return EXIT_CONDITIONING
         return EXIT_CHECK_FAILURE
     for row in report.rows:
@@ -74,7 +74,7 @@ def _cmd_reduce(args) -> int:
         frame = eh.orthonormal_frame(e.data, sig)
         split = eh.split_connection(ot.omega_tilde, frame, e.grid, sig)
         data = eh.eh_data(frame, split.a_part, e.grid, Lambda=args.Lambda)
-    except (PhiSingularError, RankDecisionError, eh.GramSchmidtError) as exc:
+    except ConditioningError as exc:
         print(f"conditioning error: {exc}", file=sys.stderr)
         return EXIT_CONDITIONING
     out = {
@@ -132,7 +132,7 @@ def _cmd_omega_tilde(args) -> int:
         return EXIT_CONFIG_ERROR
     try:
         ot = omega_tilde(e, om_field)
-    except PhiSingularError as exc:
+    except ConditioningError as exc:
         print(f"conditioning error: {exc}", file=sys.stderr)
         return EXIT_CONDITIONING
     save_field(ot.omega_tilde, args.out, sig=sig,

@@ -41,19 +41,17 @@ from .grid import (
     Coframe,
     FormField,
     Grid3,
-    TrigPoly,
     action_wedge,
     cov_deriv,
     curvature,
     deriv_axis,
-    harmonic,
     integrate,
     t_gamma_field,
     tr_quad_field,
     wedge_fields,
 )
 from .reduction import K12HAT, K21HAT, OmegaTildeResult, omega_tilde
-from .wedgemaps import block_diag, complete_frame, compound_matrix
+from .wedgemaps import block_diag
 
 # ---------------------------------------------------------------------------
 # states
@@ -248,23 +246,6 @@ def make_on_shell(spec: TriadSpec, grid: Grid3, gamma: float, sig: Signature,
     return certify(e, omega, gamma, Lambda, on_shell=True)
 
 
-def random_triad_spec(rng, amp: float = 0.05, kamp: float = 0.2, n_modes: int = 2,
-                      kmax: int = 1) -> TriadSpec:
-    """Identity-dominated trig triad and a symmetric trig K."""
-
-    def poly(base, a):
-        p = TrigPoly.constant(base)
-        for _ in range(n_modes):
-            k = tuple(int(v) for v in rng.integers(-kmax, kmax + 1, size=3))
-            p = p + harmonic(float(rng.normal()) * a, k, float(rng.uniform(0, 2 * np.pi)))
-        return p
-
-    eb = [[poly(1.0 if a == i else 0.0, amp) for i in range(3)] for a in range(3)]
-    Kup = [[poly(0.0, kamp) for _ in range(3)] for _ in range(3)]
-    K = [[Kup[min(a, b)][max(a, b)] for b in range(3)] for a in range(3)]
-    return TriadSpec(tuple(tuple(r) for r in eb), tuple(tuple(r) for r in K))
-
-
 # ---------------------------------------------------------------------------
 # per-site projector fields
 
@@ -293,30 +274,20 @@ class ProjectorPack:
     S2v_inv: np.ndarray    # u-frame -> e-frame on Omega^2(V) coeffs
 
 
-def projector_pack(e: Coframe, cond_limit: float = 1e8) -> ProjectorPack:
-    frames, _ = complete_frame(e.data, e.sig)
-    L2 = compound_matrix(frames, 2)
-    S12 = block_diag(L2, 3)
-    S12_inv = block_diag(np.linalg.inv(L2), 3)
-    frames_inv = np.linalg.inv(frames)
-    S2v = block_diag(frames, 3)
-    S2v_inv = block_diag(frames_inv, 3)
-    phi = reduction.phi_matrix(e.gmetric)
-    sv = np.linalg.svd(phi, compute_uv=False)
-    cond = sv[..., 0] / np.maximum(sv[..., -1], 1e-300)
-    if np.any(cond > cond_limit):
-        site = np.unravel_index(int(np.argmax(cond)), cond.shape)
-        raise reduction.PhiSingularError(
-            f"ill-conditioned solve at site {site}: cond(phi) = {cond.max():.3e}"
-        )
+def projector_pack(e: Coframe) -> ProjectorPack:
+    pf = reduction.phi_frame(e.data, e.sig)
+    S12 = block_diag(pf.L2P, 3)
+    S12_inv = block_diag(np.linalg.inv(pf.L2P), 3)
+    S2v = block_diag(pf.frames, 3)
+    S2v_inv = block_diag(pf.frames_inv, 3)
     return ProjectorPack(
-        frames=frames,
-        frames_inv=frames_inv,
+        pf.frames,
+        pf.frames_inv,
         p12=S12 @ _P12_E @ S12_inv,
         p12_prime=S12 @ (np.eye(18) - _P12_E) @ S12_inv,
         p21=S2v @ _P21_E @ S2v_inv,
         p11_dag=S12 @ _P11DAG_E @ S12_inv,
-        phi=phi,
+        phi=pf.phi,
         S12=S12,
         S12_inv=S12_inv,
         S2v_inv=S2v_inv,
@@ -509,12 +480,11 @@ def _solve_w11(rhs: FormField, state: BoundaryState) -> FormField:
 
 
 def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormField,
-                             pack: ProjectorPack | None = None,
-                             offshell_corrections: bool | None = None) -> TangentVector:
+                             pack: ProjectorPack | None = None) -> TangentVector:
     """Hamiltonian vector field of L_alpha or J_mu on the structural slice.
 
-    For J the adjoint-map corrections vanish on shell; they are assembled by
-    default only when the state is off shell (any grid size).
+    For J the adjoint-map corrections vanish on shell; they are assembled
+    only when the state is off shell (any grid size).
     """
     sig = state.sig
     if pack is None:
@@ -528,14 +498,12 @@ def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormFiel
         rhs_w = wedge_fields(state.e.field, dal) * (-1.0)
     elif kind == "J":
         mu = smearing
-        if offshell_corrections is None:
-            offshell_corrections = not state.on_shell
         dmu = cov_deriv(mu, state.omega, sig)
         rhs_w12 = wedge_fields(mu, state.F)
         if state.Lambda != 0.0:
             rhs_w12 = rhs_w12 + 3.0 * state.Lambda * wedge_fields(mu, state.ee)
         rhs_e = wedge_fields(dmu, state.e.field) * (-1.0)
-        if offshell_corrections:
+        if not state.on_shell:
             d = torsion(state)
             ppd = d - _apply_sitewise(pack.p21, d)
             Q = wedge_fields(mu, ppd)
@@ -609,17 +577,17 @@ class RichardsonError(RuntimeError):
     pass
 
 
-def directional_derivative(state: BoundaryState, functional, X: TangentVector,
-                           h_rel: float = 1e-5):
+def directional_derivative(state: BoundaryState, functional, X: TangentVector):
     """Central FD of a functional along X with one Richardson step.
 
-    The functional is evaluated on re-certified states, so motion stays on the
+    The first step is 1e-5 of the state's scale over the size of X.  The
+    functional is evaluated on re-certified states, so motion stays on the
     structural slice.  Returns (value, error_estimate); raises RichardsonError
     when halving the step fails to reduce the difference.
     """
     scale = max(state.e.field.sup_norm(), state.omega.sup_norm())
     xnorm = max(X.de.sup_norm(), X.domega.sup_norm())
-    t = h_rel * scale / max(xnorm, 1e-300)
+    t = 1e-5 * scale / max(xnorm, 1e-300)
 
     def fd(step):
         fp = functional(shifted_state(state, step, X.de, X.domega))
@@ -648,12 +616,11 @@ def functional_J(mu: FormField):
 
 
 def poisson_bracket(state: BoundaryState, f_kind: str, f_smear: FormField,
-                    g_kind: str, g_smear: FormField, h_rel: float = 1e-5,
-                    pack: ProjectorPack | None = None):
+                    g_kind: str, g_smear: FormField):
     """{F, G} = X_F(G) by finite differences along the Hamiltonian field of F."""
-    X = hamiltonian_vector_field(state, f_kind, f_smear, pack)
+    X = hamiltonian_vector_field(state, f_kind, f_smear)
     G = functional_L(g_smear) if g_kind == "L" else functional_J(g_smear)
-    return directional_derivative(state, G, X, h_rel)
+    return directional_derivative(state, G, X)
 
 
 def symplectic_form(state: BoundaryState, X, Y) -> float:

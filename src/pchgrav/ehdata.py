@@ -33,7 +33,7 @@ import numpy as np
 
 from .fiber import PAIRS, Signature
 from .grid import COMP_BASIS, FormField, Grid3, deriv_axis
-from .wedgemaps import complete_frame
+from .wedgemaps import ConditioningError, NullNormalError, at_site, complete_frame
 
 EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -62,8 +62,8 @@ class AdaptedFrame:
     eta00: float          # sign eta(w_0, w_0)
 
 
-class GramSchmidtError(RuntimeError):
-    pass
+class GramSchmidtError(ConditioningError, RuntimeError):
+    """The coframe span has a null pivot, or its signature varies across sites."""
 
 
 def orthonormal_frame(e: np.ndarray, sig: Signature) -> AdaptedFrame:
@@ -87,8 +87,10 @@ def orthonormal_frame(e: np.ndarray, sig: Signature) -> AdaptedFrame:
             v = v - (proj / sgn)[..., None] * w
         q = ((v * sig.eta) * v).sum(-1)
         scale = (eta_e[..., a, :] * e[..., a, :]).sum(-1)
-        if np.any(np.abs(q) < 1e-10 * np.maximum(np.abs(scale), 1.0)):
-            raise GramSchmidtError("degenerate boundary metric: null pivot in Gram-Schmidt")
+        null = np.abs(q) < 1e-10 * np.maximum(np.abs(scale), 1.0)
+        if np.any(null):
+            raise GramSchmidtError(
+                f"degenerate boundary metric{at_site(null)}: null pivot {a + 1} in Gram-Schmidt")
         v = v / np.sqrt(np.abs(q))[..., None]
         # orient so eta(e_a, w_a) > 0: diagonal (leading) triad entry positive
         lead = (eta_e[..., a, :] * v).sum(-1)
@@ -96,17 +98,17 @@ def orthonormal_frame(e: np.ndarray, sig: Signature) -> AdaptedFrame:
         ws.append(v)
         signs.append(np.sign(q))
 
-    for idx, sgn in enumerate(signs):
-        flat = np.asarray(sgn).reshape(-1)
-        if flat.size and not np.all(flat == flat[0]):
-            raise GramSchmidtError("boundary span signature varies across sites")
+    for sgn in signs:
+        flips = np.asarray(sgn) != np.asarray(sgn).reshape(-1)[0]
+        if np.any(flips):
+            raise GramSchmidtError(f"boundary span signature flips{at_site(flips)}")
     eta_bar = np.array([float(np.asarray(s).reshape(-1)[0]) for s in signs])
 
     # unit eta-orthogonal completion, orientation positive
     try:
         frame, q0 = complete_frame(np.stack(ws, axis=-2), sig)
-    except ValueError:
-        raise GramSchmidtError("degenerate boundary metric: null normal") from None
+    except NullNormalError as exc:
+        raise GramSchmidtError(f"degenerate boundary metric: {exc}") from None
     eta00 = float(q0.reshape(-1)[0])
 
     # triad: e_a = ebar_a^i w_i  =>  ebar = e . eta . w / eta_bar
@@ -336,16 +338,6 @@ def ricci_scalar_via_metric(g: np.ndarray, grid: Grid3) -> np.ndarray:
     return np.einsum("...cb,...cb->...", np.linalg.inv(g), Ric)
 
 
-def ricci_scalar(frame: AdaptedFrame, grid: Grid3, method: str = "via_frame",
-                 gamma_blk=None) -> np.ndarray:
-    if method == "via_frame":
-        return ricci_scalar_via_frame(frame.e_bar, frame.eta_bar, grid, gamma_blk)
-    if method == "via_metric":
-        g = (frame.e_bar * frame.eta_bar) @ np.swapaxes(frame.e_bar, -1, -2)
-        return ricci_scalar_via_metric(g, grid)
-    raise ValueError(f"unknown method {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # constraint densities
 
@@ -383,13 +375,13 @@ def momentum_density_metric(g, Pi, grid) -> np.ndarray:
     return -2.0 * (divP - corr)
 
 
-def eh_data(frame: AdaptedFrame, a_part: np.ndarray, grid: Grid3, Lambda: float = 0.0,
-            ricci_method: str = "via_frame") -> EHData:
+def eh_data(frame: AdaptedFrame, a_part: np.ndarray, grid: Grid3,
+            Lambda: float = 0.0) -> EHData:
     g = (frame.e_bar * frame.eta_bar) @ np.swapaxes(frame.e_bar, -1, -2)
     K = extrinsic_tensor(frame, a_part)
     Pi = momentum_density_tensor(g, K)
     gamma_blk = gamma_block(frame.e_bar, frame.eta_bar, grid)
-    R = ricci_scalar(frame, grid, ricci_method, gamma_blk=gamma_blk)
+    R = ricci_scalar_via_frame(frame.e_bar, frame.eta_bar, grid, gamma_blk)
     H = hamiltonian_density(g, K, R, frame.eta00, Lambda)
     M = momentum_density_frame(frame, a_part, gamma_blk, grid)
     sqrtg = np.sqrt(np.abs(np.linalg.det(g)))
@@ -414,18 +406,18 @@ def triad_determinant_identity_residual(e_bar) -> float:
 # comparison of the boundary functional against the reduced densities
 
 
-def compare_pch_eh(state, lam0_polys, xi_polys, force: bool = False) -> dict:
+def compare_pch_eh(state, lam0_polys, xi_polys) -> dict:
     """Deviations between J-functional values and the reduced EH densities.
 
     lam0_polys: list of TrigPoly lapse probes (smearing mu = lam0 w0);
     xi_polys: list of 3-tuples of TrigPoly shift probes (mu = xi^f e_f).
     Returns the maximal absolute deviations, the mutual two-route residuals,
-    and the gamma-independence deviation.  Refuses off-shell states unless
-    forced: the reduction formulas presuppose the residual constraint.
+    and the gamma-independence deviation.  Refuses off-shell states: the
+    reduction formulas presuppose the residual constraint.
     """
     from . import constraints as cst
 
-    if not state.on_shell and not force:
+    if not state.on_shell:
         raise ValueError("compare_pch_eh expects an on-shell state")
     grid = state.grid
     X, Y, Z = grid.coords()

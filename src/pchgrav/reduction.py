@@ -75,23 +75,51 @@ def phi_matrix(g: np.ndarray) -> np.ndarray:
     return np.einsum("klcd,...cd->...kl", _PHI_TENSOR, g)
 
 
-class PhiSingularError(RuntimeError):
-    pass
+#: largest condition number of phi_e the solve accepts at any site
+PHI_COND_LIMIT = 1e8
 
 
-def phi_e(e: np.ndarray, sig: Signature, cond_limit: float = 1e8):
-    """Per-site 6x6 matrix of phi_e and its condition number.
+class PhiSingularError(wedgemaps.ConditioningError, RuntimeError):
+    """phi_e is singular or worse conditioned than PHI_COND_LIMIT at some site."""
 
-    Raises PhiSingularError when the matrix is numerically singular, which
-    signals a degenerate boundary metric.
+
+@dataclass
+class PhiFrame:
+    """The e-adapted frame set-up of the phi_e solve, at every site."""
+
+    frames: np.ndarray       # P = [e_1 e_2 e_3 e_n], (..., 4, 4)
+    frames_inv: np.ndarray   # P^-1
+    L2P: np.ndarray          # Lambda^2 P, e-frame -> u-frame on bivector components
+    phi: np.ndarray          # (..., 6, 6) phi_e in the orthonormal template bases
+    condition: float         # worst cond(phi_e) over the sites
+
+
+def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
+    """phi_e, then the frame completion, its inverse and Lambda^2, for a coframe (..., 3, 4).
+
+    phi_e is checked first: PhiSingularError, naming the worst site, when it
+    is numerically singular (a degenerate boundary metric, which is also where
+    the normal is null).  NullNormalError from the completion is left for a
+    normal that is null only within its own tolerance.
     """
     e = np.asarray(e, dtype=float)
-    g = np.einsum("ai,i,bi->ab", e, sig.eta, e)
-    phi = phi_matrix(g)
+    phi = phi_matrix(np.einsum("...ai,i,...bi->...ab", e, sig.eta, e))
     sv = np.linalg.svd(phi, compute_uv=False)
-    if sv[-1] == 0 or sv[0] / sv[-1] > cond_limit:
-        raise PhiSingularError("phi_e singular: boundary metric degenerate?")
-    return phi, float(sv[0] / sv[-1])
+    smax, smin = sv[..., 0], sv[..., -1]
+    cond = np.divide(smax, smin, out=np.full_like(smax, np.inf), where=smin > 0)
+    if np.any(cond > PHI_COND_LIMIT):
+        raise PhiSingularError(
+            f"phi_e singular{wedgemaps.at_site(cond)}: cond(phi) = {cond.max():.3e} "
+            f"> {PHI_COND_LIMIT:.0e}; boundary metric degenerate?")
+    frames, _ = complete_frame(e, sig)
+    return PhiFrame(frames, np.linalg.inv(frames), compound_matrix(frames, 2), phi,
+                    float(cond.max()))
+
+
+def phi_e(e: np.ndarray, sig: Signature):
+    """Matrix of phi_e at every site of e (..., 3, 4) and its worst condition number."""
+    pf = phi_frame(e, sig)
+    return pf.phi, pf.condition
 
 
 # ---------------------------------------------------------------------------
@@ -104,24 +132,18 @@ class OmegaTildeResult:
     omega_tilde: FormField
     structural_residual: float
     solver_conditioning: float
-    frames: np.ndarray       # (n,n,n,4,4)
-    gmetric: np.ndarray      # (n,n,n,3,3)
 
 
-def _to_frame_vec2(d: FormField, Pinv: np.ndarray) -> np.ndarray:
-    """Vector-valued 2-form into e-frame coefficients, flattened to 12."""
-    d_e = np.einsum("...mi,...ci->...cm", Pinv, d.data)
-    return d_e.reshape(d_e.shape[:-2] + (12,))
+def _kernel_coords_21(e: Coframe, omega: FormField, Pinv: np.ndarray) -> np.ndarray:
+    """p(d_omega e) in the orthonormal (2,1)-kernel template coordinates, (..., 6)."""
+    d = cov_deriv(e.field, omega, e.sig).data
+    d_e = np.einsum("...mi,...ci->...cm", Pinv, d)
+    return d_e.reshape(d_e.shape[:-2] + (12,)) @ K21HAT
 
 
-def structural_projection_norm(e: Coframe, omega: FormField, frames=None) -> float:
+def structural_projection_norm(e: Coframe, omega: FormField) -> float:
     """sup norm of p(d_omega e) in the orthonormal kernel-template coordinates."""
-    if frames is None:
-        frames, _ = complete_frame(e.data, e.sig)
-    Pinv = np.linalg.inv(frames)
-    d = cov_deriv(e.field, omega, e.sig)
-    z = _to_frame_vec2(d, Pinv) @ K21HAT
-    return float(np.abs(z).max())
+    return float(np.abs(_kernel_coords_21(e, omega, phi_frame(e.data, e.sig).frames_inv)).max())
 
 
 def omega_tilde(e: Coframe, omega: FormField) -> OmegaTildeResult:
@@ -130,28 +152,16 @@ def omega_tilde(e: Coframe, omega: FormField) -> OmegaTildeResult:
     v~ is kernel-valued (e ^ v~ = 0) and gauge-invariant: shifting omega by any
     kernel-valued field leaves omega~ unchanged.
     """
-    sig = e.sig
-    frames, _ = complete_frame(e.data, sig)
-    Pinv = np.linalg.inv(frames)
-    g = e.gmetric
-    phi = phi_matrix(g)
-    sv = np.linalg.svd(phi, compute_uv=False)
-    if np.any(sv[..., -1] <= 0) or np.any(sv[..., 0] / sv[..., -1] > 1e8):
-        raise PhiSingularError("phi_e singular: boundary metric degenerate?")
-    cond = float((sv[..., 0] / sv[..., -1]).max())
-
-    d = cov_deriv(e.field, omega, sig)
-    z = _to_frame_vec2(d, Pinv) @ K21HAT          # (..., 6)
-    coeff = -np.linalg.solve(phi, z[..., None])[..., 0]
+    pf = phi_frame(e.data, e.sig)
+    z = _kernel_coords_21(e, omega, pf.frames_inv)
+    coeff = -np.linalg.solve(pf.phi, z[..., None])[..., 0]
     v_e = coeff @ K12HAT.T                          # (..., 18)
     v_e = v_e.reshape(v_e.shape[:-1] + (3, 6))
-    L2P = compound_matrix(frames, 2)
-    v_u = np.einsum("...IJ,...aJ->...aI", L2P, v_e)
+    v_u = np.einsum("...IJ,...aJ->...aI", pf.L2P, v_e)
     v_field = FormField(e.grid, 1, 2, v_u)
     om_t = omega + v_field
-
-    res = structural_projection_norm(e, om_t, frames)
-    return OmegaTildeResult(v_field, om_t, res, cond, frames, g)
+    res = float(np.abs(_kernel_coords_21(e, om_t, pf.frames_inv)).max())
+    return OmegaTildeResult(v_field, om_t, res, pf.condition)
 
 
 # ---------------------------------------------------------------------------

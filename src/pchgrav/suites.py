@@ -131,8 +131,8 @@ def trig_alpha_field(grid: Grid3) -> FormField:
     return FormField(grid, 0, 2, a)
 
 
-def random_nondegenerate_coframe(rng, sig: Signature, tries: int = 64) -> np.ndarray:
-    for _ in range(tries):
+def random_nondegenerate_coframe(rng, sig: Signature) -> np.ndarray:
+    for _ in range(64):
         e = rng.normal(size=(3, 4))
         sv = np.linalg.svd(e, compute_uv=False)
         if sv[2] < 0.1 * sv[0]:
@@ -448,9 +448,7 @@ def run_reduction(cfg: RunConfig) -> list:
     refused = False
     try:
         red.phi_e(red.make_degenerate_coframe((1, 1, 0), LORENTZIAN), LORENTZIAN)
-    except red.PhiSingularError:
-        refused = True
-    except ValueError:
+    except wm.ConditioningError:
         refused = True
     s.check("phi-isomorphism", "phi = p o [.,e] on the kernel is an isomorphism",
             {"exact_pairing_det_at_identity": str(det_std), "min_normalized_det": float(min_det),

@@ -33,8 +33,29 @@ SHAPES = ((1, 1), (1, 2), (2, 1))
 SHAPE_DIMS = {(1, 1): (12, 18), (1, 2): (18, 12), (2, 1): (12, 6)}
 
 
-class RankDecisionError(RuntimeError):
+class ConditioningError(Exception):
+    """A numerical-conditioning failure: the input is too close to degenerate.
+
+    Every subclass names the offending site where there is a grid; the CLI
+    maps this one class to exit code 3.
+    """
+
+
+class RankDecisionError(ConditioningError, RuntimeError):
     """Raised when the singular-value gap is too small to decide a rank."""
+
+
+class NullNormalError(ConditioningError, ValueError):
+    """Raised when the eta-normal of the coframe span is null (or undefined)."""
+
+
+def at_site(score: np.ndarray) -> str:
+    """' at site (i, j, k)' for the largest entry of a per-site score; '' for one site."""
+    score = np.asarray(score)
+    if score.ndim == 0:
+        return ""
+    site = np.unravel_index(int(np.argmax(score)), score.shape)
+    return f" at site {tuple(int(i) for i in site)}"
 
 
 #: shapes with a wedge matrix; the dual shapes (0,k) serve the annihilator checks
@@ -65,15 +86,17 @@ def complete_frame(e: np.ndarray, sig: Signature):
 
     With the cofactor vector c (det[e_1 e_2 e_3 x] = c . x) and q = eta(c, c),
     e_n = sign(q) eta c / sqrt|q|, so det P = sqrt|q| > 0.  Returns (P, q_n)
-    with q_n = eta(e_n, e_n); ValueError when e_n is null or c = 0.
+    with q_n = eta(e_n, e_n); NullNormalError (a ValueError) naming the first
+    such site when e_n is null or c = 0.
     """
     e = np.asarray(e, dtype=float)
     sub = e[..., :, _COF_COLS]                                   # (..., 3, 4, 3)
     c = _COF_SIGNS * np.einsum("...li,...li->...l", sub[..., 0, :, :],
                                np.cross(sub[..., 1, :, :], sub[..., 2, :, :]))
     q = np.einsum("...i,i,...i->...", c, sig.eta, c)
-    if np.any(np.abs(q) <= 1e-12 * np.einsum("...i,...i->...", c, c)):
-        raise ValueError("cannot complete frame: normal direction is null")
+    null = np.abs(q) <= 1e-12 * np.einsum("...i,...i->...", c, c)
+    if np.any(null):
+        raise NullNormalError(f"cannot complete frame{at_site(null)}: normal direction is null")
     qn = np.sign(q)
     n = (qn / np.sqrt(np.abs(q)))[..., None] * sig.eta * c
     return np.concatenate([np.swapaxes(e, -1, -2), n[..., :, None]], axis=-1), qn
@@ -185,7 +208,6 @@ KERNEL_TEMPLATES = {
 
 @dataclass
 class WedgeMapSample:
-    site: tuple
     shape: tuple
     matrix: np.ndarray  # (cod, dom)
     e: np.ndarray  # (3, 4)
@@ -205,29 +227,27 @@ class ComplementSplit:
     frame: np.ndarray             # P = [e_1 e_2 e_3 e_n]
 
 
-def build_wedge_matrix(e: np.ndarray, shape: tuple, sig: Signature,
-                       site: tuple = (0, 0, 0)) -> WedgeMapSample:
+def build_wedge_matrix(e: np.ndarray, shape: tuple, sig: Signature) -> WedgeMapSample:
     e = np.asarray(e, dtype=float)
     if e.shape != (3, 4):
         raise ValueError("per-site coframe must be 3x4")
-    return WedgeMapSample(site, shape, wedge_matrix(e, shape), e, sig)
+    return WedgeMapSample(shape, wedge_matrix(e, shape), e, sig)
 
 
-def kernel_basis(sample: WedgeMapSample, rel_threshold: float = 1e-10,
-                 min_gap: float = 1e6) -> ComplementSplit:
+def kernel_basis(sample: WedgeMapSample) -> ComplementSplit:
     """Kernel/complement split with singular-value gap policy.
 
-    The rank is decided by `rel_threshold` relative to the largest singular
-    value; the decision must be backed by a gap of at least `min_gap` between
-    the smallest kept and the largest discarded singular value, otherwise a
+    The rank counts the singular values above 1e-10 times the largest; the
+    decision must be backed by a gap of at least 1e6 between the smallest
+    kept and the largest discarded singular value, otherwise a
     RankDecisionError signals a near-degenerate coframe.
     """
     p, k = sample.shape
     M = sample.matrix
     cod, dom = M.shape
     u, sv, vh = np.linalg.svd(M)
-    rank = int((sv > rel_threshold * sv[0]).sum())
-    # the spectrum must have a single dominant gap of at least `min_gap`, with
+    rank = int((sv > 1e-10 * sv[0]).sum())
+    # the spectrum must have a single dominant gap of at least 1e6, with
     # the threshold cut inside it; near-degenerate coframes leave intermediate
     # singular values that break one of the two conditions
     floor = 1e-15 * sv[0]
@@ -237,9 +257,9 @@ def kernel_basis(sample: WedgeMapSample, rel_threshold: float = 1e-10,
     top = sv[rank - 1] if rank else np.inf
     bottom = sv[rank] if rank < len(sv) and sv[rank] > floor else floor
     gap = float(top / bottom)
-    if spectral_rank != rank or gap < min_gap:
+    if spectral_rank != rank or gap < 1e6:
         raise RankDecisionError(
-            f"ill-conditioned rank decision at site {sample.site}: gap {gap:.3e}, "
+            f"ill-conditioned rank decision for W^{sample.shape}: gap {gap:.3e}, "
             f"threshold rank {rank} vs spectral rank {spectral_rank}"
         )
 
@@ -250,9 +270,7 @@ def kernel_basis(sample: WedgeMapSample, rel_threshold: float = 1e-10,
         S_dom_inv = np.linalg.inv(S_dom)
         S_cod_inv = np.linalg.inv(S_cod)
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise RankDecisionError(
-            f"degenerate coframe at site {sample.site}: {exc}"
-        ) from None
+        raise RankDecisionError(f"degenerate coframe for W^{sample.shape}: {exc}") from None
 
     kern_u = vh[rank:].T                      # (dom, kdim) orthonormal in u-coords
     kern_e = S_dom_inv @ kern_u

@@ -97,7 +97,7 @@ def test_anchor_field_always_present():
 
 
 def test_determinism_contract():
-    cfg = validate_config({"suites": ["algebra", "kernels"], "seed": 42})
+    cfg = validate_config({"suites": ["algebra", "kernels", "reduction"], "seed": 42})
     v1 = [r.values for r in run_suites(cfg).rows]
     v2 = [r.values for r in run_suites(cfg, threads=2).rows]
     assert json.dumps(v1, sort_keys=True, default=str) == json.dumps(v2, sort_keys=True, default=str)
@@ -119,6 +119,37 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     strict = write_cfg(tmp_path, {"suites": ["algebra"], "seed": 1,
                                   "tolerances": {"star_cyclic": 1e-30}}, "strict.json")
     assert cli.main(["verify", "--config", str(strict)]) == 1
+
+
+def test_cli_verify_conditioning_failure_exit_3(tmp_path, monkeypatch, capsys):
+    from pchgrav import ehdata, suites
+    from pchgrav.fiber import LORENTZIAN
+
+    def null_pivot(cfg):
+        e = np.broadcast_to(np.eye(3, 4), (2, 2, 2, 3, 4)).copy()
+        e[0, 1, 1, 0] = [0.0, 0.0, 1.0, 1.0]    # e_1 null: GramSchmidtError
+        ehdata.orthonormal_frame(e, LORENTZIAN)
+
+    monkeypatch.setitem(suites.SUITE_FUNCS, "algebra", null_pivot)
+    cfgp = write_cfg(tmp_path, {"suites": ["algebra"], "seed": 1})
+    assert cli.main(["verify", "--config", str(cfgp)]) == 3
+    assert "site (0, 1, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["omega-tilde", "reduce"])
+def test_cli_null_normal_exit_3_names_site(tmp_path, capsys, command):
+    from pchgrav.fiber import LORENTZIAN
+    from pchgrav.grid import FormField, Grid3, save_field
+
+    g = Grid3(4)
+    e = np.broadcast_to(np.eye(3, 4), (4, 4, 4, 3, 4)).copy()
+    e[1, 2, 3, 2] = [0.0, 0.0, 1.0, 1.0]        # e_3 = u_3 + u_4: null normal
+    epath, opath = tmp_path / "e.pchf", tmp_path / "om.pchf"
+    save_field(FormField(g, 1, 1, e), epath, sig=LORENTZIAN)
+    save_field(FormField.zeros(g, 1, 2), opath, sig=LORENTZIAN)
+    assert cli.main([command, "--coframe", str(epath), "--connection", str(opath),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert "site (1, 2, 3)" in capsys.readouterr().err
 
 
 def test_cli_field_pipeline(tmp_path):

@@ -194,8 +194,9 @@ def test_ricci_flat_triad_zero_both_routes():
     g = Grid3(8)
     st = cst.make_on_shell(flat_triad_spec(), g, 1.0, LORENTZIAN)
     frame = eh.orthonormal_frame(st.e.data, LORENTZIAN)
-    assert np.abs(eh.ricci_scalar(frame, g, "via_frame")).max() <= 1e-13
-    assert np.abs(eh.ricci_scalar(frame, g, "via_metric")).max() <= 1e-13
+    gmet = (frame.e_bar * frame.eta_bar) @ np.swapaxes(frame.e_bar, -1, -2)
+    assert np.abs(eh.ricci_scalar_via_frame(frame.e_bar, frame.eta_bar, g)).max() <= 1e-13
+    assert np.abs(eh.ricci_scalar_via_metric(gmet, g)).max() <= 1e-13
 
 
 def test_ricci_conformal_analytic_oracle():

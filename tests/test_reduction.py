@@ -70,8 +70,23 @@ def test_phi_invertible_on_random_coframes():
 
 def test_phi_refuses_degenerate_metric():
     e = red.make_degenerate_coframe((1, 1, 0), LORENTZIAN)
-    with pytest.raises((red.PhiSingularError, ValueError)):
+    with pytest.raises(red.PhiSingularError):
         red.phi_e(e, LORENTZIAN)
+
+
+def test_phi_check_names_the_site_in_every_caller():
+    # e_3 = u_3 + (1 + 1e-9) u_4 at one site: the normal is not null, so the
+    # frame completes, but cond(phi) is about 7e8 > PHI_COND_LIMIT
+    g = Grid3(4)
+    data = np.broadcast_to(np.eye(3, 4), (4, 4, 4, 3, 4)).copy()
+    data[2, 1, 3, 2] = [0.0, 0.0, 1.0, 1.0 + 1e-9]
+    e = Coframe(FormField(g, 1, 1, data), LORENTZIAN)
+    wm.complete_frame(e.data, LORENTZIAN)
+    for call in (lambda: red.omega_tilde(e, FormField.zeros(g, 1, 2)),
+                 lambda: cst.projector_pack(e),
+                 lambda: red.phi_e(e.data, LORENTZIAN)):
+        with pytest.raises(red.PhiSingularError, match=r"site \(2, 1, 3\)"):
+            call()
 
 
 # --- omega tilde ----------------------------------------------------------------
