@@ -5,8 +5,9 @@ Subcommands:
   reduce       compute ADM-type boundary data from coframe/connection files
   omega-tilde  emit the structural connection representative for field files
 
-Exit codes: 0 all checks passed, 1 check failure, 2 configuration error,
-3 numerical-conditioning error (any ConditioningError, which names its site).
+Exit codes: 0 all checks passed, 1 check failure, 2 configuration error (a
+malformed config or field file), 3 numerical-conditioning error (any
+ConditioningError, which names its site).
 """
 
 from __future__ import annotations
@@ -31,11 +32,7 @@ EXIT_CONDITIONING = 3
 
 
 def _cmd_verify(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    cfg = load_config(args.config)
     try:
         report = run_suites(cfg, threads=args.threads)
     except SuiteAbort as abort:
@@ -55,28 +52,37 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILURE
 
 
-def _load_signature(header, fallback):
-    name = header.get("signature") or fallback
-    return signature_from_name(name)
+def _load_fields(args):
+    """(Coframe, connection, signature) from the field files of `reduce` and `omega-tilde`.
+
+    A malformed file raises a ConfigError that names it: unreadable, not a
+    nondegenerate coframe, not a bivector-valued 1-form, or on another grid.
+    """
+    try:
+        e_field, e_hdr = load_field(args.coframe)
+        sig = signature_from_name(e_hdr.get("signature") or args.signature)
+        e = Coframe(e_field, sig)
+    except Exception as exc:
+        raise ConfigError(f"{args.coframe}: {exc}") from None
+    try:
+        om_field, _ = load_field(args.connection)
+    except Exception as exc:
+        raise ConfigError(f"{args.connection}: {exc}") from None
+    if (om_field.p, om_field.grade) != (1, 2):
+        raise ConfigError(f"{args.connection}: connection must be a bivector-valued 1-form, "
+                          f"not p = {om_field.p} with grade {om_field.grade}")
+    if om_field.grid.n != e.grid.n:
+        raise ConfigError(f"{args.connection}: grid n = {om_field.grid.n}, "
+                          f"the coframe's is n = {e.grid.n}")
+    return e, om_field, sig
 
 
 def _cmd_reduce(args) -> int:
-    try:
-        e_field, e_hdr = load_field(args.coframe)
-        om_field, _ = load_field(args.connection)
-        sig = _load_signature(e_hdr, args.signature)
-        e = Coframe(e_field, sig)
-    except Exception as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        ot = omega_tilde(e, om_field)
-        frame = eh.orthonormal_frame(e.data, sig)
-        split = eh.split_connection(ot.omega_tilde, frame, e.grid, sig)
-        data = eh.eh_data(frame, split.a_part, e.grid, Lambda=args.Lambda)
-    except ConditioningError as exc:
-        print(f"conditioning error: {exc}", file=sys.stderr)
-        return EXIT_CONDITIONING
+    e, om_field, sig = _load_fields(args)
+    ot = omega_tilde(e, om_field)
+    frame = eh.orthonormal_frame(e.data, sig)
+    split = eh.split_connection(ot.omega_tilde, frame, e.grid)
+    data = eh.eh_data(frame, split, e.grid, Lambda=args.Lambda)
     out = {
         "n": e.grid.n,
         "signature": sig.name,
@@ -122,19 +128,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_omega_tilde(args) -> int:
-    try:
-        e_field, e_hdr = load_field(args.coframe)
-        om_field, _ = load_field(args.connection)
-        sig = _load_signature(e_hdr, args.signature)
-        e = Coframe(e_field, sig)
-    except Exception as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
-        ot = omega_tilde(e, om_field)
-    except ConditioningError as exc:
-        print(f"conditioning error: {exc}", file=sys.stderr)
-        return EXIT_CONDITIONING
+    e, om_field, sig = _load_fields(args)
+    ot = omega_tilde(e, om_field)
     save_field(ot.omega_tilde, args.out, sig=sig,
                meta={"structural_residual": ot.structural_residual,
                      "solver_conditioning": ot.solver_conditioning},
@@ -182,7 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except ConditioningError as exc:
+        print(f"conditioning error: {exc}", file=sys.stderr)
+        return EXIT_CONDITIONING
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 ALL_SUITES = ("algebra", "kernels", "reduction", "constraints", "brackets", "eh", "halfshell")
 
@@ -83,13 +83,15 @@ def _finite_number(value, path: str, what: str = "a finite number") -> float:
 
 @dataclass
 class RunConfig:
-    signature: str = "lorentzian"
-    gamma: float = 1.0
-    Lambda: float = 0.0
-    grid_n: list = field(default_factory=lambda: [8])
-    seed: int = 1
-    suites: list = field(default_factory=lambda: list(ALL_SUITES))
-    tolerances: dict = field(default_factory=dict)
+    """A validated config; `validate_config` fills every field, defaults from DEFAULTS."""
+
+    signature: str
+    gamma: float
+    Lambda: float
+    grid_n: list
+    seed: int
+    suites: list
+    tolerances: dict
 
     def as_dict(self) -> dict:
         gamma = "infinity" if math.isinf(self.gamma) else self.gamma

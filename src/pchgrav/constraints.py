@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fiber, reduction, wedgemaps
-from .fiber import PAIRS, Signature
+from .fiber import Signature
 from .grid import (
     Coframe,
     FormField,
@@ -51,7 +51,7 @@ from .grid import (
     wedge_fields,
 )
 from .reduction import K12HAT, K21HAT, OmegaTildeResult, omega_tilde
-from .wedgemaps import block_diag
+from .wedgemaps import block_diag, compound_matrix
 
 # ---------------------------------------------------------------------------
 # states
@@ -217,33 +217,17 @@ def make_on_shell(spec: TriadSpec, grid: Grid3, gamma: float, sig: Signature,
     if timelike:
         if sig.s == 1:
             raise ValueError("time-like boundary span needs the Lorentzian signature")
-        legs, eta_bar = (0, 1, 3), np.array([1.0, 1.0, -1.0])
+        order, eta_bar = [0, 1, 3, 2], np.array([1.0, 1.0, -1.0])
     else:
-        legs, eta_bar = (0, 1, 2), np.array([1.0, 1.0, 1.0])
+        order, eta_bar = [0, 1, 2, 3], np.array([1.0, 1.0, 1.0])
 
     gamma_blk = ehdata.gamma_block(eb, eta_bar, grid, C=spec.anholonomy(grid))
     A = np.einsum("j,...ja,...ab->...bj", 1.0 / eta_bar, np.linalg.inv(eb), K)
-
-    e_data = np.zeros((grid.n,) * 3 + (3, 4))
-    for i, leg in enumerate(legs):
-        e_data[..., :, leg] = eb[..., :, i]
-    e = Coframe(FormField(grid, 1, 1, e_data), sig)
-
-    normal = ({0, 1, 2, 3} - set(legs)).pop()
-    order = list(legs) + [normal]
-    om = np.zeros((grid.n,) * 3 + (3, 6))
-    for P, (i, j) in enumerate(ehdata.SPATIAL_PAIRS):
-        vi, vj = order[i], order[j]
-        I = PAIRS.index((min(vi, vj), max(vi, vj)))
-        s = 1.0 if vi < vj else -1.0
-        om[..., I] += s * gamma_blk[..., P]
-    for i in range(3):
-        vi = order[i]
-        I = PAIRS.index((min(vi, normal), max(vi, normal)))
-        s = 1.0 if normal < vi else -1.0   # coefficient of w_0 ^ w_i
-        om[..., I] += s * A[..., i]
-    omega = FormField(grid, 1, 2, om)
-    return certify(e, omega, gamma, Lambda, on_shell=True)
+    # the w-frame (w_1, w_2, w_3, w_0) is the u-frame permuted by P
+    P = np.eye(4)[:, order]
+    e = Coframe(FormField(grid, 1, 1, eb @ P[:, :3].T), sig)
+    omega_u = ehdata.adapted_connection(gamma_blk, A, grid).data @ compound_matrix(P, 2).T
+    return certify(e, FormField(grid, 1, 2, omega_u), gamma, Lambda, on_shell=True)
 
 
 # ---------------------------------------------------------------------------

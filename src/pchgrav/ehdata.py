@@ -6,6 +6,13 @@ split the connection into the triad-compatible block Gamma(ebar) plus the
 boost block A, extract the extrinsic tensor K and momentum density Pi, and
 evaluate the Hamiltonian and momentum constraint densities.
 
+Gamma and A live in one w-frame connection field, omega_w = Gamma^{ij} w_i ^ w_j
++ A^i w_0 ^ w_i (`adapted_connection`), on the package's so(eta_w) algebra with
+eta_w = diag(eta_bar, eta00).  Its curvature F_Gamma and the covariant
+derivatives d_Gamma ebar and d_Gamma A are the grid's `curvature` and
+`cov_deriv`, and R and M_f are w_1 ^ w_2 ^ w_3 components of `wedge_fields`
+products, so every product goes through the one contraction kernel.
+
 Normalization of the densities.  With the conventions used throughout this
 package (Tr(u1^u2^u3^u4) = +1, ordered-pair bivector components, adapted
 frame oriented so Tr[w1^w2^w3^w0] = +1) the gamma-independent constraint
@@ -31,18 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import PAIRS, Signature
-from .grid import COMP_BASIS, FormField, Grid3, deriv_axis
-from .wedgemaps import ConditioningError, NullNormalError, at_site, complete_frame
+from .fiber import PAIR_INDEX, Signature
+from .grid import COMP_BASIS, FormField, Grid3, cov_deriv, curvature, deriv_axis, wedge_fields
+from .wedgemaps import ConditioningError, NullNormalError, at_site, complete_frame, compound_matrix
 
 EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
     EPS3[_i, _j, _k] = 1.0
 for _i, _j, _k in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:
     EPS3[_i, _j, _k] = -1.0
-
-#: eps_abc eps_fda summed over a, as a (f) x (b, c, d) matrix for the momentum density
-EPS_MOMENTUM = np.einsum("abc,fda->fbcd", EPS3, EPS3).reshape(3, 27)
 
 #: spatial index pairs (12, 13, 23), ordered as the coordinate 2-form components
 SPATIAL_PAIRS = COMP_BASIS[2]
@@ -117,26 +121,39 @@ def orthonormal_frame(e: np.ndarray, sig: Signature) -> AdaptedFrame:
 
 
 # ---------------------------------------------------------------------------
-# so(3)-block algebra (internal indices moved with eta_bar)
+# the adapted-frame connection: components on the pairs of w_1, w_2, w_3, w_0
+
+#: w-frame pair slots of Gamma^{ij} (spatial pairs 12, 13, 23) and of the pairs (i, 0)
+_GAMMA_SLOTS = [PAIR_INDEX[p] for p in SPATIAL_PAIRS]
+_A_SLOTS = [PAIR_INDEX[(i, 3)] for i in range(3)]
+_SP_I, _SP_J = np.array(SPATIAL_PAIRS).T
 
 
-def so3_bracket(a: np.ndarray, b: np.ndarray, eta_bar: np.ndarray) -> np.ndarray:
-    """Bracket on 3x3 antisymmetric blocks stored on pairs (12, 13, 23)."""
-    A = block_to_mat(a)
-    B = block_to_mat(b)
-    return mat_to_block((A * eta_bar) @ B - (B * eta_bar) @ A)
+def adapted_connection(gamma_blk: np.ndarray, a_part, grid: Grid3) -> FormField:
+    """omega_w = Gamma^{ij} w_i ^ w_j + A^i w_0 ^ w_i as a bivector-valued 1-form.
+
+    Components are on the w-frame pairs with w_0 fourth, so A^i sits on the
+    pair (i, 0) with a minus sign; its curvature and covariant derivatives are
+    the grid's, taken with eta_w = diag(eta_bar, eta00).
+    """
+    data = np.zeros(gamma_blk.shape[:-1] + (6,))
+    data[..., _GAMMA_SLOTS] = gamma_blk
+    data[..., _A_SLOTS] -= a_part
+    return FormField(grid, 1, 2, data)
 
 
-def block_to_mat(a: np.ndarray) -> np.ndarray:
-    M = np.zeros(a.shape[:-1] + (3, 3))
-    for P, (i, j) in enumerate(SPATIAL_PAIRS):
-        M[..., i, j] = a[..., P]
-        M[..., j, i] = -a[..., P]
-    return M
+def _w_vectors(x: np.ndarray, grid: Grid3) -> FormField:
+    """Spatial w-frame vector components x[..., a, i] as a V-valued 1-form (no w_0 part)."""
+    return FormField(grid, 1, 1, np.concatenate([x, np.zeros(x.shape[:-1] + (1,))], axis=-1))
 
 
-def mat_to_block(M: np.ndarray) -> np.ndarray:
-    return np.stack([M[..., i, j] for (i, j) in SPATIAL_PAIRS], axis=-1)
+def _triad_fields(e_bar, gamma_blk, eta_bar, grid):
+    """ebar as a w-frame 1-form, Gamma alone as a connection, and eta_w.
+
+    Gamma and ebar have no w_0 part, so the w_0 sign of eta_w never enters.
+    """
+    sig_w = Signature(tuple(int(s) for s in eta_bar) + (1,))
+    return _w_vectors(e_bar, grid), adapted_connection(gamma_blk, 0.0, grid), sig_w
 
 
 def gamma_of_triad(e_bar: np.ndarray, eta_bar: np.ndarray, grid: Grid3,
@@ -163,36 +180,13 @@ def gamma_of_triad(e_bar: np.ndarray, eta_bar: np.ndarray, grid: Grid3,
 
 def gamma_block(e_bar, eta_bar, grid, C=None) -> np.ndarray:
     """Gamma(ebar) on pair components (..., a, 3)."""
-    return mat_to_block(gamma_of_triad(e_bar, eta_bar, grid, C))
+    return gamma_of_triad(e_bar, eta_bar, grid, C)[..., _SP_I, _SP_J]
 
 
 def triad_compatibility_residual(e_bar, gamma_blk, eta_bar, grid) -> float:
     """sup |d_Gamma ebar| with central differences."""
-    de = np.stack([deriv_axis(e_bar, c, grid) for c in range(3)], axis=-3)
-    G = block_to_mat(gamma_blk)
-    worst = 0.0
-    for a, b in SPATIAL_PAIRS:
-        t = de[..., a, b, :] - de[..., b, a, :]
-        t = t + np.einsum("...ik,k,...k->...i", G[..., a, :, :], eta_bar, e_bar[..., b, :])
-        t = t - np.einsum("...ik,k,...k->...i", G[..., b, :, :], eta_bar, e_bar[..., a, :])
-        worst = max(worst, float(np.abs(t).max()))
-    return worst
-
-
-def so3_curvature(gamma_blk: np.ndarray, eta_bar: np.ndarray, grid: Grid3) -> np.ndarray:
-    """F = d Gamma + 1/2 [Gamma, Gamma] on pair components (..., 3 pairs, 3)."""
-    F = np.zeros(gamma_blk.shape[:3] + (3, 3))
-    for P, (a, b) in enumerate(SPATIAL_PAIRS):
-        dpart = deriv_axis(gamma_blk[..., b, :], a, grid) - deriv_axis(gamma_blk[..., a, :], b, grid)
-        F[..., P, :] = dpart + so3_bracket(gamma_blk[..., a, :], gamma_blk[..., b, :], eta_bar)
-    return F
-
-
-def so3_cov_deriv_vec(A: np.ndarray, gamma_blk: np.ndarray, eta_bar: np.ndarray,
-                      grid: Grid3, axis: int) -> np.ndarray:
-    """(d_Gamma)_axis A for an internal-vector-valued field A[..., c, i]."""
-    G = block_to_mat(gamma_blk[..., axis, :])
-    return deriv_axis(A, axis, grid) + (A * eta_bar) @ np.swapaxes(G, -1, -2)
+    E, gamma, sig_w = _triad_fields(e_bar, gamma_blk, eta_bar, grid)
+    return float(np.abs(cov_deriv(E, gamma, sig_w).data).max())
 
 
 # ---------------------------------------------------------------------------
@@ -201,48 +195,38 @@ def so3_cov_deriv_vec(A: np.ndarray, gamma_blk: np.ndarray, eta_bar: np.ndarray,
 
 @dataclass
 class ConnectionSplit:
-    gamma_part: np.ndarray    # (..., 3, 3) block comps of the spatial block
+    gamma_part: np.ndarray    # (..., 3, 3) Gamma^{ij} of omega_w on the spatial pairs
     a_part: np.ndarray        # (..., 3, 3) A[..., b, i] boost components
-    gamma_residual: float     # deviation of the spatial block from Gamma(ebar)
+    gamma_triad: np.ndarray   # Gamma(ebar) rebuilt from the triad, laid out as gamma_part
+    gamma_residual: float     # sup |gamma_part - gamma_triad|
     k_asymmetry: float        # sup |K_[ab]|
 
 
-def split_connection(omega: FormField, frame: AdaptedFrame, grid: Grid3,
-                     sig: Signature | None = None) -> ConnectionSplit:
+def split_connection(omega: FormField, frame: AdaptedFrame, grid: Grid3) -> ConnectionSplit:
     """Decompose a bivector-valued connection in the adapted frame.
 
     The frame change is a position-dependent internal gauge transformation, so
     the connection picks up the inhomogeneous term V^{-1} dV on top of the
-    tensorial transform:  M' = V^{-1} M(omega) V + V^{-1} dV, from which the
-    w-frame bivector components are read off with the adapted-frame metric.
-    omega = Gamma^{ij} w_i ^ w_j + A^i w_0 ^ w_i; returns the blocks, the
-    residual of the spatial block against Gamma(ebar) rebuilt from the triad
-    (O(h^2) on states built on the constraint surface), and the asymmetry of
-    the extrinsic tensor candidate.
+    tensorial transform:  omega_w = Lambda^2(V^{-1}) omega + V^{-1} dV / eta_w,
+    with omega_w = Gamma^{ij} w_i ^ w_j + A^i w_0 ^ w_i.  The discrete V^{-1} dV
+    is antisymmetric only to O(h^2), so Gamma is read on its upper triangle and
+    A on its w_0 row.  Returns the blocks, Gamma(ebar) rebuilt from the triad
+    with its deviation from the spatial block (O(h^2) on states built on the
+    constraint surface), and the asymmetry of the extrinsic tensor candidate.
     """
-    if sig is None:
-        sig = Signature((1, 1, 1, -1)) if np.any(np.asarray(frame.eta_bar) < 0) or frame.eta00 < 0 \
-            else Signature((1, 1, 1, 1))
-    eta = sig.eta
-    eta_w = np.concatenate([frame.eta_bar, [frame.eta00]])
+    gamma_triad = gamma_block(frame.e_bar, frame.eta_bar, grid)
+    eta_w = np.append(frame.eta_bar, frame.eta00)
     V = frame.frame
-    gamma_ref = gamma_block(frame.e_bar, frame.eta_bar, grid)   # before M: lower peak memory
-    # connection as matrices in u-coords: M^i_j = omega^{ik} eta_kj
-    M = np.zeros(omega.data.shape[:3] + (3, 4, 4))
-    for I, (i, j) in enumerate(PAIRS):
-        M[..., :, i, j] += omega.data[..., I] * eta[j]
-        M[..., :, j, i] -= omega.data[..., I] * eta[i]
-    Vinv = np.linalg.inv(V)[..., None, :, :]
+    Vinv = np.linalg.inv(V)
+    omega_w = omega.data @ np.swapaxes(compound_matrix(Vinv, 2), -1, -2)
     dV = np.stack([deriv_axis(V, a, grid) for a in range(3)], axis=-3)  # [..., a, i, j]
-    Mw = Vinv @ M @ V[..., None, :, :] + Vinv @ dV
-    # bivector components with the adapted-frame metric
-    om_w = np.einsum("...aij,j->...aij", Mw, 1.0 / eta_w)
-    gamma_part = np.stack([om_w[..., i, j] for (i, j) in SPATIAL_PAIRS], axis=-1)
-    a_part = np.stack([om_w[..., 3, i] for i in range(3)], axis=-1)
-    gres = float(np.abs(gamma_part - gamma_ref).max())
+    G = (Vinv[..., None, :, :] @ dV) / eta_w
+    gamma_part = omega_w[..., _GAMMA_SLOTS] + G[..., _SP_I, _SP_J]
+    a_part = G[..., 3, :3] - omega_w[..., _A_SLOTS]
     K = extrinsic_tensor(frame, a_part)
-    kasym = float(np.abs(K - np.swapaxes(K, -1, -2)).max())
-    return ConnectionSplit(gamma_part, a_part, gres, kasym)
+    return ConnectionSplit(gamma_part, a_part, gamma_triad,
+                           float(np.abs(gamma_part - gamma_triad).max()),
+                           float(np.abs(K - np.swapaxes(K, -1, -2)).max()))
 
 
 def extrinsic_tensor(frame: AdaptedFrame, a_part: np.ndarray) -> np.ndarray:
@@ -292,22 +276,13 @@ def K_from_momentum(g: np.ndarray, Pi: np.ndarray) -> np.ndarray:
 def ricci_scalar_via_frame(e_bar, eta_bar, grid, gamma_blk=None) -> np.ndarray:
     """R from the frame-curvature contraction eps_{kij} ebar^k ^ F_Gamma^{ij}.
 
-    With ordered-pair components the (dx1^dx2^dx3)-coefficient of that 3-form
-    equals (det ebar) R / 2.
+    With ordered-pair components the (dx1^dx2^dx3)-coefficient of that 3-form,
+    the w_1 ^ w_2 ^ w_3 component of ebar ^ F_Gamma, equals (det ebar) R / 2.
     """
     if gamma_blk is None:
         gamma_blk = gamma_block(e_bar, eta_bar, grid)
-    F = so3_curvature(gamma_blk, eta_bar, grid)
-    dete = np.linalg.det(e_bar)
-    T = np.zeros(e_bar.shape[:3])
-    for P2, (b, c) in enumerate(SPATIAL_PAIRS):      # coordinate 2-form comps
-        for PF, (i, j) in enumerate(SPATIAL_PAIRS):  # internal pair comps
-            for a in range(3):
-                w = EPS3[a, b, c]
-                if w == 0.0:
-                    continue
-                T += w * (e_bar[..., a, :] @ EPS3[:, i, j]) * F[..., P2, PF]
-    return 2.0 * T / dete
+    E, gamma, sig_w = _triad_fields(e_bar, gamma_blk, eta_bar, grid)
+    return 2.0 * wedge_fields(E, curvature(gamma, sig_w)).data[..., 0, 0] / np.linalg.det(e_bar)
 
 
 def christoffel(g: np.ndarray, grid: Grid3) -> np.ndarray:
@@ -353,16 +328,14 @@ def hamiltonian_density(g, K, R, eta00, Lambda=0.0) -> np.ndarray:
 
 
 def momentum_density_frame(frame: AdaptedFrame, a_part, gamma_blk, grid) -> np.ndarray:
-    """M_f = eps^{abc} eps_{kij} ebar_f^k ebar_a^j (d_Gamma)_b A_c^i."""
-    dA = np.stack(
-        [so3_cov_deriv_vec(a_part, gamma_blk, frame.eta_bar, grid, b) for b in range(3)],
-        axis=-3,
-    )  # [..., b, c, i]
-    # pre-contract internal indices: eps_{kij} ebar_f^k ebar_a^j = det(ebar) eps_{fda} E^d_i
-    N = np.linalg.inv(frame.e_bar)
-    dete = np.linalg.det(frame.e_bar)
-    W = (dA.reshape(dA.shape[:-3] + (9, 3)) @ N).reshape(dA.shape[:-3] + (27,))  # [..., (b, c, d)]
-    return dete[..., None] * (W @ EPS_MOMENTUM.T)
+    """M_f = eps^{abc} eps_{kij} ebar_f^k ebar_a^j (d_Gamma)_b A_c^i.
+
+    That is M_f = -[ebar_f ^ ebar ^ d_Gamma A] along w_1 ^ w_2 ^ w_3.
+    """
+    E, gamma, sig_w = _triad_fields(frame.e_bar, gamma_blk, frame.eta_bar, grid)
+    B = wedge_fields(E, cov_deriv(_w_vectors(a_part, grid), gamma, sig_w))
+    return -np.stack([wedge_fields(FormField(grid, 0, 1, E.data[..., f:f + 1, :]), B).data[..., 0, 0]
+                      for f in range(3)], axis=-1)
 
 
 def momentum_density_metric(g, Pi, grid) -> np.ndarray:
@@ -375,15 +348,14 @@ def momentum_density_metric(g, Pi, grid) -> np.ndarray:
     return -2.0 * (divP - corr)
 
 
-def eh_data(frame: AdaptedFrame, a_part: np.ndarray, grid: Grid3,
+def eh_data(frame: AdaptedFrame, split: ConnectionSplit, grid: Grid3,
             Lambda: float = 0.0) -> EHData:
     g = (frame.e_bar * frame.eta_bar) @ np.swapaxes(frame.e_bar, -1, -2)
-    K = extrinsic_tensor(frame, a_part)
+    K = extrinsic_tensor(frame, split.a_part)
     Pi = momentum_density_tensor(g, K)
-    gamma_blk = gamma_block(frame.e_bar, frame.eta_bar, grid)
-    R = ricci_scalar_via_frame(frame.e_bar, frame.eta_bar, grid, gamma_blk)
+    R = ricci_scalar_via_frame(frame.e_bar, frame.eta_bar, grid, split.gamma_triad)
     H = hamiltonian_density(g, K, R, frame.eta00, Lambda)
-    M = momentum_density_frame(frame, a_part, gamma_blk, grid)
+    M = momentum_density_frame(frame, split.a_part, split.gamma_triad, grid)
     sqrtg = np.sqrt(np.abs(np.linalg.det(g)))
     return EHData(g=g, K=K, Pi=Pi, sqrtg=sqrtg, R_scalar=R, H_density=H,
                   M_density=M, eta00=frame.eta00)
@@ -422,8 +394,8 @@ def compare_pch_eh(state, lam0_polys, xi_polys) -> dict:
     grid = state.grid
     X, Y, Z = grid.coords()
     frame = orthonormal_frame(state.e.data, state.sig)
-    split = split_connection(state.omega, frame, grid, state.sig)
-    data = eh_data(frame, split.a_part, grid, Lambda=state.Lambda)
+    split = split_connection(state.omega, frame, grid)
+    data = eh_data(frame, split, grid, Lambda=state.Lambda)
     out = {
         "hamiltonian": 0.0,
         "momentum": 0.0,
@@ -434,6 +406,11 @@ def compare_pch_eh(state, lam0_polys, xi_polys) -> dict:
         "k_asymmetry": split.k_asymmetry,
     }
     h3 = grid.h**3
+    # the metric routes first, before eval_J caches the state's densities: lower peak memory
+    Mlc = momentum_density_metric(data.g, data.Pi, grid)
+    Rm = ricci_scalar_via_metric(data.g, grid)
+    out["momentum_mutual"] = float(np.sqrt(((data.M_density - Mlc) ** 2).sum() * h3))
+    out["ricci_mutual"] = float(np.sqrt(((data.R_scalar - Rm) ** 2).sum() * h3))
     for lp in lam0_polys:
         lam = lp.eval(X, Y, Z)
         mu = FormField(grid, 0, 1, (lam[..., None] * frame.frame[..., :, 3])[..., None, :])
@@ -451,10 +428,6 @@ def compare_pch_eh(state, lam0_polys, xi_polys) -> dict:
         jxi = cst.eval_J_infinity(state, mu)
         out["momentum"] = max(out["momentum"],
                               abs(jxi - float((xi * data.M_density).sum() * h3)))
-    Mlc = momentum_density_metric(data.g, data.Pi, grid)
-    Rm = ricci_scalar_via_metric(data.g, grid)
-    out["momentum_mutual"] = float(np.sqrt(((data.M_density - Mlc) ** 2).sum() * h3))
-    out["ricci_mutual"] = float(np.sqrt(((data.R_scalar - Rm) ** 2).sum() * h3))
     return out
 
 

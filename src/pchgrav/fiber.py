@@ -10,7 +10,9 @@ contraction kernel `bilinear` on a combined structure tensor from
 `product_tensor`.
 
 Conventions (fixed once, used everywhere):
-  * basis u_1..u_4 of V, eta = diag(1,1,1,1) or diag(1,1,1,-1);
+  * basis u_1..u_4 of V, eta = diag(1,1,1,1) or diag(1,1,1,-1) (any diagonal
+    with at most one -1 is accepted, e.g. the adapted frame of a time-like
+    span, diag(1,1,-1,1));
   * eps_{1234} = +1 and Tr(u_i ^ u_j ^ u_k ^ u_l) = eps_{ijkl};
   * bivector components are stored on the ordered pairs
     (12, 13, 14, 23, 24, 34), trivector components on the sorted triple that
@@ -89,13 +91,14 @@ def eps4(i: int, j: int, k: int, l: int) -> int:
 
 @dataclass(frozen=True)
 class Signature:
-    """Diagonal inner product on V; s is the sign of det(eta)."""
+    """Diagonal inner product on V, four signs with at most one -1; s = sign det(eta)."""
 
     eta_diag: tuple
 
     def __post_init__(self):
-        if tuple(self.eta_diag) not in ((1, 1, 1, 1), (1, 1, 1, -1)):
-            raise ValueError("eta_diag must be (1,1,1,1) or (1,1,1,-1)")
+        d = tuple(self.eta_diag)
+        if len(d) != 4 or any(x not in (1, -1) for x in d) or d.count(-1) > 1:
+            raise ValueError("eta_diag must be four signs +-1 with at most one -1")
 
     @property
     def eta(self) -> np.ndarray:
@@ -203,28 +206,25 @@ def _star2_matrix_entries(eta_diag, exact: bool):
     return M
 
 
+@lru_cache(maxsize=None)
 def star2_matrix(sig: Signature, exact: bool = False) -> np.ndarray:
+    """Matrix of the Hodge star on bivector components, built on first use, read-only."""
     ent = _star2_matrix_entries(sig.eta_diag, exact)
     if exact:
         out = np.empty((6, 6), dtype=object)
         for i in range(6):
             for j in range(6):
                 out[i, j] = ent[i][j]
-        return out
-    return np.array(ent, dtype=float)
-
-
-_STAR_CACHE = {
-    (sig.eta_diag, exact): star2_matrix(sig, exact)
-    for sig in (EUCLIDEAN, LORENTZIAN)
-    for exact in (False, True)
-}
+    else:
+        out = np.array(ent, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def hodge_star2(b: np.ndarray, sig: Signature) -> np.ndarray:
     """Internal Hodge star on bivector components; star o star = s * id."""
     b = np.asarray(b)
-    S = _STAR_CACHE[(sig.eta_diag, b.dtype == object)]
+    S = star2_matrix(sig, b.dtype == object)
     if b.dtype == object:
         return np.array([sum(S[i, j] * b[..., j] for j in range(6)) for i in range(6)]).T
     return b @ S.T
@@ -312,8 +312,10 @@ def bilinear(T: np.ndarray, x, y) -> np.ndarray:
     y = y.reshape(-1, B)
     out = np.empty((x.shape[0], O), dtype=np.result_type(x, y, T))
     T2 = T.reshape(A, B * O).astype(out.dtype)
+    buf = np.empty((min(_BLOCK, x.shape[0]), B * O), dtype=out.dtype)   # one block at a time
     for s in range(0, x.shape[0], _BLOCK):
-        t = (x[s:s + _BLOCK] @ T2).reshape(-1, B, O)
+        xs = x[s:s + _BLOCK]
+        t = np.matmul(xs, T2, out=buf[:len(xs)]).reshape(-1, B, O)
         np.einsum("sbo,sb->so", t, y[s:s + _BLOCK], out=out[s:s + _BLOCK])
     return out.reshape(lead + (O,))
 
@@ -358,7 +360,7 @@ def t_gamma_endo_matrix(gamma: float, sig: Signature) -> np.ndarray:
         raise ValueError("gamma must be nonzero")
     if np.isinf(gamma):
         return np.eye(6)
-    return np.eye(6) + _STAR_CACHE[(sig.eta_diag, False)] / gamma
+    return np.eye(6) + star2_matrix(sig) / gamma
 
 
 def t_gamma_matrix(gamma: float, sig: Signature):
@@ -376,7 +378,7 @@ def f_alpha_matrix(alpha: float):
 
     det F_alpha = (1 + alpha^2)^3; F is singular exactly at alpha = +-i.
     """
-    F = np.eye(6) + alpha * _STAR_CACHE[((1, 1, 1, -1), False)]
+    F = np.eye(6) + alpha * star2_matrix(LORENTZIAN)
     return F, float(np.linalg.det(F))
 
 

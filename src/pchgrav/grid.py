@@ -16,7 +16,7 @@ from __future__ import annotations
 import base64
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,9 +79,6 @@ class TrigPoly:
 
     def __add__(self, other: "TrigPoly") -> "TrigPoly":
         return TrigPoly(self.terms + other.terms)
-
-    def scaled(self, c: float) -> "TrigPoly":
-        return TrigPoly(tuple((a * c, k, ph) for a, k, ph in self.terms))
 
     def eval(self, X, Y, Z):
         out = np.zeros(np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(Z)))
@@ -281,17 +278,15 @@ def tr_quad_field(f: FormField) -> FormField:
 
 
 class Coframe:
-    """Nondegenerate V-valued coframe on the grid, with its boundary metric."""
+    """Nondegenerate V-valued coframe on the grid, with its signature."""
 
     def __init__(self, field: FormField, sig: Signature, check: bool = True):
         if field.p != 1 or field.grade != 1:
             raise ValueError("coframe must be a vector-valued 1-form")
         self.field = field
         self.sig = sig
-        e = field.data  # (n,n,n,3,4)
-        self.gmetric = np.einsum("...ai,i,...bi->...ab", e, sig.eta, e)
         if check:
-            sv = np.linalg.svd(e, compute_uv=False)
+            sv = np.linalg.svd(field.data, compute_uv=False)
             if np.any(sv[..., 2] < 1e-6 * sv[..., 0]):
                 raise ValueError("degenerate coframe: third singular value too small")
 
@@ -302,9 +297,6 @@ class Coframe:
     @property
     def data(self) -> np.ndarray:
         return self.field.data
-
-    def gdet(self) -> np.ndarray:
-        return np.linalg.det(self.gmetric)
 
 
 # ---------------------------------------------------------------------------

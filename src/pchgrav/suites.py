@@ -801,19 +801,13 @@ def run_eh(cfg: RunConfig) -> list:
     t0 = time.perf_counter()
     # gauge-fix flow consistency: rotate into the adapted frame, re-certify,
     # and compare the connection blocks with Gamma(ebar) + A
-    split = eh.split_connection(st.omega, frame, g, sig)
+    split = eh.split_connection(st.omega, frame, g)
     e_rot = np.zeros_like(st.e.data)
     e_rot[..., :, :3] = frame.e_bar
-    om_rot = np.zeros((g.n, g.n, g.n, 3, 6))
-    from .fiber import PAIRS
-    for P, (i, j) in enumerate(eh.SPATIAL_PAIRS):
-        om_rot[..., PAIRS.index((i, j))] += split.gamma_part[..., P]
-    for i in range(3):
-        om_rot[..., PAIRS.index((i, 3))] += -split.a_part[..., i]
-    st_rot = cst.certify(Coframe(FormField(g, 1, 1, e_rot), sig),
-                         FormField(g, 1, 2, om_rot), gamma, 0.0)
+    om_rot = eh.adapted_connection(split.gamma_part, split.a_part, g)
+    st_rot = cst.certify(Coframe(FormField(g, 1, 1, e_rot), sig), om_rot, gamma, 0.0)
     frame2 = eh.orthonormal_frame(st_rot.e.data, sig)
-    split2 = eh.split_connection(st_rot.omega, frame2, g, sig)
+    split2 = eh.split_connection(st_rot.omega, frame2, g)
     budget = cfg.tol("gaugefix_budget")
     s.check("gauge-fix-consistency",
             "rotating into the adapted frame and re-solving reproduces the block split",
@@ -827,7 +821,7 @@ def run_eh(cfg: RunConfig) -> list:
     rng = s.rng()
     st_off = random_offshell_state(rng, g, sig, gamma, 0.0)
     frame3 = eh.orthonormal_frame(st_off.e.data, sig)
-    split3 = eh.split_connection(st_off.omega, frame3, g, sig)
+    split3 = eh.split_connection(st_off.omega, frame3, g)
     refused = False
     try:
         eh.compare_pch_eh(st_off, LAPSE_PROBES[:1], SHIFT_PROBES[:1])

@@ -53,6 +53,17 @@ def test_bad_numbers_and_tolerance_names_exit_2(tmp_path, capsys, raw, path):
     assert path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["euclidean", "lorentzian"])
+def test_signature_names_accepted(name):
+    assert validate_config({"signature": name}).signature == name
+
+
+@pytest.mark.parametrize("name", ["Lorentzian", "timelike", "riemannian", "", 1, None])
+def test_other_signature_names_rejected(name):
+    with pytest.raises(ConfigError, match=r"\$\.signature"):
+        validate_config({"signature": name})
+
+
 def test_unknown_key_rejected_with_path():
     with pytest.raises(ConfigError, match=r"\$\.frobnicate"):
         validate_config({"frobnicate": 1})
@@ -150,6 +161,34 @@ def test_cli_null_normal_exit_3_names_site(tmp_path, capsys, command):
     assert cli.main([command, "--coframe", str(epath), "--connection", str(opath),
                      "--out", str(tmp_path / "out")]) == 3
     assert "site (1, 2, 3)" in capsys.readouterr().err
+
+
+def _field_files(tmp_path, connection):
+    """A flat Lorentzian coframe at 4^3 and the given connection, written as field files."""
+    from pchgrav.fiber import LORENTZIAN
+    from pchgrav.grid import FormField, Grid3, save_field
+
+    e = np.broadcast_to(np.eye(3, 4), (4, 4, 4, 3, 4)).copy()
+    epath, opath = tmp_path / "e.pchf", tmp_path / "bad-omega.pchf"
+    save_field(FormField(Grid3(4), 1, 1, e), epath, sig=LORENTZIAN)
+    save_field(connection, opath, sig=LORENTZIAN)
+    return ["--coframe", str(epath), "--connection", str(opath)]
+
+
+@pytest.mark.parametrize("command", ["omega-tilde", "reduce"])
+@pytest.mark.parametrize("p,grade,n,why", [
+    (1, 1, 4, "bivector-valued 1-form"),
+    (2, 2, 4, "bivector-valued 1-form"),
+    (1, 2, 6, "n = 6"),
+], ids=["vector-valued", "two-form", "other-grid"])
+def test_cli_bad_connection_file_exit_2(tmp_path, capsys, command, p, grade, n, why):
+    from pchgrav.grid import FormField, Grid3
+
+    files = _field_files(tmp_path, FormField.zeros(Grid3(n), p, grade))
+    assert cli.main([command, *files, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad-omega.pchf" in err and why in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_field_pipeline(tmp_path):

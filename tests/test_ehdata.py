@@ -132,22 +132,34 @@ def test_gamma_conformal_closed_form():
 def test_split_connection_on_shell():
     st = cst.make_on_shell(acceptance_triad_spec(), Grid3(8), 1.0, LORENTZIAN, Lambda=0.1)
     frame = eh.orthonormal_frame(st.e.data, LORENTZIAN)
-    split = eh.split_connection(st.omega, frame, st.grid, LORENTZIAN)
+    split = eh.split_connection(st.omega, frame, st.grid)
     assert split.k_asymmetry <= 1e-10
     assert split.gamma_residual <= 0.1
     res = {}
     for n in (8, 16):
         stn = cst.make_on_shell(acceptance_triad_spec(), Grid3(n), 1.0, LORENTZIAN, Lambda=0.1)
         fr = eh.orthonormal_frame(stn.e.data, LORENTZIAN)
-        res[n] = eh.split_connection(stn.omega, fr, stn.grid, LORENTZIAN).gamma_residual
+        res[n] = eh.split_connection(stn.omega, fr, stn.grid).gamma_residual
     assert 3.2 <= res[8] / res[16] <= 4.8
 
 
 def test_split_connection_off_shell_flags():
     st = random_offshell_state(RNG, Grid3(8), LORENTZIAN, 1.0, 0.0)
     frame = eh.orthonormal_frame(st.e.data, LORENTZIAN)
-    split = eh.split_connection(st.omega, frame, st.grid, LORENTZIAN)
+    split = eh.split_connection(st.omega, frame, st.grid)
     assert split.gamma_residual > 0.01
+
+
+def test_adapted_connection_is_the_pair_embedding():
+    # Gamma^{ij} on the w-frame pair (i, j); A^i w_0 ^ w_i = -A^i w_i ^ w_0 on (i, 0)
+    g = Grid3(4)
+    gam, A = np.random.Generator(np.random.Philox(key=6)).normal(size=(2, 4, 4, 4, 3, 3))
+    om = eh.adapted_connection(gam, A, g)
+    assert (om.p, om.grade) == (1, 2)
+    for P, (i, j) in enumerate(eh.SPATIAL_PAIRS):
+        assert np.array_equal(om.data[..., PAIRS.index((i, j))], gam[..., P])
+    for i in range(3):
+        assert np.array_equal(om.data[..., PAIRS.index((i, 3))], -A[..., i])
 
 
 # --- extrinsic tensor and momentum ----------------------------------------------------
@@ -256,8 +268,8 @@ def test_densities_vanish_on_flat_data():
     g = Grid3(4)
     st = cst.make_on_shell(flat_triad_spec(), g, 1.0, LORENTZIAN)
     frame = eh.orthonormal_frame(st.e.data, LORENTZIAN)
-    split = eh.split_connection(st.omega, frame, g, LORENTZIAN)
-    data = eh.eh_data(frame, split.a_part, g)
+    split = eh.split_connection(st.omega, frame, g)
+    data = eh.eh_data(frame, split, g)
     assert np.abs(data.H_density).max() <= 1e-13
     assert np.abs(data.M_density).max() <= 1e-13
 
@@ -269,8 +281,8 @@ def test_constant_trace_K_hamiltonian_closed_form():
     g = Grid3(4)
     st = cst.make_on_shell(constant_k_spec(c), g, 1.0, LORENTZIAN, Lambda=lam)
     frame = eh.orthonormal_frame(st.e.data, LORENTZIAN)
-    split = eh.split_connection(st.omega, frame, g, LORENTZIAN)
-    data = eh.eh_data(frame, split.a_part, g, Lambda=lam)
+    split = eh.split_connection(st.omega, frame, g)
+    data = eh.eh_data(frame, split, g, Lambda=lam)
     expect = 3.0 * frame.eta00 * c**2 - 6.0 * lam
     assert np.abs(data.H_density - expect).max() <= 1e-12
 
@@ -282,8 +294,8 @@ def test_momentum_routes_mutual_convergence():
         g = Grid3(n)
         st = cst.make_on_shell(spec, g, 1.0, LORENTZIAN, Lambda=0.1)
         frame = eh.orthonormal_frame(st.e.data, LORENTZIAN)
-        split = eh.split_connection(st.omega, frame, g, LORENTZIAN)
-        data = eh.eh_data(frame, split.a_part, g, Lambda=0.1)
+        split = eh.split_connection(st.omega, frame, g)
+        data = eh.eh_data(frame, split, g, Lambda=0.1)
         Mlc = eh.momentum_density_metric(data.g, data.Pi, g)
         errs[n] = float(np.sqrt(((data.M_density - Mlc) ** 2).sum() * g.h**3))
     assert 3.2 <= errs[16] / errs[32] <= 4.8
@@ -345,12 +357,59 @@ def _split_reference(omega, frame, grid, sig):
     return gamma_part, a_part
 
 
+def _block_to_mat(a):
+    """3x3 antisymmetric matrices from blocks on the spatial pairs (12, 13, 23)."""
+    M = np.zeros(a.shape[:-1] + (3, 3))
+    for P, (i, j) in enumerate(eh.SPATIAL_PAIRS):
+        M[..., i, j] = a[..., P]
+        M[..., j, i] = -a[..., P]
+    return M
+
+
+def _so3_bracket(a, b, eta_bar):
+    """Matrix commutator (A eta_bar) B - (B eta_bar) A, back on the spatial pairs."""
+    A, B = _block_to_mat(a), _block_to_mat(b)
+    M = (A * eta_bar) @ B - (B * eta_bar) @ A
+    return np.stack([M[..., i, j] for (i, j) in eh.SPATIAL_PAIRS], axis=-1)
+
+
+def _so3_cov_deriv_vec(A, gamma_blk, eta_bar, grid, axis):
+    """(d_Gamma)_axis A for an internal-vector-valued field A[..., c, i]."""
+    G = _block_to_mat(gamma_blk[..., axis, :])
+    return deriv_axis(A, axis, grid) + np.einsum("...ik,k,...ck->...ci", G, eta_bar, A)
+
+
+def _triad_compatibility_reference(e_bar, gamma_blk, eta_bar, grid):
+    """sup over coordinate pairs of |d_a ebar_b - d_b ebar_a + Gamma_a ebar_b - Gamma_b ebar_a|."""
+    worst = 0.0
+    for a, b in eh.SPATIAL_PAIRS:
+        t = (_so3_cov_deriv_vec(e_bar, gamma_blk, eta_bar, grid, a)[..., b, :]
+             - _so3_cov_deriv_vec(e_bar, gamma_blk, eta_bar, grid, b)[..., a, :])
+        worst = max(worst, float(np.abs(t).max()))
+    return worst
+
+
+def _ricci_frame_reference(e_bar, eta_bar, grid, gamma_blk):
+    """2 eps^{abc} eps_{kij} ebar_a^k F_bc^{ij} / det ebar as a triple loop, F on so(3) blocks."""
+    F = np.zeros(gamma_blk.shape[:3] + (3, 3))
+    for P, (a, b) in enumerate(eh.SPATIAL_PAIRS):
+        F[..., P, :] = (deriv_axis(gamma_blk[..., b, :], a, grid)
+                        - deriv_axis(gamma_blk[..., a, :], b, grid)
+                        + _so3_bracket(gamma_blk[..., a, :], gamma_blk[..., b, :], eta_bar))
+    T = np.zeros(e_bar.shape[:3])
+    for P2, (b, c) in enumerate(eh.SPATIAL_PAIRS):
+        for PF, (i, j) in enumerate(eh.SPATIAL_PAIRS):
+            for a in range(3):
+                T += eh.EPS3[a, b, c] * (e_bar[..., a, :] @ eh.EPS3[:, i, j]) * F[..., P2, PF]
+    return 2.0 * T / np.linalg.det(e_bar)
+
+
 def _momentum_reference(frame, a_part, gamma_blk, grid):
-    dA = np.stack([eh.so3_cov_deriv_vec(a_part, gamma_blk, frame.eta_bar, grid, b)
+    """eps^{abc} eps_{kij} ebar_f^k ebar_a^j (d_Gamma)_b A_c^i as one eps.eps einsum."""
+    dA = np.stack([_so3_cov_deriv_vec(a_part, gamma_blk, frame.eta_bar, grid, b)
                    for b in range(3)], axis=-3)
-    N = np.linalg.inv(frame.e_bar)
-    dete = np.linalg.det(frame.e_bar)
-    return np.einsum("abc,fda,...,...id,...bci->...f", eh.EPS3, eh.EPS3, dete, N, dA)
+    return np.einsum("abc,kij,...fk,...aj,...bci->...f", eh.EPS3, eh.EPS3,
+                     frame.e_bar, frame.e_bar, dA)
 
 
 def _christoffel_reference(g, grid):
@@ -375,37 +434,57 @@ def _rel(got, ref):
     return float(np.abs(got - ref).max() / np.abs(ref).max())
 
 
+def _reduction_state(n, sig, shell):
+    grid = Grid3(n)
+    if shell == "off":
+        st = random_offshell_state(np.random.Generator(np.random.Philox(key=n)), grid, sig, 1.0, 0.1)
+    else:
+        st = cst.make_on_shell(acceptance_triad_spec(), grid, 1.0, sig, Lambda=0.1,
+                               timelike=shell == "timelike")
+    frame = eh.orthonormal_frame(st.e.data, sig)
+    return st, frame, eh.split_connection(st.omega, frame, grid)
+
+
 @pytest.mark.parametrize("n", [4, 8])
 @pytest.mark.parametrize("sig", [LORENTZIAN, EUCLIDEAN], ids=["lorentzian", "euclidean"])
 @pytest.mark.parametrize("shell", ["on", "off"])
 def test_eh_contractions_match_einsum_references(n, sig, shell):
-    grid = Grid3(n)
-    if shell == "on":
-        st = cst.make_on_shell(acceptance_triad_spec(), grid, 1.0, sig, Lambda=0.1)
-    else:
-        st = random_offshell_state(np.random.Generator(np.random.Philox(key=n)), grid, sig, 1.0, 0.1)
-    frame = eh.orthonormal_frame(st.e.data, sig)
+    st, frame, split = _reduction_state(n, sig, shell)
+    grid = st.grid
     got = eh.gamma_of_triad(frame.e_bar, frame.eta_bar, grid)
     assert _rel(got, _gamma_of_triad_reference(frame.e_bar, frame.eta_bar, grid)) <= 1e-13
-    split = eh.split_connection(st.omega, frame, grid, sig)
-    gamma_ref, a_ref = _split_reference(st.omega, frame, grid, sig)
-    assert _rel(split.gamma_part, gamma_ref) <= 1e-13
-    assert _rel(split.a_part, a_ref) <= 1e-13
-    gamma_blk = eh.gamma_block(frame.e_bar, frame.eta_bar, grid)
-    assert _rel(eh.momentum_density_frame(frame, split.a_part, gamma_blk, grid),
-                _momentum_reference(frame, split.a_part, gamma_blk, grid)) <= 1e-13
     eta_bar = frame.eta_bar
-    G = eh.block_to_mat(gamma_blk[..., 1, :])
-    dA_ref = deriv_axis(split.a_part, 1, grid) + np.einsum("...ik,k,...ck->...ci", G, eta_bar,
-                                                           split.a_part)
-    assert _rel(eh.so3_cov_deriv_vec(split.a_part, gamma_blk, eta_bar, grid, 1), dA_ref) <= 1e-13
-    x, y = gamma_blk[..., 0, :], split.gamma_part[..., 2, :]
-    X, Y = eh.block_to_mat(x), eh.block_to_mat(y)
-    bracket_ref = eh.mat_to_block(np.einsum("...rm,m,...ms->...rs", X, eta_bar, Y)
-                                  - np.einsum("...rm,m,...ms->...rs", Y, eta_bar, X))
-    assert _rel(eh.so3_bracket(x, y, eta_bar), bracket_ref) <= 1e-13
     KA = np.einsum("...ai,i,...bi->...ab", frame.e_bar, eta_bar, split.a_part)
     assert _rel(eh.extrinsic_tensor(frame, split.a_part), 0.5 * (KA + np.swapaxes(KA, -1, -2))) <= 1e-13
     g = np.einsum("...ai,i,...bi->...ab", frame.e_bar, eta_bar, frame.e_bar)
     assert _rel(eh.christoffel(g, grid), _christoffel_reference(g, grid)) <= 1e-13
     assert _rel(eh.ricci_scalar_via_metric(g, grid), _ricci_metric_reference(g, grid)) <= 1e-13
+
+
+REDUCTION_STATES = ([(n, sig, shell) for shell in ("on", "off") for sig in (LORENTZIAN, EUCLIDEAN)
+                     for n in (4, 8)] + [(4, LORENTZIAN, "timelike"), (8, LORENTZIAN, "timelike")])
+
+
+@pytest.mark.parametrize("n,sig,shell", REDUCTION_STATES,
+                         ids=[f"{shell}-{sig.name}-{n}" for n, sig, shell in REDUCTION_STATES])
+def test_eh_kernel_route_matches_so3_references(n, sig, shell):
+    st, frame, split = _reduction_state(n, sig, shell)
+    grid = st.grid
+    if shell == "timelike":
+        assert list(frame.eta_bar) == [1.0, 1.0, -1.0] and frame.eta00 == 1.0
+    gamma_ref, a_ref = _split_reference(st.omega, frame, grid, sig)
+    assert _rel(split.gamma_part, gamma_ref) <= 1e-13
+    assert _rel(split.a_part, a_ref) <= 1e-13
+    assert _rel(split.gamma_triad,
+                np.stack([_gamma_of_triad_reference(frame.e_bar, frame.eta_bar, grid)[..., i, j]
+                          for (i, j) in eh.SPATIAL_PAIRS], axis=-1)) <= 1e-13
+    if shell != "off":
+        assert split.gamma_residual <= 0.1 and split.k_asymmetry <= 1e-10
+    e_bar, eta_bar = frame.e_bar, frame.eta_bar
+    assert _rel(eh.ricci_scalar_via_frame(e_bar, eta_bar, grid, split.gamma_triad),
+                _ricci_frame_reference(e_bar, eta_bar, grid, split.gamma_triad)) <= 1e-13
+    assert _rel(eh.momentum_density_frame(frame, split.a_part, split.gamma_triad, grid),
+                _momentum_reference(frame, split.a_part, split.gamma_triad, grid)) <= 1e-13
+    got = eh.triad_compatibility_residual(e_bar, split.gamma_part, eta_bar, grid)
+    ref = _triad_compatibility_reference(e_bar, split.gamma_part, eta_bar, grid)
+    assert abs(got - ref) <= 1e-13 * ref

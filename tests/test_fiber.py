@@ -271,3 +271,20 @@ def test_signature_validation():
     with pytest.raises(ValueError):
         fiber.Signature((1, 1, -1, -1))
     assert EUCLIDEAN.s == 1 and LORENTZIAN.s == -1
+
+
+@pytest.mark.parametrize("eta_diag", [(-1, 1, 1, -1), (1, 1, 0, 1), (1, 1, 1), (1, 1, 1, 1, -1),
+                                      (1, 1, 2, 1)])
+def test_signature_rejects_two_minus_signs_a_zero_and_a_wrong_length(eta_diag):
+    with pytest.raises(ValueError):
+        fiber.Signature(eta_diag)
+
+
+def test_signature_accepts_one_minus_sign_anywhere():
+    # the adapted frame of a time-like span has eta_w = diag(1, 1, -1, 1)
+    sig = fiber.Signature((1, 1, -1, 1))
+    assert sig.s == -1
+    S = fiber.star2_matrix(sig)
+    assert np.abs(S @ S + np.eye(6)).max() == 0.0
+    a, b = np.random.Generator(np.random.Philox(key=7)).normal(size=(2, 6))
+    assert np.abs(S @ fiber.bracket2(a, b, sig) - fiber.bracket2(S @ a, b, sig)).max() <= 1e-13
