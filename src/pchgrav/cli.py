@@ -56,7 +56,8 @@ def _load_fields(args):
     """(Coframe, connection, signature) from the field files of `reduce` and `omega-tilde`.
 
     A malformed file raises a ConfigError that names it: unreadable, not a
-    nondegenerate coframe, not a bivector-valued 1-form, or on another grid.
+    nondegenerate coframe, not a bivector-valued 1-form, on another grid, or
+    with a signature header that differs from the coframe's.
     """
     try:
         e_field, e_hdr = load_field(args.coframe)
@@ -65,7 +66,10 @@ def _load_fields(args):
     except Exception as exc:
         raise ConfigError(f"{args.coframe}: {exc}") from None
     try:
-        om_field, _ = load_field(args.connection)
+        om_field, om_hdr = load_field(args.connection)
+        om_sig = om_hdr.get("signature")
+        if om_sig and signature_from_name(om_sig) != sig:
+            raise ValueError(f"signature {om_sig}, the coframe's is {sig.name}")
     except Exception as exc:
         raise ConfigError(f"{args.connection}: {exc}") from None
     if (om_field.p, om_field.grade) != (1, 2):

@@ -222,7 +222,7 @@ def make_on_shell(spec: TriadSpec, grid: Grid3, gamma: float, sig: Signature,
         order, eta_bar = [0, 1, 2, 3], np.array([1.0, 1.0, 1.0])
 
     gamma_blk = ehdata.gamma_block(eb, eta_bar, grid, C=spec.anholonomy(grid))
-    A = np.einsum("j,...ja,...ab->...bj", 1.0 / eta_bar, np.linalg.inv(eb), K)
+    A = ehdata.a_from_K(eb, eta_bar, K)
     # the w-frame (w_1, w_2, w_3, w_0) is the u-frame permuted by P
     P = np.eye(4)[:, order]
     e = Coframe(FormField(grid, 1, 1, eb @ P[:, :3].T), sig)
@@ -235,11 +235,18 @@ def make_on_shell(spec: TriadSpec, grid: Grid3, gamma: float, sig: Signature,
 
 _P12_E = K12HAT @ K12HAT.T
 _P21_E = K21HAT @ K21HAT.T
-_W11_TEMPLATE = wedgemaps.wedge_matrix(
-    np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0]]), (1, 1)
-)
+#: in the e-adapted frame the coframe is (1 | 0) and the wedge maps are integer templates
+_W11_TEMPLATE = wedgemaps.wedge_matrix(np.eye(3, 4), (1, 1))
+_W12_TEMPLATE = wedgemaps.wedge_matrix(np.eye(3, 4), (1, 2))
 _U11 = np.linalg.svd(_W11_TEMPLATE)[0][:, :12]
 _P11DAG_E = _U11 @ _U11.T
+_W11_PINV_E = np.linalg.pinv(_W11_TEMPLATE)                          # (12, 18)
+#: template inverse of W^{(1,2)} onto the complement of its kernel, (1 - P12_E) W12_E^+
+_W12_PINV_E = (np.eye(18) - _P12_E) @ np.linalg.pinv(_W12_TEMPLATE)  # (18, 12)
+#: Lambda^3(P^-1)[I, J] = (-1)^(m(I) + m(J)) P[m(J), m(I)] / det P, with m(I) the
+#: index missing from the triple I; the triples are ordered so that m(I) = 3 - I,
+#: which makes the sign (-1)^(I + J)
+_L3_SIGNS = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
 
 
 @dataclass
@@ -261,7 +268,7 @@ class ProjectorPack:
 def projector_pack(e: Coframe) -> ProjectorPack:
     pf = reduction.phi_frame(e.data, e.sig)
     S12 = block_diag(pf.L2P, 3)
-    S12_inv = block_diag(np.linalg.inv(pf.L2P), 3)
+    S12_inv = block_diag(compound_matrix(pf.frames_inv, 2), 3)   # (Lambda^2 P)^-1 = Lambda^2(P^-1)
     S2v = block_diag(pf.frames, 3)
     S2v_inv = block_diag(pf.frames_inv, 3)
     return ProjectorPack(
@@ -449,18 +456,30 @@ class TangentVector:
 
 
 def _solve_complement_12(rhs: FormField, state: BoundaryState, pack: ProjectorPack) -> FormField:
-    """Complement-valued X with X ^ e = rhs (surjective shape (1,2))."""
-    M = wedgemaps.wedge_matrix(state.e.data, (1, 2))
-    x = np.einsum("...ij,...j->...i", np.linalg.pinv(M), _flat(rhs))
-    x = np.einsum("...ij,...j->...i", pack.p12_prime, x)
+    """Complement-valued X with X ^ e = rhs (surjective shape (1,2)).
+
+    W_e^{(1,2)} = block3(Lambda^3 P) W12_E S12^-1, so the complement-valued
+    solution is S12 (1 - P12_E) W12_E^+ block3(Lambda^3 P^-1) rhs: a fixed
+    template inverse between the frame transforms of the pack.
+    """
+    P = pack.frames
+    L3P_inv = _L3_SIGNS * np.swapaxes(P, -1, -2)[..., ::-1, ::-1]
+    L3P_inv /= np.linalg.det(P)[..., None, None]
+    r_e = np.einsum("...IJ,...cJ->...cI", L3P_inv, rhs.data)
+    x_e = r_e.reshape(r_e.shape[:-2] + (12,)) @ _W12_PINV_E.T
+    x = np.einsum("...ij,...j->...i", pack.S12, x_e)
     return _unflat(x, state.grid, 1, 2)
 
 
-def _solve_w11(rhs: FormField, state: BoundaryState) -> FormField:
-    """X with X ^ e = rhs for the injective shape (1,1), least squares."""
-    M = wedgemaps.wedge_matrix(state.e.data, (1, 1))
-    x = np.einsum("...ij,...j->...i", np.linalg.pinv(M), _flat(rhs))
-    return _unflat(x, state.grid, 1, 1)
+def _solve_w11(rhs: FormField, state: BoundaryState, pack: ProjectorPack) -> FormField:
+    """X with X ^ e = rhs for the injective shape (1,1), rhs in im W^{(1,1)}.
+
+    W_e^{(1,1)} = S12 W11_E block3(P^-1), so X = block3(P) W11_E^+ S12^-1 rhs,
+    the exact solution for a right-hand side in the image of the wedge map.
+    """
+    y = np.einsum("...ij,...j->...i", pack.S12_inv, _flat(rhs)) @ _W11_PINV_E.T
+    x = np.einsum("...ij,...cj->...ci", pack.frames, y.reshape(y.shape[:-1] + (3, 4)))
+    return FormField(state.grid, 1, 1, x)
 
 
 def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormField,
@@ -493,7 +512,7 @@ def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormFiel
             Q = wedge_fields(mu, ppd)
             rhs_e = rhs_e + _apply_sitewise(pack.p11_dag, Q) + b_dagger(state, Q, pack)
             rhs_w12 = rhs_w12 + a_dagger(state, Q, pack)
-        X_e = _solve_w11(rhs_e, state)
+        X_e = _solve_w11(rhs_e, state, pack)
         # e ^ p'X_omega = rhs_w12  <=>  (p'X_omega) ^ e = -rhs_w12
         Xw_c = _solve_complement_12(rhs_w12 * (-1.0), state, pack)
         rhs_w = rhs_w12

@@ -235,10 +235,10 @@ def extrinsic_tensor(frame: AdaptedFrame, a_part: np.ndarray) -> np.ndarray:
     return 0.5 * (KA + np.swapaxes(KA, -1, -2))
 
 
-def a_from_K(frame: AdaptedFrame, K: np.ndarray) -> np.ndarray:
+def a_from_K(e_bar: np.ndarray, eta_bar: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Inverse of extrinsic_tensor for symmetric K: A_b^j = eta^{jk} E^a_k K_ab."""
-    N = np.linalg.inv(frame.e_bar)          # N[..., i, a]
-    return np.einsum("j,...ja,...ab->...bj", 1.0 / frame.eta_bar, N, K)
+    N = np.linalg.inv(e_bar)                # N[..., i, a]
+    return np.einsum("j,...ja,...ab->...bj", 1.0 / eta_bar, N, K)
 
 
 @dataclass
@@ -301,9 +301,11 @@ def ricci_scalar_via_metric(g: np.ndarray, grid: Grid3) -> np.ndarray:
     R_{cb} = d_a G^a_{cb} - d_c G^a_{ab} + G^a_{ad} G^d_{cb} - G^a_{cd} G^d_{ab}.
     """
     Gam = christoffel(g, grid)
-    dGam = np.stack([deriv_axis(Gam, c, grid) for c in range(3)], axis=-4)  # [..., d, c, a, b]
-    term1 = np.einsum("...aacb->...cb", dGam)
-    term2 = np.einsum("...caab->...cb", dGam)
+    # the two traced derivatives only: a full (..., 3, 3, 3, 3) d Gamma set the peak
+    # memory of the 32^3 EH comparison
+    term1 = sum(deriv_axis(Gam[..., a, :, :], a, grid) for a in range(3))
+    term2 = np.stack([sum(deriv_axis(Gam[..., a, a, :], c, grid) for a in range(3))
+                      for c in range(3)], axis=-2)
     lead = g.shape[:-2]
     trace = np.einsum("...aad->...d", Gam)[..., None, :]
     term3 = (trace @ Gam.reshape(lead + (3, 9))).reshape(lead + (3, 3))

@@ -280,15 +280,15 @@ def tr_quad_field(f: FormField) -> FormField:
 class Coframe:
     """Nondegenerate V-valued coframe on the grid, with its signature."""
 
-    def __init__(self, field: FormField, sig: Signature, check: bool = True):
+    def __init__(self, field: FormField, sig: Signature):
         if field.p != 1 or field.grade != 1:
             raise ValueError("coframe must be a vector-valued 1-form")
         self.field = field
         self.sig = sig
-        if check:
-            sv = np.linalg.svd(field.data, compute_uv=False)
-            if np.any(sv[..., 2] < 1e-6 * sv[..., 0]):
-                raise ValueError("degenerate coframe: third singular value too small")
+        # the eigenvalues of the 3x3 Gram e e^T are the squared singular values of e
+        sv2 = np.linalg.eigvalsh(field.data @ np.swapaxes(field.data, -1, -2))
+        if np.any(sv2[..., 0] < 1e-12 * sv2[..., 2]):
+            raise ValueError("degenerate coframe: third singular value too small")
 
     @property
     def grid(self) -> Grid3:

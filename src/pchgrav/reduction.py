@@ -75,6 +75,24 @@ def phi_matrix(g: np.ndarray) -> np.ndarray:
     return np.einsum("klcd,...cd->...kl", _PHI_TENSOR, g)
 
 
+#: N(lambda)[i, j] = lambda[3 - i - j] off the diagonal
+_N_INDEX = (3 - np.add.outer(np.arange(3), np.arange(3))) % 3
+_N_MASK = 1.0 - np.eye(3)
+
+
+def phi_singular_values(g: np.ndarray) -> np.ndarray:
+    """Singular values of phi_matrix(g), unsorted, from the spectrum of g (..., 3, 3).
+
+    They are |lambda_i| for the eigenvalues lambda of g together with |mu_j|
+    for the eigenvalues mu of N(lambda) = [[0, l3, l2], [l3, 0, l1], [l2, l1, 0]],
+    whose characteristic polynomial is mu^3 - (sum l^2) mu - 2 l1 l2 l3: two
+    batched symmetric 3x3 eigenvalue problems.
+    """
+    lam = np.linalg.eigvalsh(g)
+    mu = np.linalg.eigvalsh(lam[..., _N_INDEX] * _N_MASK)
+    return np.abs(np.concatenate([lam, mu], axis=-1))
+
+
 #: largest condition number of phi_e the solve accepts at any site
 PHI_COND_LIMIT = 1e8
 
@@ -97,22 +115,29 @@ class PhiFrame:
 def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
     """phi_e, then the frame completion, its inverse and Lambda^2, for a coframe (..., 3, 4).
 
+    phi_e depends only on the boundary metric g = e eta e^T, and so does its
+    conditioning: cond(phi_e) comes from `phi_singular_values`.
     phi_e is checked first: PhiSingularError, naming the worst site, when it
     is numerically singular (a degenerate boundary metric, which is also where
     the normal is null).  NullNormalError from the completion is left for a
-    normal that is null only within its own tolerance.
+    normal that is null only within its own tolerance.  The frame Gram is
+    P^T eta P = diag(g, q_n) with q_n = eta(e_n, e_n) = +-1, so the inverse
+    is P^-1 = diag(g^-1, q_n) P^T eta: one 3x3 inverse per site.
     """
     e = np.asarray(e, dtype=float)
-    phi = phi_matrix(np.einsum("...ai,i,...bi->...ab", e, sig.eta, e))
-    sv = np.linalg.svd(phi, compute_uv=False)
-    smax, smin = sv[..., 0], sv[..., -1]
+    g = np.einsum("...ai,i,...bi->...ab", e, sig.eta, e)
+    sv = phi_singular_values(g)
+    smax, smin = sv.max(axis=-1), sv.min(axis=-1)
     cond = np.divide(smax, smin, out=np.full_like(smax, np.inf), where=smin > 0)
     if np.any(cond > PHI_COND_LIMIT):
         raise PhiSingularError(
             f"phi_e singular{wedgemaps.at_site(cond)}: cond(phi) = {cond.max():.3e} "
             f"> {PHI_COND_LIMIT:.0e}; boundary metric degenerate?")
-    frames, _ = complete_frame(e, sig)
-    return PhiFrame(frames, np.linalg.inv(frames), compound_matrix(frames, 2), phi,
+    frames, qn = complete_frame(e, sig)
+    frames_inv = np.swapaxes(frames, -1, -2) * sig.eta
+    frames_inv[..., :3, :] = np.linalg.inv(g) @ frames_inv[..., :3, :]
+    frames_inv[..., 3, :] *= qn[..., None]
+    return PhiFrame(frames, frames_inv, compound_matrix(frames, 2), phi_matrix(g),
                     float(cond.max()))
 
 

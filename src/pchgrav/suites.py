@@ -784,7 +784,7 @@ def run_eh(cfg: RunConfig) -> list:
     trK = np.einsum("...ab,...ab->...", ginv, K)
     sqrtg = np.sqrt(np.abs(np.linalg.det(gmet)))
     tr_rel = np.abs(trPi + sqrtg * trK).max()
-    A = eh.a_from_K(frame, K)
+    A = eh.a_from_K(frame.e_bar, frame.eta_bar, K)
     K_rt = eh.extrinsic_tensor(frame, A)
     det_res = eh.triad_determinant_identity_residual(frame.e_bar)
     worst = max(float(orth), float(recon), float(np.abs(K_back - K).max()),

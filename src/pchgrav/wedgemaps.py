@@ -122,9 +122,13 @@ def compound_matrix(P: np.ndarray, k: int) -> np.ndarray:
 
 
 def block_diag(M: np.ndarray, m: int) -> np.ndarray:
-    """kron(I_m, M), batched on the last two axes."""
+    """kron(I_m, M), batched on the last two axes, C-contiguous whatever the layout of M
+    (a strided operand makes the batched matmuls with it slower)."""
     d = M.shape[-1]
-    return np.einsum("cd,...ij->...cidj", np.eye(m), M).reshape(M.shape[:-2] + (m * d, m * d))
+    out = np.zeros(M.shape[:-2] + (m, d, m, d))
+    for c in range(m):
+        out[..., c, :, c, :] = M
+    return out.reshape(M.shape[:-2] + (m * d, m * d))
 
 
 def domain_transform(P: np.ndarray, p: int, k: int) -> np.ndarray:

@@ -163,15 +163,16 @@ def test_cli_null_normal_exit_3_names_site(tmp_path, capsys, command):
     assert "site (1, 2, 3)" in capsys.readouterr().err
 
 
-def _field_files(tmp_path, connection):
+def _field_files(tmp_path, connection, connection_sig="lorentzian"):
     """A flat Lorentzian coframe at 4^3 and the given connection, written as field files."""
-    from pchgrav.fiber import LORENTZIAN
+    from pchgrav.fiber import LORENTZIAN, signature_from_name
     from pchgrav.grid import FormField, Grid3, save_field
 
     e = np.broadcast_to(np.eye(3, 4), (4, 4, 4, 3, 4)).copy()
     epath, opath = tmp_path / "e.pchf", tmp_path / "bad-omega.pchf"
     save_field(FormField(Grid3(4), 1, 1, e), epath, sig=LORENTZIAN)
-    save_field(connection, opath, sig=LORENTZIAN)
+    save_field(connection, opath,
+               sig=signature_from_name(connection_sig) if connection_sig else None)
     return ["--coframe", str(epath), "--connection", str(opath)]
 
 
@@ -189,6 +190,27 @@ def test_cli_bad_connection_file_exit_2(tmp_path, capsys, command, p, grade, n, 
     err = capsys.readouterr().err
     assert "bad-omega.pchf" in err and why in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["omega-tilde", "reduce"])
+def test_cli_connection_signature_mismatch_exit_2(tmp_path, capsys, command):
+    from pchgrav.grid import FormField, Grid3
+
+    files = _field_files(tmp_path, FormField.zeros(Grid3(4), 1, 2), connection_sig="euclidean")
+    assert cli.main([command, *files, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad-omega.pchf" in err and "signature euclidean" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["omega-tilde", "reduce"])
+@pytest.mark.parametrize("connection_sig", ["lorentzian", None])
+def test_cli_connection_signature_matching_or_absent_accepted(tmp_path, command, connection_sig):
+    from pchgrav.grid import FormField, Grid3
+
+    files = _field_files(tmp_path, FormField.zeros(Grid3(4), 1, 2), connection_sig)
+    assert cli.main([command, *files, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out").exists()
 
 
 def test_cli_field_pipeline(tmp_path):

@@ -179,7 +179,7 @@ def test_tangency_of_hamiltonian_flow(offshell_state):
     X = cst.hamiltonian_vector_field(st, "L", alpha)
     res = {}
     for t in (1e-3, 2e-3):
-        e2 = Coframe(st.e.field + t * X.de, st.sig, check=False)
+        e2 = Coframe(st.e.field + t * X.de, st.sig)
         res[t] = structural_projection_norm(e2, st.omega + t * X.domega)
     assert res[2e-3] / res[1e-3] > 3.0   # second-order violation only
 
@@ -220,6 +220,34 @@ def test_z_mu_solves_its_equations(offshell_state):
     # e ^ Z = mu F  <=>  Z ^ e = -(mu F) in stored components
     target = -rhs.data.reshape(4, 4, 4, 12)
     assert np.abs(got - target).max() <= 1e-9 * max(1.0, np.abs(target).max())
+
+
+@pytest.mark.parametrize("sig,gamma", [(LORENTZIAN, 1.0), (EUCLIDEAN, 2.0)],
+                         ids=["lorentzian", "euclidean"])
+def test_template_wedge_solves_match_pinv_reference(sig, gamma):
+    from pchgrav import wedgemaps as wm
+
+    st = random_offshell_state(np.random.Generator(np.random.Philox(key=23)), Grid3(4),
+                               sig, gamma, 0.1)
+    pack = cst.projector_pack(st.e)
+    mu = cst.smear_constant(st.grid, 1, RNG.normal(size=4))
+    # the off-shell right-hand sides that hamiltonian_vector_field solves for
+    d = cst.torsion(st)
+    Q = wedge_fields(mu, d - cst._apply_sitewise(pack.p21, d))
+    rhs_e = (wedge_fields(cov_deriv(mu, st.omega, sig), st.e.field) * (-1.0)
+             + cst._apply_sitewise(pack.p11_dag, Q) + cst.b_dagger(st, Q, pack))
+    rhs_w = (wedge_fields(mu, st.F) + cst.a_dagger(st, Q, pack)) * (-1.0)
+
+    def apply(M, f):
+        return np.einsum("...ij,...j->...i", M, f.data.reshape(4, 4, 4, -1))
+
+    ref_e = apply(np.linalg.pinv(wm.wedge_matrix(st.e.data, (1, 1))), rhs_e)
+    got_e = cst._solve_w11(rhs_e, st, pack).data.reshape(ref_e.shape)
+    assert np.abs(got_e - ref_e).max() <= 1e-12 * np.abs(ref_e).max()
+    ref_w = np.einsum("...ij,...j->...i", pack.p12_prime,
+                      apply(np.linalg.pinv(wm.wedge_matrix(st.e.data, (1, 2))), rhs_w))
+    got_w = cst._solve_complement_12(rhs_w, st, pack).data.reshape(ref_w.shape)
+    assert np.abs(got_w - ref_w).max() <= 1e-12 * np.abs(ref_w).max()
 
 
 # --- finite-difference brackets -----------------------------------------------------

@@ -190,7 +190,7 @@ def test_K_Pi_roundtrip_and_trace_identity():
     trK = np.einsum("...ab,...ab->...", ginv, K)
     sqrtg = np.sqrt(np.abs(np.linalg.det(gm)))
     assert np.abs(trPi + sqrtg * trK).max() <= 1e-12
-    A = eh.a_from_K(frame, K)
+    A = eh.a_from_K(frame.e_bar, frame.eta_bar, K)
     assert np.abs(eh.extrinsic_tensor(frame, A) - K).max() <= 1e-12
 
 

@@ -210,6 +210,22 @@ def test_coframe_nondegeneracy_guard():
         Coframe(FormField(g, 1, 1, data), LORENTZIAN)
 
 
+@pytest.mark.parametrize("ratio,degenerate", [(0.99e-6, True), (1.01e-6, False)])
+def test_coframe_rank_rule_at_its_threshold(ratio, degenerate):
+    # one site with singular values (2, 0.7, 2 ratio), rotated on both sides;
+    # the rule is sigma_3 < 1e-6 sigma_1, read from the Gram e e^T
+    U = np.linalg.qr(RNG.normal(size=(3, 3)))[0]
+    V = np.linalg.qr(RNG.normal(size=(4, 4)))[0]
+    data = np.broadcast_to(np.eye(3, 4), (2, 2, 2, 3, 4)).copy()
+    data[1, 0, 1] = U @ np.diag([2.0, 0.7, 2.0 * ratio]) @ V[:3]
+    field = FormField(Grid3(2), 1, 1, data)
+    if degenerate:
+        with pytest.raises(ValueError, match="degenerate"):
+            Coframe(field, LORENTZIAN)
+    else:
+        Coframe(field, LORENTZIAN)
+
+
 def test_field_io_bit_exact(tmp_path):
     g = Grid3(6)
     f = random_field_spec(RNG, 2, 2, n_modes=2, amp=0.9).sample(g)

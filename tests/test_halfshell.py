@@ -99,7 +99,7 @@ def test_projection_is_surjective_submersion(locus_state):
     diff = t_gamma_field(st.omega_ref - st.omega, st.gamma, st.sig)
     dt_needed = dtb - wedge_fields(diff, de)
     st2 = hs.HalfShellState(
-        e=type(st.e)(st.e.field + 0.0 * de, st.sig, check=False),
+        e=type(st.e)(st.e.field + 0.0 * de, st.sig),
         omega=st.omega, t=st.t + dt_needed, omega_ref=st.omega_ref, gamma=st.gamma)
     tb2, _ = hs.hs_project(st2)
     tb0, _ = hs.hs_project(st)

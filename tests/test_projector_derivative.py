@@ -20,8 +20,8 @@ def _fd_dp21(state, de):
     """Central difference of the p21 projector field along de."""
     scale = max(state.e.field.sup_norm(), 1e-12)
     eps = FD_STEP * scale / max(de.sup_norm(), 1e-300)
-    pp = cst.projector_pack(Coframe(state.e.field + eps * de, state.sig, check=False))
-    pm = cst.projector_pack(Coframe(state.e.field + (-eps) * de, state.sig, check=False))
+    pp = cst.projector_pack(Coframe(state.e.field + eps * de, state.sig))
+    pm = cst.projector_pack(Coframe(state.e.field + (-eps) * de, state.sig))
     return (pp.p21 - pm.p21) / (2 * eps)
 
 

@@ -68,6 +68,32 @@ def test_phi_invertible_on_random_coframes():
     assert min_det > 1e-6
 
 
+@pytest.mark.parametrize("lam", [(1, 2, 3), (1, 2, -3), (Fraction(1, 2), Fraction(3, 7), -5),
+                                 (2, 2, 5), (1, -1, 4)])
+def test_phi_determinant_and_closed_form_spectrum_exact(lam):
+    from pchgrav import exactla
+
+    l1, l2, l3 = (Fraction(x) for x in lam)
+    assert red.phi_pairing_det_exact(lam) == -16 * (l1 * l2 * l3) ** 2
+    # mu^3 - (sum l^2) mu - 2 l1 l2 l3 is the characteristic polynomial of N(lambda)
+    N = [[0, l3, l2], [l3, 0, l1], [l2, l1, 0]]
+    assert exactla.det(N) == 2 * l1 * l2 * l3
+    # so the closed-form singular values multiply to |l1 l2 l3| |det N| = 2 (l1 l2 l3)^2
+    sv = red.phi_singular_values(np.diag([float(x) for x in lam]))
+    assert np.prod(sv) == pytest.approx(float(2 * (l1 * l2 * l3) ** 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, 1, -1), (1, -1, -1)])
+def test_phi_closed_form_spectrum_matches_svd(signs):
+    rot = np.linalg.qr(RNG.normal(size=(40, 3, 3)))[0]
+    lam = np.array(signs) * RNG.uniform(0.05, 3.0, size=(40, 3))
+    lam[:10, 1] = lam[:10, 0]                 # coincident eigenvalues
+    g = np.einsum("sac,sc,sbc->sab", rot, lam, rot)
+    ref = np.linalg.svd(red.phi_matrix(g), compute_uv=False)
+    got = -np.sort(-red.phi_singular_values(g), axis=-1)
+    assert np.all(np.abs(got - ref).max(axis=-1) <= 1e-13 * ref[:, 0])
+
+
 def test_phi_refuses_degenerate_metric():
     e = red.make_degenerate_coframe((1, 1, 0), LORENTZIAN)
     with pytest.raises(red.PhiSingularError):
