@@ -10,7 +10,9 @@ variant (`halfshell`), and the verification suites and CLI plumbing
 (`suites`, `config`, `report`, `cli`).
 """
 
-from . import (  # noqa: F401
+__version__ = "0.1.0"
+
+from . import (  # noqa: F401,E402
     config,
     constraints,
     ehdata,
@@ -24,5 +26,3 @@ from . import (  # noqa: F401
     suites,
     wedgemaps,
 )
-
-__version__ = "0.1.0"

@@ -31,6 +31,7 @@ derivative for the nonlocal part).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,6 +256,7 @@ class ProjectorPack:
 
     frames: np.ndarray
     frames_inv: np.ndarray
+    frames_det: np.ndarray
     p12: np.ndarray        # (..., 18, 18) kernel projector, domain of W^{(1,2)}
     p12_prime: np.ndarray
     p21: np.ndarray        # (..., 12, 12) kernel projector, domain of W^{(2,1)}
@@ -274,6 +276,7 @@ def projector_pack(e: Coframe) -> ProjectorPack:
     return ProjectorPack(
         pf.frames,
         pf.frames_inv,
+        pf.frames_det,
         p12=S12 @ _P12_E @ S12_inv,
         p12_prime=S12 @ (np.eye(18) - _P12_E) @ S12_inv,
         p21=S2v @ _P21_E @ S2v_inv,
@@ -365,19 +368,38 @@ def _pairing_gram_23_11(sig: Signature) -> np.ndarray:
 def b_matrix_u(state: BoundaryState, pack: ProjectorPack) -> np.ndarray:
     """Matrix of y -> (B o p')(y) as a kernel-valued field, u-coords, per site."""
     BT = reduction.bracket_matrix(state.e.data, state.sig)        # (..., 12, 18)
-    chain = np.einsum("...ij,...jk->...ik", pack.p21, BT)
-    chain = np.einsum("...ij,...jk->...ik", pack.S2v_inv, chain)
-    z = np.einsum("Dk,...Dj->...kj", K21HAT, chain)               # (..., 6, 18)
+    z = K21HAT.T @ (pack.S2v_inv @ (pack.p21 @ BT))               # (..., 6, 18)
     coeff = -np.linalg.solve(pack.phi, z)                         # kernel coords
-    full = np.einsum("Dk,...kj->...Dj", K12HAT, coeff)
-    full = np.einsum("...ij,...jk->...ik", pack.S12, full)
-    return np.einsum("...ij,...jk->...ik", full, pack.p12_prime)
+    return (pack.S12 @ (K12HAT @ coeff)) @ pack.p12_prime
+
+
+class DegeneratePairingError(ValueError):
+    """The twisted pairing is degenerate: T_gamma = 1 + gamma^-1 star is singular."""
+
+
+@functools.lru_cache(maxsize=16)
+def _pairing_gram_inv_22_12(gamma: float, sig: Signature) -> np.ndarray:
+    """Inverse of the transposed twisted-pairing Gram, once per (gamma, signature).
+
+    With star^2 = 1 (the Euclidean signature) T_gamma is singular at gamma = +-1.
+    """
+    try:
+        inv = np.linalg.inv(_pairing_gram_22_12(gamma, sig).T)
+    except np.linalg.LinAlgError:
+        raise DegeneratePairingError(
+            f"twisted pairing degenerate for the {sig.name} signature at gamma = {gamma}: "
+            f"T_gamma = 1 + gamma^-1 star is singular") from None
+    inv.flags.writeable = False
+    return inv
 
 
 def b_dagger(state: BoundaryState, Q: FormField, pack: ProjectorPack) -> FormField:
-    """Adjoint of B o p' under the twisted pairing; lands in im W^{(1,1)}."""
+    """Adjoint of B o p' under the twisted pairing; lands in im W^{(1,1)}.
+
+    DegeneratePairingError where the pairing is degenerate (T_gamma singular).
+    """
     PB = _pairing_gram_22_12(state.gamma, state.sig)
-    PB_invT = np.linalg.inv(PB.T)
+    PB_invT = _pairing_gram_inv_22_12(state.gamma, state.sig)
     Bp = b_matrix_u(state, pack)
     rhs = np.einsum("...ji,...j->...i", Bp, _flat(Q) @ PB)
     out = rhs @ PB_invT.T
@@ -464,7 +486,7 @@ def _solve_complement_12(rhs: FormField, state: BoundaryState, pack: ProjectorPa
     """
     P = pack.frames
     L3P_inv = _L3_SIGNS * np.swapaxes(P, -1, -2)[..., ::-1, ::-1]
-    L3P_inv /= np.linalg.det(P)[..., None, None]
+    L3P_inv /= pack.frames_det[..., None, None]
     r_e = np.einsum("...IJ,...cJ->...cI", L3P_inv, rhs.data)
     x_e = r_e.reshape(r_e.shape[:-2] + (12,)) @ _W12_PINV_E.T
     x = np.einsum("...ij,...j->...i", pack.S12, x_e)

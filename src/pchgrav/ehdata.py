@@ -40,7 +40,8 @@ import numpy as np
 
 from .fiber import PAIR_INDEX, Signature
 from .grid import COMP_BASIS, FormField, Grid3, cov_deriv, curvature, deriv_axis, wedge_fields
-from .wedgemaps import ConditioningError, NullNormalError, at_site, complete_frame, compound_matrix
+from .wedgemaps import (ConditioningError, NullNormalError, at_site, complete_frame,
+                        compound_matrix, inv3)
 
 EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -64,6 +65,7 @@ class AdaptedFrame:
     e_bar: np.ndarray     # (..., 3, 3) triad components e_a = ebar_a^i w_i
     eta_bar: np.ndarray   # (3,) signs eta(w_i, w_i)
     eta00: float          # sign eta(w_0, w_0)
+    eta: np.ndarray       # (4,) signs of eta in u-coords
 
 
 class GramSchmidtError(ConditioningError, RuntimeError):
@@ -117,7 +119,7 @@ def orthonormal_frame(e: np.ndarray, sig: Signature) -> AdaptedFrame:
 
     # triad: e_a = ebar_a^i w_i  =>  ebar = e . eta . w / eta_bar
     e_bar = (eta_e @ frame[..., :, :3]) / eta_bar
-    return AdaptedFrame(frame=frame, e_bar=e_bar, eta_bar=eta_bar, eta00=eta00)
+    return AdaptedFrame(frame=frame, e_bar=e_bar, eta_bar=eta_bar, eta00=eta00, eta=sig.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +169,7 @@ def gamma_of_triad(e_bar: np.ndarray, eta_bar: np.ndarray, grid: Grid3,
 
     Returns Gamma[..., a, i, j] as antisymmetric internal matrices.
     """
-    E = (np.linalg.inv(e_bar) / eta_bar[:, None])[..., None, :, :]   # E^{a i}, [..., 1, i, a]
+    E = (inv3(e_bar)[0] / eta_bar[:, None])[..., None, :, :]   # E^{a i}, [..., 1, i, a]
     if C is None:
         de = np.stack([deriv_axis(e_bar, c, grid) for c in range(3)], axis=-3)
         C = de - np.swapaxes(de, -3, -2)            # C[..., a, b, i]
@@ -208,7 +210,8 @@ def split_connection(omega: FormField, frame: AdaptedFrame, grid: Grid3) -> Conn
     The frame change is a position-dependent internal gauge transformation, so
     the connection picks up the inhomogeneous term V^{-1} dV on top of the
     tensorial transform:  omega_w = Lambda^2(V^{-1}) omega + V^{-1} dV / eta_w,
-    with omega_w = Gamma^{ij} w_i ^ w_j + A^i w_0 ^ w_i.  The discrete V^{-1} dV
+    with omega_w = Gamma^{ij} w_i ^ w_j + A^i w_0 ^ w_i.  V is eta-orthonormal,
+    V^T eta V = eta_w, so V^{-1} = eta_w V^T eta exactly.  The discrete V^{-1} dV
     is antisymmetric only to O(h^2), so Gamma is read on its upper triangle and
     A on its w_0 row.  Returns the blocks, Gamma(ebar) rebuilt from the triad
     with its deviation from the spatial block (O(h^2) on states built on the
@@ -217,7 +220,7 @@ def split_connection(omega: FormField, frame: AdaptedFrame, grid: Grid3) -> Conn
     gamma_triad = gamma_block(frame.e_bar, frame.eta_bar, grid)
     eta_w = np.append(frame.eta_bar, frame.eta00)
     V = frame.frame
-    Vinv = np.linalg.inv(V)
+    Vinv = np.ascontiguousarray(np.swapaxes(V, -1, -2)) * (eta_w[:, None] * frame.eta)
     omega_w = omega.data @ np.swapaxes(compound_matrix(Vinv, 2), -1, -2)
     dV = np.stack([deriv_axis(V, a, grid) for a in range(3)], axis=-3)  # [..., a, i, j]
     G = (Vinv[..., None, :, :] @ dV) / eta_w
@@ -237,8 +240,8 @@ def extrinsic_tensor(frame: AdaptedFrame, a_part: np.ndarray) -> np.ndarray:
 
 def a_from_K(e_bar: np.ndarray, eta_bar: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Inverse of extrinsic_tensor for symmetric K: A_b^j = eta^{jk} E^a_k K_ab."""
-    N = np.linalg.inv(e_bar)                # N[..., i, a]
-    return np.einsum("j,...ja,...ab->...bj", 1.0 / eta_bar, N, K)
+    N = inv3(e_bar)[0]                      # N[..., i, a]
+    return (np.swapaxes(K, -1, -2) @ np.swapaxes(N, -1, -2)) / eta_bar
 
 
 @dataclass
@@ -255,17 +258,17 @@ class EHData:
 
 def momentum_density_tensor(g: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Pi = (sqrt g / 2)(K - g tr_g K)."""
-    ginv = np.linalg.inv(g)
+    ginv, det_g = inv3(g)
     trK = np.einsum("...ab,...ab->...", ginv, K)
-    sqrtg = np.sqrt(np.abs(np.linalg.det(g)))
+    sqrtg = np.sqrt(np.abs(det_g))
     return 0.5 * sqrtg[..., None, None] * (K - g * trK[..., None, None])
 
 
 def K_from_momentum(g: np.ndarray, Pi: np.ndarray) -> np.ndarray:
     """Inverse of momentum_density_tensor: K = (2 Pi - g tr_g Pi) / sqrt g."""
-    ginv = np.linalg.inv(g)
+    ginv, det_g = inv3(g)
     trPi = np.einsum("...ab,...ab->...", ginv, Pi)
-    sqrtg = np.sqrt(np.abs(np.linalg.det(g)))
+    sqrtg = np.sqrt(np.abs(det_g))
     return (2.0 * Pi - g * trPi[..., None, None]) / sqrtg[..., None, None]
 
 
@@ -282,12 +285,12 @@ def ricci_scalar_via_frame(e_bar, eta_bar, grid, gamma_blk=None) -> np.ndarray:
     if gamma_blk is None:
         gamma_blk = gamma_block(e_bar, eta_bar, grid)
     E, gamma, sig_w = _triad_fields(e_bar, gamma_blk, eta_bar, grid)
-    return 2.0 * wedge_fields(E, curvature(gamma, sig_w)).data[..., 0, 0] / np.linalg.det(e_bar)
+    return 2.0 * wedge_fields(E, curvature(gamma, sig_w)).data[..., 0, 0] / inv3(e_bar)[1]
 
 
 def christoffel(g: np.ndarray, grid: Grid3) -> np.ndarray:
     """Levi-Civita symbols Gamma^c_{ab} with central differences, (..., c, a, b)."""
-    ginv = np.linalg.inv(g)
+    ginv = inv3(g)[0]
     dg = np.stack([deriv_axis(g, c, grid) for c in range(3)], axis=-3)  # [..., c, a, b]
     # lowered symbols d_a g_bd + d_b g_ad - d_d g_ab, laid out as [..., (a, b), d]
     low = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
@@ -295,12 +298,12 @@ def christoffel(g: np.ndarray, grid: Grid3) -> np.ndarray:
     return 0.5 * (ginv @ np.swapaxes(low.reshape(lead + (9, 3)), -1, -2)).reshape(lead + (3, 3, 3))
 
 
-def ricci_scalar_via_metric(g: np.ndarray, grid: Grid3) -> np.ndarray:
+def ricci_scalar_via_metric(g: np.ndarray, Gam: np.ndarray, grid: Grid3) -> np.ndarray:
     """Standard Christoffel route: R = g^{cb} R_{cb}, all central differences.
 
-    R_{cb} = d_a G^a_{cb} - d_c G^a_{ab} + G^a_{ad} G^d_{cb} - G^a_{cd} G^d_{ab}.
+    R_{cb} = d_a G^a_{cb} - d_c G^a_{ab} + G^a_{ad} G^d_{cb} - G^a_{cd} G^d_{ab}
+    with G = `christoffel(g, grid)`.
     """
-    Gam = christoffel(g, grid)
     # the two traced derivatives only: a full (..., 3, 3, 3, 3) d Gamma set the peak
     # memory of the 32^3 EH comparison
     term1 = sum(deriv_axis(Gam[..., a, :, :], a, grid) for a in range(3))
@@ -312,7 +315,7 @@ def ricci_scalar_via_metric(g: np.ndarray, grid: Grid3) -> np.ndarray:
     P = np.swapaxes(Gam, -3, -2)                    # P[..., c, a, d] = Gam[..., a, c, d]
     term4 = P.reshape(lead + (3, 9)) @ P.reshape(lead + (9, 3))
     Ric = term1 - term2 + term3 - term4
-    return np.einsum("...cb,...cb->...", np.linalg.inv(g), Ric)
+    return np.einsum("...cb,...cb->...", inv3(g)[0], Ric)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +324,9 @@ def ricci_scalar_via_metric(g: np.ndarray, grid: Grid3) -> np.ndarray:
 
 def hamiltonian_density(g, K, R, eta00, Lambda=0.0) -> np.ndarray:
     """H with J_{lam w0} = integral lam H; see the module docstring for factors."""
-    ginv = np.linalg.inv(g)
-    sqrtg = np.sqrt(np.abs(np.linalg.det(g)))
-    Kmix = np.einsum("...ab,...bc->...ac", ginv, K)
+    ginv, det_g = inv3(g)
+    sqrtg = np.sqrt(np.abs(det_g))
+    Kmix = ginv @ K
     trK = np.einsum("...aa->...", Kmix)
     trK2 = np.einsum("...ab,...ba->...", Kmix, Kmix)
     return -0.5 * (sqrtg * R - eta00 * sqrtg * (trK**2 - trK2)) - 6.0 * Lambda * sqrtg
@@ -340,14 +343,15 @@ def momentum_density_frame(frame: AdaptedFrame, a_part, gamma_blk, grid) -> np.n
                       for f in range(3)], axis=-1)
 
 
-def momentum_density_metric(g, Pi, grid) -> np.ndarray:
-    """M_f = -2 [ d_b P^b_f - Gamma^{LC,d}_{bf} P^b_d ],  P^b_f = g^{bc} Pi_{cf}."""
-    ginv = np.linalg.inv(g)
-    P = np.einsum("...bc,...cf->...bf", ginv, Pi)
-    Gam = christoffel(g, grid)
+def momentum_density_metric(g, Pi, Gam, grid) -> np.ndarray:
+    """M_f = -2 [ d_b P^b_f - Gamma^{LC,d}_{bf} P^b_d ],  P^b_f = g^{bc} Pi_{cf},
+    with Gamma = `christoffel(g, grid)`."""
+    P = inv3(g)[0] @ Pi
     divP = sum(deriv_axis(P[..., b, :], b, grid) for b in range(3))
-    corr = np.einsum("...dbf,...bd->...f", Gam, P)
-    return -2.0 * (divP - corr)
+    lead = g.shape[:-2]
+    # Gamma^d_{bf} P^b_d as the row (P^T)[d, b] times Gamma[(d, b), f]
+    corr = np.swapaxes(P, -1, -2).reshape(lead + (1, 9)) @ Gam.reshape(lead + (9, 3))
+    return -2.0 * (divP - corr[..., 0, :])
 
 
 def eh_data(frame: AdaptedFrame, split: ConnectionSplit, grid: Grid3,
@@ -358,7 +362,7 @@ def eh_data(frame: AdaptedFrame, split: ConnectionSplit, grid: Grid3,
     R = ricci_scalar_via_frame(frame.e_bar, frame.eta_bar, grid, split.gamma_triad)
     H = hamiltonian_density(g, K, R, frame.eta00, Lambda)
     M = momentum_density_frame(frame, split.a_part, split.gamma_triad, grid)
-    sqrtg = np.sqrt(np.abs(np.linalg.det(g)))
+    sqrtg = np.sqrt(np.abs(inv3(g)[1]))
     return EHData(g=g, K=K, Pi=Pi, sqrtg=sqrtg, R_scalar=R, H_density=H,
                   M_density=M, eta00=frame.eta00)
 
@@ -367,7 +371,8 @@ def triad_determinant_identity_residual(e_bar) -> float:
     """Adjugate identity |ebar| [ebar^{-1}]_j^b = 1/2 eps_{ijl} eps^{abc} ebar_c^l ebar_a^i.
 
     The 1/2 belongs to the fully summed epsilon contraction (both epsilon
-    orders counted); checked to roundoff on random invertible triads.
+    orders counted); checked to roundoff on random invertible triads.  The left side
+    stays on LAPACK inv/det: `inv3` is the adjugate itself, so it would check itself.
     """
     N = np.linalg.inv(e_bar)
     dete = np.linalg.det(e_bar)
@@ -409,8 +414,10 @@ def compare_pch_eh(state, lam0_polys, xi_polys) -> dict:
     }
     h3 = grid.h**3
     # the metric routes first, before eval_J caches the state's densities: lower peak memory
-    Mlc = momentum_density_metric(data.g, data.Pi, grid)
-    Rm = ricci_scalar_via_metric(data.g, grid)
+    Gam = christoffel(data.g, grid)
+    Mlc = momentum_density_metric(data.g, data.Pi, Gam, grid)
+    Rm = ricci_scalar_via_metric(data.g, Gam, grid)
+    del Gam
     out["momentum_mutual"] = float(np.sqrt(((data.M_density - Mlc) ** 2).sum() * h3))
     out["ricci_mutual"] = float(np.sqrt(((data.R_scalar - Rm) ** 2).sum() * h3))
     for lp in lam0_polys:

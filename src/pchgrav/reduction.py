@@ -65,14 +65,15 @@ def frame_bracket_matrix(g: np.ndarray) -> np.ndarray:
 K12HAT = KERNEL_TEMPLATES[(1, 2)]  # (18, 6) orthonormal
 K21HAT = KERNEL_TEMPLATES[(2, 1)]  # (12, 6) orthonormal
 
-#: phi(g) = K21^T B(g) K12 is linear in g; coefficients of the unit metrics E_cd
-_PHI_TENSOR = np.einsum("Dk,cdDE,El->klcd", K21HAT,
-                        frame_bracket_matrix(np.eye(9).reshape(3, 3, 3, 3)), K12HAT)
+#: phi(g) = K21^T B(g) K12 is linear in g: the (9, 36) matrix from the flattened g to
+#: the flattened phi, one row per unit metric E_cd
+_PHI_FLAT = np.einsum("Dk,cdDE,El->cdkl", K21HAT,
+                      frame_bracket_matrix(np.eye(9).reshape(3, 3, 3, 3)), K12HAT).reshape(9, 36)
 
 
 def phi_matrix(g: np.ndarray) -> np.ndarray:
     """phi_e in the orthonormal template bases, as a function of g (..., 3, 3)."""
-    return np.einsum("klcd,...cd->...kl", _PHI_TENSOR, g)
+    return (g.reshape(g.shape[:-2] + (9,)) @ _PHI_FLAT).reshape(g.shape[:-2] + (6, 6))
 
 
 #: N(lambda)[i, j] = lambda[3 - i - j] off the diagonal
@@ -107,6 +108,7 @@ class PhiFrame:
 
     frames: np.ndarray       # P = [e_1 e_2 e_3 e_n], (..., 4, 4)
     frames_inv: np.ndarray   # P^-1
+    frames_det: np.ndarray   # det P = sqrt|det g| > 0
     L2P: np.ndarray          # Lambda^2 P, e-frame -> u-frame on bivector components
     phi: np.ndarray          # (..., 6, 6) phi_e in the orthonormal template bases
     condition: float         # worst cond(phi_e) over the sites
@@ -122,10 +124,11 @@ def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
     the normal is null).  NullNormalError from the completion is left for a
     normal that is null only within its own tolerance.  The frame Gram is
     P^T eta P = diag(g, q_n) with q_n = eta(e_n, e_n) = +-1, so the inverse
-    is P^-1 = diag(g^-1, q_n) P^T eta: one 3x3 inverse per site.
+    is P^-1 = diag(g^-1, q_n) P^T eta, with g^-1 and det g from `inv3`, and
+    (det P)^2 = |det g|.
     """
     e = np.asarray(e, dtype=float)
-    g = np.einsum("...ai,i,...bi->...ab", e, sig.eta, e)
+    g = (e * sig.eta) @ np.swapaxes(e, -1, -2)
     sv = phi_singular_values(g)
     smax, smin = sv.max(axis=-1), sv.min(axis=-1)
     cond = np.divide(smax, smin, out=np.full_like(smax, np.inf), where=smin > 0)
@@ -134,11 +137,12 @@ def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
             f"phi_e singular{wedgemaps.at_site(cond)}: cond(phi) = {cond.max():.3e} "
             f"> {PHI_COND_LIMIT:.0e}; boundary metric degenerate?")
     frames, qn = complete_frame(e, sig)
+    ginv, det_g = wedgemaps.inv3(g)
     frames_inv = np.swapaxes(frames, -1, -2) * sig.eta
-    frames_inv[..., :3, :] = np.linalg.inv(g) @ frames_inv[..., :3, :]
+    frames_inv[..., :3, :] = ginv @ frames_inv[..., :3, :]
     frames_inv[..., 3, :] *= qn[..., None]
-    return PhiFrame(frames, frames_inv, compound_matrix(frames, 2), phi_matrix(g),
-                    float(cond.max()))
+    return PhiFrame(frames, frames_inv, np.sqrt(np.abs(det_g)), compound_matrix(frames, 2),
+                    phi_matrix(g), float(cond.max()))
 
 
 def phi_e(e: np.ndarray, sig: Signature):
@@ -162,7 +166,7 @@ class OmegaTildeResult:
 def _kernel_coords_21(e: Coframe, omega: FormField, Pinv: np.ndarray) -> np.ndarray:
     """p(d_omega e) in the orthonormal (2,1)-kernel template coordinates, (..., 6)."""
     d = cov_deriv(e.field, omega, e.sig).data
-    d_e = np.einsum("...mi,...ci->...cm", Pinv, d)
+    d_e = d @ np.swapaxes(Pinv, -1, -2)
     return d_e.reshape(d_e.shape[:-2] + (12,)) @ K21HAT
 
 
@@ -182,7 +186,7 @@ def omega_tilde(e: Coframe, omega: FormField) -> OmegaTildeResult:
     coeff = -np.linalg.solve(pf.phi, z[..., None])[..., 0]
     v_e = coeff @ K12HAT.T                          # (..., 18)
     v_e = v_e.reshape(v_e.shape[:-1] + (3, 6))
-    v_u = np.einsum("...IJ,...aJ->...aI", pf.L2P, v_e)
+    v_u = v_e @ np.swapaxes(pf.L2P, -1, -2)
     v_field = FormField(e.grid, 1, 2, v_u)
     om_t = omega + v_field
     res = float(np.abs(_kernel_coords_21(e, om_t, pf.frames_inv)).max())

@@ -5,11 +5,17 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import platform
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import __version__
+
+#: environment variables that set the BLAS and OpenMP thread counts
+THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -47,9 +53,11 @@ class ConstraintReport:
     def __post_init__(self):
         if not self.meta:
             self.meta = {
+                "pchgrav": __version__,
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
                 "platform": platform.platform(),
+                "thread_env": {var: os.environ.get(var) for var in THREAD_ENV},
             }
 
     def add(self, row: CheckRow):

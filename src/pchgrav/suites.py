@@ -779,6 +779,8 @@ def run_eh(cfg: RunConfig) -> list:
     gmet = np.einsum("...ai,i,...bi->...ab", frame.e_bar, frame.eta_bar, frame.e_bar)
     Pi = eh.momentum_density_tensor(gmet, K)
     K_back = eh.K_from_momentum(gmet, Pi)
+    # the g^-1 / sqrt g reference stays on LAPACK inv/det, independent of the
+    # adjugate (`inv3`) inside K_from_momentum and momentum_density_tensor
     ginv = np.linalg.inv(gmet)
     trPi = np.einsum("...ab,...ab->...", ginv, Pi)
     trK = np.einsum("...ab,...ab->...", ginv, K)
@@ -962,6 +964,7 @@ def run_suites(cfg: RunConfig, threads: int = 1) -> ConstraintReport:
     partial report (completed suites plus an error row for the failed one).
     """
     report = ConstraintReport(config=cfg.as_dict())
+    report.meta["threads"] = threads
     selected = [name for name in cfg.suites if name in SUITE_FUNCS]
     results: dict = {}
     error: BaseException | None = None

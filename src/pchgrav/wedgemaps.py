@@ -49,6 +49,10 @@ class NullNormalError(ConditioningError, ValueError):
     """Raised when the eta-normal of the coframe span is null (or undefined)."""
 
 
+class SingularMatrixError(ConditioningError, ValueError):
+    """A per-site 3x3 matrix is singular: zero determinant or a non-finite inverse."""
+
+
 def at_site(score: np.ndarray) -> str:
     """' at site (i, j, k)' for the largest entry of a per-site score; '' for one site."""
     score = np.asarray(score)
@@ -56,6 +60,63 @@ def at_site(score: np.ndarray) -> str:
         return ""
     site = np.unravel_index(int(np.argmax(score)), score.shape)
     return f" at site {tuple(int(i) for i in site)}"
+
+
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+#: 2^27 + 1: Veltkamp's constant, splitting a double into two halves of 26 bits
+_SPLIT = 134217729.0
+#: sites per block of `inv3`, so that its temporaries stay in cache
+_INV3_BLOCK = 2048
+
+
+def _two_product(x, y):
+    """(p, err) with p = fl(x y) and x y = p + err exactly (Dekker's product)."""
+    p = x * y
+    t = _SPLIT * x
+    xh = t - (t - x)
+    xl = x - xh
+    t = _SPLIT * y
+    yh = t - (t - y)
+    yl = y - yh
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _inv3_block(m, inv, det):
+    """`inv3` of one block, entry-major: m[i, j] is the array of a[i, j] over the sites."""
+    b, c = m[_NEXT], m[_PREV]                                   # rows i+1 and i+2
+    x, y, u, v = b[:, _NEXT], c[:, _PREV], b[:, _PREV], c[:, _NEXT]
+    cof = x * y - u * v                                         # cofactor of a[i, j]
+    # the first-row cofactors set det; with exact products a minor of nearly
+    # parallel rows keeps its accuracy, so det stays within kappa eps
+    (p, pe), (q, qe) = _two_product(x[0], y[0]), _two_product(u[0], v[0])
+    cof[0] = (p - q) + (pe - qe)
+    det[:] = (m[0] * cof[0]).sum(axis=0)
+    inv[:] = np.moveaxis(cof, (0, 1), (-1, -2)) / det[:, None, None]
+
+
+def inv3(a: np.ndarray):
+    """(a^-1, det a) for a stack of 3x3 matrices (..., 3, 3), from the adjugate.
+
+    The cofactor of a[i, j] is a[i+1, j+1] a[i+2, j+2] - a[i+1, j+2] a[i+2, j+1],
+    indices mod 3, so no per-site LAPACK call is made; the first-row cofactors,
+    which fix det, are formed with exact products.  The inverse is within a few
+    kappa eps of LAPACK's.  SingularMatrixError, naming the first such site,
+    when a determinant is 0 or the inverse is not finite.
+    """
+    a = np.asarray(a, dtype=float)
+    sites = a.reshape(-1, 3, 3)
+    inv, det = np.empty(sites.shape), np.empty(len(sites))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, len(sites), _INV3_BLOCK):
+            block = slice(start, start + _INV3_BLOCK)
+            _inv3_block(np.moveaxis(sites[block], 0, -1), inv[block], det[block])
+    if not np.isfinite(inv).all():
+        bad = ~np.isfinite(inv).all(axis=(-2, -1))
+        raise SingularMatrixError(
+            f"singular 3x3 matrix{at_site(bad.reshape(a.shape[:-2]))}: "
+            f"determinant {det[np.argmax(bad)]:.3e}, inverse not finite")
+    return inv.reshape(a.shape), det.reshape(a.shape[:-2])
 
 
 #: shapes with a wedge matrix; the dual shapes (0,k) serve the annihilator checks
@@ -78,7 +139,7 @@ def wedge_matrix(e: np.ndarray, shape: tuple) -> np.ndarray:
 #: cofactor expansion of det[e_1 e_2 e_3 x] along x: the columns kept per x-index
 _COF_COLS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 _COF_SIGNS = np.array([-1.0, 1.0, -1.0, 1.0])
-_PAIRS = np.array(fiber.PAIRS)
+_PAIR_A, _PAIR_B = np.array(fiber.PAIRS).T
 
 
 def complete_frame(e: np.ndarray, sig: Signature):
@@ -107,10 +168,9 @@ def compound_matrix(P: np.ndarray, k: int) -> np.ndarray:
     if k == 1:
         return P
     if k == 2:
-        # minor ((a, b), (c, d)) = P[a, c] P[b, d] - P[a, d] P[b, c]
-        a, b = _PAIRS[:, 0, None], _PAIRS[:, 1, None]
-        c, d = _PAIRS[None, :, 0], _PAIRS[None, :, 1]
-        return P[..., a, c] * P[..., b, d] - P[..., a, d] * P[..., b, c]
+        # minor ((a, b), (c, d)) = P[a, c] P[b, d] - P[a, d] P[b, c], from the rows a and b
+        ra, rb = P[..., _PAIR_A, :], P[..., _PAIR_B, :]
+        return ra[..., _PAIR_A] * rb[..., _PAIR_B] - ra[..., _PAIR_B] * rb[..., _PAIR_A]
     basis = fiber.GRADE_BASIS[k]
     dim = len(basis)
     out = np.zeros(P.shape[:-2] + (dim, dim))

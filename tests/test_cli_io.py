@@ -114,6 +114,23 @@ def test_determinism_contract():
     assert json.dumps(v1, sort_keys=True, default=str) == json.dumps(v2, sort_keys=True, default=str)
 
 
+def test_report_meta_records_the_run(tmp_path, monkeypatch):
+    import pchgrav
+
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfgp = write_cfg(tmp_path, {"suites": ["algebra"], "seed": 1})
+    out = tmp_path / "rep.json"
+    assert cli.main(["verify", "--config", str(cfgp), "--out", str(out), "--threads", "2"]) == 0
+    meta = load_report(out)["meta"]
+    assert meta["pchgrav"] == pchgrav.__version__
+    assert meta["threads"] == 2
+    assert meta["thread_env"]["OMP_NUM_THREADS"] == "1"
+    assert meta["thread_env"]["MKL_NUM_THREADS"] is None
+    assert set(meta["thread_env"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert {"python", "numpy", "platform"} <= set(meta)
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys):
     cfgp = write_cfg(tmp_path, {"suites": ["algebra"], "seed": 1})
     out = tmp_path / "rep.json"

@@ -405,3 +405,15 @@ def test_boundary_state_is_frozen(offshell_state):
     for name, value in (("omega", st.omega), ("e", st.e), ("gamma", 2.0)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(st, name, value)
+
+
+@pytest.mark.parametrize("gamma", [1.0, -1.0])
+def test_offshell_j_field_names_a_degenerate_twisted_pairing(gamma):
+    # Euclidean star^2 = 1, so T_gamma = 1 + gamma^-1 star is singular at gamma = +-1
+    st = random_offshell_state(np.random.Generator(np.random.Philox(key=13)), Grid3(4),
+                               EUCLIDEAN, gamma, 0.1)
+    mu = cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4])
+    with pytest.raises(cst.DegeneratePairingError,
+                       match=f"twisted pairing degenerate for the euclidean signature at gamma = {gamma}"):
+        cst.hamiltonian_vector_field(st, "J", mu)
+    assert issubclass(cst.DegeneratePairingError, ValueError)

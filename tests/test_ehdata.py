@@ -208,7 +208,7 @@ def test_ricci_flat_triad_zero_both_routes():
     frame = eh.orthonormal_frame(st.e.data, LORENTZIAN)
     gmet = (frame.e_bar * frame.eta_bar) @ np.swapaxes(frame.e_bar, -1, -2)
     assert np.abs(eh.ricci_scalar_via_frame(frame.e_bar, frame.eta_bar, g)).max() <= 1e-13
-    assert np.abs(eh.ricci_scalar_via_metric(gmet, g)).max() <= 1e-13
+    assert np.abs(eh.ricci_scalar_via_metric(gmet, eh.christoffel(gmet, g), g)).max() <= 1e-13
 
 
 def test_ricci_conformal_analytic_oracle():
@@ -257,7 +257,7 @@ def test_ricci_routes_mutual_convergence():
         eb, _ = spec.sample(g)
         Rf = eh.ricci_scalar_via_frame(eb, np.array([1.0, 1.0, 1.0]), g)
         gm = np.einsum("...ai,i,...bi->...ab", eb, np.array([1.0, 1.0, 1.0]), eb)
-        Rm = eh.ricci_scalar_via_metric(gm, g)
+        Rm = eh.ricci_scalar_via_metric(gm, eh.christoffel(gm, g), g)
         errs[n] = float(np.sqrt(((Rf - Rm) ** 2).sum() * g.h**3))
     assert 3.2 <= errs[16] / errs[32] <= 4.8
 
@@ -296,7 +296,7 @@ def test_momentum_routes_mutual_convergence():
         frame = eh.orthonormal_frame(st.e.data, LORENTZIAN)
         split = eh.split_connection(st.omega, frame, g)
         data = eh.eh_data(frame, split, g, Lambda=0.1)
-        Mlc = eh.momentum_density_metric(data.g, data.Pi, g)
+        Mlc = eh.momentum_density_metric(data.g, data.Pi, eh.christoffel(data.g, g), g)
         errs[n] = float(np.sqrt(((data.M_density - Mlc) ** 2).sum() * g.h**3))
     assert 3.2 <= errs[16] / errs[32] <= 4.8
 
@@ -458,7 +458,8 @@ def test_eh_contractions_match_einsum_references(n, sig, shell):
     assert _rel(eh.extrinsic_tensor(frame, split.a_part), 0.5 * (KA + np.swapaxes(KA, -1, -2))) <= 1e-13
     g = np.einsum("...ai,i,...bi->...ab", frame.e_bar, eta_bar, frame.e_bar)
     assert _rel(eh.christoffel(g, grid), _christoffel_reference(g, grid)) <= 1e-13
-    assert _rel(eh.ricci_scalar_via_metric(g, grid), _ricci_metric_reference(g, grid)) <= 1e-13
+    assert _rel(eh.ricci_scalar_via_metric(g, eh.christoffel(g, grid), grid),
+                _ricci_metric_reference(g, grid)) <= 1e-13
 
 
 REDUCTION_STATES = ([(n, sig, shell) for shell in ("on", "off") for sig in (LORENTZIAN, EUCLIDEAN)

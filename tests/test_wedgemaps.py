@@ -154,3 +154,47 @@ def test_complete_frame_properties():
                 assert abs(np.einsum("i,i,i->", e[a], sig.eta, en)) <= 1e-10 * np.abs(e).max()
             assert abs(abs(np.einsum("i,i,i->", en, sig.eta, en)) - 1.0) <= 1e-10
             assert np.linalg.det(P) > 0
+
+
+def _with_spectrum(sv, n):
+    """n random 3x3 matrices with singular values sv."""
+    q1 = np.linalg.qr(RNG.normal(size=(n, 3, 3)))[0]
+    q2 = np.linalg.qr(RNG.normal(size=(n, 3, 3)))[0]
+    return (q1 * np.asarray(sv)) @ q2
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1e2, 1e4, 1e6, 1e8])
+def test_inv3_matches_lapack_to_condition_times_eps(kappa):
+    # one small singular value, a graded spectrum, and two small ones (nearly
+    # parallel rows, where a plainly rounded adjugate loses kappa^2 eps)
+    spectra = [(1.0, 1.0, 1 / kappa), (1.0, kappa ** -0.5, 1 / kappa), (1.0, 1 / kappa, 1 / kappa)]
+    a = np.concatenate([_with_spectrum(sv, 1000) for sv in spectra])
+    a *= RNG.uniform(0.1, 10.0, size=(len(a), 1, 1))
+    inv, det = wm.inv3(a)
+    ref, ref_det = np.linalg.inv(a), np.linalg.det(a)
+    bound = 10 * np.linalg.cond(a) * np.finfo(float).eps
+    assert (np.abs(inv - ref).max(axis=(-2, -1)) <= bound * np.abs(ref).max(axis=(-2, -1))).all()
+    assert (np.abs(det - ref_det) <= bound * np.abs(ref_det)).all()
+    assert inv.flags.c_contiguous
+
+
+def test_inv3_exact_on_integer_matrices():
+    a = RNG.integers(-6, 7, size=(200, 3, 3)).astype(float)
+    a = a[np.abs(np.round(np.linalg.det(a))) > 0]
+    inv, det = wm.inv3(a)
+    for m, m_inv, d in zip(a, inv, det):
+        exact = exactla.from_numpy_int(m)
+        assert d == exactla.det(exact)
+        aug = [row + [Fraction(int(i == j)) for j in range(3)] for i, row in enumerate(exact)]
+        ref = [row[3:] for row in exactla.rref(aug)[0]]
+        assert [[float(x) for x in row] for row in ref] == m_inv.tolist()
+
+
+def test_inv3_names_the_singular_site():
+    a = np.broadcast_to(np.diag([2.0, 1.0, 0.5]), (4, 4, 4, 3, 3)).copy()
+    assert np.abs(wm.inv3(a)[0] - np.diag([0.5, 1.0, 2.0])).max() == 0.0
+    a[1, 2, 3, 2] = a[1, 2, 3, 0] + a[1, 2, 3, 1]      # rank 2 at one site
+    with pytest.raises(wm.SingularMatrixError, match=r"at site \(1, 2, 3\)"):
+        wm.inv3(a)
+    with pytest.raises(wm.ConditioningError, match="singular"):
+        wm.inv3(np.zeros((3, 3)))
