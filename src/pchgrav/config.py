@@ -127,6 +127,11 @@ def validate_config(raw: dict) -> RunConfig:
         gamma = _finite_number(gamma, "$.gamma", "a finite number or 'infinity'")
     if gamma == 0:
         raise ConfigError("$.gamma must be nonzero")
+    if signature == "euclidean" and abs(gamma) == 1:
+        # star^2 = 1 makes T_gamma = 1 + gamma^-1 star singular, so the twisted
+        # pairing of the constraint adjoints is degenerate
+        raise ConfigError("$.gamma must not be +-1 for the euclidean signature: "
+                          "T_gamma = 1 + gamma^-1 star is singular there")
 
     lam = _finite_number(merged["Lambda"], "$.Lambda")
 

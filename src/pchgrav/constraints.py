@@ -52,7 +52,7 @@ from .grid import (
     wedge_fields,
 )
 from .reduction import K12HAT, K21HAT, OmegaTildeResult, omega_tilde
-from .wedgemaps import block_diag, compound_matrix
+from .wedgemaps import compound_matrix
 
 # ---------------------------------------------------------------------------
 # states
@@ -235,6 +235,7 @@ def make_on_shell(spec: TriadSpec, grid: Grid3, gamma: float, sig: Signature,
 # per-site projector fields
 
 _P12_E = K12HAT @ K12HAT.T
+_Q12_E = np.eye(18) - _P12_E           # the template complement, for p12'
 _P21_E = K21HAT @ K21HAT.T
 #: in the e-adapted frame the coframe is (1 | 0) and the wedge maps are integer templates
 _W11_TEMPLATE = wedgemaps.wedge_matrix(np.eye(3, 4), (1, 1))
@@ -243,49 +244,72 @@ _U11 = np.linalg.svd(_W11_TEMPLATE)[0][:, :12]
 _P11DAG_E = _U11 @ _U11.T
 _W11_PINV_E = np.linalg.pinv(_W11_TEMPLATE)                          # (12, 18)
 #: template inverse of W^{(1,2)} onto the complement of its kernel, (1 - P12_E) W12_E^+
-_W12_PINV_E = (np.eye(18) - _P12_E) @ np.linalg.pinv(_W12_TEMPLATE)  # (18, 12)
+_W12_PINV_E = _Q12_E @ np.linalg.pinv(_W12_TEMPLATE)                 # (18, 12)
 #: Lambda^3(P^-1)[I, J] = (-1)^(m(I) + m(J)) P[m(J), m(I)] / det P, with m(I) the
 #: index missing from the triple I; the triples are ordered so that m(I) = 3 - I,
 #: which makes the sign (-1)^(I + J)
 _L3_SIGNS = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
 
 
+def _conj(x: np.ndarray, A: np.ndarray, T: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """((x A) T) B for a leg array x (..., 3, d): the per-site A and B (..., d, d) act
+    on each leg (a row), the fixed template T (3d, 3d) on the flattened legs."""
+    y = (x @ A).reshape(x.shape[:-2] + (-1,)) @ T
+    return y.reshape(x.shape) @ B
+
+
 @dataclass
 class ProjectorPack:
-    """Batched projector family for the wedge-map splits at every site."""
+    """The wedge-map projectors at every site, applied in factored form.
 
-    frames: np.ndarray
+    Each projector is S T S^-1: a fixed e-frame template T between per-site
+    frame transforms S that act leg by leg, S12 = block3(Lambda^2 P) on
+    Omega^1(L^2) and Omega^2(L^2), S2v = block3(P) on Omega^2(V).  The apply
+    methods take a leg array x (..., 3, d), one leg per row, so S maps a leg
+    as x @ S^T.  The templates are orthogonal projectors, hence symmetric, and
+    the transposes S^-T T S^T that the adjoints need swap only the transforms.
+    """
+
+    frames: np.ndarray       # P = [e_1 e_2 e_3 e_n], e-frame -> u-frame on V
     frames_inv: np.ndarray
     frames_det: np.ndarray
-    p12: np.ndarray        # (..., 18, 18) kernel projector, domain of W^{(1,2)}
-    p12_prime: np.ndarray
-    p21: np.ndarray        # (..., 12, 12) kernel projector, domain of W^{(2,1)}
-    p11_dag: np.ndarray    # (..., 18, 18) projector onto im W^{(1,1)}
-    phi: np.ndarray        # (..., 6, 6)
-    S12: np.ndarray        # e-frame -> u-frame transform on Omega^*(L^2) coeffs
-    S12_inv: np.ndarray
-    S2v_inv: np.ndarray    # u-frame -> e-frame on Omega^2(V) coeffs
+    L2P: np.ndarray          # Lambda^2 P, e-frame -> u-frame on Lambda^2 V
+    L2P_inv: np.ndarray      # Lambda^2(P^-1) = (Lambda^2 P)^-1
+    phi: np.ndarray          # (..., 6, 6)
+
+    def __post_init__(self):
+        # contiguous transposes: a strided operand slows the batched matmuls
+        self.frames_T, self.frames_inv_T, self.L2P_T, self.L2P_inv_T = (
+            np.ascontiguousarray(np.swapaxes(M, -1, -2))
+            for M in (self.frames, self.frames_inv, self.L2P, self.L2P_inv))
+
+    def p12(self, x: np.ndarray) -> np.ndarray:
+        """Kernel projector on Omega^1(L^2), the domain of W^{(1,2)}."""
+        return _conj(x, self.L2P_inv_T, _P12_E, self.L2P_T)
+
+    def p12_prime(self, x: np.ndarray) -> np.ndarray:
+        """The complement 1 - p12, through the template complement."""
+        return _conj(x, self.L2P_inv_T, _Q12_E, self.L2P_T)
+
+    def p12_prime_T(self, x: np.ndarray) -> np.ndarray:
+        return _conj(x, self.L2P, _Q12_E, self.L2P_inv)
+
+    def p11_dag(self, x: np.ndarray) -> np.ndarray:
+        """Projector onto im W^{(1,1)} in Omega^2(L^2)."""
+        return _conj(x, self.L2P_inv_T, _P11DAG_E, self.L2P_T)
+
+    def p21(self, x: np.ndarray) -> np.ndarray:
+        """Kernel projector on Omega^2(V), the domain of W^{(2,1)}."""
+        return _conj(x, self.frames_inv_T, _P21_E, self.frames_T)
+
+    def p21_T(self, x: np.ndarray) -> np.ndarray:
+        return _conj(x, self.frames, _P21_E, self.frames_inv)
 
 
 def projector_pack(e: Coframe) -> ProjectorPack:
     pf = reduction.phi_frame(e.data, e.sig)
-    S12 = block_diag(pf.L2P, 3)
-    S12_inv = block_diag(compound_matrix(pf.frames_inv, 2), 3)   # (Lambda^2 P)^-1 = Lambda^2(P^-1)
-    S2v = block_diag(pf.frames, 3)
-    S2v_inv = block_diag(pf.frames_inv, 3)
-    return ProjectorPack(
-        pf.frames,
-        pf.frames_inv,
-        pf.frames_det,
-        p12=S12 @ _P12_E @ S12_inv,
-        p12_prime=S12 @ (np.eye(18) - _P12_E) @ S12_inv,
-        p21=S2v @ _P21_E @ S2v_inv,
-        p11_dag=S12 @ _P11DAG_E @ S12_inv,
-        phi=pf.phi,
-        S12=S12,
-        S12_inv=S12_inv,
-        S2v_inv=S2v_inv,
-    )
+    return ProjectorPack(pf.frames, pf.frames_inv, pf.frames_det, pf.L2P,
+                         compound_matrix(pf.frames_inv, 2), pf.phi)
 
 
 def _flat(f: FormField) -> np.ndarray:
@@ -299,9 +323,9 @@ def _unflat(vec: np.ndarray, grid: Grid3, p: int, grade: int) -> FormField:
     return FormField(grid, p, grade, vec.reshape(shape))
 
 
-def _apply_sitewise(mat: np.ndarray, f: FormField) -> FormField:
-    out = np.einsum("...ij,...j->...i", mat, _flat(f))
-    return _unflat(out, f.grid, f.p, f.grade)
+def _apply_sitewise(apply, f: FormField) -> FormField:
+    """A per-site linear map, given as its action on leg arrays, applied to a field."""
+    return FormField(f.grid, f.p, f.grade, apply(f.data))
 
 
 def act_field(alpha: FormField, f: FormField, sig: Signature) -> FormField:
@@ -315,9 +339,11 @@ def act_field(alpha: FormField, f: FormField, sig: Signature) -> FormField:
 # constrained-variation maps A, B and their adjoints
 
 
-def kernel_coords_21(f: FormField, pack: ProjectorPack) -> np.ndarray:
-    """Coordinates of the (2,1)-kernel projection in the orthonormal template."""
-    return np.einsum("...ij,...j->...i", pack.S2v_inv, _flat(f)) @ K21HAT
+def kernel_coords_21(x: np.ndarray, pack: ProjectorPack) -> np.ndarray:
+    """Coordinates of the (2,1)-kernel projection of Omega^2(V) legs x (..., 3, 4)
+    in the orthonormal template."""
+    x_e = x @ pack.frames_inv_T
+    return x_e.reshape(x_e.shape[:-2] + (12,)) @ K21HAT
 
 
 def _frame_velocity(de: np.ndarray, pack: ProjectorPack, sig: Signature) -> np.ndarray:
@@ -333,25 +359,24 @@ def a_map(state: BoundaryState, de: FormField, pack: ProjectorPack) -> np.ndarra
     """A(de) in kernel coordinates:  phi A(de) = -p[(d_e p)(d_w e) + p d_w de].
 
     The projector derivative is exact: d_e p21 = [X, p21] with
-    X = block3(dP P^-1) the velocity of the e-adapted frame along de.
+    X = block3(dP P^-1) the velocity of the e-adapted frame along de, applied
+    to the torsion d as X(p21 d) - p21(X d).
     """
-    X = block_diag(_frame_velocity(de.data, pack, state.sig), 3)
-    dp = X @ pack.p21 - pack.p21 @ X
-    rhs = (np.einsum("...ij,...j->...i", dp, _flat(torsion(state)))
-           + np.einsum("...ij,...j->...i", pack.p21, _flat(cov_deriv(de, state.omega, state.sig))))
-    z = np.einsum("...ij,...j->...i", pack.S2v_inv, rhs) @ K21HAT
-    return -np.linalg.solve(pack.phi, z[..., None])[..., 0]
+    Xt = np.swapaxes(_frame_velocity(de.data, pack, state.sig), -1, -2)
+    d = torsion(state).data
+    rhs = pack.p21(d) @ Xt + pack.p21(cov_deriv(de, state.omega, state.sig).data - d @ Xt)
+    return -np.linalg.solve(pack.phi, kernel_coords_21(rhs, pack)[..., None])[..., 0]
 
 
 def b_map(state: BoundaryState, c: FormField, pack: ProjectorPack) -> np.ndarray:
     """B(c) = -phi^{-1} p [c, e] in kernel coordinates, pointwise."""
-    z = kernel_coords_21(reduction.bracket_with_e(c, state.e), pack)
+    z = kernel_coords_21(reduction.bracket_with_e(c, state.e).data, pack)
     return -np.linalg.solve(pack.phi, z[..., None])[..., 0]
 
 
 def kernel_field_from_coords(coords: np.ndarray, pack: ProjectorPack, grid: Grid3) -> FormField:
-    v_u = np.einsum("...ij,...j->...i", pack.S12, coords @ K12HAT.T)
-    return _unflat(v_u, grid, 1, 2)
+    v_e = (coords @ K12HAT.T).reshape(coords.shape[:-1] + (3, 6))
+    return FormField(grid, 1, 2, v_e @ pack.L2P_T)
 
 
 def _pairing_gram_22_12(gamma: float, sig: Signature) -> np.ndarray:
@@ -360,50 +385,65 @@ def _pairing_gram_22_12(gamma: float, sig: Signature) -> np.ndarray:
     return np.kron(np.eye(3), T.T) @ wedgemaps.dual_pairing_matrix(1, 2)
 
 
-def _pairing_gram_23_11(sig: Signature) -> np.ndarray:
-    """Gram of int Tr[Z ^ Y], Z in Omega^2(L^3), Y in Omega^1(V)."""
-    return wedgemaps.dual_pairing_matrix(1, 1)
+#: inverse of the Gram of int Tr[Z ^ Y], Z in Omega^2(L^3), Y in Omega^1(V)
+_GRAM_23_11_INV = np.linalg.inv(wedgemaps.dual_pairing_matrix(1, 1))
+
+#: largest condition number of the twisted-pairing Gram that the adjoints accept
+PAIRING_COND_LIMIT = 1e8
 
 
-def b_matrix_u(state: BoundaryState, pack: ProjectorPack) -> np.ndarray:
-    """Matrix of y -> (B o p')(y) as a kernel-valued field, u-coords, per site."""
-    BT = reduction.bracket_matrix(state.e.data, state.sig)        # (..., 12, 18)
-    z = K21HAT.T @ (pack.S2v_inv @ (pack.p21 @ BT))               # (..., 6, 18)
-    coeff = -np.linalg.solve(pack.phi, z)                         # kernel coords
-    return (pack.S12 @ (K12HAT @ coeff)) @ pack.p12_prime
-
-
-class DegeneratePairingError(ValueError):
-    """The twisted pairing is degenerate: T_gamma = 1 + gamma^-1 star is singular."""
+class DegeneratePairingError(wedgemaps.ConditioningError, ValueError):
+    """The twisted pairing is degenerate: T_gamma = 1 + gamma^-1 star is singular,
+    or worse conditioned than PAIRING_COND_LIMIT."""
 
 
 @functools.lru_cache(maxsize=16)
 def _pairing_gram_inv_22_12(gamma: float, sig: Signature) -> np.ndarray:
     """Inverse of the transposed twisted-pairing Gram, once per (gamma, signature).
 
-    With star^2 = 1 (the Euclidean signature) T_gamma is singular at gamma = +-1.
+    With star^2 = 1 (the Euclidean signature) T_gamma is singular at gamma = +-1,
+    and the condition number of the Gram grows as about 2 / |gamma -+ 1| near it.
     """
-    try:
-        inv = np.linalg.inv(_pairing_gram_22_12(gamma, sig).T)
-    except np.linalg.LinAlgError:
+    gram = _pairing_gram_22_12(gamma, sig)
+    cond = np.linalg.cond(gram)
+    if not cond <= PAIRING_COND_LIMIT:
         raise DegeneratePairingError(
             f"twisted pairing degenerate for the {sig.name} signature at gamma = {gamma}: "
-            f"T_gamma = 1 + gamma^-1 star is singular") from None
+            f"T_gamma = 1 + gamma^-1 star is singular or nearly so, "
+            f"cond = {cond:.3e} > {PAIRING_COND_LIMIT:.0e}")
+    inv = np.linalg.inv(gram.T)
     inv.flags.writeable = False
     return inv
+
+
+def _kernel_covector(state: BoundaryState, Q: FormField, pack: ProjectorPack):
+    """The covector w on Omega^2(V) that Q pulls back through the kernel chain, and p21^T w.
+
+    Both adjoints pair Q with S12 K12 lam, lam = -phi^-1 K21^T S2v^-1 (.), under
+    the twisted pairing: w = S2v^-T K21 lam* with lam* = -phi^-T K12^T S12^T (Q PB),
+    as legs (..., 3, 4).
+    """
+    PB = _pairing_gram_22_12(state.gamma, state.sig)
+    v = (_flat(Q) @ PB).reshape(Q.data.shape) @ pack.L2P
+    qK = v.reshape(v.shape[:-2] + (18,)) @ K12HAT
+    lam = -np.linalg.solve(np.swapaxes(pack.phi, -1, -2), qK[..., None])[..., 0]
+    w = (lam @ K21HAT.T).reshape(lam.shape[:-1] + (3, 4)) @ pack.frames_inv
+    return w, pack.p21_T(w)
 
 
 def b_dagger(state: BoundaryState, Q: FormField, pack: ProjectorPack) -> FormField:
     """Adjoint of B o p' under the twisted pairing; lands in im W^{(1,1)}.
 
-    DegeneratePairingError where the pairing is degenerate (T_gamma singular).
+    (B o p')^T on the covector of Q: the kernel chain back to Omega^2(V), the
+    transpose of [., e] and p12'^T.  DegeneratePairingError where the pairing
+    is degenerate (T_gamma singular or nearly so).
     """
-    PB = _pairing_gram_22_12(state.gamma, state.sig)
     PB_invT = _pairing_gram_inv_22_12(state.gamma, state.sig)
-    Bp = b_matrix_u(state, pack)
-    rhs = np.einsum("...ji,...j->...i", Bp, _flat(Q) @ PB)
-    out = rhs @ PB_invT.T
-    return _unflat(out, state.grid, 2, 2)
+    _, wp = _kernel_covector(state, Q, pack)
+    BT = fiber.product_tensor(1, 1, 2, 1, state.sig).transpose(1, 2, 0)   # [., e]^T
+    y = fiber.bilinear(BT, _flat(state.e.field), wp.reshape(wp.shape[:-2] + (12,)))
+    rhs = pack.p12_prime_T(y.reshape(Q.data.shape))
+    return _unflat(rhs.reshape(y.shape) @ PB_invT.T, state.grid, 2, 2)
 
 
 def _cov_deriv_transpose(Y: FormField, omega: FormField, sig: Signature) -> FormField:
@@ -431,36 +471,22 @@ def a_dagger(state: BoundaryState, Q: FormField, pack: ProjectorPack) -> FormFie
     the kernel covector and the torsion) and the d_omega part through the
     discrete transpose of the covariant derivative.
     """
-    PB = _pairing_gram_22_12(state.gamma, state.sig)
-    # w = (chain)^T applied to Q: per-site 12-covector hitting (2,1)-coeff space
-    K12S = np.einsum("...ij,jk->...ik", pack.S12, K12HAT)          # (..., 18, 6)
-    qK = np.einsum("...j,...jk->...k", _flat(Q) @ PB, K12S)        # (..., 6)
-    lam = -np.linalg.solve(np.swapaxes(pack.phi, -1, -2), qK[..., None])[..., 0]
-    w = np.einsum("Dk,...k->...D", K21HAT, lam)
-    w = np.einsum("...ji,...j->...i", pack.S2v_inv, w)             # covector on (2,1) coeffs
-    wp = np.einsum("...ji,...j->...i", pack.p21, w)
+    w, wp = _kernel_covector(state, Q, pack)
 
     # pointwise part: w . [X, p21] d = <dP, H> with H = G P^-T and
     # G_ij = sum_c (w_ci (p21 d)_cj - (p21^T w)_ci d_cj); the dn column of dP
     # is eliminated through dn = eta P^-T r
-    dvec = _flat(torsion(state))
-    pd = np.einsum("...ij,...j->...i", pack.p21, dvec)
-    split = w.shape[:-1] + (3, 4)
-    G = (np.einsum("...ci,...cj->...ij", w.reshape(split), pd.reshape(split))
-         - np.einsum("...ci,...cj->...ij", wp.reshape(split), dvec.reshape(split)))
-    H = G @ np.swapaxes(pack.frames_inv, -1, -2)
+    d = torsion(state).data
+    G = (np.einsum("...ci,...cj->...ij", w, pack.p21(d))
+         - np.einsum("...ci,...cj->...ij", wp, d))
+    H = G @ pack.frames_inv_T
     g = np.einsum("...ai,...i->...a", pack.frames_inv[..., :3, :], state.sig.eta * H[..., :, 3])
     eta_n = state.sig.eta * pack.frames[..., :, 3]
     psi = np.swapaxes(H[..., :, :3], -1, -2) - g[..., :, None] * eta_n[..., None, :]
-    psi = psi.reshape(w.shape)
 
     # nonlocal part: <w, p21 d_omega de> = <D^T(p21^T w), de>
-    Dt = _cov_deriv_transpose(_unflat(wp, state.grid, 2, 1), state.omega, state.sig)
-    psi += _flat(Dt)
-
-    PG = _pairing_gram_23_11(state.sig)
-    out = psi @ np.linalg.inv(PG.T).T
-    return _unflat(out, state.grid, 2, 3)
+    psi = psi + _cov_deriv_transpose(FormField(state.grid, 2, 1, wp), state.omega, state.sig).data
+    return _unflat(psi.reshape(psi.shape[:-2] + (12,)) @ _GRAM_23_11_INV, state.grid, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +515,7 @@ def _solve_complement_12(rhs: FormField, state: BoundaryState, pack: ProjectorPa
     L3P_inv /= pack.frames_det[..., None, None]
     r_e = np.einsum("...IJ,...cJ->...cI", L3P_inv, rhs.data)
     x_e = r_e.reshape(r_e.shape[:-2] + (12,)) @ _W12_PINV_E.T
-    x = np.einsum("...ij,...j->...i", pack.S12, x_e)
-    return _unflat(x, state.grid, 1, 2)
+    return FormField(state.grid, 1, 2, x_e.reshape(x_e.shape[:-1] + (3, 6)) @ pack.L2P_T)
 
 
 def _solve_w11(rhs: FormField, state: BoundaryState, pack: ProjectorPack) -> FormField:
@@ -499,9 +524,8 @@ def _solve_w11(rhs: FormField, state: BoundaryState, pack: ProjectorPack) -> For
     W_e^{(1,1)} = S12 W11_E block3(P^-1), so X = block3(P) W11_E^+ S12^-1 rhs,
     the exact solution for a right-hand side in the image of the wedge map.
     """
-    y = np.einsum("...ij,...j->...i", pack.S12_inv, _flat(rhs)) @ _W11_PINV_E.T
-    x = np.einsum("...ij,...cj->...ci", pack.frames, y.reshape(y.shape[:-1] + (3, 4)))
-    return FormField(state.grid, 1, 1, x)
+    y = (rhs.data @ pack.L2P_inv_T).reshape(rhs.data.shape[:-2] + (18,)) @ _W11_PINV_E.T
+    return FormField(state.grid, 1, 1, y.reshape(y.shape[:-1] + (3, 4)) @ pack.frames_T)
 
 
 def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormField,

@@ -277,6 +277,17 @@ def tr_quad_field(f: FormField) -> FormField:
 # coframes
 
 
+#: a coframe site with det G >= _GRAM_SCREEN (tr G)^3 has sigma_3^2 / sigma_1^2 >= 1e-10
+_GRAM_SCREEN = 1e-10
+
+
+def _det3(a: np.ndarray) -> np.ndarray:
+    """det of a stack of 3x3 matrices (..., 3, 3), expanded along the first row."""
+    return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+            - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+            + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+
+
 class Coframe:
     """Nondegenerate V-valued coframe on the grid, with its signature."""
 
@@ -285,10 +296,17 @@ class Coframe:
             raise ValueError("coframe must be a vector-valued 1-form")
         self.field = field
         self.sig = sig
-        # the eigenvalues of the 3x3 Gram e e^T are the squared singular values of e
-        sv2 = np.linalg.eigvalsh(field.data @ np.swapaxes(field.data, -1, -2))
-        if np.any(sv2[..., 0] < 1e-12 * sv2[..., 2]):
-            raise ValueError("degenerate coframe: third singular value too small")
+        # the eigenvalues of the 3x3 Gram G = e e^T are the squared singular values
+        # of e; lambda_min / lambda_max >= det G / (tr G)^3 clears a site for the
+        # 1e-12 rule with a margin of 100 far beyond the roundoff of det G, and
+        # only the other sites need the spectrum
+        G = field.data @ np.swapaxes(field.data, -1, -2)
+        tr = G[..., 0, 0] + G[..., 1, 1] + G[..., 2, 2]
+        unclear = ~(_det3(G) >= _GRAM_SCREEN * tr**3)
+        if unclear.any():
+            sv2 = np.linalg.eigvalsh(G[unclear])
+            if np.any(sv2[..., 0] < 1e-12 * sv2[..., 2]):
+                raise ValueError("degenerate coframe: third singular value too small")
 
     @property
     def grid(self) -> Grid3:

@@ -20,6 +20,7 @@ degenerate) boundary metrics, and the exactness check of
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,8 +95,39 @@ def phi_singular_values(g: np.ndarray) -> np.ndarray:
     return np.abs(np.concatenate([lam, mu], axis=-1))
 
 
+def phi_conditions(g: np.ndarray) -> np.ndarray:
+    """cond(phi_e) at every site from `phi_singular_values`; inf where phi_e is singular."""
+    sv = phi_singular_values(g)
+    smax, smin = sv.max(axis=-1), sv.min(axis=-1)
+    return np.divide(smax, smin, out=np.full_like(smax, np.inf), where=smin > 0)
+
+
 #: largest condition number of phi_e the solve accepts at any site
 PHI_COND_LIMIT = 1e8
+
+
+def _phi_frobenius_terms(g: np.ndarray):
+    """(b, det g) with (|phi|_F |phi^-1|_F)^2 = b / det(g)^2, from g (..., 3, 3).
+
+    From the singular values of phi (`phi_singular_values`),
+    |phi|_F^2 = 3 |g|_F^2 and |phi^-1|_F^2 = (|adj g|_F^2 + |g|_F^4 / 4) / det(g)^2.
+    """
+    cof = wedgemaps.cofactors3(g)
+    g2 = (g * g).sum(axis=(-2, -1))
+    b = 3.0 * g2 * ((cof * cof).sum(axis=(-2, -1)) + 0.25 * g2 * g2)
+    return b, (g[..., 0, :] * cof[..., 0, :]).sum(axis=-1)
+
+
+def _phi_cleared(g: np.ndarray) -> np.ndarray:
+    """Sites where cond(phi_e) <= PHI_COND_LIMIT follows from a bound, without a spectrum.
+
+    cond_2 phi <= |phi|_F |phi^-1|_F, which exceeds cond_2 by a factor between
+    sqrt(3) and about 3.4, so a cleared site lies far inside the limit and the
+    decision is the spectrum's.  The test has no division: det g = 0 (and any
+    non-finite entry) is left to the spectrum.
+    """
+    b, det = _phi_frobenius_terms(g)
+    return np.isfinite(b) & (b <= (PHI_COND_LIMIT * det) ** 2)
 
 
 class PhiSingularError(wedgemaps.ConditioningError, RuntimeError):
@@ -111,28 +143,33 @@ class PhiFrame:
     frames_det: np.ndarray   # det P = sqrt|det g| > 0
     L2P: np.ndarray          # Lambda^2 P, e-frame -> u-frame on bivector components
     phi: np.ndarray          # (..., 6, 6) phi_e in the orthonormal template bases
-    condition: float         # worst cond(phi_e) over the sites
+    g: np.ndarray            # (..., 3, 3) boundary metric
+
+    @functools.cached_property
+    def condition(self) -> float:
+        """Worst cond(phi_e) over the sites, from the full spectrum, on first read."""
+        return float(phi_conditions(self.g).max())
 
 
 def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
     """phi_e, then the frame completion, its inverse and Lambda^2, for a coframe (..., 3, 4).
 
     phi_e depends only on the boundary metric g = e eta e^T, and so does its
-    conditioning: cond(phi_e) comes from `phi_singular_values`.
-    phi_e is checked first: PhiSingularError, naming the worst site, when it
-    is numerically singular (a degenerate boundary metric, which is also where
-    the normal is null).  NullNormalError from the completion is left for a
-    normal that is null only within its own tolerance.  The frame Gram is
+    conditioning.  phi_e is checked first: the sites that `_phi_cleared` cannot
+    clear go through `phi_conditions`, and if any of them exceeds
+    PHI_COND_LIMIT, PhiSingularError names the worst site of the full
+    spectrum (a degenerate boundary metric, which is also where the normal is
+    null).  NullNormalError from the completion is left for a normal that is
+    null only within its own tolerance.  The frame Gram is
     P^T eta P = diag(g, q_n) with q_n = eta(e_n, e_n) = +-1, so the inverse
     is P^-1 = diag(g^-1, q_n) P^T eta, with g^-1 and det g from `inv3`, and
     (det P)^2 = |det g|.
     """
     e = np.asarray(e, dtype=float)
     g = (e * sig.eta) @ np.swapaxes(e, -1, -2)
-    sv = phi_singular_values(g)
-    smax, smin = sv.max(axis=-1), sv.min(axis=-1)
-    cond = np.divide(smax, smin, out=np.full_like(smax, np.inf), where=smin > 0)
-    if np.any(cond > PHI_COND_LIMIT):
+    unclear = ~_phi_cleared(g)
+    if unclear.any() and np.any(phi_conditions(g[unclear]) > PHI_COND_LIMIT):
+        cond = phi_conditions(g)
         raise PhiSingularError(
             f"phi_e singular{wedgemaps.at_site(cond)}: cond(phi) = {cond.max():.3e} "
             f"> {PHI_COND_LIMIT:.0e}; boundary metric degenerate?")
@@ -142,7 +179,7 @@ def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
     frames_inv[..., :3, :] = ginv @ frames_inv[..., :3, :]
     frames_inv[..., 3, :] *= qn[..., None]
     return PhiFrame(frames, frames_inv, np.sqrt(np.abs(det_g)), compound_matrix(frames, 2),
-                    phi_matrix(g), float(cond.max()))
+                    phi_matrix(g), g)
 
 
 def phi_e(e: np.ndarray, sig: Signature):
@@ -160,7 +197,12 @@ class OmegaTildeResult:
     v_tilde: FormField
     omega_tilde: FormField
     structural_residual: float
-    solver_conditioning: float
+    g: np.ndarray            # (..., 3, 3) boundary metric, for the conditioning
+
+    @functools.cached_property
+    def solver_conditioning(self) -> float:
+        """Worst cond(phi_e) over the sites, from the full spectrum, on first read."""
+        return float(phi_conditions(self.g).max())
 
 
 def _kernel_coords_21(e: Coframe, omega: FormField, Pinv: np.ndarray) -> np.ndarray:
@@ -190,7 +232,7 @@ def omega_tilde(e: Coframe, omega: FormField) -> OmegaTildeResult:
     v_field = FormField(e.grid, 1, 2, v_u)
     om_t = omega + v_field
     res = float(np.abs(_kernel_coords_21(e, om_t, pf.frames_inv)).max())
-    return OmegaTildeResult(v_field, om_t, res, pf.condition)
+    return OmegaTildeResult(v_field, om_t, res, pf.g)
 
 
 # ---------------------------------------------------------------------------

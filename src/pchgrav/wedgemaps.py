@@ -95,6 +95,12 @@ def _inv3_block(m, inv, det):
     inv[:] = np.moveaxis(cof, (0, 1), (-1, -2)) / det[:, None, None]
 
 
+def cofactors3(a: np.ndarray) -> np.ndarray:
+    """Cofactor matrix of a stack of 3x3 matrices (..., 3, 3), plain products."""
+    b, c = a[..., _NEXT, :], a[..., _PREV, :]                   # rows i+1 and i+2
+    return b[..., _NEXT] * c[..., _PREV] - b[..., _PREV] * c[..., _NEXT]
+
+
 def inv3(a: np.ndarray):
     """(a^-1, det a) for a stack of 3x3 matrices (..., 3, 3), from the adjugate.
 

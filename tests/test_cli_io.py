@@ -53,9 +53,21 @@ def test_bad_numbers_and_tolerance_names_exit_2(tmp_path, capsys, raw, path):
     assert path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", [1, -1.0])
+def test_euclidean_unit_gamma_exits_2(tmp_path, capsys, gamma):
+    # star^2 = 1 makes T_gamma singular at gamma = +-1; the default gamma is 1
+    for raw in ({"signature": "euclidean", "gamma": gamma}, {"signature": "euclidean"}):
+        cfgp = write_cfg(tmp_path, raw)
+        assert cli.main(["verify", "--config", str(cfgp)]) == 2
+        assert "$.gamma" in capsys.readouterr().err
+    assert validate_config({"signature": "lorentzian", "gamma": gamma}).gamma == gamma
+    assert validate_config({"signature": "euclidean", "gamma": 2 * gamma}).gamma == 2 * gamma
+
+
 @pytest.mark.parametrize("name", ["euclidean", "lorentzian"])
 def test_signature_names_accepted(name):
-    assert validate_config({"signature": name}).signature == name
+    # gamma = 2: the default gamma = 1 is refused for the euclidean signature
+    assert validate_config({"signature": name, "gamma": 2.0}).signature == name
 
 
 @pytest.mark.parametrize("name", ["Lorentzian", "timelike", "riemannian", "", 1, None])

@@ -225,7 +225,7 @@ def test_z_mu_solves_its_equations(offshell_state):
 @pytest.mark.parametrize("sig,gamma", [(LORENTZIAN, 1.0), (EUCLIDEAN, 2.0)],
                          ids=["lorentzian", "euclidean"])
 def test_template_wedge_solves_match_pinv_reference(sig, gamma):
-    from pchgrav import wedgemaps as wm
+    from pchgrav import reduction as red, wedgemaps as wm
 
     st = random_offshell_state(np.random.Generator(np.random.Philox(key=23)), Grid3(4),
                                sig, gamma, 0.1)
@@ -244,7 +244,11 @@ def test_template_wedge_solves_match_pinv_reference(sig, gamma):
     ref_e = apply(np.linalg.pinv(wm.wedge_matrix(st.e.data, (1, 1))), rhs_e)
     got_e = cst._solve_w11(rhs_e, st, pack).data.reshape(ref_e.shape)
     assert np.abs(got_e - ref_e).max() <= 1e-12 * np.abs(ref_e).max()
-    ref_w = np.einsum("...ij,...j->...i", pack.p12_prime,
+    # dense p12' = S12 (1 - P12_E) S12^-1 from the pack's frames
+    P12 = red.K12HAT @ red.K12HAT.T
+    p12_prime = (wm.block_diag(pack.L2P, 3) @ (np.eye(18) - P12)
+                 @ wm.block_diag(wm.compound_matrix(pack.frames_inv, 2), 3))
+    ref_w = np.einsum("...ij,...j->...i", p12_prime,
                       apply(np.linalg.pinv(wm.wedge_matrix(st.e.data, (1, 2))), rhs_w))
     got_w = cst._solve_complement_12(rhs_w, st, pack).data.reshape(ref_w.shape)
     assert np.abs(got_w - ref_w).max() <= 1e-12 * np.abs(ref_w).max()
@@ -417,3 +421,20 @@ def test_offshell_j_field_names_a_degenerate_twisted_pairing(gamma):
                        match=f"twisted pairing degenerate for the euclidean signature at gamma = {gamma}"):
         cst.hamiltonian_vector_field(st, "J", mu)
     assert issubclass(cst.DegeneratePairingError, ValueError)
+
+
+def test_nearly_degenerate_twisted_pairing_refused():
+    from pchgrav.wedgemaps import ConditioningError
+
+    # the Gram's condition number is about 2 / |gamma - 1| near the Euclidean gamma = 1
+    assert issubclass(cst.DegeneratePairingError, ConditioningError)
+    mu = cst.smear_constant(Grid3(4), 1, [0.3, -0.2, 0.5, 0.4])
+    for gamma, refused in ((1 + 1e-12, True), (1 + 1e-6, False), (2.0, False)):
+        st = random_offshell_state(np.random.Generator(np.random.Philox(key=13)), Grid3(4),
+                                   EUCLIDEAN, gamma, 0.1)
+        if refused:
+            with pytest.raises(cst.DegeneratePairingError, match="cond = 2.000e\\+12 > 1e\\+08"):
+                cst.hamiltonian_vector_field(st, "J", mu)
+        else:
+            X = cst.hamiltonian_vector_field(st, "J", mu)
+            assert X.wedge_residuals["X_e"] <= 1e-9

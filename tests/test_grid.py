@@ -226,6 +226,28 @@ def test_coframe_rank_rule_at_its_threshold(ratio, degenerate):
         Coframe(field, LORENTZIAN)
 
 
+def test_coframe_screen_decides_as_the_spectrum():
+    # sigma_3 / sigma_1 log-uniform around the 1e-6 threshold and across the
+    # det G / (tr G)^3 screen; the reference rule reads the full spectrum
+    rng = np.random.Generator(np.random.Philox(key=2027))
+    refused = 0
+    for ratio in 10.0 ** rng.uniform(-6.3, -4.5, size=120):
+        U = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        V = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        data = np.broadcast_to(np.eye(3, 4), (2, 2, 2, 3, 4)).copy()
+        data[0, 1, 1] = U @ np.diag([1.5, rng.uniform(0.2, 1.5), 1.5 * ratio]) @ V[:3]
+        sv2 = np.linalg.eigvalsh(data @ np.swapaxes(data, -1, -2))
+        expect = bool(np.any(sv2[..., 0] < 1e-12 * sv2[..., 2]))
+        field = FormField(Grid3(2), 1, 1, data)
+        if expect:
+            refused += 1
+            with pytest.raises(ValueError, match="degenerate"):
+                Coframe(field, EUCLIDEAN)
+        else:
+            Coframe(field, EUCLIDEAN)
+    assert 10 <= refused <= 110
+
+
 def test_field_io_bit_exact(tmp_path):
     g = Grid3(6)
     f = random_field_spec(RNG, 2, 2, n_modes=2, amp=0.9).sample(g)

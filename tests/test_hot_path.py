@@ -4,7 +4,10 @@ cond(phi_e) comes from the spectrum of the boundary metric, the frame inverse
 from the frame Gram, the wedge solves from fixed e-frame template inverses,
 and every per-site 3x3 inverse and determinant from `wedgemaps.inv3`; this
 test keeps a per-site LAPACK decomposition from coming back.  Single matrices
-(ndim 2, such as the fixed pairing Grams) may still go through LAPACK.
+(ndim 2, such as the fixed pairing Grams) may still go through LAPACK.  The
+FD-bracket path runs no eigensolve at all (the phi_e and coframe checks clear
+well-conditioned sites by exact bounds), and the projector pack holds no
+per-site array larger than 6x6.
 """
 
 import numpy as np
@@ -14,7 +17,7 @@ from pchgrav import constraints as cst
 from pchgrav import ehdata as eh
 from pchgrav.fiber import LORENTZIAN
 from pchgrav.grid import Coframe, Grid3
-from pchgrav.reduction import omega_tilde
+from pchgrav.reduction import omega_tilde, phi_frame
 from pchgrav.suites import LAPSE_PROBES, SHIFT_PROBES, acceptance_triad_spec, random_offshell_state
 
 
@@ -55,3 +58,39 @@ def test_no_per_site_inverse_on_the_eh_path(lapack_guard):
     st = cst.make_on_shell(acceptance_triad_spec(), Grid3(4), 1.0, LORENTZIAN, Lambda=0.1)
     out = eh.compare_pch_eh(st, LAPSE_PROBES[:1], SHIFT_PROBES[:1])
     assert all(np.isfinite(v) for v in out.values())
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_no_eigensolve_on_the_fd_bracket_path(eigvalsh_calls):
+    st = random_offshell_state(np.random.Generator(np.random.Philox(key=31)), Grid3(4),
+                               LORENTZIAN, 1.0, 0.1)
+    mu = cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4])
+    mu2 = cst.smear_constant(st.grid, 1, [-0.1, 0.6, 0.2, -0.3])
+    value, err = cst.poisson_bracket(st, "J", mu, "J", mu2)
+    assert np.isfinite(value) and eigvalsh_calls == []
+    # the worst condition number is computed from the full spectrum when read
+    assert st.ot.solver_conditioning > 1.0
+    assert eigvalsh_calls
+
+
+def test_projector_pack_holds_no_dense_projector():
+    st = random_offshell_state(np.random.Generator(np.random.Philox(key=31)), Grid3(4),
+                               LORENTZIAN, 1.0, 0.1)
+    pack = cst.projector_pack(st.e)
+    sites = st.grid.n ** 3
+    arrays = [v for v in vars(pack).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) >= 6
+    assert max(a.size for a in arrays) <= 36 * sites
+    assert "condition" not in vars(phi_frame(st.e.data, st.sig))   # computed only when read

@@ -1,7 +1,9 @@
-"""Exact projector derivative and closed-form frame completion.
+"""Exact projector derivative, closed-form frame completion, factored projector pack.
 
 The central-difference implementations of A and A+ (rebuilding the projector
-pack at e +- eps de) are kept here as references for the exact derivative.
+pack at e +- eps de) are kept here as references for the exact derivative;
+the dense per-site projectors S T S^-1, built from the pack's frames, are the
+references for the pack's factored applies.
 """
 
 import numpy as np
@@ -16,31 +18,44 @@ RNG = np.random.Generator(np.random.Philox(key=1973))
 FD_STEP = 1e-6
 
 
+def _dense(pack):
+    """Dense per-site references (S12, S12^-1, S2v, S2v^-1) of the pack's frame transforms."""
+    return (wm.block_diag(pack.L2P, 3), wm.block_diag(wm.compound_matrix(pack.frames_inv, 2), 3),
+            wm.block_diag(pack.frames, 3), wm.block_diag(pack.frames_inv, 3))
+
+
+def _dense_p21(pack):
+    _, _, S2v, S2v_inv = _dense(pack)
+    return S2v @ (red.K21HAT @ red.K21HAT.T) @ S2v_inv
+
+
 def _fd_dp21(state, de):
     """Central difference of the p21 projector field along de."""
     scale = max(state.e.field.sup_norm(), 1e-12)
     eps = FD_STEP * scale / max(de.sup_norm(), 1e-300)
     pp = cst.projector_pack(Coframe(state.e.field + eps * de, state.sig))
     pm = cst.projector_pack(Coframe(state.e.field + (-eps) * de, state.sig))
-    return (pp.p21 - pm.p21) / (2 * eps)
+    return (_dense_p21(pp) - _dense_p21(pm)) / (2 * eps)
 
 
 def _fd_a_map(state, de, pack):
+    S2v_inv, p21 = _dense(pack)[3], _dense_p21(pack)
     dvec = cst._flat(cst.torsion(state))
     dp_d = np.einsum("...ij,...j->...i", _fd_dp21(state, de), dvec)
-    pd = np.einsum("...ij,...j->...i", pack.p21,
+    pd = np.einsum("...ij,...j->...i", p21,
                    cst._flat(cov_deriv(de, state.omega, state.sig)))
-    z = np.einsum("...ij,...j->...i", pack.S2v_inv, dp_d + pd) @ red.K21HAT
+    z = np.einsum("...ij,...j->...i", S2v_inv, dp_d + pd) @ red.K21HAT
     return -np.linalg.solve(pack.phi, z[..., None])[..., 0]
 
 
 def _fd_a_dagger(state, Q, pack):
+    S12, _, _, S2v_inv = _dense(pack)
     PB = cst._pairing_gram_22_12(state.gamma, state.sig)
-    K12S = np.einsum("...ij,jk->...ik", pack.S12, red.K12HAT)
+    K12S = np.einsum("...ij,jk->...ik", S12, red.K12HAT)
     qK = np.einsum("...j,...jk->...k", cst._flat(Q) @ PB, K12S)
     lam = -np.linalg.solve(np.swapaxes(pack.phi, -1, -2), qK[..., None])[..., 0]
     w = np.einsum("Dk,...k->...D", red.K21HAT, lam)
-    w = np.einsum("...ji,...j->...i", pack.S2v_inv, w)
+    w = np.einsum("...ji,...j->...i", S2v_inv, w)
     dvec = cst._flat(cst.torsion(state))
     psi = np.zeros(w.shape[:-1] + (12,))
     for a in range(3):
@@ -50,10 +65,10 @@ def _fd_a_dagger(state, Q, pack):
             dp = _fd_dp21(state, FormField(state.grid, 1, 1, bump))
             col = np.einsum("...ij,...j->...i", dp, dvec)
             psi[..., a * 4 + i] = np.einsum("...i,...i->...", w, col)
-    wp = np.einsum("...ji,...j->...i", pack.p21, w)
+    wp = np.einsum("...ji,...j->...i", _dense_p21(pack), w)
     Dt = cst._cov_deriv_transpose(cst._unflat(wp, state.grid, 2, 1), state.omega, state.sig)
     psi += cst._flat(Dt)
-    PG = cst._pairing_gram_23_11(state.sig)
+    PG = wm.dual_pairing_matrix(1, 1)
     return cst._unflat(psi @ np.linalg.inv(PG.T).T, state.grid, 2, 3)
 
 
@@ -73,7 +88,8 @@ def test_exact_dp21_matches_central_difference(offshell):
     de = random_field_spec(RNG, 1, 1, n_modes=2, amp=0.3).sample(st.grid)
     X = cst._frame_velocity(de.data, pack, st.sig)
     XB = wm.block_diag(X, 3)
-    exact = XB @ pack.p21 - pack.p21 @ XB
+    p21 = _dense_p21(pack)
+    exact = XB @ p21 - p21 @ XB
     assert _rel(exact, _fd_dp21(st, de)) <= 1e-8
 
 
@@ -88,6 +104,43 @@ def test_a_dagger_matches_central_difference(offshell):
     st, pack = offshell
     Q = random_field_spec(RNG, 2, 2, n_modes=2, amp=0.3).sample(st.grid)
     assert _rel(cst.a_dagger(st, Q, pack).data, _fd_a_dagger(st, Q, pack).data) <= 1e-8
+
+
+@pytest.fixture(scope="module", params=[EUCLIDEAN, LORENTZIAN], ids=["euclidean", "lorentzian"])
+def pack_and_dense(request):
+    st = random_offshell_state(np.random.Generator(np.random.Philox(key=5)), Grid3(4),
+                               request.param, 2.0, 0.1)
+    pack = cst.projector_pack(st.e)
+    S12, S12_inv, _, _ = _dense(pack)
+    P12 = red.K12HAT @ red.K12HAT.T
+    U11 = np.linalg.svd(wm.wedge_matrix(np.eye(3, 4), (1, 1)))[0][:, :12]
+    dense = {"p12": S12 @ P12 @ S12_inv, "p12_prime": S12 @ (np.eye(18) - P12) @ S12_inv,
+             "p11_dag": S12 @ (U11 @ U11.T) @ S12_inv, "p21": _dense_p21(pack)}
+    return pack, dense
+
+
+def test_pack_applies_and_transposes_match_dense_projectors(pack_and_dense):
+    pack, dense = pack_and_dense
+    for name, M in dense.items():
+        x = RNG.normal(size=(4, 4, 4, 3, M.shape[-1] // 3))
+        flat = x.reshape(4, 4, 4, -1)
+        applies = [(getattr(pack, name), M)]
+        if hasattr(pack, name + "_T"):
+            applies.append((getattr(pack, name + "_T"), np.swapaxes(M, -1, -2)))
+        for apply, ref in applies:
+            want = np.einsum("...ij,...j->...i", ref, flat)
+            assert _rel(apply(x).reshape(flat.shape), want) <= 1e-13
+    assert hasattr(pack, "p12_prime_T") and hasattr(pack, "p21_T")
+
+
+def test_pack_projectors_are_idempotent(pack_and_dense):
+    pack, dense = pack_and_dense
+    for name, M in dense.items():
+        p = getattr(pack, name)
+        px = p(RNG.normal(size=(4, 4, 4, 3, M.shape[-1] // 3)))
+        assert _rel(p(px), px) <= 1e-12
+    x = RNG.normal(size=(4, 4, 4, 3, 6))
+    assert _rel(pack.p12(x) + pack.p12_prime(x), x) <= 1e-13
 
 
 def _svd_frame(e, sig):

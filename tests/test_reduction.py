@@ -94,6 +94,70 @@ def test_phi_closed_form_spectrum_matches_svd(signs):
     assert np.all(np.abs(got - ref).max(axis=-1) <= 1e-13 * ref[:, 0])
 
 
+def _metrics(signs, lam_range, n):
+    rot = np.linalg.qr(RNG.normal(size=(n, 3, 3)))[0]
+    lam = np.array(signs) * RNG.uniform(*lam_range, size=(n, 3))
+    return np.einsum("sac,sc,sbc->sab", rot, lam, rot)
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, 1, -1), (1, -1, -1)])
+def test_phi_frobenius_bound_closed_form(signs):
+    g = _metrics(signs, (0.3, 3.0), 200)
+    b, det = red._phi_frobenius_terms(g)
+    closed = np.sqrt(b) / np.abs(det)
+    phi = red.phi_matrix(g)
+    numeric = np.linalg.norm(phi, axis=(-2, -1)) * np.linalg.norm(np.linalg.inv(phi), axis=(-2, -1))
+    assert np.abs(closed / numeric - 1).max() <= 1e-8
+    sv = np.linalg.svd(phi, compute_uv=False)
+    cond2 = sv[:, 0] / sv[:, -1]
+    assert np.all(closed >= cond2) and np.all(closed <= 3.4 * cond2)
+
+
+def _coframes_with_metric(s, middle, n):
+    """n coframes with g = e eta e^T = Q diag(1, middle, s) Q^T (Lorentzian, s > 0)."""
+    legs = np.zeros((3, 4))
+    legs[0, 0], legs[2, 2] = 1.0, np.sqrt(s)
+    legs[1, 1 if middle > 0 else 3] = 1.0                    # u_4 is time-like
+    rot = np.linalg.qr(RNG.normal(size=(n, 3, 3)))[0]
+    return rot @ legs
+
+
+@pytest.mark.parametrize("middle", [1.0, -1.0])
+def test_phi_frame_refuses_exactly_as_the_spectrum(middle):
+    # cond(phi) ~ sqrt(2) / s for small s: sweep s across PHI_COND_LIMIT
+    limit_s = np.sqrt(2.0) / red.PHI_COND_LIMIT
+    refused = 0
+    for s in limit_s * 10.0 ** RNG.uniform(-0.3, 0.3, size=40):
+        e = _coframes_with_metric(s, middle, 8)
+        g = (e * LORENTZIAN.eta) @ np.swapaxes(e, -1, -2)
+        cond = red.phi_conditions(g)
+        if cond.max() > red.PHI_COND_LIMIT:
+            refused += 1
+            with pytest.raises(red.PhiSingularError) as info:
+                red.phi_frame(e, LORENTZIAN)
+            assert f"{wm.at_site(cond)}: cond(phi) = {cond.max():.3e}" in str(info.value)
+        else:
+            red.phi_frame(e, LORENTZIAN)
+    assert 5 <= refused <= 35
+
+
+def test_phi_screen_clears_well_conditioned_sites():
+    g = _metrics((1, 1, -1), (0.3, 3.0), 100)
+    assert red._phi_cleared(g).all()
+    g[3] = np.diag([1.0, 1.0, 0.0])
+    assert np.flatnonzero(~red._phi_cleared(g)).tolist() == [3]
+
+
+def test_solver_conditioning_is_the_full_spectrum_maximum(random_state):
+    st = random_state
+    e = st.e.data
+    g = (e * st.sig.eta) @ np.swapaxes(e, -1, -2)
+    sv = red.phi_singular_values(g)
+    cond = sv.max(axis=-1) / sv.min(axis=-1)
+    assert st.ot.solver_conditioning == float(cond.max())
+    assert red.phi_frame(e, st.sig).condition == float(cond.max())
+
+
 def test_phi_refuses_degenerate_metric():
     e = red.make_degenerate_coframe((1, 1, 0), LORENTZIAN)
     with pytest.raises(red.PhiSingularError):
