@@ -16,6 +16,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import ehdata as eh
 from .config import ALL_SUITES, ConfigError, load_config
 from .fiber import signature_from_name
@@ -109,24 +111,18 @@ def _cmd_reduce(args) -> int:
         import csv
 
         n = e.grid.n
+        # one row per site in i, j, k order: the site, then its row of the (n^3, 32)
+        # table; rows are streamed, so no Python float outlives its row
+        table = np.concatenate([t.reshape(n**3, -1) for t in (
+            data.g, data.K, data.Pi, data.R_scalar, data.H_density, data.M_density)], axis=1)
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["i", "j", "k"]
-                       + [f"g_{a}{b}" for a in range(3) for b in range(3)]
-                       + [f"K_{a}{b}" for a in range(3) for b in range(3)]
-                       + [f"Pi_{a}{b}" for a in range(3) for b in range(3)]
+                       + [f"{name}_{a}{b}" for name in ("g", "K", "Pi")
+                          for a in range(3) for b in range(3)]
                        + ["R_scalar", "H_density"]
                        + [f"M_{a}" for a in range(3)])
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        row = [i, j, k]
-                        row += list(data.g[i, j, k].reshape(-1))
-                        row += list(data.K[i, j, k].reshape(-1))
-                        row += list(data.Pi[i, j, k].reshape(-1))
-                        row += [data.R_scalar[i, j, k], data.H_density[i, j, k]]
-                        row += list(data.M_density[i, j, k])
-                        w.writerow(row)
+            w.writerows([*site, *row.tolist()] for site, row in zip(np.ndindex(n, n, n), table))
     print(f"reduced data written to {args.out}")
     return EXIT_OK
 

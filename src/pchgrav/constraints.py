@@ -51,7 +51,7 @@ from .grid import (
     tr_quad_field,
     wedge_fields,
 )
-from .reduction import K12HAT, K21HAT, OmegaTildeResult, omega_tilde
+from .reduction import OmegaTildeResult, omega_tilde
 from .wedgemaps import compound_matrix
 
 # ---------------------------------------------------------------------------
@@ -232,84 +232,12 @@ def make_on_shell(spec: TriadSpec, grid: Grid3, gamma: float, sig: Signature,
 
 
 # ---------------------------------------------------------------------------
-# per-site projector fields
-
-_P12_E = K12HAT @ K12HAT.T
-_Q12_E = np.eye(18) - _P12_E           # the template complement, for p12'
-_P21_E = K21HAT @ K21HAT.T
-#: in the e-adapted frame the coframe is (1 | 0) and the wedge maps are integer templates
-_W11_TEMPLATE = wedgemaps.wedge_matrix(np.eye(3, 4), (1, 1))
-_W12_TEMPLATE = wedgemaps.wedge_matrix(np.eye(3, 4), (1, 2))
-_U11 = np.linalg.svd(_W11_TEMPLATE)[0][:, :12]
-_P11DAG_E = _U11 @ _U11.T
-_W11_PINV_E = np.linalg.pinv(_W11_TEMPLATE)                          # (12, 18)
-#: template inverse of W^{(1,2)} onto the complement of its kernel, (1 - P12_E) W12_E^+
-_W12_PINV_E = _Q12_E @ np.linalg.pinv(_W12_TEMPLATE)                 # (18, 12)
-#: Lambda^3(P^-1)[I, J] = (-1)^(m(I) + m(J)) P[m(J), m(I)] / det P, with m(I) the
-#: index missing from the triple I; the triples are ordered so that m(I) = 3 - I,
-#: which makes the sign (-1)^(I + J)
-_L3_SIGNS = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
+# per-site fields
 
 
-def _conj(x: np.ndarray, A: np.ndarray, T: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """((x A) T) B for a leg array x (..., 3, d): the per-site A and B (..., d, d) act
-    on each leg (a row), the fixed template T (3d, 3d) on the flattened legs."""
-    y = (x @ A).reshape(x.shape[:-2] + (-1,)) @ T
-    return y.reshape(x.shape) @ B
-
-
-@dataclass
-class ProjectorPack:
-    """The wedge-map projectors at every site, applied in factored form.
-
-    Each projector is S T S^-1: a fixed e-frame template T between per-site
-    frame transforms S that act leg by leg, S12 = block3(Lambda^2 P) on
-    Omega^1(L^2) and Omega^2(L^2), S2v = block3(P) on Omega^2(V).  The apply
-    methods take a leg array x (..., 3, d), one leg per row, so S maps a leg
-    as x @ S^T.  The templates are orthogonal projectors, hence symmetric, and
-    the transposes S^-T T S^T that the adjoints need swap only the transforms.
-    """
-
-    frames: np.ndarray       # P = [e_1 e_2 e_3 e_n], e-frame -> u-frame on V
-    frames_inv: np.ndarray
-    frames_det: np.ndarray
-    L2P: np.ndarray          # Lambda^2 P, e-frame -> u-frame on Lambda^2 V
-    L2P_inv: np.ndarray      # Lambda^2(P^-1) = (Lambda^2 P)^-1
-    phi: np.ndarray          # (..., 6, 6)
-
-    def __post_init__(self):
-        # contiguous transposes: a strided operand slows the batched matmuls
-        self.frames_T, self.frames_inv_T, self.L2P_T, self.L2P_inv_T = (
-            np.ascontiguousarray(np.swapaxes(M, -1, -2))
-            for M in (self.frames, self.frames_inv, self.L2P, self.L2P_inv))
-
-    def p12(self, x: np.ndarray) -> np.ndarray:
-        """Kernel projector on Omega^1(L^2), the domain of W^{(1,2)}."""
-        return _conj(x, self.L2P_inv_T, _P12_E, self.L2P_T)
-
-    def p12_prime(self, x: np.ndarray) -> np.ndarray:
-        """The complement 1 - p12, through the template complement."""
-        return _conj(x, self.L2P_inv_T, _Q12_E, self.L2P_T)
-
-    def p12_prime_T(self, x: np.ndarray) -> np.ndarray:
-        return _conj(x, self.L2P, _Q12_E, self.L2P_inv)
-
-    def p11_dag(self, x: np.ndarray) -> np.ndarray:
-        """Projector onto im W^{(1,1)} in Omega^2(L^2)."""
-        return _conj(x, self.L2P_inv_T, _P11DAG_E, self.L2P_T)
-
-    def p21(self, x: np.ndarray) -> np.ndarray:
-        """Kernel projector on Omega^2(V), the domain of W^{(2,1)}."""
-        return _conj(x, self.frames_inv_T, _P21_E, self.frames_T)
-
-    def p21_T(self, x: np.ndarray) -> np.ndarray:
-        return _conj(x, self.frames, _P21_E, self.frames_inv)
-
-
-def projector_pack(e: Coframe) -> ProjectorPack:
-    pf = reduction.phi_frame(e.data, e.sig)
-    return ProjectorPack(pf.frames, pf.frames_inv, pf.frames_det, pf.L2P,
-                         compound_matrix(pf.frames_inv, 2), pf.phi)
+def projector_pack(e: Coframe) -> reduction.PhiFrame:
+    """The e-adapted frame of a coframe: its projectors, kernel chain and wedge solves."""
+    return reduction.phi_frame(e.data, e.sig)
 
 
 def _flat(f: FormField) -> np.ndarray:
@@ -339,14 +267,12 @@ def act_field(alpha: FormField, f: FormField, sig: Signature) -> FormField:
 # constrained-variation maps A, B and their adjoints
 
 
-def kernel_coords_21(x: np.ndarray, pack: ProjectorPack) -> np.ndarray:
-    """Coordinates of the (2,1)-kernel projection of Omega^2(V) legs x (..., 3, 4)
-    in the orthonormal template."""
-    x_e = x @ pack.frames_inv_T
-    return x_e.reshape(x_e.shape[:-2] + (12,)) @ K21HAT
+def _p21_torsion(state: BoundaryState, pack: reduction.PhiFrame) -> FormField:
+    """p21 d_omega e, built once per state; pack is the frame of state.e."""
+    return state._once("p21 torsion", lambda: _apply_sitewise(pack.p21, torsion(state)))
 
 
-def _frame_velocity(de: np.ndarray, pack: ProjectorPack, sig: Signature) -> np.ndarray:
+def _frame_velocity(de: np.ndarray, pack: reduction.PhiFrame, sig: Signature) -> np.ndarray:
     """dP P^-1 for the frame P = [e^T | n] moving along de: dP = [de^T | dn] with
     eta(e_a, dn) = -eta(de_a, n) =: r_a and eta(n, dn) = 0, i.e. dn = eta P^-T r."""
     r = -np.einsum("...ai,i,...i->...a", de, sig.eta, pack.frames[..., :, 3])
@@ -355,28 +281,30 @@ def _frame_velocity(de: np.ndarray, pack: ProjectorPack, sig: Signature) -> np.n
     return dP @ pack.frames_inv
 
 
-def a_map(state: BoundaryState, de: FormField, pack: ProjectorPack) -> np.ndarray:
+def a_map(state: BoundaryState, de: FormField, pack: reduction.PhiFrame) -> np.ndarray:
     """A(de) in kernel coordinates:  phi A(de) = -p[(d_e p)(d_w e) + p d_w de].
 
     The projector derivative is exact: d_e p21 = [X, p21] with
     X = block3(dP P^-1) the velocity of the e-adapted frame along de, applied
-    to the torsion d as X(p21 d) - p21(X d).
+    to the torsion d as X(p21 d) - p21(X d).  The outer p21 is left to the
+    kernel chain, whose projection absorbs it (K21^T P21_E = K21^T).
     """
     Xt = np.swapaxes(_frame_velocity(de.data, pack, state.sig), -1, -2)
     d = torsion(state).data
-    rhs = pack.p21(d) @ Xt + pack.p21(cov_deriv(de, state.omega, state.sig).data - d @ Xt)
-    return -np.linalg.solve(pack.phi, kernel_coords_21(rhs, pack)[..., None])[..., 0]
+    rhs = _p21_torsion(state, pack).data @ Xt + (cov_deriv(de, state.omega, state.sig).data
+                                                 - d @ Xt)
+    return pack.kernel_correction(rhs)
 
 
-def b_map(state: BoundaryState, c: FormField, pack: ProjectorPack) -> np.ndarray:
+def b_map(state: BoundaryState, c: FormField, pack: reduction.PhiFrame) -> np.ndarray:
     """B(c) = -phi^{-1} p [c, e] in kernel coordinates, pointwise."""
-    z = kernel_coords_21(reduction.bracket_with_e(c, state.e).data, pack)
-    return -np.linalg.solve(pack.phi, z[..., None])[..., 0]
+    return pack.kernel_correction(reduction.bracket_with_e(c, state.e).data)
 
 
-def kernel_field_from_coords(coords: np.ndarray, pack: ProjectorPack, grid: Grid3) -> FormField:
-    v_e = (coords @ K12HAT.T).reshape(coords.shape[:-1] + (3, 6))
-    return FormField(grid, 1, 2, v_e @ pack.L2P_T)
+def kernel_field_from_coords(coords: np.ndarray, pack: reduction.PhiFrame,
+                             grid: Grid3) -> FormField:
+    """The kernel-valued field of kernel coordinates (..., 6), through the frame."""
+    return pack.kernel_field(coords, grid)
 
 
 def _pairing_gram_22_12(gamma: float, sig: Signature) -> np.ndarray:
@@ -416,33 +344,31 @@ def _pairing_gram_inv_22_12(gamma: float, sig: Signature) -> np.ndarray:
     return inv
 
 
-def _kernel_covector(state: BoundaryState, Q: FormField, pack: ProjectorPack):
+def kernel_covector(state: BoundaryState, Q: FormField, pack: reduction.PhiFrame):
     """The covector w on Omega^2(V) that Q pulls back through the kernel chain, and p21^T w.
 
     Both adjoints pair Q with S12 K12 lam, lam = -phi^-1 K21^T S2v^-1 (.), under
-    the twisted pairing: w = S2v^-T K21 lam* with lam* = -phi^-T K12^T S12^T (Q PB),
-    as legs (..., 3, 4).
+    the twisted pairing: w is the transposed chain applied to Q PB, as legs
+    (..., 3, 4).  `a_dagger` and `b_dagger` take the pair (w, p21^T w).
     """
     PB = _pairing_gram_22_12(state.gamma, state.sig)
-    v = (_flat(Q) @ PB).reshape(Q.data.shape) @ pack.L2P
-    qK = v.reshape(v.shape[:-2] + (18,)) @ K12HAT
-    lam = -np.linalg.solve(np.swapaxes(pack.phi, -1, -2), qK[..., None])[..., 0]
-    w = (lam @ K21HAT.T).reshape(lam.shape[:-1] + (3, 4)) @ pack.frames_inv
+    w = pack.kernel_correction_T((_flat(Q) @ PB).reshape(Q.data.shape))
     return w, pack.p21_T(w)
 
 
-def b_dagger(state: BoundaryState, Q: FormField, pack: ProjectorPack) -> FormField:
-    """Adjoint of B o p' under the twisted pairing; lands in im W^{(1,1)}.
+def b_dagger(state: BoundaryState, cov, pack: reduction.PhiFrame) -> FormField:
+    """Adjoint of B o p' under the twisted pairing, applied to the `kernel_covector`
+    pair cov of Q; lands in im W^{(1,1)}.
 
     (B o p')^T on the covector of Q: the kernel chain back to Omega^2(V), the
     transpose of [., e] and p12'^T.  DegeneratePairingError where the pairing
     is degenerate (T_gamma singular or nearly so).
     """
     PB_invT = _pairing_gram_inv_22_12(state.gamma, state.sig)
-    _, wp = _kernel_covector(state, Q, pack)
+    _, wp = cov
     BT = fiber.product_tensor(1, 1, 2, 1, state.sig).transpose(1, 2, 0)   # [., e]^T
     y = fiber.bilinear(BT, _flat(state.e.field), wp.reshape(wp.shape[:-2] + (12,)))
-    rhs = pack.p12_prime_T(y.reshape(Q.data.shape))
+    rhs = pack.p12_prime_T(y.reshape(wp.shape[:-1] + (6,)))
     return _unflat(rhs.reshape(y.shape) @ PB_invT.T, state.grid, 2, 2)
 
 
@@ -463,21 +389,22 @@ def _cov_deriv_transpose(Y: FormField, omega: FormField, sig: Signature) -> Form
     return out
 
 
-def a_dagger(state: BoundaryState, Q: FormField, pack: ProjectorPack) -> FormField:
-    """Adjoint of A under the twisted pairing, as an Omega^2(L^3)-valued field.
+def a_dagger(state: BoundaryState, cov, pack: reduction.PhiFrame) -> FormField:
+    """Adjoint of A under the twisted pairing, applied to the `kernel_covector` pair
+    cov of Q, as an Omega^2(L^3)-valued field.
 
     <A+ Q, de>_Tr = <Q, A(de)>_T^ for all de; the pointwise part transposes
     sitewise (the exact projector derivative contracted analytically against
     the kernel covector and the torsion) and the d_omega part through the
     discrete transpose of the covariant derivative.
     """
-    w, wp = _kernel_covector(state, Q, pack)
+    w, wp = cov
 
     # pointwise part: w . [X, p21] d = <dP, H> with H = G P^-T and
     # G_ij = sum_c (w_ci (p21 d)_cj - (p21^T w)_ci d_cj); the dn column of dP
     # is eliminated through dn = eta P^-T r
     d = torsion(state).data
-    G = (np.einsum("...ci,...cj->...ij", w, pack.p21(d))
+    G = (np.einsum("...ci,...cj->...ij", w, _p21_torsion(state, pack).data)
          - np.einsum("...ci,...cj->...ij", wp, d))
     H = G @ pack.frames_inv_T
     g = np.einsum("...ai,...i->...a", pack.frames_inv[..., :3, :], state.sig.eta * H[..., :, 3])
@@ -503,33 +430,8 @@ class TangentVector:
     wedge_residuals: dict | None = None
 
 
-def _solve_complement_12(rhs: FormField, state: BoundaryState, pack: ProjectorPack) -> FormField:
-    """Complement-valued X with X ^ e = rhs (surjective shape (1,2)).
-
-    W_e^{(1,2)} = block3(Lambda^3 P) W12_E S12^-1, so the complement-valued
-    solution is S12 (1 - P12_E) W12_E^+ block3(Lambda^3 P^-1) rhs: a fixed
-    template inverse between the frame transforms of the pack.
-    """
-    P = pack.frames
-    L3P_inv = _L3_SIGNS * np.swapaxes(P, -1, -2)[..., ::-1, ::-1]
-    L3P_inv /= pack.frames_det[..., None, None]
-    r_e = np.einsum("...IJ,...cJ->...cI", L3P_inv, rhs.data)
-    x_e = r_e.reshape(r_e.shape[:-2] + (12,)) @ _W12_PINV_E.T
-    return FormField(state.grid, 1, 2, x_e.reshape(x_e.shape[:-1] + (3, 6)) @ pack.L2P_T)
-
-
-def _solve_w11(rhs: FormField, state: BoundaryState, pack: ProjectorPack) -> FormField:
-    """X with X ^ e = rhs for the injective shape (1,1), rhs in im W^{(1,1)}.
-
-    W_e^{(1,1)} = S12 W11_E block3(P^-1), so X = block3(P) W11_E^+ S12^-1 rhs,
-    the exact solution for a right-hand side in the image of the wedge map.
-    """
-    y = (rhs.data @ pack.L2P_inv_T).reshape(rhs.data.shape[:-2] + (18,)) @ _W11_PINV_E.T
-    return FormField(state.grid, 1, 1, y.reshape(y.shape[:-1] + (3, 4)) @ pack.frames_T)
-
-
 def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormField,
-                             pack: ProjectorPack | None = None) -> TangentVector:
+                             pack: reduction.PhiFrame | None = None) -> TangentVector:
     """Hamiltonian vector field of L_alpha or J_mu on the structural slice.
 
     For J the adjoint-map corrections vanish on shell; they are assembled
@@ -553,21 +455,21 @@ def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormFiel
             rhs_w12 = rhs_w12 + 3.0 * state.Lambda * wedge_fields(mu, state.ee)
         rhs_e = wedge_fields(dmu, state.e.field) * (-1.0)
         if not state.on_shell:
-            d = torsion(state)
-            ppd = d - _apply_sitewise(pack.p21, d)
-            Q = wedge_fields(mu, ppd)
-            rhs_e = rhs_e + _apply_sitewise(pack.p11_dag, Q) + b_dagger(state, Q, pack)
-            rhs_w12 = rhs_w12 + a_dagger(state, Q, pack)
-        X_e = _solve_w11(rhs_e, state, pack)
+            Q = wedge_fields(mu, torsion(state) - _p21_torsion(state, pack))
+            cov = kernel_covector(state, Q, pack)
+            rhs_e = rhs_e + _apply_sitewise(pack.p11_dag, Q) + b_dagger(state, cov, pack)
+            rhs_w12 = rhs_w12 + a_dagger(state, cov, pack)
+            del Q, cov      # freed here: the solves and wedge residuals below set the peak
+        X_e = pack.solve_w11(rhs_e)
         # e ^ p'X_omega = rhs_w12  <=>  (p'X_omega) ^ e = -rhs_w12
-        Xw_c = _solve_complement_12(rhs_w12 * (-1.0), state, pack)
+        Xw_c = pack.solve_complement_12(rhs_w12 * (-1.0))
         rhs_w = rhs_w12
         wedge_res["X_e"] = _rel_wedge_residual(X_e, rhs_e, state, (1, 1))
     else:
         raise ValueError("kind must be 'L' or 'J'")
 
     coords = a_map(state, X_e, pack) + b_map(state, Xw_c, pack)
-    Xw_k = kernel_field_from_coords(coords, pack, state.grid)
+    Xw_k = pack.kernel_field(coords, state.grid)
     X_omega = Xw_c + Xw_k
     wedge_res["X_omega"] = _rel_wedge_residual(X_omega, rhs_w * (-1.0), state, (1, 2))
 
@@ -589,33 +491,13 @@ def _rel_wedge_residual(X: FormField, rhs: FormField, state: BoundaryState, shap
 
 
 def psi_alpha(state: BoundaryState, alpha: FormField,
-              pack: ProjectorPack | None = None) -> FormField:
+              pack: reduction.PhiFrame | None = None) -> FormField:
     """psi_alpha = p (L^alpha)_omega + p d_omega alpha; vanishes on shell."""
     if pack is None:
         pack = projector_pack(state.e)
     X = hamiltonian_vector_field(state, "L", alpha, pack)
     dal = cov_deriv(alpha, state.omega, state.sig)
     return _apply_sitewise(pack.p12, X.domega + dal)
-
-
-def h_alpha_mu(state: BoundaryState, alpha: FormField, mu: FormField,
-               pack: ProjectorPack | None = None) -> FormField:
-    """Diagnostic H-smearing from e ^ H = -p+(psi_alpha ^ mu), least squares."""
-    if pack is None:
-        pack = projector_pack(state.e)
-    psi = psi_alpha(state, alpha, pack)
-    pm = wedge_fields(mu, psi) * (-1.0)     # Omega^1(L^3 V); mu ^ psi = psi ^ mu
-    # project onto im W^{(0,2)} and invert wedge-with-e there
-    M02 = wedgemaps.wedge_matrix(state.e.data, (0, 2))
-    x = np.einsum("...ij,...j->...i", np.linalg.pinv(M02), _flat(pm))
-    return _unflat(x, state.grid, 0, 2)
-
-
-def z_mu(state: BoundaryState, mu: FormField, pack: ProjectorPack | None = None) -> FormField:
-    """Auxiliary Z with p Z = 0 and e ^ Z = mu F_omega, least squares."""
-    if pack is None:
-        pack = projector_pack(state.e)
-    return _solve_complement_12(wedge_fields(mu, state.F) * (-1.0), state, pack)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +555,8 @@ def poisson_bracket(state: BoundaryState, f_kind: str, f_smear: FormField,
 
 
 def symplectic_form(state: BoundaryState, X, Y) -> float:
-    """Boundary symplectic pairing of two tangent vectors.
+    """Boundary symplectic pairing of two tangent vectors at a state with a coframe e and
+    gamma (a boundary or a half-shell state).
 
     Signs are fixed so that iota_{X_F} varpi = dF holds for the Hamiltonian
     vector fields built by `hamiltonian_vector_field`, which in turn makes

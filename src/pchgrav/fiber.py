@@ -124,53 +124,6 @@ def signature_from_name(name: str) -> Signature:
         raise ValueError(f"unknown signature {name!r}") from None
 
 
-# ---------------------------------------------------------------------------
-# graded elements (thin wrapper; the array functions below do the real work)
-
-
-@dataclass(frozen=True)
-class GradedElement:
-    """An element of Lambda^k V with exact component storage."""
-
-    grade: int
-    comps: np.ndarray
-
-    def __post_init__(self):
-        if self.grade not in GRADE_DIMS:
-            raise ValueError("grade must be 0..4")
-        c = np.asarray(self.comps)
-        if c.shape[-1] != GRADE_DIMS[self.grade]:
-            raise ValueError(
-                f"grade {self.grade} needs {GRADE_DIMS[self.grade]} components"
-            )
-        object.__setattr__(self, "comps", c)
-
-    def wedge(self, other: "GradedElement") -> "GradedElement":
-        return wedge(self, other)
-
-
-def basis_vector(i: int, dtype=float) -> GradedElement:
-    c = np.zeros(4, dtype=dtype)
-    c[i] = 1
-    return GradedElement(1, c)
-
-
-def basis_bivector(i: int, j: int, dtype=float) -> GradedElement:
-    c = np.zeros(6, dtype=dtype)
-    if i < j:
-        c[PAIR_INDEX[(i, j)]] = 1
-    else:
-        c[PAIR_INDEX[(j, i)]] = -1
-    return GradedElement(2, c)
-
-
-def wedge(x: GradedElement, y: GradedElement) -> GradedElement:
-    """Exterior product; graded-anticommutative, errors above top grade."""
-    if x.grade + y.grade > 4:
-        raise ValueError("grade exceeds 4")
-    return GradedElement(x.grade + y.grade, wedge_comps(x.grade, y.grade, x.comps, y.comps))
-
-
 def wedge_comps(k: int, m: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Component-level wedge, broadcasting over leading axes."""
     if k + m > 4:

@@ -112,19 +112,6 @@ def symplectic_form_hs(X, Y) -> float:
     return pairing_hs(dt_x, de_y) - pairing_hs(dt_y, de_x)
 
 
-def symplectic_form_pch(state_e: Coframe, gamma: float, X, Y) -> float:
-    """-int T^_gamma[e ^ de ^ domega] pairing on the plain boundary chart."""
-    de_x, dw_x = X
-    de_y, dw_y = Y
-
-    def term(a_e, b_w):
-        ex = wedge_fields(state_e.field, a_e)
-        tex = t_gamma_field(ex, gamma, state_e.sig)
-        return integrate(tr_quad_field(wedge_fields(tex, b_w)))
-
-    return -(term(de_x, dw_y) - term(de_y, dw_x))
-
-
 # ---------------------------------------------------------------------------
 # locus diagnosis on a tiny grid
 

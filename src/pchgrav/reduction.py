@@ -9,7 +9,9 @@ produces the structural representative omega~ = omega + v satisfying
 p d_omega~ e = 0.  The per-site solve goes through the isomorphism
 phi_e = p_{(2,1)} o [.,e] restricted to ker W_e^{(1,2)}, assembled here in the
 e-adapted frame where it is an explicit 6x6 matrix depending only on the
-boundary metric.
+boundary metric.  `PhiFrame` is the one per-site object of that frame: the
+projectors, this kernel chain and the template wedge solves that the
+Hamiltonian vector fields of `constraints` use too.
 
 The same frame algebra drives the kernel-intersection dimension counting
 K = ker([.,e]) cap ker(W_e^{(1,2)}) at exactly constructed (possibly
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import exactla, fiber, wedgemaps
 from .fiber import Signature
-from .grid import Coframe, FormField, action_wedge, cov_deriv
+from .grid import Coframe, FormField, Grid3, action_wedge, cov_deriv
 from .wedgemaps import KERNEL_TEMPLATES, complete_frame, compound_matrix
 
 # ---------------------------------------------------------------------------
@@ -134,11 +136,53 @@ class PhiSingularError(wedgemaps.ConditioningError, RuntimeError):
     """phi_e is singular or worse conditioned than PHI_COND_LIMIT at some site."""
 
 
+# e-frame templates: in the e-adapted frame the coframe is (1 | 0), the wedge maps
+# are integer templates and every projector is a fixed orthogonal projector
+
+_P12_E = K12HAT @ K12HAT.T
+_Q12_E = np.eye(18) - _P12_E           # the template complement, for p12'
+_P21_E = K21HAT @ K21HAT.T
+_W11_TEMPLATE = wedgemaps.wedge_matrix(np.eye(3, 4), (1, 1))
+_W12_TEMPLATE = wedgemaps.wedge_matrix(np.eye(3, 4), (1, 2))
+_U11 = np.linalg.svd(_W11_TEMPLATE)[0][:, :12]
+_P11DAG_E = _U11 @ _U11.T
+_W11_PINV_E = np.linalg.pinv(_W11_TEMPLATE)                          # (12, 18)
+#: template inverse of W^{(1,2)} onto the complement of its kernel, (1 - P12_E) W12_E^+
+_W12_PINV_E = _Q12_E @ np.linalg.pinv(_W12_TEMPLATE)                 # (18, 12)
+#: Lambda^3(P^-1)[I, J] = (-1)^(m(I) + m(J)) P[m(J), m(I)] / det P, with m(I) the
+#: index missing from the triple I; the triples are ordered so that m(I) = 3 - I,
+#: which makes the sign (-1)^(I + J)
+_L3_SIGNS = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
+
+
+def _conj(x: np.ndarray, A: np.ndarray, T: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """((x A) T) B for a leg array x (..., 3, d): the per-site A and B (..., d, d) act
+    on each leg (a row), the fixed template T (3d, 3d) on the flattened legs."""
+    y = (x @ A).reshape(x.shape[:-2] + (-1,)) @ T
+    return y.reshape(x.shape) @ B
+
+
+def _transpose(M: np.ndarray) -> np.ndarray:
+    # contiguous: a strided operand slows the batched matmuls
+    return np.ascontiguousarray(np.swapaxes(M, -1, -2))
+
+
 @dataclass
 class PhiFrame:
-    """The e-adapted frame set-up of the phi_e solve, at every site."""
+    """The e-adapted frame at every site: its transforms, projectors, kernel chain and
+    template wedge solves.
 
-    frames: np.ndarray       # P = [e_1 e_2 e_3 e_n], (..., 4, 4)
+    Each projector is S T S^-1: a fixed e-frame template T between per-site
+    frame transforms S that act leg by leg, S12 = block3(Lambda^2 P) on
+    Omega^1(L^2) and Omega^2(L^2), S2v = block3(P) on Omega^2(V).  The apply
+    methods take a leg array x (..., 3, d), one leg per row, so S maps a leg
+    as x @ S^T.  The templates are orthogonal projectors, hence symmetric, and
+    the transposes S^-T T S^T that the adjoints need swap only the transforms.
+    Lambda^2(P^-1) and the contiguous transposes are built on first use, so
+    the omega~ solve pays for none of them.
+    """
+
+    frames: np.ndarray       # P = [e_1 e_2 e_3 e_n], e-frame -> u-frame on V, (..., 4, 4)
     frames_inv: np.ndarray   # P^-1
     frames_det: np.ndarray   # det P = sqrt|det g| > 0
     L2P: np.ndarray          # Lambda^2 P, e-frame -> u-frame on bivector components
@@ -146,9 +190,99 @@ class PhiFrame:
     g: np.ndarray            # (..., 3, 3) boundary metric
 
     @functools.cached_property
-    def condition(self) -> float:
-        """Worst cond(phi_e) over the sites, from the full spectrum, on first read."""
-        return float(phi_conditions(self.g).max())
+    def L2P_inv(self) -> np.ndarray:
+        """Lambda^2(P^-1) = (Lambda^2 P)^-1."""
+        return compound_matrix(self.frames_inv, 2)
+
+    @functools.cached_property
+    def frames_T(self) -> np.ndarray:
+        return _transpose(self.frames)
+
+    @functools.cached_property
+    def frames_inv_T(self) -> np.ndarray:
+        return _transpose(self.frames_inv)
+
+    @functools.cached_property
+    def L2P_T(self) -> np.ndarray:
+        return _transpose(self.L2P)
+
+    @functools.cached_property
+    def L2P_inv_T(self) -> np.ndarray:
+        return _transpose(self.L2P_inv)
+
+    # -- projectors
+
+    def p12(self, x: np.ndarray) -> np.ndarray:
+        """Kernel projector on Omega^1(L^2), the domain of W^{(1,2)}."""
+        return _conj(x, self.L2P_inv_T, _P12_E, self.L2P_T)
+
+    def p12_prime(self, x: np.ndarray) -> np.ndarray:
+        """The complement 1 - p12, through the template complement."""
+        return _conj(x, self.L2P_inv_T, _Q12_E, self.L2P_T)
+
+    def p12_prime_T(self, x: np.ndarray) -> np.ndarray:
+        return _conj(x, self.L2P, _Q12_E, self.L2P_inv)
+
+    def p11_dag(self, x: np.ndarray) -> np.ndarray:
+        """Projector onto im W^{(1,1)} in Omega^2(L^2)."""
+        return _conj(x, self.L2P_inv_T, _P11DAG_E, self.L2P_T)
+
+    def p21(self, x: np.ndarray) -> np.ndarray:
+        """Kernel projector on Omega^2(V), the domain of W^{(2,1)}."""
+        return _conj(x, self.frames_inv_T, _P21_E, self.frames_T)
+
+    def p21_T(self, x: np.ndarray) -> np.ndarray:
+        return _conj(x, self.frames, _P21_E, self.frames_inv)
+
+    # -- kernel chain: Omega^2(V) --K21^T S2v^-1--> R^6 --(-phi^-1)--> R^6 --S12 K12--> ker W^{(1,2)}
+
+    def kernel_coords(self, x: np.ndarray) -> np.ndarray:
+        """p x for Omega^2(V) legs x (..., 3, 4), in the orthonormal (2,1)-kernel
+        template coordinates (..., 6)."""
+        x_e = x @ np.swapaxes(self.frames_inv, -1, -2)
+        return x_e.reshape(x_e.shape[:-2] + (12,)) @ K21HAT
+
+    def kernel_correction(self, x: np.ndarray) -> np.ndarray:
+        """Kernel coordinates (..., 6) of the kernel-valued v with p[v, e] = -p x,
+        for Omega^2(V) legs x (..., 3, 4)."""
+        return -np.linalg.solve(self.phi, self.kernel_coords(x)[..., None])[..., 0]
+
+    def kernel_correction_T(self, y: np.ndarray) -> np.ndarray:
+        """The transpose of `kernel_field` o `kernel_correction`: Omega^1(L^2) legs
+        y (..., 3, 6) to Omega^2(V) legs S2v^-T K21 (-phi^-T) K12^T S12^T y (..., 3, 4)."""
+        v = y @ self.L2P
+        lam = -np.linalg.solve(np.swapaxes(self.phi, -1, -2),
+                               (v.reshape(v.shape[:-2] + (18,)) @ K12HAT)[..., None])[..., 0]
+        return (lam @ K21HAT.T).reshape(lam.shape[:-1] + (3, 4)) @ self.frames_inv
+
+    def kernel_field(self, coords: np.ndarray, grid: Grid3) -> FormField:
+        """The kernel-valued field S12 K12 coords of kernel coordinates (..., 6)."""
+        v_e = (coords @ K12HAT.T).reshape(coords.shape[:-1] + (3, 6))
+        return FormField(grid, 1, 2, v_e @ np.swapaxes(self.L2P, -1, -2))
+
+    # -- template wedge solves
+
+    def solve_w11(self, rhs: FormField) -> FormField:
+        """X with X ^ e = rhs for the injective shape (1,1), rhs in im W^{(1,1)}.
+
+        W_e^{(1,1)} = S12 W11_E block3(P^-1), so X = block3(P) W11_E^+ S12^-1 rhs,
+        the exact solution for a right-hand side in the image of the wedge map.
+        """
+        y = (rhs.data @ self.L2P_inv_T).reshape(rhs.data.shape[:-2] + (18,)) @ _W11_PINV_E.T
+        return FormField(rhs.grid, 1, 1, y.reshape(y.shape[:-1] + (3, 4)) @ self.frames_T)
+
+    def solve_complement_12(self, rhs: FormField) -> FormField:
+        """Complement-valued X with X ^ e = rhs (surjective shape (1,2)).
+
+        W_e^{(1,2)} = block3(Lambda^3 P) W12_E S12^-1, so the complement-valued
+        solution is S12 (1 - P12_E) W12_E^+ block3(Lambda^3 P^-1) rhs: a fixed
+        template inverse between the frame transforms.
+        """
+        L3P_inv = _L3_SIGNS * np.swapaxes(self.frames, -1, -2)[..., ::-1, ::-1]
+        L3P_inv /= self.frames_det[..., None, None]
+        r_e = np.einsum("...IJ,...cJ->...cI", L3P_inv, rhs.data)
+        x_e = r_e.reshape(r_e.shape[:-2] + (12,)) @ _W12_PINV_E.T
+        return FormField(rhs.grid, 1, 2, x_e.reshape(x_e.shape[:-1] + (3, 6)) @ self.L2P_T)
 
 
 def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
@@ -182,12 +316,6 @@ def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
                     phi_matrix(g), g)
 
 
-def phi_e(e: np.ndarray, sig: Signature):
-    """Matrix of phi_e at every site of e (..., 3, 4) and its worst condition number."""
-    pf = phi_frame(e, sig)
-    return pf.phi, pf.condition
-
-
 # ---------------------------------------------------------------------------
 # omega~
 
@@ -205,18 +333,6 @@ class OmegaTildeResult:
         return float(phi_conditions(self.g).max())
 
 
-def _kernel_coords_21(e: Coframe, omega: FormField, Pinv: np.ndarray) -> np.ndarray:
-    """p(d_omega e) in the orthonormal (2,1)-kernel template coordinates, (..., 6)."""
-    d = cov_deriv(e.field, omega, e.sig).data
-    d_e = d @ np.swapaxes(Pinv, -1, -2)
-    return d_e.reshape(d_e.shape[:-2] + (12,)) @ K21HAT
-
-
-def structural_projection_norm(e: Coframe, omega: FormField) -> float:
-    """sup norm of p(d_omega e) in the orthonormal kernel-template coordinates."""
-    return float(np.abs(_kernel_coords_21(e, omega, phi_frame(e.data, e.sig).frames_inv)).max())
-
-
 def omega_tilde(e: Coframe, omega: FormField) -> OmegaTildeResult:
     """Unique structural representative omega~ = omega + v~ with p d_omega~ e = 0.
 
@@ -224,14 +340,10 @@ def omega_tilde(e: Coframe, omega: FormField) -> OmegaTildeResult:
     kernel-valued field leaves omega~ unchanged.
     """
     pf = phi_frame(e.data, e.sig)
-    z = _kernel_coords_21(e, omega, pf.frames_inv)
-    coeff = -np.linalg.solve(pf.phi, z[..., None])[..., 0]
-    v_e = coeff @ K12HAT.T                          # (..., 18)
-    v_e = v_e.reshape(v_e.shape[:-1] + (3, 6))
-    v_u = v_e @ np.swapaxes(pf.L2P, -1, -2)
-    v_field = FormField(e.grid, 1, 2, v_u)
+    v_field = pf.kernel_field(pf.kernel_correction(cov_deriv(e.field, omega, e.sig).data),
+                              e.grid)
     om_t = omega + v_field
-    res = float(np.abs(_kernel_coords_21(e, om_t, pf.frames_inv)).max())
+    res = float(np.abs(pf.kernel_coords(cov_deriv(e.field, om_t, e.sig).data)).max())
     return OmegaTildeResult(v_field, om_t, res, pf.g)
 
 

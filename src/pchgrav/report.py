@@ -94,8 +94,3 @@ def write_report(report: ConstraintReport, path, fmt: str = "json"):
                 writer.writerow(d)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-
-
-def load_report(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

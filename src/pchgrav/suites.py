@@ -447,7 +447,7 @@ def run_reduction(cfg: RunConfig) -> list:
         min_det = min(min_det, abs(np.linalg.det(red.phi_matrix(g))))
     refused = False
     try:
-        red.phi_e(red.make_degenerate_coframe((1, 1, 0), LORENTZIAN), LORENTZIAN)
+        red.phi_frame(red.make_degenerate_coframe((1, 1, 0), LORENTZIAN), LORENTZIAN)
     except wm.ConditioningError:
         refused = True
     s.check("phi-isomorphism", "phi = p o [.,e] on the kernel is an isomorphism",
@@ -899,7 +899,9 @@ def run_halfshell(cfg: RunConfig) -> list:
                     + wedge_fields(Tom, de))
 
         lhs = hs.symplectic_form_hs((dt(de1, dw1), de1), (dt(de2, dw2), de2))
-        rhs = hs.symplectic_form_pch(st.e, gamma, (de1, dw1), (de2, dw2))
+        # varpi_HS pulls back to -varpi of the plain boundary chart
+        rhs = -cst.symplectic_form(st, cst.TangentVector(de1, dw1, "probe"),
+                                   cst.TangentVector(de2, dw2, "probe"))
         worst_pair = max(worst_pair, abs(lhs - rhs))
     tol = cfg.tol("pairing_match")
     s.check("pairing-pullback", "pulled-back symplectic pairings agree",

@@ -29,9 +29,6 @@ from .grid import COMP_BASIS, NCOMP
 
 SHAPES = ((1, 1), (1, 2), (2, 1))
 
-#: domain/codomain coefficient dimensions per shape
-SHAPE_DIMS = {(1, 1): (12, 18), (1, 2): (18, 12), (2, 1): (12, 6)}
-
 
 class ConditioningError(Exception):
     """A numerical-conditioning failure: the input is too close to degenerate.

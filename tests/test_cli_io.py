@@ -11,7 +11,7 @@ import pytest
 
 from pchgrav import cli
 from pchgrav.config import ConfigError, load_config, validate_config
-from pchgrav.report import load_report, write_report
+from pchgrav.report import write_report
 from pchgrav.suites import run_suites
 
 
@@ -105,7 +105,7 @@ def test_report_roundtrip_and_csv(tmp_path):
     rep = run_suites(cfg)
     jpath = tmp_path / "report with spaces.json"
     write_report(rep, jpath, "json")
-    assert load_report(jpath) == rep.as_dict()
+    assert json.loads(jpath.read_text()) == rep.as_dict()
     cpath = tmp_path / "report.csv"
     write_report(rep, cpath, "csv")
     lines = cpath.read_text().splitlines()
@@ -134,7 +134,7 @@ def test_report_meta_records_the_run(tmp_path, monkeypatch):
     cfgp = write_cfg(tmp_path, {"suites": ["algebra"], "seed": 1})
     out = tmp_path / "rep.json"
     assert cli.main(["verify", "--config", str(cfgp), "--out", str(out), "--threads", "2"]) == 0
-    meta = load_report(out)["meta"]
+    meta = json.loads(out.read_text())["meta"]
     assert meta["pchgrav"] == pchgrav.__version__
     assert meta["threads"] == 2
     assert meta["thread_env"]["OMP_NUM_THREADS"] == "1"
@@ -148,7 +148,7 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     out = tmp_path / "rep.json"
     code = cli.main(["verify", "--config", str(cfgp), "--out", str(out)])
     assert code == 0
-    assert load_report(out)["all_passed"]
+    assert json.loads(out.read_text())["all_passed"]
     captured = capsys.readouterr()
     assert "[PASS] algebra/twist-determinants" in captured.out
 
@@ -270,6 +270,39 @@ def test_cli_field_pipeline(tmp_path):
     assert cli.main(["reduce", "--coframe", str(epath), "--connection", str(opath),
                      "--out", str(rcsv), "--format", "csv"]) == 0
     assert len(rcsv.read_text().splitlines()) == 4**3 + 1
+
+
+def test_reduce_csv_is_the_json_tables(tmp_path):
+    import csv
+
+    from pchgrav.fiber import LORENTZIAN
+    from pchgrav.grid import Grid3, save_field
+    from pchgrav.suites import random_offshell_state
+
+    n = 4
+    st = random_offshell_state(np.random.Generator(np.random.Philox(key=12)), Grid3(n),
+                               LORENTZIAN, 1.0, 0.0)
+    files = ["--coframe", str(tmp_path / "e.pchf"), "--connection", str(tmp_path / "om.pchf")]
+    save_field(st.e.field, files[1], sig=LORENTZIAN)
+    save_field(st.omega, files[3], sig=LORENTZIAN)
+    jout, cout = tmp_path / "eh.json", tmp_path / "eh.csv"
+    assert cli.main(["reduce", *files, "--out", str(jout), "--Lambda", "0.1"]) == 0
+    assert cli.main(["reduce", *files, "--out", str(cout), "--format", "csv",
+                     "--Lambda", "0.1"]) == 0
+    tables = json.loads(jout.read_text())["tables"]
+    with open(cout, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    pairs = [f"{a}{b}" for a in range(3) for b in range(3)]
+    assert header == (["i", "j", "k"] + [f"{t}_{p}" for t in ("g", "K", "Pi") for p in pairs]
+                      + ["R_scalar", "H_density", "M_0", "M_1", "M_2"])
+    assert [tuple(int(x) for x in r[:3]) for r in rows] == list(np.ndindex(n, n, n))
+    for r in rows:
+        i, j, k = (int(x) for x in r[:3])
+        want = (np.ravel(tables["g"][i][j][k]).tolist() + np.ravel(tables["K"][i][j][k]).tolist()
+                + np.ravel(tables["Pi"][i][j][k]).tolist()
+                + [tables["R_scalar"][i][j][k], tables["H_density"][i][j][k]]
+                + tables["M_density"][i][j][k])
+        assert [float(x) for x in r[3:]] == want
 
 
 def test_cli_entrypoint_subprocess():

@@ -172,7 +172,7 @@ def test_hvf_generator_is_symplectic_gradient(offshell_state):
 
 def test_tangency_of_hamiltonian_flow(offshell_state):
     from pchgrav.grid import Coframe
-    from pchgrav.reduction import structural_projection_norm
+    from pchgrav.reduction import phi_frame
 
     st = offshell_state
     alpha = cst.smear_constant(st.grid, 2, RNG.normal(size=6))
@@ -180,7 +180,9 @@ def test_tangency_of_hamiltonian_flow(offshell_state):
     res = {}
     for t in (1e-3, 2e-3):
         e2 = Coframe(st.e.field + t * X.de, st.sig)
-        res[t] = structural_projection_norm(e2, st.omega + t * X.domega)
+        # sup norm of p(d_omega e) in the orthonormal kernel-template coordinates
+        d = cov_deriv(e2.field, st.omega + t * X.domega, st.sig).data
+        res[t] = np.abs(phi_frame(e2.data, st.sig).kernel_coords(d)).max()
     assert res[2e-3] / res[1e-3] > 3.0   # second-order violation only
 
 
@@ -194,24 +196,15 @@ def test_psi_alpha_vanishes_on_shell():
     assert vals[8] / vals[16] > 2.0
 
 
-def test_h_alpha_mu_diagnostic_on_shell(onshell_state_8):
-    st = onshell_state_8
-    alpha = cst.smear_constant(st.grid, 2, [0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
-    mu = cst.smear_constant(st.grid, 1, [0.2, -0.3, 0.4, 0.6])
-    H = cst.h_alpha_mu(st, alpha, mu)
-    # e ^ H = -p+(psi ^ mu) vanishes on shell, so L_H is within the h^2 budget
-    val = abs(cst.eval_L(st, H))
-    assert val <= 0.05 * st.grid.h**2 + 1e-9
-
-
-def test_z_mu_solves_its_equations(offshell_state):
+def test_complement_solve_solves_its_equations(offshell_state):
     from pchgrav import wedgemaps as wm
     from pchgrav.grid import curvature, wedge_fields
 
     st = offshell_state
     pack = cst.projector_pack(st.e)
     mu = cst.smear_constant(st.grid, 1, RNG.normal(size=4))
-    Z = cst.z_mu(st, mu, pack)
+    # Z with p Z = 0 and e ^ Z = mu F
+    Z = pack.solve_complement_12(wedge_fields(mu, st.F) * (-1.0))
     pZ = cst._apply_sitewise(pack.p12, Z)
     assert pZ.sup_norm() <= 1e-10 * max(1.0, Z.sup_norm())
     M12 = wm.wedge_matrix(st.e.data, (1, 2))
@@ -234,15 +227,16 @@ def test_template_wedge_solves_match_pinv_reference(sig, gamma):
     # the off-shell right-hand sides that hamiltonian_vector_field solves for
     d = cst.torsion(st)
     Q = wedge_fields(mu, d - cst._apply_sitewise(pack.p21, d))
+    cov = cst.kernel_covector(st, Q, pack)
     rhs_e = (wedge_fields(cov_deriv(mu, st.omega, sig), st.e.field) * (-1.0)
-             + cst._apply_sitewise(pack.p11_dag, Q) + cst.b_dagger(st, Q, pack))
-    rhs_w = (wedge_fields(mu, st.F) + cst.a_dagger(st, Q, pack)) * (-1.0)
+             + cst._apply_sitewise(pack.p11_dag, Q) + cst.b_dagger(st, cov, pack))
+    rhs_w = (wedge_fields(mu, st.F) + cst.a_dagger(st, cov, pack)) * (-1.0)
 
     def apply(M, f):
         return np.einsum("...ij,...j->...i", M, f.data.reshape(4, 4, 4, -1))
 
     ref_e = apply(np.linalg.pinv(wm.wedge_matrix(st.e.data, (1, 1))), rhs_e)
-    got_e = cst._solve_w11(rhs_e, st, pack).data.reshape(ref_e.shape)
+    got_e = pack.solve_w11(rhs_e).data.reshape(ref_e.shape)
     assert np.abs(got_e - ref_e).max() <= 1e-12 * np.abs(ref_e).max()
     # dense p12' = S12 (1 - P12_E) S12^-1 from the pack's frames
     P12 = red.K12HAT @ red.K12HAT.T
@@ -250,7 +244,7 @@ def test_template_wedge_solves_match_pinv_reference(sig, gamma):
                  @ wm.block_diag(wm.compound_matrix(pack.frames_inv, 2), 3))
     ref_w = np.einsum("...ij,...j->...i", p12_prime,
                       apply(np.linalg.pinv(wm.wedge_matrix(st.e.data, (1, 2))), rhs_w))
-    got_w = cst._solve_complement_12(rhs_w, st, pack).data.reshape(ref_w.shape)
+    got_w = pack.solve_complement_12(rhs_w).data.reshape(ref_w.shape)
     assert np.abs(got_w - ref_w).max() <= 1e-12 * np.abs(ref_w).max()
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pchgrav import fiber, halfshell as hs, wedgemaps as wm
+from pchgrav import constraints as cst, fiber, halfshell as hs, wedgemaps as wm
 from pchgrav.fiber import LORENTZIAN
 from pchgrav.grid import (
     FormField,
@@ -86,7 +86,9 @@ def test_pairing_pullback_matches(locus_state):
         de2 = random_field_spec(RNG, 1, 1, n_modes=1, amp=0.2).sample(st.grid)
         dw2 = random_field_spec(RNG, 1, 2, n_modes=1, amp=0.2).sample(st.grid)
         lhs = hs.symplectic_form_hs((dt(de1, dw1), de1), (dt(de2, dw2), de2))
-        rhs = hs.symplectic_form_pch(st.e, st.gamma, (de1, dw1), (de2, dw2))
+        # varpi_HS pulls back to -varpi of the plain boundary chart
+        rhs = -cst.symplectic_form(st, cst.TangentVector(de1, dw1, "probe"),
+                                   cst.TangentVector(de2, dw2, "probe"))
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 

@@ -6,18 +6,22 @@ and every per-site 3x3 inverse and determinant from `wedgemaps.inv3`; this
 test keeps a per-site LAPACK decomposition from coming back.  Single matrices
 (ndim 2, such as the fixed pairing Grams) may still go through LAPACK.  The
 FD-bracket path runs no eigensolve at all (the phi_e and coframe checks clear
-well-conditioned sites by exact bounds), and the projector pack holds no
-per-site array larger than 6x6.
+well-conditioned sites by exact bounds), and the e-adapted frame holds no
+per-site array larger than 6x6 and builds its transposes only when they are
+used.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from pchgrav import constraints as cst
 from pchgrav import ehdata as eh
+from pchgrav import reduction as red
 from pchgrav.fiber import LORENTZIAN
 from pchgrav.grid import Coframe, Grid3
-from pchgrav.reduction import omega_tilde, phi_frame
+from pchgrav.reduction import PhiFrame, omega_tilde
 from pchgrav.suites import LAPSE_PROBES, SHIFT_PROBES, acceptance_triad_spec, random_offshell_state
 
 
@@ -93,4 +97,43 @@ def test_projector_pack_holds_no_dense_projector():
     arrays = [v for v in vars(pack).values() if isinstance(v, np.ndarray)]
     assert len(arrays) >= 6
     assert max(a.size for a in arrays) <= 36 * sites
-    assert "condition" not in vars(phi_frame(st.e.data, st.sig))   # computed only when read
+
+
+def _offshell_state():
+    return random_offshell_state(np.random.Generator(np.random.Philox(key=31)), Grid3(4),
+                                 LORENTZIAN, 1.0, 0.1)
+
+
+def test_omega_tilde_builds_no_lazy_frame_field_and_states_hold_no_frame(monkeypatch):
+    frames, phi_frame = [], red.phi_frame
+
+    def recorded(e, sig):
+        frames.append(phi_frame(e, sig))
+        return frames[-1]
+
+    monkeypatch.setattr(red, "phi_frame", recorded)
+    st = _offshell_state()
+    assert len(frames) == 1
+    lazy = {k for k, v in vars(PhiFrame).items() if isinstance(v, functools.cached_property)}
+    assert lazy == {"L2P_inv", "frames_T", "frames_inv_T", "L2P_T", "L2P_inv_T"}
+    assert not lazy & set(vars(frames[0]))
+    cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4]))
+    assert len(frames) == 2 and lazy <= set(vars(frames[1]))
+    held = [*vars(st).values(), *st._fields.values(), *vars(st.ot).values()]
+    assert not any(isinstance(v, PhiFrame) for v in held)
+
+
+def test_offshell_j_field_solves_phi_three_times(monkeypatch):
+    st = _offshell_state()
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        solves.append(np.shape(a)[-2:])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4]))
+    assert max(X.wedge_residuals.values()) <= 1e-12
+    # A(X_e), B(p' X_omega) and the adjoint covector shared by A+ and B+
+    assert solves == [(6, 6)] * 3

@@ -1,9 +1,9 @@
-"""Exact projector derivative, closed-form frame completion, factored projector pack.
+"""Exact projector derivative, closed-form frame completion, the frame's factored projectors.
 
-The central-difference implementations of A and A+ (rebuilding the projector
-pack at e +- eps de) are kept here as references for the exact derivative;
-the dense per-site projectors S T S^-1, built from the pack's frames, are the
-references for the pack's factored applies.
+The central-difference implementations of A and A+ (rebuilding the e-adapted
+frame at e +- eps de) are kept here as references for the exact derivative;
+the dense per-site projectors S T S^-1, built from the frame's transforms, are
+the references for its factored applies.
 """
 
 import numpy as np
@@ -103,7 +103,8 @@ def test_a_map_matches_central_difference(offshell):
 def test_a_dagger_matches_central_difference(offshell):
     st, pack = offshell
     Q = random_field_spec(RNG, 2, 2, n_modes=2, amp=0.3).sample(st.grid)
-    assert _rel(cst.a_dagger(st, Q, pack).data, _fd_a_dagger(st, Q, pack).data) <= 1e-8
+    got = cst.a_dagger(st, cst.kernel_covector(st, Q, pack), pack)
+    assert _rel(got.data, _fd_a_dagger(st, Q, pack).data) <= 1e-8
 
 
 @pytest.fixture(scope="module", params=[EUCLIDEAN, LORENTZIAN], ids=["euclidean", "lorentzian"])

@@ -14,7 +14,10 @@ STANDARD = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0]])
 
 
 def test_shape_dimension_table():
-    for shape, (dom, cod) in wm.SHAPE_DIMS.items():
+    # domain/codomain coefficient dimensions per shape
+    dims = {(1, 1): (12, 18), (1, 2): (18, 12), (2, 1): (12, 6)}
+    assert set(dims) == set(wm.SHAPES)
+    for shape, (dom, cod) in dims.items():
         M = wm.wedge_matrix(STANDARD, shape)
         assert M.shape == (cod, dom)
 
