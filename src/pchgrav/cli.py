@@ -89,22 +89,22 @@ def _cmd_reduce(args) -> int:
     frame = eh.orthonormal_frame(e.data, sig)
     split = eh.split_connection(ot.omega_tilde, frame, e.grid)
     data = eh.eh_data(frame, split, e.grid, Lambda=args.Lambda)
-    out = {
-        "n": e.grid.n,
-        "signature": sig.name,
-        "eta00": data.eta00,
-        "gamma_block_residual": split.gamma_residual,
-        "k_asymmetry": split.k_asymmetry,
-        "tables": {
-            "g": data.g.tolist(),
-            "K": data.K.tolist(),
-            "Pi": data.Pi.tolist(),
-            "R_scalar": data.R_scalar.tolist(),
-            "H_density": data.H_density.tolist(),
-            "M_density": data.M_density.tolist(),
-        },
-    }
     if args.format == "json":
+        out = {
+            "n": e.grid.n,
+            "signature": sig.name,
+            "eta00": data.eta00,
+            "gamma_block_residual": split.gamma_residual,
+            "k_asymmetry": split.k_asymmetry,
+            "tables": {
+                "g": data.g.tolist(),
+                "K": data.K.tolist(),
+                "Pi": data.Pi.tolist(),
+                "R_scalar": data.R_scalar.tolist(),
+                "H_density": data.H_density.tolist(),
+                "M_density": data.M_density.tolist(),
+            },
+        }
         with open(args.out, "w") as fh:
             json.dump(out, fh)
     else:

@@ -11,9 +11,9 @@ p d_omega~ e = 0, certified by the kernel-correction solve.  On such states
 since T_gamma = 1 + gamma^-1 star is symmetric under the trace pairing
 (a ^ star b = <a, b> vol) and the wedge is associative.  A state builds these
 densities (and F, e ^ e, the torsion) once, on first use, so each smearing
-costs one pointwise wedge.  Functionals are always evaluated through
-re-certification, so they are invariant under kernel-valued shifts of the
-connection, and finite-difference directional derivatives stay on the slice.
+costs one pointwise wedge.  L and J are cubic in (e, omega), and a direction
+tangent to the slice moves the structural representative only at second order,
+so bracket derivatives are exact five-point stencils on uncertified states.
 
 Hamiltonian vector fields solve the defining wedge equations
 
@@ -61,10 +61,10 @@ from .wedgemaps import compound_matrix
 @dataclass(frozen=True)
 class BoundaryState:
     e: Coframe
-    omega: FormField            # certified structural representative
+    omega: FormField            # structural representative when certified
     gamma: float
     Lambda: float
-    ot: OmegaTildeResult
+    ot: OmegaTildeResult | None = None   # the certification; None on a shifted state
     on_shell: bool = False      # built on the residual-constraint surface
     _fields: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -117,8 +117,9 @@ def certify(e: Coframe, omega: FormField, gamma: float, Lambda: float = 0.0,
 
 
 def shifted_state(state: BoundaryState, t: float, de: FormField, domega: FormField) -> BoundaryState:
+    """The state (e + t de, omega + t domega), not re-certified: a stencil point."""
     e = Coframe(state.e.field + t * de, state.sig)
-    return certify(e, state.omega + t * domega, state.gamma, state.Lambda)
+    return BoundaryState(e, state.omega + t * domega, state.gamma, state.Lambda)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +426,20 @@ class TangentVector:
     de: FormField
     domega: FormField
     kind: str
-    constraint_residual: float = 0.0
-    psi_norm: float | None = None
+    # sup |p X_omega - K(A X_e + B p'X_omega)| / sup |X_omega|; nan when not measured
+    constraint_residual: float = float("nan")
     wedge_residuals: dict | None = None
+
+
+def slice_tangent(state: BoundaryState, de: FormField, dw_c: FormField,
+                  pack: reduction.PhiFrame, kind: str = "probe") -> TangentVector:
+    """The slice tangent (de, dw_c + K(A de + B dw_c)) for dw_c = p'X_omega; its
+    recorded residual also shows a kernel-valued part in dw_c."""
+    Xw_k = pack.kernel_field(a_map(state, de, pack) + b_map(state, dw_c, pack), state.grid)
+    X_omega = dw_c + Xw_k
+    pX = _apply_sitewise(pack.p12, X_omega)
+    residual = (pX - Xw_k).sup_norm() / max(X_omega.sup_norm(), 1e-300)
+    return TangentVector(de, X_omega, kind, residual)
 
 
 def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormField,
@@ -468,18 +480,10 @@ def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormFiel
     else:
         raise ValueError("kind must be 'L' or 'J'")
 
-    coords = a_map(state, X_e, pack) + b_map(state, Xw_c, pack)
-    Xw_k = pack.kernel_field(coords, state.grid)
-    X_omega = Xw_c + Xw_k
-    wedge_res["X_omega"] = _rel_wedge_residual(X_omega, rhs_w * (-1.0), state, (1, 2))
-
-    pX = _apply_sitewise(pack.p12, X_omega)
-    residual = (pX - Xw_k).sup_norm() / max(X_omega.sup_norm(), 1e-300)
-
-    psi = None
-    if kind == "L":
-        psi = (pX + _apply_sitewise(pack.p12, dal)).sup_norm()
-    return TangentVector(X_e, X_omega, kind, residual, psi, wedge_res)
+    X = slice_tangent(state, X_e, Xw_c, pack, kind)
+    wedge_res["X_omega"] = _rel_wedge_residual(X.domega, rhs_w * (-1.0), state, (1, 2))
+    X.wedge_residuals = wedge_res
+    return X
 
 
 def _rel_wedge_residual(X: FormField, rhs: FormField, state: BoundaryState, shape) -> float:
@@ -501,41 +505,31 @@ def psi_alpha(state: BoundaryState, alpha: FormField,
 
 
 # ---------------------------------------------------------------------------
-# finite-difference Poisson brackets
+# Poisson brackets by the exact stencil
 
-
-class RichardsonError(RuntimeError):
-    pass
+#: largest constraint residual of a direction that `directional_derivative` accepts
+TANGENCY_LIMIT = 1e-9
 
 
 def directional_derivative(state: BoundaryState, functional, X: TangentVector):
-    """Central FD of a functional along X with one Richardson step.
+    """dG(X) for a functional G of degree <= 3 in (e, omega) and X tangent to the slice.
 
-    The first step is 1e-5 of the state's scale over the size of X.  The
-    functional is evaluated on re-certified states, so motion stays on the
-    structural slice.  Returns (value, error_estimate); raises RichardsonError
-    when halving the step fails to reduce the difference.
+    G is evaluated on the uncertified states s + k t X, k in {+-1, +-2, +-4},
+    t = 1e-2 of the state's scale over the size of X; re-certification would
+    move them only at O(t^2), and the central difference
+    D(a) = [8(G(s+aX) - G(s-aX)) - (G(s+2aX) - G(s-2aX))] / (12a) is exact
+    for polynomials of degree <= 4.  Returns (D(t), |D(t) - D(2t)|), so the
+    error is roundoff alone.  ValueError when X.constraint_residual is above
+    TANGENCY_LIMIT: off the slice the stencil is not the slice derivative.
     """
+    if not X.constraint_residual <= TANGENCY_LIMIT:
+        raise ValueError(f"direction not tangent to the structural slice: constraint "
+                         f"residual {X.constraint_residual:.3e} > {TANGENCY_LIMIT:.0e}")
     scale = max(state.e.field.sup_norm(), state.omega.sup_norm())
-    xnorm = max(X.de.sup_norm(), X.domega.sup_norm())
-    t = 1e-5 * scale / max(xnorm, 1e-300)
-
-    def fd(step):
-        fp = functional(shifted_state(state, step, X.de, X.domega))
-        fm = functional(shifted_state(state, -step, X.de, X.domega))
-        return (fp - fm) / (2 * step)
-
-    d1 = fd(t)
-    d2 = fd(t / 2)
-    d4 = fd(t / 4)
-    r1 = abs(d2 - d1)
-    r2 = abs(d4 - d2)
-    floor = 1e-10 * (1.0 + abs(d4))   # roundoff allowance for exactly-linear cases
-    if r2 > 0.5 * r1 + floor:
-        raise RichardsonError(
-            f"finite-difference sequence not converging: {r1:.3e} -> {r2:.3e}"
-        )
-    return (4 * d4 - d2) / 3.0, r2 / 3.0
+    t = 1e-2 * scale / max(X.de.sup_norm(), X.domega.sup_norm(), 1e-300)
+    G = {k: functional(shifted_state(state, k * t, X.de, X.domega)) for k in (1, -1, 2, -2, 4, -4)}
+    D = [(8 * (G[a] - G[-a]) - (G[2 * a] - G[-2 * a])) / (12 * a * t) for a in (1, 2)]
+    return D[0], abs(D[0] - D[1])
 
 
 def functional_L(alpha: FormField):
@@ -548,7 +542,7 @@ def functional_J(mu: FormField):
 
 def poisson_bracket(state: BoundaryState, f_kind: str, f_smear: FormField,
                     g_kind: str, g_smear: FormField):
-    """{F, G} = X_F(G) by finite differences along the Hamiltonian field of F."""
+    """{F, G} = X_F(G) along the Hamiltonian field of F, as (value, fd_error)."""
     X = hamiltonian_vector_field(state, f_kind, f_smear)
     G = functional_L(g_smear) if g_kind == "L" else functional_J(g_smear)
     return directional_derivative(state, G, X)

@@ -690,15 +690,16 @@ def run_brackets(cfg: RunConfig) -> list:
             abs(lpart) <= budget and abs(Jam) > 1e-8, None, t0)
 
     t0 = time.perf_counter()
-    # FD exactness on a functional linear along the flow
+    # derivative of a functional linear in e along a slice-tangent probe; the
+    # probe 2-form is the pointwise dual of Y.de, so the exact value is the
+    # squared L2 norm of Y.de, at least that of its constant offset
     rng = s.rng()
     st = random_offshell_state(rng, grid, sig, gamma, cfg.Lambda)
     pack = cst.projector_pack(st.e)
-    de = random_field_spec(rng, 1, 1, n_modes=1, amp=0.1).sample(grid)
-    dwc = cst._apply_sitewise(pack.p12_prime, random_field_spec(rng, 1, 2, n_modes=1, amp=0.1).sample(grid))
-    coords = cst.a_map(st, de, pack) + cst.b_map(st, dwc, pack)
-    Y = cst.TangentVector(de, dwc + cst.kernel_field_from_coords(coords, pack, grid), "probe")
-    probe = random_field_spec(rng, 2, 3, n_modes=1, amp=0.5).sample(grid)
+    de = random_field_spec(rng, 1, 1, n_modes=1, amp=0.1, base=0.1).sample(grid)
+    dw = random_field_spec(rng, 1, 2, n_modes=1, amp=0.1).sample(grid)
+    Y = cst.slice_tangent(st, de, cst._apply_sitewise(pack.p12_prime, dw), pack)
+    probe = cst._unflat(cst._flat(de) @ cst._GRAM_23_11_INV, grid, 2, 3)
 
     def linear_functional(state):
         return integrate(tr_quad_field(wedge_fields(probe, state.e.field)))
@@ -708,7 +709,7 @@ def run_brackets(cfg: RunConfig) -> list:
     tol = cfg.tol("fd_linear")
     s.check("fd-exactness", "plumbing",
             {"fd": got, "exact": exact, "error": abs(got - exact)},
-            abs(got - exact) <= tol * max(1.0, abs(exact)), tol, t0)
+            abs(got - exact) <= tol * max(1.0, abs(exact)) and abs(exact) > 1e-8, tol, t0)
     return s.rows
 
 

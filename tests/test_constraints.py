@@ -8,6 +8,7 @@ import pytest
 from pchgrav import constraints as cst, fiber
 from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
 from pchgrav.grid import (
+    Coframe,
     FormField,
     Grid3,
     TrigPoly,
@@ -162,9 +163,7 @@ def test_hvf_generator_is_symplectic_gradient(offshell_state):
         de = random_field_spec(RNG, 1, 1, n_modes=1, amp=0.1).sample(st.grid)
         dwc = cst._apply_sitewise(pack.p12_prime,
                                   random_field_spec(RNG, 1, 2, n_modes=1, amp=0.1).sample(st.grid))
-        coords = cst.a_map(st, de, pack) + cst.b_map(st, dwc, pack)
-        Y = cst.TangentVector(de, dwc + cst.kernel_field_from_coords(coords, pack, st.grid),
-                              "probe")
+        Y = cst.slice_tangent(st, de, dwc, pack)
         w = cst.symplectic_form(st, X, Y)
         dL, _ = cst.directional_derivative(st, cst.functional_L(alpha), Y)
         assert abs(w - dL) <= 1e-9 * max(1.0, abs(dL))
@@ -255,19 +254,59 @@ def test_fd_derivative_exact_on_linear_functional(offshell_state):
 
     st = offshell_state
     pack = cst.projector_pack(st.e)
-    de = random_field_spec(RNG, 1, 1, n_modes=1, amp=0.1).sample(st.grid)
+    de = random_field_spec(RNG, 1, 1, n_modes=1, amp=0.1, base=0.1).sample(st.grid)
     dwc = cst._apply_sitewise(pack.p12_prime,
                               random_field_spec(RNG, 1, 2, n_modes=1, amp=0.1).sample(st.grid))
-    coords = cst.a_map(st, de, pack) + cst.b_map(st, dwc, pack)
-    Y = cst.TangentVector(de, dwc + cst.kernel_field_from_coords(coords, pack, st.grid), "p")
-    probe = random_field_spec(RNG, 2, 3, n_modes=1, amp=0.5).sample(st.grid)
+    Y = cst.slice_tangent(st, de, dwc, pack)
+    assert Y.constraint_residual <= cst.TANGENCY_LIMIT
+    # the pointwise dual of Y.de: the exact derivative is the squared L2 norm of Y.de
+    probe = cst._unflat(cst._flat(de) @ cst._GRAM_23_11_INV, st.grid, 2, 3)
 
     def lin(state):
         return integrate(tr_quad_field(wedge_fields(probe, state.e.field)))
 
     got, err = cst.directional_derivative(st, lin, Y)
     exact = integrate(tr_quad_field(wedge_fields(probe, Y.de)))
+    assert abs(exact) > 1e-8
     assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
+    assert err <= 1e-10 * max(1.0, abs(exact))
+
+
+def test_stencil_needs_a_slice_tangent_direction(offshell_state):
+    """A kernel-valued part added to X_omega is refused, and along it the raw stencil is
+    not the derivative of the functional on the slice (the re-certified one)."""
+    st = offshell_state
+    pack = cst.projector_pack(st.e)
+    G = cst.functional_J(cst.smear_constant(st.grid, 1, [0.5, 0.1, -0.2, 0.3]))
+    X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.2, -0.3, 0.4, 0.6]),
+                                     pack)
+
+    def linearized_constraint(Y):
+        # the linearization of p d_omega e = 0 along Y, in kernel coordinates
+        coords = cst.a_map(st, Y.de, pack) + cst.b_map(st, Y.domega, pack)
+        return pack.kernel_field(coords, st.grid).sup_norm() / Y.domega.sup_norm()
+
+    kern = cst.kernel_field_from_coords(RNG.normal(size=(4, 4, 4, 6)), pack, st.grid)
+    bad = dataclasses.replace(X, domega=X.domega + kern, kind="mutant")
+    bad.constraint_residual = linearized_constraint(bad)
+    assert linearized_constraint(X) <= cst.TANGENCY_LIMIT < bad.constraint_residual
+    with pytest.raises(ValueError, match="not tangent"):
+        cst.directional_derivative(st, G, bad)
+
+    def recertified(Y, t=1e-4):
+        def at(s):
+            e = Coframe(st.e.field + s * Y.de, st.sig)
+            return G(cst.certify(e, st.omega + s * Y.domega, st.gamma, st.Lambda))
+        return (at(t) - at(-t)) / (2 * t)
+
+    # along the tangent X the stencil is the re-certified derivative, to the latter's
+    # O(t^2) truncation; along the mutant they differ by far more than either error
+    good, _ = cst.directional_derivative(st, G, X)
+    assert abs(good - recertified(X)) <= 1e-6 * abs(good)
+    raw, raw_err = cst.directional_derivative(
+        st, G, dataclasses.replace(bad, constraint_residual=0.0))   # the stencil unguarded
+    gap = abs(raw - recertified(bad))
+    assert gap > 1e-2 * abs(good) and gap > 1e6 * raw_err
 
 
 def test_bracket_LL_equals_L_of_bracketed_smearing(offshell_state):

@@ -8,7 +8,8 @@ test keeps a per-site LAPACK decomposition from coming back.  Single matrices
 FD-bracket path runs no eigensolve at all (the phi_e and coframe checks clear
 well-conditioned sites by exact bounds), and the e-adapted frame holds no
 per-site array larger than 6x6 and builds its transposes only when they are
-used.
+used.  A bracket derivative evaluates the functional on six uncertified
+stencil states and solves for no structural representative.
 """
 
 import functools
@@ -137,3 +138,55 @@ def test_offshell_j_field_solves_phi_three_times(monkeypatch):
     assert max(X.wedge_residuals.values()) <= 1e-12
     # A(X_e), B(p' X_omega) and the adjoint covector shared by A+ and B+
     assert solves == [(6, 6)] * 3
+
+
+def test_bracket_derivative_certifies_nothing_and_evaluates_six_times(monkeypatch):
+    st = _offshell_state()
+    mu = cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4])
+    mu2 = cst.smear_constant(st.grid, 1, [-0.1, 0.6, 0.2, -0.3])
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} in a bracket")
+        return call
+
+    monkeypatch.setattr(cst, "certify", refuse("certify"))
+    monkeypatch.setattr(cst, "omega_tilde", refuse("omega_tilde"))
+    monkeypatch.setattr(red, "omega_tilde", refuse("omega_tilde"))
+    evaluated, functional_J = [], cst.functional_J
+
+    def counted(smearing):
+        G = functional_J(smearing)
+        return lambda s: evaluated.append(s) or G(s)
+
+    monkeypatch.setattr(cst, "functional_J", counted)
+    value, err = cst.poisson_bracket(st, "J", mu, "J", mu2)
+    assert np.isfinite(value) and err <= 1e-12 * max(1.0, abs(value))
+    assert len(evaluated) == 6 and all(s.ot is None for s in evaluated)
+
+
+def _stencil_at(st, G, X, t):
+    """The five-point stencil of `constraints.directional_derivative` at the step t."""
+    Gk = {k: G(cst.shifted_state(st, k * t, X.de, X.domega)) for k in (1, -1, 2, -2, 4, -4)}
+    d = [(8 * (Gk[a] - Gk[-a]) - (Gk[2 * a] - Gk[-2 * a])) / (12 * a * t) for a in (1, 2)]
+    return d[0], abs(d[0] - d[1])
+
+
+@pytest.mark.parametrize("kind,smear,smear2", [
+    ("J", [0.2, -0.3, 0.4, 0.6], [0.5, 0.1, -0.2, 0.3]),
+    ("L", [0.3, -0.2, 0.5, 0.1, -0.4, 0.2], [-0.1, 0.4, 0.2, -0.3, 0.25, 0.15]),
+], ids=["JJ", "LL"])
+def test_bracket_stencil_is_step_independent(kind, smear, smear2):
+    st = _offshell_state()
+    grade = 1 if kind == "J" else 2
+    X = cst.hamiltonian_vector_field(st, kind, cst.smear_constant(st.grid, grade, smear))
+    G = (cst.functional_J if kind == "J" else cst.functional_L)(
+        cst.smear_constant(st.grid, grade, smear2))
+    value, err = cst.directional_derivative(st, G, X)
+    scale = max(st.e.field.sup_norm(), st.omega.sup_norm())
+    t = 1e-2 * scale / max(X.de.sup_norm(), X.domega.sup_norm())
+    assert _stencil_at(st, G, X, t) == (value, err)
+    # each error is one sample of the roundoff at its step; a truncation error
+    # would not cancel between the two steps
+    small, small_err = _stencil_at(st, G, X, t / 10)
+    assert abs(small - value) <= 10 * (err + small_err)
