@@ -153,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", default=None, help="report output path")
     pv.add_argument("--format", choices=("json", "csv"), default="json")
     pv.add_argument("--threads", type=int, default=1,
-                    help="parallel suites (never affects values)")
+                    help="parallel suites (never affects values); a suite error "
+                         "cancels the suites that have not started")
     pv.set_defaults(func=_cmd_verify)
 
     pr = sub.add_parser("reduce", help="ADM-type boundary data from field files")

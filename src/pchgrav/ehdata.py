@@ -185,12 +185,6 @@ def gamma_block(e_bar, eta_bar, grid, C=None) -> np.ndarray:
     return gamma_of_triad(e_bar, eta_bar, grid, C)[..., _SP_I, _SP_J]
 
 
-def triad_compatibility_residual(e_bar, gamma_blk, eta_bar, grid) -> float:
-    """sup |d_Gamma ebar| with central differences."""
-    E, gamma, sig_w = _triad_fields(e_bar, gamma_blk, eta_bar, grid)
-    return float(np.abs(cov_deriv(E, gamma, sig_w).data).max())
-
-
 # ---------------------------------------------------------------------------
 # connection split and ADM data
 

@@ -434,14 +434,14 @@ def _orth(columns: np.ndarray) -> np.ndarray:
 
 def exact_sequence_check(e: np.ndarray, sig: Signature) -> ExactSequenceReport:
     e = np.asarray(e, dtype=float)
-    s12 = wedgemaps.kernel_basis(wedgemaps.build_wedge_matrix(e, (1, 2), sig))
-    s21 = wedgemaps.kernel_basis(wedgemaps.build_wedge_matrix(e, (2, 1), sig))
+    s12 = wedgemaps.kernel_basis(e, (1, 2), sig)
+    s21 = wedgemaps.kernel_basis(e, (2, 1), sig)
     B = bracket_matrix(e, sig)
     img = B @ s12.kernel_basis                     # (12, 6)
     sv = np.linalg.svd(img, compute_uv=False)
     dim_img = int((sv > 1e-10 * sv[0]).sum())
 
-    W21 = s21.sample.matrix
+    W21 = s21.matrix
     sv21 = np.linalg.svd(W21, compute_uv=False)
     rank_w21 = int((sv21 > 1e-10 * sv21[0]).sum())
 

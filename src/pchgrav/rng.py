@@ -1,8 +1,9 @@
 """Deterministic counter-based random streams for the check suites.
 
 Every random draw in a suite comes from a Philox stream keyed by
-(seed, suite name, check index), so results are independent of execution
-order and parallelism.
+(seed, suite name, draw counter), the counter numbering the suite's streams
+in the order it draws them, so results are independent of execution order
+and parallelism.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ def _stable_u64(text: str) -> int:
     return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "little")
 
 
-def stream(seed: int, suite: str, check_index: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed, suite, check index)."""
-    key = np.array([np.uint64(seed), np.uint64(_stable_u64(f"{suite}:{check_index}"))])
+def stream(seed: int, suite: str, draw: int = 0) -> np.random.Generator:
+    """Philox generator keyed by (seed, suite, draw counter)."""
+    key = np.array([np.uint64(seed), np.uint64(_stable_u64(f"{suite}:{draw}"))])
     return np.random.Generator(np.random.Philox(key=key))

@@ -2,8 +2,10 @@
 
 Each suite function returns a list of CheckRow records; `run_suites` executes
 the selected suites in declared order.  All random data is drawn from
-counter-based streams keyed by (seed, suite, check index), so reports are
-bit-reproducible for a fixed config regardless of execution order.
+counter-based streams keyed by (seed, suite, draw counter), the counter
+counting the suite's `rng()` calls, so reports are bit-reproducible for a
+fixed config regardless of execution order.  A row's `runtime_s` is the time
+since the suite's previous row, or since the suite started.
 """
 
 from __future__ import annotations
@@ -44,28 +46,38 @@ def _digest(*parts) -> str:
 
 
 class _Suite:
+    """The rows of one suite, its random draws and the clock that times its rows."""
+
     def __init__(self, name: str, cfg: RunConfig):
         self.name = name
         self.cfg = cfg
+        self.sig = signature_from_name(cfg.signature)
         self.rows: list[CheckRow] = []
-        self._idx = 0
+        self._draws = 0
+        self._start = time.perf_counter()
 
     def rng(self):
-        r = stream(self.cfg.seed, self.name, self._idx)
-        self._idx += 1
+        """The next stream of the suite, keyed by its draw counter."""
+        r = stream(self.cfg.seed, self.name, self._draws)
+        self._draws += 1
         return r
 
+    def elapsed(self) -> float:
+        """Seconds since the previous row, or since the suite started."""
+        return time.perf_counter() - self._start
+
     def check(self, cid: str, anchor: str, values: dict, passed: bool,
-              tolerance: float | None, t0: float, inputs=()):
+              tolerance: float | None):
         self.rows.append(CheckRow(
             id=f"{self.name}/{cid}",
             anchor=anchor,
-            inputs_digest=_digest(self.cfg.seed, self.name, cid, *inputs),
+            inputs_digest=_digest(self.cfg.seed, self.name, cid),
             values=values,
             tolerance=tolerance,
             passed=bool(passed),
-            runtime_s=round(time.perf_counter() - t0, 6),
+            runtime_s=round(self.elapsed(), 6),
         ))
+        self._start = time.perf_counter()
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +170,6 @@ def random_offshell_state(rng, grid: Grid3, sig: Signature, gamma: float,
 def run_algebra(cfg: RunConfig) -> list:
     s = _Suite("algebra", cfg)
 
-    t0 = time.perf_counter()
     worst = 0.0
     dets = {}
     for g in (0.5, 1.0, 2.0, 10.0):
@@ -171,13 +182,11 @@ def run_algebra(cfg: RunConfig) -> list:
         _, det = fiber.f_alpha_matrix(al)
         fdets[str(al)] = det
         worst = max(worst, abs(det - (1 + al**2) ** 3) / (1 + al**2) ** 3)
-    runtime = time.perf_counter() - t0
     tol = cfg.tol("twist_determinant")
     s.check("twist-determinants", "pairing-matrix determinant -(1+1/g^2)^3; basis map (1+a^2)^3",
             {"rel_error": worst, "det_pairing": dets, "det_basis_map": fdets},
-            worst <= tol and runtime < 1.0, tol, t0)
+            worst <= tol and s.elapsed() < 1.0, tol)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     worst = 0.0
     for sig in (EUCLIDEAN, LORENTZIAN):
@@ -190,9 +199,8 @@ def run_algebra(cfg: RunConfig) -> list:
                         np.abs(l1 - fiber.bracket2(a, S @ b, sig)).max())
     tol = cfg.tol("star_cyclic")
     s.check("star-cyclic", "star[A,B] = [star A, B] = [A, star B]",
-            {"max_residual": worst, "pairs": 120}, worst <= tol, tol, t0)
+            {"max_residual": worst, "pairs": 120}, worst <= tol, tol)
 
-    t0 = time.perf_counter()
     vals = {
         "euclid_+1": fiber.morphism_residual(1.0, EUCLIDEAN),
         "euclid_-1": fiber.morphism_residual(-1.0, EUCLIDEAN),
@@ -203,9 +211,8 @@ def run_algebra(cfg: RunConfig) -> list:
         vals[f"lorentz_{g}"] = r
         ok = ok and r >= cfg.tol("morphism_floor")
     s.check("twist-morphism", "algebra morphism iff gamma^2 = sign(det eta)",
-            vals, ok, None, t0)
+            vals, ok, None)
 
-    t0 = time.perf_counter()
     worst = 0.0
     for sig in (EUCLIDEAN, LORENTZIAN):
         S = fiber.star2_matrix(sig)
@@ -217,9 +224,8 @@ def run_algebra(cfg: RunConfig) -> list:
         worst = worst if exact_ok else np.inf
     tol = cfg.tol("star_square")
     s.check("star-squared", "star o star = sign(det eta) id, float and exact modes",
-            {"max_residual": float(worst)}, worst <= tol, tol, t0)
+            {"max_residual": float(worst)}, worst <= tol, tol)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     worst_j = 0.0
     worst_d = 0.0
@@ -238,9 +244,8 @@ def run_algebra(cfg: RunConfig) -> list:
     tol = cfg.tol("lie_axioms")
     s.check("bracket-axioms", "Jacobi identity and module derivation property",
             {"jacobi": worst_j, "derivation": worst_d},
-            max(worst_j, worst_d) <= tol, tol, t0)
+            max(worst_j, worst_d) <= tol, tol)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     worst = 0.0
     for (k, m) in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2)):
@@ -260,9 +265,8 @@ def run_algebra(cfg: RunConfig) -> list:
     tol = cfg.tol("wedge_axioms")
     s.check("wedge-axioms", "graded anticommutativity, associativity, nondegenerate pairing",
             {"max_residual": worst, "tr_gram_rank": int(gram_rank)},
-            worst <= tol and gram_rank == 6, tol, t0)
+            worst <= tol and gram_rank == 6, tol)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     worst_sym = 0.0
     worst_cyc = 0.0
@@ -281,9 +285,8 @@ def run_algebra(cfg: RunConfig) -> list:
     tol = cfg.tol("twist_symmetry")
     s.check("twist-symmetry", "Tr[T(a)^b] = Tr[a^T(b)]; T[a,b] = [Ta,b] = [a,Tb]",
             {"pairing_symmetry": worst_sym, "bracket_compat": worst_cyc},
-            max(worst_sym, worst_cyc) <= tol, tol, t0)
+            max(worst_sym, worst_cyc) <= tol, tol)
 
-    t0 = time.perf_counter()
     from fractions import Fraction
     b12 = fiber.frac_array([1, 0, 0, 0, 0, 0])
     star_l = fiber.hodge_star2(b12, LORENTZIAN)
@@ -296,7 +299,7 @@ def run_algebra(cfg: RunConfig) -> list:
     s.check("exact-mode-conventions", "bit-certain star and bracket values on basis elements",
             {"star_lorentz_b12": [str(x) for x in star_l],
              "star_euclid_b12": [str(x) for x in star_e],
-             "bracket_b12_b13": [str(x) for x in br]}, ok, None, t0)
+             "bracket_b12_b13": [str(x) for x in br]}, ok, None)
     return s.rows
 
 
@@ -306,10 +309,9 @@ def run_algebra(cfg: RunConfig) -> list:
 
 def run_kernels(cfg: RunConfig) -> list:
     s = _Suite("kernels", cfg)
-    sig = signature_from_name(cfg.signature)
+    sig = s.sig
     n_frames = int(cfg.tol("kernel_samples"))
 
-    t0 = time.perf_counter()
     rng = s.rng()
     table_ok = True
     min_gap = np.inf
@@ -318,9 +320,9 @@ def run_kernels(cfg: RunConfig) -> list:
     for i in range(n_frames):
         e = random_nondegenerate_coframe(rng, sig)
         for shape, expect_k, expect_r in (((1, 1), 0, 12), ((1, 2), 6, 12), ((2, 1), 6, 6)):
-            split = wm.kernel_basis(wm.build_wedge_matrix(e, shape, sig))
+            split = wm.kernel_basis(e, shape, sig)
             kdim = split.kernel_basis.shape[1]
-            rank = split.sample.matrix.shape[1] - kdim
+            rank = split.matrix.shape[1] - kdim
             table_ok &= (kdim == expect_k and rank == expect_r)
             min_gap = min(min_gap, split.gap)
             worst_proj = max(
@@ -341,36 +343,33 @@ def run_kernels(cfg: RunConfig) -> list:
             {"frames": n_frames, "min_gap": float(min_gap), "projector_residual": worst_proj,
              "explicit_equation_residual": worst_eq},
             table_ok and min_gap >= gap_floor and worst_proj <= tol and worst_eq <= 1e-12,
-            tol, t0)
+            tol)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     worst = 0.0
     for i in range(20):
         e = random_nondegenerate_coframe(rng, sig)
         for shape in ((1, 1), (1, 2), (2, 1)):
-            split = wm.kernel_basis(wm.build_wedge_matrix(e, shape, sig))
+            split = wm.kernel_basis(e, shape, sig)
             rep = wm.annihilator_check(split)
             worst = max(worst, rep["max_residual"])
     tol = cfg.tol("annihilator")
     s.check("annihilator", "kernel annihilator realized as the image of the dual wedge map",
-            {"max_residual": worst, "sites": 20}, worst <= tol, tol, t0)
+            {"max_residual": worst, "sites": 20}, worst <= tol, tol)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     worst_lin = 0.0
     for i in range(10):
         e = random_nondegenerate_coframe(rng, sig)
-        split = wm.kernel_basis(wm.build_wedge_matrix(e, (1, 2), sig))
+        split = wm.kernel_basis(e, (1, 2), sig)
         d = rng.normal(size=(3, 4))
         d = 1e-6 * d / np.abs(d).max()
-        split_p = wm.kernel_basis(wm.build_wedge_matrix(e + d, (1, 2), sig))
+        split_p = wm.kernel_basis(e + d, (1, 2), sig)
         worst_lin = max(worst_lin, np.abs(split_p.p - split.p).max() / np.abs(d).max())
     tol = cfg.tol("projector_smoothness")   # O(1) Lipschitz expected
     s.check("projector-smoothness", "projector family is Lipschitz in the coframe",
-            {"max_ratio": worst_lin}, worst_lin <= tol, tol, t0)
+            {"max_ratio": worst_lin}, worst_lin <= tol, tol)
 
-    t0 = time.perf_counter()
     # matrix realization cross-check against fiber-algebra wedge
     rng = s.rng()
     worst = 0.0
@@ -387,7 +386,7 @@ def run_kernels(cfg: RunConfig) -> list:
         worst = max(worst, np.abs(M @ x - direct.reshape(-1)).max())
     tol = cfg.tol("matrix_crosscheck")
     s.check("matrix-crosscheck", "wedge-map matrices reproduce the fiber-algebra product",
-            {"max_residual": worst}, worst <= tol, tol, t0)
+            {"max_residual": worst}, worst <= tol, tol)
     return s.rows
 
 
@@ -397,9 +396,8 @@ def run_kernels(cfg: RunConfig) -> list:
 
 def run_reduction(cfg: RunConfig) -> list:
     s = _Suite("reduction", cfg)
-    sig = signature_from_name(cfg.signature)
+    sig = s.sig
 
-    t0 = time.perf_counter()
     dims = {str(k): red.kernel_intersection_dim(k)
             for k in ((1, 1, 1), (1, 1, -1), (1, 1, 0), (1, -1, 0), (1, 0, 0), (0, 0, 0))}
     emb = red.kernel_intersection_dim_from_coframe(
@@ -408,16 +406,14 @@ def run_reduction(cfg: RunConfig) -> list:
                      and dims["(1, 1, 0)"] == 2 and dims["(1, -1, 0)"] == 2
                      and emb == 2)
     s.check("kernel-intersection", "dim K = 2 dim ker(g) at exactly constructed metrics",
-            {"dims": dims, "embedded_110": emb}, attainable_ok, None, t0)
+            {"dims": dims, "embedded_110": emb}, attainable_ok, None)
 
-    t0 = time.perf_counter()
     val = dims["(1, 0, 0)"]
     s.check("kernel-intersection-(1,0,0)", "stated value 4 at signature (1,0,0)",
             {"measured": val, "stated": 4,
              "note": "honest exact count of the kernel equations gives 3"},
-            val == 4, None, t0)
+            val == 4, None)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     worst_wedge = 0.0
     worst_cont = 0.0
@@ -434,9 +430,8 @@ def run_reduction(cfg: RunConfig) -> list:
     s.check("exact-sequence", "short exact sequence via the bracket-with-e map",
             {"wedge_residual": worst_wedge, "containment_residual": worst_cont,
              "sites": 20}, dims_ok and worst_wedge <= tolw and worst_cont <= tolc,
-            tolc, t0)
+            tolc)
 
-    t0 = time.perf_counter()
     det_std = red.phi_pairing_det_exact((1, 1, 1))
     rng = s.rng()
     min_det = np.inf
@@ -453,9 +448,8 @@ def run_reduction(cfg: RunConfig) -> list:
     s.check("phi-isomorphism", "phi = p o [.,e] on the kernel is an isomorphism",
             {"exact_pairing_det_at_identity": str(det_std), "min_normalized_det": float(min_det),
              "degenerate_refused": refused},
-            det_std != 0 and min_det > 1e-6 and refused, None, t0)
+            det_std != 0 and min_det > 1e-6 and refused, None)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     grid = Grid3(8)
     worst_struct = 0.0
@@ -479,7 +473,6 @@ def run_reduction(cfg: RunConfig) -> list:
         worst_gauge = max(worst_gauge, (res2.omega_tilde - st.omega).sup_norm())
         res3 = red.omega_tilde(st.e, st.omega)
         worst_idem = max(worst_idem, (res3.omega_tilde - st.omega).sup_norm())
-    runtime = time.perf_counter() - t0
     tol_s = cfg.tol("structural_residual")
     tol_g = cfg.tol("gauge_invariance")
     tol_k = cfg.tol("kernel_wedge")
@@ -489,9 +482,8 @@ def run_reduction(cfg: RunConfig) -> list:
              "kernel_wedge": worst_kernel, "idempotence": worst_idem,
              "max_condition": worst_cond},
             (worst_struct <= tol_s and worst_gauge <= tol_g and worst_kernel <= tol_k
-             and worst_idem <= tol_i and runtime < 60.0), tol_s, t0)
+             and worst_idem <= tol_i and s.elapsed() < 60.0), tol_s)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     st = random_offshell_state(rng, Grid3(4), sig, cfg.gamma, cfg.Lambda)
     pack = cst.projector_pack(st.e)
@@ -509,9 +501,8 @@ def run_reduction(cfg: RunConfig) -> list:
         worst = max(worst, abs(bilinear(st.e.field * 0 + de1, de2) - bilinear(de2, de1)))
     tol = cfg.tol("slice_symplecto")
     s.check("structural-slice-pairing", "kernel-valued corrections drop out of the boundary pairing",
-            {"max_antisymmetry": worst}, worst <= tol, tol, t0)
+            {"max_antisymmetry": worst}, worst <= tol, tol)
 
-    t0 = time.perf_counter()
     built = {}
     for signs in ((1, 1, 1), (1, 1, -1), (1, 1, 0)):
         e = red.make_degenerate_coframe(signs, LORENTZIAN)
@@ -526,7 +517,7 @@ def run_reduction(cfg: RunConfig) -> list:
             pass
     s.check("degenerate-coframes", "exact constructions and unattainable-signature rejection",
             {"built": built, "unattainable_rejected": errors_ok},
-            all(built.values()) and errors_ok, None, t0)
+            all(built.values()) and errors_ok, None)
     return s.rows
 
 
@@ -536,10 +527,9 @@ def run_reduction(cfg: RunConfig) -> list:
 
 def run_constraints(cfg: RunConfig) -> list:
     s = _Suite("constraints", cfg)
-    sig = signature_from_name(cfg.signature)
+    sig = s.sig
     gamma = cfg.gamma
 
-    t0 = time.perf_counter()
     grid = Grid3(8)
     st_flat = cst.make_on_shell(flat_triad_spec(), grid, gamma, sig)
     alpha = trig_alpha_field(grid)
@@ -547,15 +537,13 @@ def run_constraints(cfg: RunConfig) -> list:
     flat_L = abs(cst.eval_L(st_flat, alpha))
     flat_J = abs(cst.eval_J(st_flat, mu4))
     s.check("flat-state", "flat triad with K = 0 gives exactly vanishing constraints",
-            {"L": flat_L, "J": flat_J}, max(flat_L, flat_J) <= 1e-14, 1e-14, t0)
+            {"L": flat_L, "J": flat_J}, max(flat_L, flat_J) <= 1e-14, 1e-14)
 
-    t0 = time.perf_counter()
     st_lam = cst.make_on_shell(flat_triad_spec(), grid, gamma, sig, Lambda=1.0)
     val = cst.eval_J(st_lam, mu4)
     s.check("cosmological-term", "Tr[mu ^ e^3] normalization: J = -6 Lambda at the flat state",
-            {"J": val, "expected": -6.0}, abs(val + 6.0) <= 1e-12, 1e-12, t0)
+            {"J": val, "expected": -6.0}, abs(val + 6.0) <= 1e-12, 1e-12)
 
-    t0 = time.perf_counter()
     c = 0.3
     lam = 0.2
     st_k = cst.make_on_shell(constant_k_spec(c), grid, gamma, sig, Lambda=lam)
@@ -563,9 +551,8 @@ def run_constraints(cfg: RunConfig) -> list:
     expected = 3.0 * eta00 * c**2 - 6.0 * lam
     val = cst.eval_J_infinity(st_k, mu4)
     s.check("constant-curvature", "constant-K closed form: J = 3 eta00 c^2 - 6 Lambda",
-            {"J": val, "expected": expected}, abs(val - expected) <= 1e-12, 1e-12, t0)
+            {"J": val, "expected": expected}, abs(val - expected) <= 1e-12, 1e-12)
 
-    t0 = time.perf_counter()
     spec = acceptance_triad_spec()
     Ls = {}
     for n in (8, 16):
@@ -576,9 +563,8 @@ def run_constraints(cfg: RunConfig) -> list:
     lo, hi = cfg.tol("order_low"), cfg.tol("order_high")
     s.check("on-shell-order2", "residual constraint converges at order 2 on trig states",
             {"L8": Ls[8], "L16": Ls[16], "ratio": ratio},
-            lo <= ratio <= hi, None, t0)
+            lo <= ratio <= hi, None)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     st = random_offshell_state(rng, Grid3(4), sig, gamma, cfg.Lambda)
     a1 = rng.normal(size=6)
@@ -594,9 +580,8 @@ def run_constraints(cfg: RunConfig) -> list:
                 - cst.eval_J(st, cst.smear_constant(g4, 1, m2)))
     tol = cfg.tol("linearity")
     s.check("linearity", "plumbing",
-            {"L": lin_L, "J": lin_J}, max(lin_L, lin_J) <= tol, tol, t0)
+            {"L": lin_L, "J": lin_J}, max(lin_L, lin_J) <= tol, tol)
 
-    t0 = time.perf_counter()
     psis = {}
     for n in (8, 16):
         g = Grid3(n)
@@ -605,9 +590,8 @@ def run_constraints(cfg: RunConfig) -> list:
     ratio = psis[8] / max(psis[16], 1e-300)
     s.check("psi-on-shell", "the kernel part of the gauge field response vanishes on shell",
             {"psi8": psis[8], "psi16": psis[16], "ratio": ratio},
-            psis[16] <= cfg.tol("psi_budget") and ratio > 2.0, None, t0)
+            psis[16] <= cfg.tol("psi_budget") and ratio > 2.0, None)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     st = random_offshell_state(rng, Grid3(4), sig, gamma, cfg.Lambda)
     pack = cst.projector_pack(st.e)
@@ -624,14 +608,13 @@ def run_constraints(cfg: RunConfig) -> list:
     s.check("hamiltonian-fields", "defining wedge equations and constrained-variation relation",
             {"Xe_exactness": exact_xe, "wedge_residual": worst_wedge,
              "variation_residual": worst_cv},
-            exact_xe <= 1e-13 and worst_wedge <= tol_w and worst_cv <= tol_cv, tol_w, t0)
+            exact_xe <= 1e-13 and worst_wedge <= tol_w and worst_cv <= tol_cv, tol_w)
 
-    t0 = time.perf_counter()
     # dimension inventory, recorded as metadata rather than asserted as an
     # equation: the local degrees-of-freedom count is prose, not a formula
     s.check("dimension-inventory", "recorded count: two local degrees of freedom",
             {"field_components_per_site": 24, "kernel_directions_per_site": 6,
-             "constraint_densities_per_site": 10}, True, None, t0)
+             "constraint_densities_per_site": 10}, True, None)
     return s.rows
 
 
@@ -641,7 +624,7 @@ def run_constraints(cfg: RunConfig) -> list:
 
 def run_brackets(cfg: RunConfig) -> list:
     s = _Suite("brackets", cfg)
-    sig = signature_from_name(cfg.signature)
+    sig = s.sig
     gamma = cfg.gamma
     grid = Grid3(4)
 
@@ -650,7 +633,6 @@ def run_brackets(cfg: RunConfig) -> list:
     mc = np.array([0.2, -0.3, 0.4, 0.6])
     mc2 = np.array([0.5, 0.1, -0.2, 0.3])
 
-    t0 = time.perf_counter()
     rng = s.rng()
     st = random_offshell_state(rng, grid, sig, gamma, cfg.Lambda)
     alpha = cst.smear_constant(grid, 2, ac)
@@ -662,9 +644,8 @@ def run_brackets(cfg: RunConfig) -> list:
     s.check("gauge-algebra", "{L_a, L_a'} = L_[a',a] off shell",
             {"bracket": br, "rhs": rhs, "rel_error": rel, "fd_error": fd_err,
              "lhs_magnitude": abs(br)},
-            rel <= tol and abs(rhs) > 1e-8, tol, t0)
+            rel <= tol and abs(rhs) > 1e-8, tol)
 
-    t0 = time.perf_counter()
     spec = acceptance_triad_spec()
     st_on = cst.make_on_shell(spec, grid, gamma, sig, Lambda=0.1)
     mu = cst.smear_constant(grid, 1, mc)
@@ -678,18 +659,16 @@ def run_brackets(cfg: RunConfig) -> list:
     s.check("energy-brackets", "{J, J'} closes onto the residual constraint on shell",
             {"bracket_n4": bJJ, "bracket_n8": bJJ8, "budget_n4": budget,
              "J_scale": scale},
-            abs(bJJ) <= budget and abs(bJJ8) < abs(bJJ), None, t0)
+            abs(bJJ) <= budget and abs(bJJ8) < abs(bJJ), None)
 
-    t0 = time.perf_counter()
     bLJ, _ = cst.poisson_bracket(st_on, "L", alpha, "J", mu)
     Jam = cst.eval_J(st_on, cst.smear_constant(grid, 1, fiber.act_on_vector(ac, mc, sig)))
     lpart = bLJ + Jam
     budget = cfg.tol("bracket_onshell_budget") * grid.h**2 * (1.0 + abs(Jam))
     s.check("mixed-bracket", "{L_a, J_mu} + J_[a,mu] reduces to an on-shell-vanishing term",
             {"bracket": bLJ, "J_bracketed": Jam, "l_part": lpart, "budget": budget},
-            abs(lpart) <= budget and abs(Jam) > 1e-8, None, t0)
+            abs(lpart) <= budget and abs(Jam) > 1e-8, None)
 
-    t0 = time.perf_counter()
     # derivative of a functional linear in e along a slice-tangent probe; the
     # probe 2-form is the pointwise dual of Y.de, so the exact value is the
     # squared L2 norm of Y.de, at least that of its constant offset
@@ -709,7 +688,7 @@ def run_brackets(cfg: RunConfig) -> list:
     tol = cfg.tol("fd_linear")
     s.check("fd-exactness", "plumbing",
             {"fd": got, "exact": exact, "error": abs(got - exact)},
-            abs(got - exact) <= tol * max(1.0, abs(exact)) and abs(exact) > 1e-8, tol, t0)
+            abs(got - exact) <= tol * max(1.0, abs(exact)) and abs(exact) > 1e-8, tol)
     return s.rows
 
 
@@ -719,12 +698,10 @@ def run_brackets(cfg: RunConfig) -> list:
 
 def run_eh(cfg: RunConfig) -> list:
     s = _Suite("eh", cfg)
-    sig = signature_from_name(cfg.signature)
+    sig = s.sig
     gamma = cfg.gamma
     spec = acceptance_triad_spec()
-    suite_start = time.perf_counter()
 
-    t0 = time.perf_counter()
     # convergence levels: the config's grid list when it provides three or
     # more distinct sizes, otherwise the standard 8 -> 16 -> 32 ladder
     levels = sorted(set(cfg.grid_n)) if len(set(cfg.grid_n)) >= 3 else [8, 16, 32]
@@ -744,18 +721,16 @@ def run_eh(cfg: RunConfig) -> list:
         "gamma_block": comps[n1]["gamma_residual"] / comps[n2]["gamma_residual"],
     }
     ok = all(lo <= r <= hi for r in ratios.values())
-    runtime = time.perf_counter() - t0
     s.check("reduction-convergence",
             "boundary functional matches the Hamiltonian/momentum densities at order 2; "
             "two Ricci and two momentum routes mutually converge; gamma drops on shell",
             {"ratios": {k: float(v) for k, v in ratios.items()},
              "levels": [n1, n2, n3],
              "deviations_mid": {k: float(v) for k, v in comps[n2].items()}},
-            ok and runtime < 300.0, None, t0)
+            ok and s.elapsed() < 300.0, None)
 
-    t0 = time.perf_counter()
     g = Grid3(8)
-    rng = s.rng()
+    s.rng()   # unused, but the draw counter it advances keys the streams of the later rows
     X, Y, Z = g.coords()
     field = np.stack([harmonic(0.7, (1, 0, 0), 0.2).eval(X, Y, Z),
                       harmonic(0.5, (0, 1, 0), 1.0).eval(X, Y, Z),
@@ -763,9 +738,8 @@ def run_eh(cfg: RunConfig) -> list:
     div_int = abs(eh.exact_divergence_integral(g, field))
     tol = cfg.tol("exact_divergence")
     s.check("closed-boundary-term", "discrete total derivative integrates to zero on the torus",
-            {"integral": div_int}, div_int <= tol, tol, t0)
+            {"integral": div_int}, div_int <= tol, tol)
 
-    t0 = time.perf_counter()
     st = cst.make_on_shell(spec, g, gamma, sig, Lambda=0.0)
     frame = eh.orthonormal_frame(st.e.data, sig)
     eta_adapted = np.concatenate([frame.eta_bar, [frame.eta00]])
@@ -799,9 +773,8 @@ def run_eh(cfg: RunConfig) -> list:
              "K_Pi_roundtrip": float(np.abs(K_back - K).max()),
              "trace_identity": float(tr_rel),
              "A_K_roundtrip": float(np.abs(K_rt - K).max()),
-             "det_identity": det_res}, worst <= tol, tol, t0)
+             "det_identity": det_res}, worst <= tol, tol)
 
-    t0 = time.perf_counter()
     # gauge-fix flow consistency: rotate into the adapted frame, re-certify,
     # and compare the connection blocks with Gamma(ebar) + A
     split = eh.split_connection(st.omega, frame, g)
@@ -817,9 +790,8 @@ def run_eh(cfg: RunConfig) -> list:
             {"gamma_residual": split2.gamma_residual, "k_asymmetry": split2.k_asymmetry,
              "a_block_shift": float(np.abs(split2.a_part - split.a_part).max())},
             split2.gamma_residual <= budget
-            and np.abs(split2.a_part - split.a_part).max() <= budget, budget, t0)
+            and np.abs(split2.a_part - split.a_part).max() <= budget, budget)
 
-    t0 = time.perf_counter()
     # off-shell split flags a large residual (negative control)
     rng = s.rng()
     st_off = random_offshell_state(rng, g, sig, gamma, 0.0)
@@ -832,7 +804,7 @@ def run_eh(cfg: RunConfig) -> list:
         refused = True
     s.check("off-shell-control", "off-shell states flagged and refused by the comparator",
             {"gamma_residual": split3.gamma_residual, "refused": refused},
-            split3.gamma_residual > 0.01 and refused, None, t0)
+            split3.gamma_residual > 0.01 and refused, None)
     return s.rows
 
 
@@ -842,11 +814,10 @@ def run_eh(cfg: RunConfig) -> list:
 
 def run_halfshell(cfg: RunConfig) -> list:
     s = _Suite("halfshell", cfg)
-    sig = signature_from_name(cfg.signature)
+    sig = s.sig
     gamma = cfg.gamma if not math.isinf(cfg.gamma) else 1.0
     grid = Grid3(2)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     st = hs.sample_locus_state(grid, sig, gamma, rng)
     rep_full = hs.isotropy_diagnosis(st, full_locus=True)
@@ -857,9 +828,8 @@ def run_halfshell(cfg: RunConfig) -> list:
              "dim_tangent": rep_full.dim_tangent, "dim_orthogonal": rep_full.dim_orthogonal,
              "t0_dim_tangent": rep_t0.dim_tangent, "t0_dim_orthogonal": rep_t0.dim_orthogonal},
             (rep_full.max_pairing <= tol and rep_full.dim_orthogonal > rep_full.dim_tangent
-             and rep_t0.lagrangian), tol, t0)
+             and rep_t0.lagrangian), tol)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     worst = 0.0
     tb0, _ = hs.hs_project(st)
@@ -869,9 +839,8 @@ def run_halfshell(cfg: RunConfig) -> list:
         worst = max(worst, (tb1 - tb0).sup_norm())
     tol = cfg.tol("kernel_flow")
     s.check("projection-invariance", "boundary data invariant under the multiplier kernel flow",
-            {"max_shift": worst}, worst <= tol, tol, t0)
+            {"max_shift": worst}, worst <= tol, tol)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     worst_rt = 0.0
     for _ in range(5):
@@ -882,9 +851,8 @@ def run_halfshell(cfg: RunConfig) -> list:
         worst_rt = max(worst_rt, (tb2 - tb).sup_norm())
     tol = cfg.tol("round_trip")
     s.check("symplectomorphism-roundtrip", "multiplier chart matches the reduced-connection chart",
-            {"max_residual": worst_rt}, worst_rt <= tol, tol, t0)
+            {"max_residual": worst_rt}, worst_rt <= tol, tol)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     om0, _ = hs.phi_symplecto(tb0, st.e, gamma)
     Tom = t_gamma_field(om0, gamma, sig)
@@ -906,9 +874,8 @@ def run_halfshell(cfg: RunConfig) -> list:
         worst_pair = max(worst_pair, abs(lhs - rhs))
     tol = cfg.tol("pairing_match")
     s.check("pairing-pullback", "pulled-back symplectic pairings agree",
-            {"max_deviation": worst_pair}, worst_pair <= tol, tol, t0)
+            {"max_deviation": worst_pair}, worst_pair <= tol, tol)
 
-    t0 = time.perf_counter()
     rng = s.rng()
     M12 = wm.wedge_matrix(st.e.data, (1, 2))
     _, _, vh = np.linalg.svd(M12)
@@ -936,7 +903,7 @@ def run_halfshell(cfg: RunConfig) -> list:
              "pch_point": {"hs": hs2, "pch": pch2},
              "coincide_residual": coincide},
             (hs_res <= 1e-10 and pch_res >= floor and pch2 <= 1e-10 and hs2 >= floor
-             and coincide <= tol), tol, t0)
+             and coincide <= tol), tol)
     return s.rows
 
 
@@ -969,32 +936,21 @@ def run_suites(cfg: RunConfig, threads: int = 1) -> ConstraintReport:
     report = ConstraintReport(config=cfg.as_dict())
     report.meta["threads"] = threads
     selected = [name for name in cfg.suites if name in SUITE_FUNCS]
-    results: dict = {}
-    error: BaseException | None = None
-    failed = None
-    if threads > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = {name: ex.submit(SUITE_FUNCS[name], cfg) for name in selected}
-            for name in selected:
-                try:
-                    results[name] = futures[name].result()
-                except Exception as exc:
-                    error, failed = exc, name
-                    break
-    else:
+    # a sequential run stays on the calling thread; a pool only supplies the results
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 and len(selected) > 1 else None
+    futures = {name: pool.submit(SUITE_FUNCS[name], cfg) for name in selected} if pool else {}
+    try:
         for name in selected:
-            try:
-                results[name] = SUITE_FUNCS[name](cfg)
-            except Exception as exc:
-                error, failed = exc, name
-                break
-    for name in selected:
-        for row in results.get(name, ()):
-            report.add(row)
-    if error is not None:
+            for row in futures[name].result() if pool else SUITE_FUNCS[name](cfg):
+                report.add(row)
+    except Exception as exc:
         report.add(CheckRow(
-            id=f"{failed}/aborted", anchor="plumbing", inputs_digest="",
-            values={"error": f"{type(error).__name__}: {error}"},
+            id=f"{name}/aborted", anchor="plumbing", inputs_digest="",
+            values={"error": f"{type(exc).__name__}: {exc}"},
             tolerance=None, passed=False, runtime_s=0.0))
-        raise SuiteAbort(report, error)
+        raise SuiteAbort(report, exc) from None
+    finally:
+        if pool:
+            # an abort drops the suites that have not started; running ones finish
+            pool.shutdown(cancel_futures=True)
     return report

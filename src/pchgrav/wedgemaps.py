@@ -274,16 +274,10 @@ KERNEL_TEMPLATES = {
 
 
 @dataclass
-class WedgeMapSample:
-    shape: tuple
-    matrix: np.ndarray  # (cod, dom)
-    e: np.ndarray  # (3, 4)
-    sig: Signature
-
-
-@dataclass
 class ComplementSplit:
-    sample: WedgeMapSample
+    shape: tuple
+    e: np.ndarray                 # (3, 4) coframe at one site
+    matrix: np.ndarray            # (cod, dom) coefficient matrix of W_e
     kernel_basis: np.ndarray      # (dom, kdim), orthonormal in e-frame coords
     complement_basis: np.ndarray  # (dom, dom - kdim)
     p: np.ndarray                 # projector onto the kernel (domain)
@@ -291,26 +285,21 @@ class ComplementSplit:
     p_dagger: np.ndarray          # projector onto im(W) (codomain)
     singular_values: np.ndarray
     gap: float
-    frame: np.ndarray             # P = [e_1 e_2 e_3 e_n]
 
 
-def build_wedge_matrix(e: np.ndarray, shape: tuple, sig: Signature) -> WedgeMapSample:
-    e = np.asarray(e, dtype=float)
-    if e.shape != (3, 4):
-        raise ValueError("per-site coframe must be 3x4")
-    return WedgeMapSample(shape, wedge_matrix(e, shape), e, sig)
-
-
-def kernel_basis(sample: WedgeMapSample) -> ComplementSplit:
-    """Kernel/complement split with singular-value gap policy.
+def kernel_basis(e: np.ndarray, shape: tuple, sig: Signature) -> ComplementSplit:
+    """Kernel/complement split of W_e^{shape} at one site, with singular-value gap policy.
 
     The rank counts the singular values above 1e-10 times the largest; the
     decision must be backed by a gap of at least 1e6 between the smallest
     kept and the largest discarded singular value, otherwise a
     RankDecisionError signals a near-degenerate coframe.
     """
-    p, k = sample.shape
-    M = sample.matrix
+    e = np.asarray(e, dtype=float)
+    if e.shape != (3, 4):
+        raise ValueError("per-site coframe must be 3x4")
+    p, k = shape
+    M = wedge_matrix(e, shape)
     cod, dom = M.shape
     u, sv, vh = np.linalg.svd(M)
     rank = int((sv > 1e-10 * sv[0]).sum())
@@ -326,18 +315,18 @@ def kernel_basis(sample: WedgeMapSample) -> ComplementSplit:
     gap = float(top / bottom)
     if spectral_rank != rank or gap < 1e6:
         raise RankDecisionError(
-            f"ill-conditioned rank decision for W^{sample.shape}: gap {gap:.3e}, "
+            f"ill-conditioned rank decision for W^{shape}: gap {gap:.3e}, "
             f"threshold rank {rank} vs spectral rank {spectral_rank}"
         )
 
     try:
-        P, _ = complete_frame(sample.e, sample.sig)
+        P, _ = complete_frame(e, sig)
         S_dom = domain_transform(P, p, k)
         S_cod = domain_transform(P, p + 1, k + 1)
         S_dom_inv = np.linalg.inv(S_dom)
         S_cod_inv = np.linalg.inv(S_cod)
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise RankDecisionError(f"degenerate coframe for W^{sample.shape}: {exc}") from None
+        raise RankDecisionError(f"degenerate coframe for W^{shape}: {exc}") from None
 
     kern_u = vh[rank:].T                      # (dom, kdim) orthonormal in u-coords
     kern_e = S_dom_inv @ kern_u
@@ -356,7 +345,9 @@ def kernel_basis(sample: WedgeMapSample) -> ComplementSplit:
     p_dag = S_cod @ (im_e @ im_e.T) @ S_cod_inv
 
     return ComplementSplit(
-        sample=sample,
+        shape=shape,
+        e=e,
+        matrix=M,
         kernel_basis=S_dom @ kern_e,
         complement_basis=comp_u,
         p=proj,
@@ -364,7 +355,6 @@ def kernel_basis(sample: WedgeMapSample) -> ComplementSplit:
         p_dagger=p_dag,
         singular_values=sv,
         gap=float(gap),
-        frame=P,
     )
 
 
@@ -384,14 +374,14 @@ def annihilator_check(split: ComplementSplit) -> dict:
     complementary shape (2-p, 3-k); the report carries the worst least-squares
     residual over an annihilator basis.
     """
-    p, k = split.sample.shape
+    p, k = split.shape
     PG = dual_pairing_matrix(p, k)
     kern = split.kernel_basis
     if kern.shape[1] == 0:
         ann_basis = np.eye(PG.shape[0])
     else:
         ann_basis = _orthonormal_nullspace(kern.T @ PG.T)  # (z-dim, m) columns
-    M_dual = wedge_matrix(split.sample.e, (2 - p, 3 - k))
+    M_dual = wedge_matrix(split.e, (2 - p, 3 - k))
     worst = 0.0
     for j in range(ann_basis.shape[1]):
         z = ann_basis[:, j]

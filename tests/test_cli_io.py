@@ -176,6 +176,46 @@ def test_cli_verify_conditioning_failure_exit_3(tmp_path, monkeypatch, capsys):
     assert "site (0, 1, 1)" in capsys.readouterr().err
 
 
+def test_parallel_abort_cancels_suites_not_started(monkeypatch):
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from pchgrav import suites
+
+    started = []
+    release = threading.Event()
+
+    class ReleasingPool(ThreadPoolExecutor):
+        # the running suites are released only once the pool has been shut down
+        # with the caller's cancel_futures, so no queued suite can start in between
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            release.set()
+            super().shutdown(wait=wait)
+
+    def failing(cfg):
+        raise RuntimeError("algebra broke")
+
+    def recording(name):
+        def run(cfg):
+            started.append(name)
+            release.wait(timeout=30)
+            return []
+        return run
+
+    monkeypatch.setattr(suites, "ThreadPoolExecutor", ReleasingPool)
+    cfg = validate_config({})
+    for name in cfg.suites:
+        monkeypatch.setitem(suites.SUITE_FUNCS, name, failing if name == "algebra" else recording(name))
+    with pytest.raises(suites.SuiteAbort) as info:
+        run_suites(cfg, threads=2)
+    # one suite per worker can have left the queue before the abort: the first two
+    assert set(started) <= {"kernels", "reduction"}
+    assert [r.id for r in info.value.report.rows] == ["algebra/aborted"]
+    assert info.value.report.rows[0].values == {"error": "RuntimeError: algebra broke"}
+    assert isinstance(info.value.cause, RuntimeError)
+
+
 @pytest.mark.parametrize("command", ["omega-tilde", "reduce"])
 def test_cli_null_normal_exit_3_names_site(tmp_path, capsys, command):
     from pchgrav.fiber import LORENTZIAN

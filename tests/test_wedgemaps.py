@@ -24,7 +24,9 @@ def test_shape_dimension_table():
 
 def test_unsupported_shape_rejected():
     with pytest.raises(ValueError, match="unsupported shape"):
-        wm.build_wedge_matrix(STANDARD, (2, 2), LORENTZIAN)
+        wm.wedge_matrix(STANDARD, (2, 2))
+    with pytest.raises(ValueError, match="3x4"):
+        wm.kernel_basis(STANDARD[None], (1, 2), LORENTZIAN)
 
 
 def test_matrix_matches_fiber_wedge():
@@ -44,19 +46,19 @@ def test_kernel_dimension_table_random_coframes():
         for _ in range(50):
             e = random_nondegenerate_coframe(RNG, sig)
             for shape, kdim, rank in (((1, 1), 0, 12), ((1, 2), 6, 12), ((2, 1), 6, 6)):
-                split = wm.kernel_basis(wm.build_wedge_matrix(e, shape, sig))
+                split = wm.kernel_basis(e, shape, sig)
                 assert split.kernel_basis.shape[1] == kdim
-                assert split.sample.matrix.shape[1] - kdim == rank
+                assert split.matrix.shape[1] - kdim == rank
                 assert split.gap >= 1e6
 
 
 def test_injectivity_surjectivity_statements():
     e = random_nondegenerate_coframe(RNG, LORENTZIAN)
-    s11 = wm.kernel_basis(wm.build_wedge_matrix(e, (1, 1), LORENTZIAN))
+    s11 = wm.kernel_basis(e, (1, 1), LORENTZIAN)
     assert s11.kernel_basis.shape[1] == 0           # injective at p = k = 1
-    s12 = wm.kernel_basis(wm.build_wedge_matrix(e, (1, 2), LORENTZIAN))
+    s12 = wm.kernel_basis(e, (1, 2), LORENTZIAN)
     assert (s12.singular_values > 1e-10).sum() == 12   # surjective onto 12 dims
-    s21 = wm.kernel_basis(wm.build_wedge_matrix(e, (2, 1), LORENTZIAN))
+    s21 = wm.kernel_basis(e, (2, 1), LORENTZIAN)
     assert (s21.singular_values > 1e-10).sum() == 6
 
 
@@ -64,7 +66,7 @@ def test_projector_algebra():
     for _ in range(10):
         e = random_nondegenerate_coframe(RNG, LORENTZIAN)
         for shape in wm.SHAPES:
-            sp = wm.kernel_basis(wm.build_wedge_matrix(e, shape, LORENTZIAN))
+            sp = wm.kernel_basis(e, shape, LORENTZIAN)
             dom = sp.p.shape[0]
             assert np.abs(sp.p @ sp.p - sp.p).max() <= 1e-12
             assert np.abs(sp.p_prime @ sp.p_prime - sp.p_prime).max() <= 1e-12
@@ -76,7 +78,7 @@ def test_projector_algebra():
                 assert np.abs(sp.p @ sp.kernel_basis - sp.kernel_basis).max() <= 1e-12
                 assert np.abs(sp.p @ sp.complement_basis).max() <= 1e-12
             # p_dagger fixes the image
-            img = sp.sample.matrix @ sp.complement_basis
+            img = sp.matrix @ sp.complement_basis
             assert np.abs(sp.p_dagger @ img - img).max() <= 1e-10 * max(1, np.abs(img).max())
 
 
@@ -84,7 +86,7 @@ def test_kernel_membership_by_explicit_equations():
     for shape in ((1, 2), (2, 1)):
         for _ in range(10):
             e = random_nondegenerate_coframe(RNG, LORENTZIAN)
-            sp = wm.kernel_basis(wm.build_wedge_matrix(e, shape, LORENTZIAN))
+            sp = wm.kernel_basis(e, shape, LORENTZIAN)
             P, _ = wm.complete_frame(e, LORENTZIAN)
             S = wm.domain_transform(P, *shape)
             k_e = np.linalg.solve(S, sp.kernel_basis)
@@ -95,11 +97,11 @@ def test_rank_decision_error_near_degenerate():
     # a tiny third direction puts singular values between "kept" and "zero"
     e = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1e-8, 0]])
     with pytest.raises(wm.RankDecisionError):
-        wm.kernel_basis(wm.build_wedge_matrix(e, (1, 2), LORENTZIAN))
+        wm.kernel_basis(e, (1, 2), LORENTZIAN)
     # an (almost) rank-two array is rejected as a coframe outright
     e2 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [1.0, 1e-9, 0, 0]])
     with pytest.raises(wm.RankDecisionError):
-        wm.kernel_basis(wm.build_wedge_matrix(e2, (1, 2), LORENTZIAN))
+        wm.kernel_basis(e2, (1, 2), LORENTZIAN)
 
 
 def test_annihilator_random_and_standard():
@@ -107,11 +109,11 @@ def test_annihilator_random_and_standard():
     for _ in range(20):
         e = random_nondegenerate_coframe(RNG, LORENTZIAN)
         for shape in wm.SHAPES:
-            sp = wm.kernel_basis(wm.build_wedge_matrix(e, shape, LORENTZIAN))
+            sp = wm.kernel_basis(e, shape, LORENTZIAN)
             worst = max(worst, wm.annihilator_check(sp)["max_residual"])
     assert worst <= 1e-10
 
-    sp = wm.kernel_basis(wm.build_wedge_matrix(STANDARD, (1, 2), LORENTZIAN))
+    sp = wm.kernel_basis(STANDARD, (1, 2), LORENTZIAN)
     rep = wm.annihilator_check(sp)
     assert rep["max_residual"] <= 1e-12
 
@@ -140,10 +142,10 @@ def test_annihilator_exact_rational_at_standard_coframe():
 def test_projector_smoothness_in_e():
     for _ in range(10):
         e = random_nondegenerate_coframe(RNG, LORENTZIAN)
-        sp = wm.kernel_basis(wm.build_wedge_matrix(e, (1, 2), LORENTZIAN))
+        sp = wm.kernel_basis(e, (1, 2), LORENTZIAN)
         d = RNG.normal(size=(3, 4))
         d = 1e-6 * d / np.abs(d).max()
-        sp2 = wm.kernel_basis(wm.build_wedge_matrix(e + d, (1, 2), LORENTZIAN))
+        sp2 = wm.kernel_basis(e + d, (1, 2), LORENTZIAN)
         assert np.abs(sp2.p - sp.p).max() <= 1e-3   # O(|delta|) with O(1) constant
 
 
