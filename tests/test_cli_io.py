@@ -345,6 +345,93 @@ def test_reduce_csv_is_the_json_tables(tmp_path):
         assert [float(x) for x in r[3:]] == want
 
 
+def test_reduce_files_are_the_old_writers_bytes(tmp_path):
+    # the old writers: json.dump of the whole document, csv.writer.writerows per site
+    import csv
+    import io
+
+    from pchgrav import ehdata as eh
+    from pchgrav.fiber import LORENTZIAN
+    from pchgrav.grid import Coframe, Grid3, save_field
+    from pchgrav.reduction import omega_tilde
+    from pchgrav.suites import random_offshell_state
+
+    n = 4
+    st = random_offshell_state(np.random.Generator(np.random.Philox(key=12)), Grid3(n),
+                               LORENTZIAN, 1.0, 0.0)
+    files = ["--coframe", str(tmp_path / "e.pchf"), "--connection", str(tmp_path / "om.pchf")]
+    save_field(st.e.field, files[1], sig=LORENTZIAN)
+    save_field(st.omega, files[3], sig=LORENTZIAN)
+    jout, cout = tmp_path / "eh.json", tmp_path / "eh.csv"
+    assert cli.main(["reduce", *files, "--out", str(jout), "--Lambda", "0.1"]) == 0
+    assert cli.main(["reduce", *files, "--out", str(cout), "--format", "csv",
+                     "--Lambda", "0.1"]) == 0
+
+    e = Coframe(st.e.field, LORENTZIAN)
+    frame = eh.orthonormal_frame(e.data, LORENTZIAN)
+    split = eh.split_connection(omega_tilde(e, st.omega).omega_tilde, frame, e.grid)
+    data = eh.eh_data(frame, split, e.grid, Lambda=0.1)
+    tables = [data.g, data.K, data.Pi, data.R_scalar, data.H_density, data.M_density]
+    old = {"n": n, "signature": "lorentzian", "eta00": data.eta00,
+           "gamma_block_residual": split.gamma_residual, "k_asymmetry": split.k_asymmetry,
+           "tables": dict(zip(["g", "K", "Pi", "R_scalar", "H_density", "M_density"],
+                              (t.tolist() for t in tables)))}
+    buf = io.StringIO()
+    json.dump(old, buf)
+    assert jout.read_bytes() == buf.getvalue().encode()
+
+    table = np.concatenate([t.reshape(n**3, -1) for t in tables], axis=1)
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(["i", "j", "k"] + [f"{t}_{a}{b}" for t in ("g", "K", "Pi")
+                                  for a in range(3) for b in range(3)]
+               + ["R_scalar", "H_density", "M_0", "M_1", "M_2"])
+    w.writerows([*site, *row.tolist()] for site, row in zip(np.ndindex(n, n, n), table))
+    assert cout.read_bytes() == buf.getvalue().encode()
+
+
+def test_reduce_writers_keep_the_repr_forms():
+    # the float forms where a hand-rolled formatter drifts from repr
+    import csv
+    import io
+
+    edge = [-0.0, 1e-05, 1e+16, 5e-324, 0.1 + 0.2, 1.0, -2.5e-300, 1.7976931348623157e308]
+    big = np.array(edge * 3).reshape(2, 2, 2, 3)
+    small = np.array(edge).reshape(2, 2, 2)
+    head = {"n": 2, "signature": "lorentzian", "eta00": -1.0, "gamma_block_residual": 5e-324}
+    tables = {"g": big, "R_scalar": small}
+
+    buf = io.StringIO()
+    cli._write_tables_json(buf, head, tables)
+    want = json.dumps({**head, "tables": {k: t.tolist() for k, t in tables.items()}})
+    assert buf.getvalue() == want
+    back = json.loads(buf.getvalue())["tables"]
+    assert all(np.array_equal(np.array(back[k]), t) and
+               (np.signbit(np.array(back[k])) == np.signbit(t)).all() for k, t in tables.items())
+
+    table = np.concatenate([big.reshape(8, -1), small.reshape(8, 1)], axis=1)
+    sites = np.indices((2, 2, 2)).reshape(3, -1).T.tolist()
+    buf = io.StringIO(newline="")
+    cli._write_rows_csv(buf, sites, table)
+    want = io.StringIO(newline="")
+    csv.writer(want).writerows([*site, *row.tolist()]
+                               for site, row in zip(np.ndindex(2, 2, 2), table))
+    assert buf.getvalue() == want.getvalue()
+    rows = [[float(x) for x in r[3:]] for r in csv.reader(io.StringIO(buf.getvalue(), newline=""))]
+    assert np.array_equal(rows, table) and (np.signbit(rows) == np.signbit(table)).all()
+
+
+@pytest.mark.parametrize("count", ["0", "-4"])
+def test_verify_threads_below_one_exit_2(tmp_path, capsys, count):
+    cfgp = write_cfg(tmp_path, {"suites": ["algebra"], "seed": 1})
+    out = tmp_path / "rep.json"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "--config", str(cfgp), "--out", str(out), "--threads", count])
+    assert info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_entrypoint_subprocess():
     # the child imports the same package as the tests, installed or not
     src = os.path.dirname(os.path.dirname(cli.__file__))
