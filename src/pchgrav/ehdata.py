@@ -241,6 +241,7 @@ def a_from_K(e_bar: np.ndarray, eta_bar: np.ndarray, K: np.ndarray) -> np.ndarra
 @dataclass
 class EHData:
     g: np.ndarray           # (..., 3, 3)
+    g_inv: np.ndarray       # (..., 3, 3)
     K: np.ndarray           # (..., 3, 3)
     Pi: np.ndarray          # (..., 3, 3) momentum density
     sqrtg: np.ndarray       # (...,)
@@ -250,19 +251,23 @@ class EHData:
     eta00: float
 
 
-def momentum_density_tensor(g: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Pi = (sqrt g / 2)(K - g tr_g K)."""
+def metric_inverse(g: np.ndarray):
+    """(g^-1, sqrt|det g|) of a stack of metrics, from one `inv3`."""
     ginv, det_g = inv3(g)
+    return ginv, np.sqrt(np.abs(det_g))
+
+
+def momentum_density_tensor(g: np.ndarray, K: np.ndarray, ginv: np.ndarray,
+                            sqrtg: np.ndarray) -> np.ndarray:
+    """Pi = (sqrt g / 2)(K - g tr_g K), with g^-1 and sqrt g from `metric_inverse`."""
     trK = np.einsum("...ab,...ab->...", ginv, K)
-    sqrtg = np.sqrt(np.abs(det_g))
     return 0.5 * sqrtg[..., None, None] * (K - g * trK[..., None, None])
 
 
 def K_from_momentum(g: np.ndarray, Pi: np.ndarray) -> np.ndarray:
     """Inverse of momentum_density_tensor: K = (2 Pi - g tr_g Pi) / sqrt g."""
-    ginv, det_g = inv3(g)
+    ginv, sqrtg = metric_inverse(g)
     trPi = np.einsum("...ab,...ab->...", ginv, Pi)
-    sqrtg = np.sqrt(np.abs(det_g))
     return (2.0 * Pi - g * trPi[..., None, None]) / sqrtg[..., None, None]
 
 
@@ -270,21 +275,21 @@ def K_from_momentum(g: np.ndarray, Pi: np.ndarray) -> np.ndarray:
 # Ricci scalar, two routes
 
 
-def ricci_scalar_via_frame(e_bar, eta_bar, grid, gamma_blk=None) -> np.ndarray:
+def ricci_scalar_via_frame(e_bar, det_e, eta_bar, grid, gamma_blk=None) -> np.ndarray:
     """R from the frame-curvature contraction eps_{kij} ebar^k ^ F_Gamma^{ij}.
 
     With ordered-pair components the (dx1^dx2^dx3)-coefficient of that 3-form,
-    the w_1 ^ w_2 ^ w_3 component of ebar ^ F_Gamma, equals (det ebar) R / 2.
+    the w_1 ^ w_2 ^ w_3 component of ebar ^ F_Gamma, equals (det ebar) R / 2;
+    det_e is det ebar (`inv3(e_bar)[1]`).
     """
     if gamma_blk is None:
         gamma_blk = gamma_block(e_bar, eta_bar, grid)
     E, gamma, sig_w = _triad_fields(e_bar, gamma_blk, eta_bar, grid)
-    return 2.0 * wedge_fields(E, curvature(gamma, sig_w)).data[..., 0, 0] / inv3(e_bar)[1]
+    return 2.0 * wedge_fields(E, curvature(gamma, sig_w)).data[..., 0, 0] / det_e
 
 
-def christoffel(g: np.ndarray, grid: Grid3) -> np.ndarray:
+def christoffel(g: np.ndarray, ginv: np.ndarray, grid: Grid3) -> np.ndarray:
     """Levi-Civita symbols Gamma^c_{ab} with central differences, (..., c, a, b)."""
-    ginv = inv3(g)[0]
     dg = np.stack([deriv_axis(g, c, grid) for c in range(3)], axis=-3)  # [..., c, a, b]
     # lowered symbols d_a g_bd + d_b g_ad - d_d g_ab, laid out as [..., (a, b), d]
     low = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
@@ -292,34 +297,32 @@ def christoffel(g: np.ndarray, grid: Grid3) -> np.ndarray:
     return 0.5 * (ginv @ np.swapaxes(low.reshape(lead + (9, 3)), -1, -2)).reshape(lead + (3, 3, 3))
 
 
-def ricci_scalar_via_metric(g: np.ndarray, Gam: np.ndarray, grid: Grid3) -> np.ndarray:
+def ricci_scalar_via_metric(ginv: np.ndarray, Gam: np.ndarray, grid: Grid3) -> np.ndarray:
     """Standard Christoffel route: R = g^{cb} R_{cb}, all central differences.
 
     R_{cb} = d_a G^a_{cb} - d_c G^a_{ab} + G^a_{ad} G^d_{cb} - G^a_{cd} G^d_{ab}
-    with G = `christoffel(g, grid)`.
+    with G = `christoffel(g, ginv, grid)`.
     """
     # the two traced derivatives only: a full (..., 3, 3, 3, 3) d Gamma set the peak
     # memory of the 32^3 EH comparison
     term1 = sum(deriv_axis(Gam[..., a, :, :], a, grid) for a in range(3))
     term2 = np.stack([sum(deriv_axis(Gam[..., a, a, :], c, grid) for a in range(3))
                       for c in range(3)], axis=-2)
-    lead = g.shape[:-2]
+    lead = ginv.shape[:-2]
     trace = np.einsum("...aad->...d", Gam)[..., None, :]
     term3 = (trace @ Gam.reshape(lead + (3, 9))).reshape(lead + (3, 3))
     P = np.swapaxes(Gam, -3, -2)                    # P[..., c, a, d] = Gam[..., a, c, d]
     term4 = P.reshape(lead + (3, 9)) @ P.reshape(lead + (9, 3))
     Ric = term1 - term2 + term3 - term4
-    return np.einsum("...cb,...cb->...", inv3(g)[0], Ric)
+    return np.einsum("...cb,...cb->...", ginv, Ric)
 
 
 # ---------------------------------------------------------------------------
 # constraint densities
 
 
-def hamiltonian_density(g, K, R, eta00, Lambda=0.0) -> np.ndarray:
+def hamiltonian_density(ginv, sqrtg, K, R, eta00, Lambda=0.0) -> np.ndarray:
     """H with J_{lam w0} = integral lam H; see the module docstring for factors."""
-    ginv, det_g = inv3(g)
-    sqrtg = np.sqrt(np.abs(det_g))
     Kmix = ginv @ K
     trK = np.einsum("...aa->...", Kmix)
     trK2 = np.einsum("...ab,...ba->...", Kmix, Kmix)
@@ -337,12 +340,12 @@ def momentum_density_frame(frame: AdaptedFrame, a_part, gamma_blk, grid) -> np.n
                       for f in range(3)], axis=-1)
 
 
-def momentum_density_metric(g, Pi, Gam, grid) -> np.ndarray:
+def momentum_density_metric(ginv, Pi, Gam, grid) -> np.ndarray:
     """M_f = -2 [ d_b P^b_f - Gamma^{LC,d}_{bf} P^b_d ],  P^b_f = g^{bc} Pi_{cf},
-    with Gamma = `christoffel(g, grid)`."""
-    P = inv3(g)[0] @ Pi
+    with Gamma = `christoffel(g, ginv, grid)`."""
+    P = ginv @ Pi
     divP = sum(deriv_axis(P[..., b, :], b, grid) for b in range(3))
-    lead = g.shape[:-2]
+    lead = ginv.shape[:-2]
     # Gamma^d_{bf} P^b_d as the row (P^T)[d, b] times Gamma[(d, b), f]
     corr = np.swapaxes(P, -1, -2).reshape(lead + (1, 9)) @ Gam.reshape(lead + (9, 3))
     return -2.0 * (divP - corr[..., 0, :])
@@ -351,13 +354,14 @@ def momentum_density_metric(g, Pi, Gam, grid) -> np.ndarray:
 def eh_data(frame: AdaptedFrame, split: ConnectionSplit, grid: Grid3,
             Lambda: float = 0.0) -> EHData:
     g = (frame.e_bar * frame.eta_bar) @ np.swapaxes(frame.e_bar, -1, -2)
+    ginv, sqrtg = metric_inverse(g)
     K = extrinsic_tensor(frame, split.a_part)
-    Pi = momentum_density_tensor(g, K)
-    R = ricci_scalar_via_frame(frame.e_bar, frame.eta_bar, grid, split.gamma_triad)
-    H = hamiltonian_density(g, K, R, frame.eta00, Lambda)
+    Pi = momentum_density_tensor(g, K, ginv, sqrtg)
+    R = ricci_scalar_via_frame(frame.e_bar, inv3(frame.e_bar)[1], frame.eta_bar, grid,
+                               split.gamma_triad)
+    H = hamiltonian_density(ginv, sqrtg, K, R, frame.eta00, Lambda)
     M = momentum_density_frame(frame, split.a_part, split.gamma_triad, grid)
-    sqrtg = np.sqrt(np.abs(inv3(g)[1]))
-    return EHData(g=g, K=K, Pi=Pi, sqrtg=sqrtg, R_scalar=R, H_density=H,
+    return EHData(g=g, g_inv=ginv, K=K, Pi=Pi, sqrtg=sqrtg, R_scalar=R, H_density=H,
                   M_density=M, eta00=frame.eta00)
 
 
@@ -384,9 +388,11 @@ def compare_pch_eh(state, lam0_polys, xi_polys) -> dict:
 
     lam0_polys: list of TrigPoly lapse probes (smearing mu = lam0 w0);
     xi_polys: list of 3-tuples of TrigPoly shift probes (mu = xi^f e_f).
-    Returns the maximal absolute deviations, the mutual two-route residuals,
-    and the gamma-independence deviation.  Refuses off-shell states: the
-    reduction formulas presuppose the residual constraint.
+    Returns the mutual two-route residuals and, for the probes given, the
+    maximal absolute deviations ("hamiltonian" and "gamma_independence" with
+    lapse probes, "momentum" with shift probes); no probes, no J evaluation.
+    Refuses off-shell states: the reduction formulas presuppose the residual
+    constraint.
     """
     from . import constraints as cst
 
@@ -397,31 +403,26 @@ def compare_pch_eh(state, lam0_polys, xi_polys) -> dict:
     frame = orthonormal_frame(state.e.data, state.sig)
     split = split_connection(state.omega, frame, grid)
     data = eh_data(frame, split, grid, Lambda=state.Lambda)
+    h3 = grid.h**3
+    # the metric routes first, before eval_J caches the state's densities: lower peak memory
+    Gam = christoffel(data.g, data.g_inv, grid)
+    Mlc = momentum_density_metric(data.g_inv, data.Pi, Gam, grid)
+    Rm = ricci_scalar_via_metric(data.g_inv, Gam, grid)
+    del Gam
     out = {
-        "hamiltonian": 0.0,
-        "momentum": 0.0,
-        "gamma_independence": 0.0,
-        "ricci_mutual": 0.0,
-        "momentum_mutual": 0.0,
+        "ricci_mutual": float(np.sqrt(((data.R_scalar - Rm) ** 2).sum() * h3)),
+        "momentum_mutual": float(np.sqrt(((data.M_density - Mlc) ** 2).sum() * h3)),
         "gamma_residual": split.gamma_residual,
         "k_asymmetry": split.k_asymmetry,
     }
-    h3 = grid.h**3
-    # the metric routes first, before eval_J caches the state's densities: lower peak memory
-    Gam = christoffel(data.g, grid)
-    Mlc = momentum_density_metric(data.g, data.Pi, Gam, grid)
-    Rm = ricci_scalar_via_metric(data.g, Gam, grid)
-    del Gam
-    out["momentum_mutual"] = float(np.sqrt(((data.M_density - Mlc) ** 2).sum() * h3))
-    out["ricci_mutual"] = float(np.sqrt(((data.R_scalar - Rm) ** 2).sum() * h3))
     for lp in lam0_polys:
         lam = lp.eval(X, Y, Z)
         mu = FormField(grid, 0, 1, (lam[..., None] * frame.frame[..., :, 3])[..., None, :])
         jinf = cst.eval_J_infinity(state, mu)
-        out["hamiltonian"] = max(out["hamiltonian"],
+        out["hamiltonian"] = max(out.get("hamiltonian", 0.0),
                                  abs(jinf - float((lam * data.H_density).sum() * h3)))
         out["gamma_independence"] = max(
-            out["gamma_independence"],
+            out.get("gamma_independence", 0.0),
             abs(cst.eval_J(state, mu, gamma=0.5) - cst.eval_J(state, mu, gamma=10.0)),
         )
     for xp in xi_polys:
@@ -429,7 +430,7 @@ def compare_pch_eh(state, lam0_polys, xi_polys) -> dict:
         mu = FormField(grid, 0, 1,
                        np.einsum("...a,...ai->...i", xi, state.e.data)[..., None, :])
         jxi = cst.eval_J_infinity(state, mu)
-        out["momentum"] = max(out["momentum"],
+        out["momentum"] = max(out.get("momentum", 0.0),
                               abs(jxi - float((xi * data.M_density).sum() * h3)))
     return out
 

@@ -313,30 +313,29 @@ def run_kernels(cfg: RunConfig) -> list:
     n_frames = int(cfg.tol("kernel_samples"))
 
     rng = s.rng()
+    frames = np.stack([random_nondegenerate_coframe(rng, sig) for _ in range(n_frames)])
     table_ok = True
     min_gap = np.inf
     worst_proj = 0.0
     worst_eq = 0.0
-    for i in range(n_frames):
-        e = random_nondegenerate_coframe(rng, sig)
-        for shape, expect_k, expect_r in (((1, 1), 0, 12), ((1, 2), 6, 12), ((2, 1), 6, 6)):
-            split = wm.kernel_basis(e, shape, sig)
-            kdim = split.kernel_basis.shape[1]
-            rank = split.matrix.shape[1] - kdim
-            table_ok &= (kdim == expect_k and rank == expect_r)
-            min_gap = min(min_gap, split.gap)
-            worst_proj = max(
-                worst_proj,
-                np.abs(split.p @ split.p - split.p).max(),
-                np.abs(split.p @ split.p_prime).max(),
-                np.abs(split.p + split.p_prime - np.eye(split.p.shape[0])).max(),
-                np.abs(split.p_dagger @ split.p_dagger - split.p_dagger).max(),
-            )
-            if shape != (1, 1) and kdim:
-                P, _ = wm.complete_frame(e, sig)
-                S = wm.domain_transform(P, *shape)
-                k_e = np.linalg.solve(S, split.kernel_basis)
-                worst_eq = max(worst_eq, np.abs(wm.kernel_equations(shape) @ k_e).max())
+    for shape, expect_k, expect_r in (((1, 1), 0, 12), ((1, 2), 6, 12), ((2, 1), 6, 6)):
+        split = wm.kernel_basis(frames, shape, sig)
+        kdim = split.kernel_basis.shape[-1]
+        rank = split.matrix.shape[-1] - kdim
+        table_ok &= (kdim == expect_k and rank == expect_r)
+        min_gap = min(min_gap, split.gap.min())
+        worst_proj = max(
+            worst_proj,
+            np.abs(split.p @ split.p - split.p).max(),
+            np.abs(split.p @ split.p_prime).max(),
+            np.abs(split.p + split.p_prime - np.eye(split.p.shape[-1])).max(),
+            np.abs(split.p_dagger @ split.p_dagger - split.p_dagger).max(),
+        )
+        if shape != (1, 1) and kdim:
+            P, _ = wm.complete_frame(frames, sig)
+            S = wm.domain_transform(P, *shape)
+            k_e = np.linalg.solve(S, split.kernel_basis)
+            worst_eq = max(worst_eq, np.abs(wm.kernel_equations(shape) @ k_e).max())
     gap_floor = cfg.tol("sv_gap")
     tol = cfg.tol("projector_algebra")
     s.check("kernel-table", "kernel dims 0/6/6 with ranks 12/12/6 over random coframes",
@@ -346,26 +345,22 @@ def run_kernels(cfg: RunConfig) -> list:
             tol)
 
     rng = s.rng()
-    worst = 0.0
-    for i in range(20):
-        e = random_nondegenerate_coframe(rng, sig)
-        for shape in ((1, 1), (1, 2), (2, 1)):
-            split = wm.kernel_basis(e, shape, sig)
-            rep = wm.annihilator_check(split)
-            worst = max(worst, rep["max_residual"])
+    frames = np.stack([random_nondegenerate_coframe(rng, sig) for _ in range(20)])
+    worst = max(wm.annihilator_check(wm.kernel_basis(frames, shape, sig))["max_residual"]
+                for shape in wm.SHAPES)
     tol = cfg.tol("annihilator")
     s.check("annihilator", "kernel annihilator realized as the image of the dual wedge map",
             {"max_residual": worst, "sites": 20}, worst <= tol, tol)
 
     rng = s.rng()
-    worst_lin = 0.0
-    for i in range(10):
-        e = random_nondegenerate_coframe(rng, sig)
-        split = wm.kernel_basis(e, (1, 2), sig)
+    frames, steps = [], []
+    for _ in range(10):
+        frames.append(random_nondegenerate_coframe(rng, sig))
         d = rng.normal(size=(3, 4))
-        d = 1e-6 * d / np.abs(d).max()
-        split_p = wm.kernel_basis(e + d, (1, 2), sig)
-        worst_lin = max(worst_lin, np.abs(split_p.p - split.p).max() / np.abs(d).max())
+        steps.append(1e-6 * d / np.abs(d).max())
+    frames, steps = np.stack(frames), np.stack(steps)
+    p, p_step = wm.kernel_basis(np.stack([frames, frames + steps]), (1, 2), sig).p
+    worst_lin = (np.abs(p_step - p).max(axis=(-2, -1)) / np.abs(steps).max(axis=(-2, -1))).max()
     tol = cfg.tol("projector_smoothness")   # O(1) Lipschitz expected
     s.check("projector-smoothness", "projector family is Lipschitz in the coframe",
             {"max_ratio": worst_lin}, worst_lin <= tol, tol)
@@ -553,12 +548,10 @@ def run_constraints(cfg: RunConfig) -> list:
     s.check("constant-curvature", "constant-K closed form: J = 3 eta00 c^2 - 6 Lambda",
             {"J": val, "expected": expected}, abs(val - expected) <= 1e-12, 1e-12)
 
+    # the acceptance states at 8^3 and 16^3, shared by on-shell-order2 and psi-on-shell
     spec = acceptance_triad_spec()
-    Ls = {}
-    for n in (8, 16):
-        g = Grid3(n)
-        st = cst.make_on_shell(spec, g, gamma, sig, Lambda=0.1)
-        Ls[n] = abs(cst.eval_L(st, trig_alpha_field(g)))
+    on_shell = {n: cst.make_on_shell(spec, Grid3(n), gamma, sig, Lambda=0.1) for n in (8, 16)}
+    Ls = {n: abs(cst.eval_L(st, trig_alpha_field(st.grid))) for n, st in on_shell.items()}
     ratio = Ls[8] / Ls[16]
     lo, hi = cfg.tol("order_low"), cfg.tol("order_high")
     s.check("on-shell-order2", "residual constraint converges at order 2 on trig states",
@@ -582,11 +575,8 @@ def run_constraints(cfg: RunConfig) -> list:
     s.check("linearity", "plumbing",
             {"L": lin_L, "J": lin_J}, max(lin_L, lin_J) <= tol, tol)
 
-    psis = {}
-    for n in (8, 16):
-        g = Grid3(n)
-        st_on = cst.make_on_shell(spec, g, gamma, sig, Lambda=0.1)
-        psis[n] = cst.psi_alpha(st_on, trig_alpha_field(g)).sup_norm()
+    psis = {n: cst.psi_alpha(st, trig_alpha_field(st.grid)).sup_norm()
+            for n, st in on_shell.items()}
     ratio = psis[8] / max(psis[16], 1e-300)
     s.check("psi-on-shell", "the kernel part of the gauge field response vanishes on shell",
             {"psi8": psis[8], "psi16": psis[16], "ratio": ratio},
@@ -708,9 +698,10 @@ def run_eh(cfg: RunConfig) -> list:
     n1, n2, n3 = levels[0], levels[1], levels[2]
     comps = {}
     for n in (n1, n2, n3):
-        g = Grid3(n)
-        st = cst.make_on_shell(spec, g, gamma, sig, Lambda=0.1)
-        comps[n] = eh.compare_pch_eh(st, LAPSE_PROBES, SHIFT_PROBES)
+        st = cst.make_on_shell(spec, Grid3(n), gamma, sig, Lambda=0.1)
+        # the ratios read only the two mutual routes at n3, which need no probe
+        probes = (LAPSE_PROBES, SHIFT_PROBES) if n != n3 else ((), ())
+        comps[n] = eh.compare_pch_eh(st, *probes)
     lo, hi = cfg.tol("order_low"), cfg.tol("order_high")
     ratios = {
         "hamiltonian": comps[n1]["hamiltonian"] / comps[n2]["hamiltonian"],
@@ -752,10 +743,10 @@ def run_eh(cfg: RunConfig) -> list:
     K = rng.normal(size=(g.n, g.n, g.n, 3, 3))
     K = 0.5 * (K + np.swapaxes(K, -1, -2))
     gmet = np.einsum("...ai,i,...bi->...ab", frame.e_bar, frame.eta_bar, frame.e_bar)
-    Pi = eh.momentum_density_tensor(gmet, K)
+    Pi = eh.momentum_density_tensor(gmet, K, *eh.metric_inverse(gmet))
     K_back = eh.K_from_momentum(gmet, Pi)
     # the g^-1 / sqrt g reference stays on LAPACK inv/det, independent of the
-    # adjugate (`inv3`) inside K_from_momentum and momentum_density_tensor
+    # adjugate (`inv3`) behind K_from_momentum and momentum_density_tensor
     ginv = np.linalg.inv(gmet)
     trPi = np.einsum("...ab,...ab->...", ginv, Pi)
     trK = np.einsum("...ab,...ab->...", ginv, K)

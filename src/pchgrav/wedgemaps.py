@@ -275,49 +275,55 @@ KERNEL_TEMPLATES = {
 
 @dataclass
 class ComplementSplit:
+    """Kernel/complement split of W_e^{shape} at every site of a coframe stack.
+
+    Each array carries the leading (site) axes of the stack `e`.
+    """
+
     shape: tuple
-    e: np.ndarray                 # (3, 4) coframe at one site
-    matrix: np.ndarray            # (cod, dom) coefficient matrix of W_e
-    kernel_basis: np.ndarray      # (dom, kdim), orthonormal in e-frame coords
-    complement_basis: np.ndarray  # (dom, dom - kdim)
+    e: np.ndarray                 # (..., 3, 4) coframes
+    matrix: np.ndarray            # (..., cod, dom) coefficient matrices of W_e
+    kernel_basis: np.ndarray      # (..., dom, kdim), orthonormal in e-frame coords
     p: np.ndarray                 # projector onto the kernel (domain)
     p_prime: np.ndarray           # projector onto the complement (domain)
     p_dagger: np.ndarray          # projector onto im(W) (codomain)
-    singular_values: np.ndarray
-    gap: float
+    singular_values: np.ndarray   # (..., min(cod, dom))
+    gap: np.ndarray               # (...,) singular-value gap at the rank cut
 
 
 def kernel_basis(e: np.ndarray, shape: tuple, sig: Signature) -> ComplementSplit:
-    """Kernel/complement split of W_e^{shape} at one site, with singular-value gap policy.
+    """Kernel/complement split of W_e^{shape} on a stack e of shape (..., 3, 4).
 
-    The rank counts the singular values above 1e-10 times the largest; the
-    decision must be backed by a gap of at least 1e6 between the smallest
-    kept and the largest discarded singular value, otherwise a
-    RankDecisionError signals a near-degenerate coframe.
+    Per site, the rank counts the singular values above 1e-10 times the
+    largest; the decision must be backed by a gap of at least 1e6 between the
+    smallest kept and the largest discarded singular value, and the rank must
+    be that of W at a coframe (the e-frame template's), otherwise a
+    RankDecisionError naming the first such site signals a near-degenerate
+    coframe.  One SVD, frame completion, inverse and QR serve the whole stack.
     """
     e = np.asarray(e, dtype=float)
-    if e.shape != (3, 4):
-        raise ValueError("per-site coframe must be 3x4")
+    if e.shape[-2:] != (3, 4):
+        raise ValueError(f"per-site coframe must be 3x4, got a stack of shape {e.shape}")
     p, k = shape
     M = wedge_matrix(e, shape)
-    cod, dom = M.shape
+    cod, dom = M.shape[-2:]
     u, sv, vh = np.linalg.svd(M)
-    rank = int((sv > 1e-10 * sv[0]).sum())
+    rank = dom - KERNEL_TEMPLATES[shape].shape[1]        # the rank of W at a coframe
+    cut = (sv > 1e-10 * sv[..., :1]).sum(axis=-1)
     # the spectrum must have a single dominant gap of at least 1e6, with
     # the threshold cut inside it; near-degenerate coframes leave intermediate
     # singular values that break one of the two conditions
-    floor = 1e-15 * sv[0]
-    padded = np.concatenate([sv, [floor]])
-    ratios = padded[:-1] / np.maximum(padded[1:], floor)
-    spectral_rank = int(np.argmax(ratios)) + 1
-    top = sv[rank - 1] if rank else np.inf
-    bottom = sv[rank] if rank < len(sv) and sv[rank] > floor else floor
-    gap = float(top / bottom)
-    if spectral_rank != rank or gap < 1e6:
+    floor = 1e-15 * sv[..., :1]
+    padded = np.concatenate([sv, floor], axis=-1)
+    spectral = np.argmax(padded[..., :-1] / np.maximum(padded[..., 1:], floor), axis=-1) + 1
+    bottom = np.maximum(sv[..., rank], floor[..., 0]) if rank < sv.shape[-1] else floor[..., 0]
+    gap = sv[..., rank - 1] / bottom
+    bad = (cut != rank) | (spectral != rank) | (gap < 1e6)
+    if np.any(bad):
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise RankDecisionError(
-            f"ill-conditioned rank decision for W^{shape}: gap {gap:.3e}, "
-            f"threshold rank {rank} vs spectral rank {spectral_rank}"
-        )
+            f"ill-conditioned rank decision for W^{shape}{at_site(bad)}: gap {gap[i]:.3e}, "
+            f"threshold rank {cut[i]} vs spectral rank {spectral[i]} (coframe rank {rank})")
 
     try:
         P, _ = complete_frame(e, sig)
@@ -328,33 +334,22 @@ def kernel_basis(e: np.ndarray, shape: tuple, sig: Signature) -> ComplementSplit
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise RankDecisionError(f"degenerate coframe for W^{shape}: {exc}") from None
 
-    kern_u = vh[rank:].T                      # (dom, kdim) orthonormal in u-coords
-    kern_e = S_dom_inv @ kern_u
-    kern_e = np.linalg.qr(kern_e)[0] if kern_e.shape[1] else kern_e
-    p_e = kern_e @ kern_e.T
-    proj = S_dom @ p_e @ S_dom_inv
-    p_prime = np.eye(dom) - proj
-
-    # complement basis: e-frame orthogonal complement of the kernel
-    comp_e = _orthonormal_nullspace(kern_e.T) if kern_e.shape[1] else np.eye(dom)
-    comp_u = S_dom @ comp_e
-
-    im_u = u[:, :rank]
-    im_e = S_cod_inv @ im_u
-    im_e = np.linalg.qr(im_e)[0]
-    p_dag = S_cod @ (im_e @ im_e.T) @ S_cod_inv
+    kern_e = S_dom_inv @ np.swapaxes(vh[..., rank:, :], -1, -2)   # (..., dom, kdim)
+    kern_e = np.linalg.qr(kern_e)[0] if rank < dom else kern_e
+    proj = S_dom @ (kern_e @ np.swapaxes(kern_e, -1, -2)) @ S_dom_inv
+    im_e = np.linalg.qr(S_cod_inv @ u[..., :, :rank])[0]
+    p_dag = S_cod @ (im_e @ np.swapaxes(im_e, -1, -2)) @ S_cod_inv
 
     return ComplementSplit(
         shape=shape,
         e=e,
         matrix=M,
         kernel_basis=S_dom @ kern_e,
-        complement_basis=comp_u,
         p=proj,
-        p_prime=p_prime,
+        p_prime=np.eye(dom) - proj,
         p_dagger=p_dag,
         singular_values=sv,
-        gap=float(gap),
+        gap=gap,
     )
 
 
@@ -372,20 +367,25 @@ def annihilator_check(split: ComplementSplit) -> dict:
 
     Covectors vanishing on ker W_e^{(p,k)} must be of the form Y ^ e for the
     complementary shape (2-p, 3-k); the report carries the worst least-squares
-    residual over an annihilator basis.
+    residual over an annihilator basis at every site of the split.  The
+    residual is that of lstsq: the part of a covector outside the span of the
+    left singular vectors above lstsq's cut eps max(m, n) sigma_max.
     """
     p, k = split.shape
     PG = dual_pairing_matrix(p, k)
     kern = split.kernel_basis
-    if kern.shape[1] == 0:
-        ann_basis = np.eye(PG.shape[0])
+    kdim = kern.shape[-1]
+    if kdim:
+        # PG is a nondegenerate pairing, so kern^T PG^T has full row rank kdim and
+        # its last right singular vectors span the annihilator
+        vh = np.linalg.svd(np.swapaxes(kern, -1, -2) @ PG.T)[2]
+        ann = np.swapaxes(vh[..., kdim:, :], -1, -2)            # (..., z-dim, m) columns
     else:
-        ann_basis = _orthonormal_nullspace(kern.T @ PG.T)  # (z-dim, m) columns
+        ann = np.eye(PG.shape[0])
     M_dual = wedge_matrix(split.e, (2 - p, 3 - k))
-    worst = 0.0
-    for j in range(ann_basis.shape[1]):
-        z = ann_basis[:, j]
-        sol, res, *_ = np.linalg.lstsq(M_dual, z, rcond=None)
-        r = np.linalg.norm(M_dual @ sol - z)
-        worst = max(worst, r)
-    return {"shape": (p, k), "n_covectors": ann_basis.shape[1], "max_residual": float(worst)}
+    u, sv, _ = np.linalg.svd(M_dual, full_matrices=False)
+    cut = np.finfo(float).eps * max(M_dual.shape[-2:]) * sv[..., :1]
+    u = u * (sv > cut)[..., None, :]
+    res = ann - u @ (np.swapaxes(u, -1, -2) @ ann)
+    worst = np.linalg.norm(res, axis=-2).max()
+    return {"shape": (p, k), "n_covectors": ann.shape[-1], "max_residual": float(worst)}

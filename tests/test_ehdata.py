@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pchgrav import constraints as cst, ehdata as eh
+from pchgrav import constraints as cst, ehdata as eh, wedgemaps as wm
 from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
 from pchgrav.fiber import PAIRS
 from pchgrav.grid import Grid3, TrigPoly, cov_deriv, deriv_axis, harmonic
@@ -175,9 +175,9 @@ def test_momentum_for_zero_and_pure_metric_K():
     st = cst.make_on_shell(constant_k_spec(0.0), g, 1.0, LORENTZIAN)
     frame = eh.orthonormal_frame(st.e.data, LORENTZIAN)
     gm = np.einsum("...ai,i,...bi->...ab", frame.e_bar, frame.eta_bar, frame.e_bar)
-    assert np.abs(eh.momentum_density_tensor(gm, np.zeros_like(gm))).max() == 0.0
+    assert np.abs(eh.momentum_density_tensor(gm, np.zeros_like(gm), *eh.metric_inverse(gm))).max() == 0.0
     # K = g: Pi = (sqrt g / 2)(g - 3 g) = -sqrt(g) g
-    Pi = eh.momentum_density_tensor(gm, gm)
+    Pi = eh.momentum_density_tensor(gm, gm, *eh.metric_inverse(gm))
     sqrtg = np.sqrt(np.abs(np.linalg.det(gm)))
     assert np.abs(Pi + sqrtg[..., None, None] * gm).max() <= 1e-13
 
@@ -189,7 +189,7 @@ def test_K_Pi_roundtrip_and_trace_identity():
     gm = np.einsum("...ai,i,...bi->...ab", frame.e_bar, frame.eta_bar, frame.e_bar)
     K = RNG.normal(size=gm.shape)
     K = 0.5 * (K + np.swapaxes(K, -1, -2))
-    Pi = eh.momentum_density_tensor(gm, K)
+    Pi = eh.momentum_density_tensor(gm, K, *eh.metric_inverse(gm))
     assert np.abs(eh.K_from_momentum(gm, Pi) - K).max() <= 1e-12
     ginv = np.linalg.inv(gm)
     trPi = np.einsum("...ab,...ab->...", ginv, Pi)
@@ -213,8 +213,10 @@ def test_ricci_flat_triad_zero_both_routes():
     st = cst.make_on_shell(flat_triad_spec(), g, 1.0, LORENTZIAN)
     frame = eh.orthonormal_frame(st.e.data, LORENTZIAN)
     gmet = (frame.e_bar * frame.eta_bar) @ np.swapaxes(frame.e_bar, -1, -2)
-    assert np.abs(eh.ricci_scalar_via_frame(frame.e_bar, frame.eta_bar, g)).max() <= 1e-13
-    assert np.abs(eh.ricci_scalar_via_metric(gmet, eh.christoffel(gmet, g), g)).max() <= 1e-13
+    det_e = wm.inv3(frame.e_bar)[1]
+    assert np.abs(eh.ricci_scalar_via_frame(frame.e_bar, det_e, frame.eta_bar, g)).max() <= 1e-13
+    ginv = eh.metric_inverse(gmet)[0]
+    assert np.abs(eh.ricci_scalar_via_metric(ginv, eh.christoffel(gmet, ginv, g), g)).max() <= 1e-13
 
 
 def test_ricci_conformal_analytic_oracle():
@@ -230,7 +232,7 @@ def test_ricci_conformal_analytic_oracle():
         fpp = f.deriv(0).deriv(0).eval(X, Y, Z)
         phi_p, phi_pp = fp / fv, fpp / fv - (fp / fv) ** 2
         R_exact = (-4 * phi_pp - 2 * phi_p**2) / fv**2
-        Rf = eh.ricci_scalar_via_frame(eb, np.array([1.0, 1.0, 1.0]), g)
+        Rf = eh.ricci_scalar_via_frame(eb, wm.inv3(eb)[1], np.array([1.0, 1.0, 1.0]), g)
         errs[n] = np.abs(Rf - R_exact).max()
     assert 3.2 <= errs[8] / errs[16] <= 4.8
 
@@ -249,7 +251,7 @@ def test_ricci_product_circle_sign():
     fv = f.eval(X, Y, Z)
     fpp = f.deriv(0).deriv(0).eval(X, Y, Z)
     R_exact = -2 * fpp / fv
-    Rf = eh.ricci_scalar_via_frame(eb, np.array([1.0, 1.0, 1.0]), g)
+    Rf = eh.ricci_scalar_via_frame(eb, wm.inv3(eb)[1], np.array([1.0, 1.0, 1.0]), g)
     mask = np.abs(R_exact) > 0.5 * np.abs(R_exact).max()
     assert np.all(np.sign(Rf[mask]) == np.sign(R_exact[mask]))
     assert np.abs(Rf - R_exact).max() <= 0.1 * np.abs(R_exact).max()
@@ -261,9 +263,10 @@ def test_ricci_routes_mutual_convergence():
     for n in (16, 32):
         g = Grid3(n)
         eb, _ = spec.sample(g)
-        Rf = eh.ricci_scalar_via_frame(eb, np.array([1.0, 1.0, 1.0]), g)
+        Rf = eh.ricci_scalar_via_frame(eb, wm.inv3(eb)[1], np.array([1.0, 1.0, 1.0]), g)
         gm = np.einsum("...ai,i,...bi->...ab", eb, np.array([1.0, 1.0, 1.0]), eb)
-        Rm = eh.ricci_scalar_via_metric(gm, eh.christoffel(gm, g), g)
+        ginv = eh.metric_inverse(gm)[0]
+        Rm = eh.ricci_scalar_via_metric(ginv, eh.christoffel(gm, ginv, g), g)
         errs[n] = float(np.sqrt(((Rf - Rm) ** 2).sum() * g.h**3))
     assert 3.2 <= errs[16] / errs[32] <= 4.8
 
@@ -302,7 +305,8 @@ def test_momentum_routes_mutual_convergence():
         frame = eh.orthonormal_frame(st.e.data, LORENTZIAN)
         split = eh.split_connection(st.omega, frame, g)
         data = eh.eh_data(frame, split, g, Lambda=0.1)
-        Mlc = eh.momentum_density_metric(data.g, data.Pi, eh.christoffel(data.g, g), g)
+        Gam = eh.christoffel(data.g, data.g_inv, g)
+        Mlc = eh.momentum_density_metric(data.g_inv, data.Pi, Gam, g)
         errs[n] = float(np.sqrt(((data.M_density - Mlc) ** 2).sum() * g.h**3))
     assert 3.2 <= errs[16] / errs[32] <= 4.8
 
@@ -463,8 +467,9 @@ def test_eh_contractions_match_einsum_references(n, sig, shell):
     KA = np.einsum("...ai,i,...bi->...ab", frame.e_bar, eta_bar, split.a_part)
     assert _rel(eh.extrinsic_tensor(frame, split.a_part), 0.5 * (KA + np.swapaxes(KA, -1, -2))) <= 1e-13
     g = np.einsum("...ai,i,...bi->...ab", frame.e_bar, eta_bar, frame.e_bar)
-    assert _rel(eh.christoffel(g, grid), _christoffel_reference(g, grid)) <= 1e-13
-    assert _rel(eh.ricci_scalar_via_metric(g, eh.christoffel(g, grid), grid),
+    ginv = eh.metric_inverse(g)[0]
+    assert _rel(eh.christoffel(g, ginv, grid), _christoffel_reference(g, grid)) <= 1e-13
+    assert _rel(eh.ricci_scalar_via_metric(ginv, eh.christoffel(g, ginv, grid), grid),
                 _ricci_metric_reference(g, grid)) <= 1e-13
 
 
@@ -488,7 +493,7 @@ def test_eh_kernel_route_matches_so3_references(n, sig, shell):
     if shell != "off":
         assert split.gamma_residual <= 0.1 and split.k_asymmetry <= 1e-10
     e_bar, eta_bar = frame.e_bar, frame.eta_bar
-    assert _rel(eh.ricci_scalar_via_frame(e_bar, eta_bar, grid, split.gamma_triad),
+    assert _rel(eh.ricci_scalar_via_frame(e_bar, wm.inv3(e_bar)[1], eta_bar, grid, split.gamma_triad),
                 _ricci_frame_reference(e_bar, eta_bar, grid, split.gamma_triad)) <= 1e-13
     assert _rel(eh.momentum_density_frame(frame, split.a_part, split.gamma_triad, grid),
                 _momentum_reference(frame, split.a_part, split.gamma_triad, grid)) <= 1e-13

@@ -9,7 +9,9 @@ FD-bracket path runs no eigensolve at all (the phi_e and coframe checks clear
 well-conditioned sites by exact bounds), and the e-adapted frame holds no
 per-site array larger than 6x6 and builds its transposes only when they are
 used.  A bracket derivative evaluates the functional on six uncertified
-stencil states and solves for no structural representative.
+stencil states and solves for no structural representative.  The kernels
+suite splits each shape once over a stack of coframes, and the EH ladder
+evaluates J on no state whose deviations it does not read.
 """
 
 import functools
@@ -20,10 +22,13 @@ import pytest
 from pchgrav import constraints as cst
 from pchgrav import ehdata as eh
 from pchgrav import reduction as red
+from pchgrav import wedgemaps as wm
+from pchgrav.config import validate_config
 from pchgrav.fiber import LORENTZIAN
 from pchgrav.grid import Coframe, Grid3
 from pchgrav.reduction import PhiFrame, omega_tilde
-from pchgrav.suites import LAPSE_PROBES, SHIFT_PROBES, acceptance_triad_spec, random_offshell_state
+from pchgrav.suites import (LAPSE_PROBES, SHIFT_PROBES, acceptance_triad_spec,
+                            random_offshell_state, run_eh, run_kernels)
 
 
 @pytest.fixture
@@ -190,3 +195,36 @@ def test_bracket_stencil_is_step_independent(kind, smear, smear2):
     # would not cancel between the two steps
     small, small_err = _stencil_at(st, G, X, t / 10)
     assert abs(small - value) <= 10 * (err + small_err)
+
+
+def test_kernels_rows_split_each_shape_once(monkeypatch):
+    calls, kernel_basis = [], wm.kernel_basis
+
+    def counted(e, shape, sig):
+        calls.append((shape, np.shape(e)))
+        return kernel_basis(e, shape, sig)
+
+    monkeypatch.setattr(wm, "kernel_basis", counted)
+    rows = run_kernels(validate_config({"suites": ["kernels"]}))
+    assert all(r.passed for r in rows)
+    # kernel-table over 100 frames, annihilator over 20, projector-smoothness at e and e + d
+    assert calls == ([(shape, (100, 3, 4)) for shape in wm.SHAPES]
+                     + [(shape, (20, 3, 4)) for shape in wm.SHAPES]
+                     + [((1, 2), (2, 10, 3, 4))])
+
+
+def test_eh_ladder_evaluates_no_J_on_the_finest_state(monkeypatch):
+    grids, eval_J = [], cst.eval_J
+
+    def counted(state, mu, gamma=None):
+        grids.append(state.grid.n)
+        return eval_J(state, mu, gamma)
+
+    monkeypatch.setattr(cst, "eval_J", counted)
+    st = cst.make_on_shell(acceptance_triad_spec(), Grid3(4), 1.0, LORENTZIAN, Lambda=0.1)
+    out = eh.compare_pch_eh(st, (), ())
+    assert grids == [] and set(out) == {"ricci_mutual", "momentum_mutual",
+                                        "gamma_residual", "k_asymmetry"}
+    rows = run_eh(validate_config({"suites": ["eh"], "grid_n": [4, 6, 10]}))
+    assert rows[0].values["levels"] == [4, 6, 10]
+    assert set(grids) == {4, 6}

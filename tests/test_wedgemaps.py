@@ -25,8 +25,10 @@ def test_shape_dimension_table():
 def test_unsupported_shape_rejected():
     with pytest.raises(ValueError, match="unsupported shape"):
         wm.wedge_matrix(STANDARD, (2, 2))
+    # a (1, 3, 4) array is a stack of one coframe; a malformed trailing shape is refused
+    assert wm.kernel_basis(STANDARD[None], (1, 2), LORENTZIAN).p.shape == (1, 18, 18)
     with pytest.raises(ValueError, match="3x4"):
-        wm.kernel_basis(STANDARD[None], (1, 2), LORENTZIAN)
+        wm.kernel_basis(STANDARD[:, :3], (1, 2), LORENTZIAN)
 
 
 def test_matrix_matches_fiber_wedge():
@@ -52,6 +54,27 @@ def test_kernel_dimension_table_random_coframes():
                 assert split.gap >= 1e6
 
 
+@pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN], ids=["euclidean", "lorentzian"])
+@pytest.mark.parametrize("shape", wm.SHAPES, ids=str)
+def test_stacked_split_matches_single_sites(sig, shape):
+    e = np.stack([random_nondegenerate_coframe(RNG, sig) for _ in range(20)]).reshape(4, 5, 3, 4)
+    stack = wm.kernel_basis(e, shape, sig)
+    assert stack.gap.shape == (4, 5)
+    for site in np.ndindex(4, 5):
+        one = wm.kernel_basis(e[site], shape, sig)
+        for name in ("p", "p_prime", "p_dagger", "kernel_basis", "gap"):
+            assert np.array_equal(getattr(stack, name)[site], getattr(one, name)), name
+
+
+def test_rank_decision_error_names_the_site():
+    e = np.stack([random_nondegenerate_coframe(RNG, LORENTZIAN) for _ in range(12)])
+    e[7] = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1e-8, 0]]
+    with pytest.raises(wm.RankDecisionError, match=r"at site \(7,\)"):
+        wm.kernel_basis(e, (1, 2), LORENTZIAN)
+    with pytest.raises(wm.RankDecisionError, match=r"at site \(1, 1\)"):
+        wm.kernel_basis(e.reshape(2, 6, 3, 4), (2, 1), LORENTZIAN)
+
+
 def test_injectivity_surjectivity_statements():
     e = random_nondegenerate_coframe(RNG, LORENTZIAN)
     s11 = wm.kernel_basis(e, (1, 1), LORENTZIAN)
@@ -62,11 +85,19 @@ def test_injectivity_surjectivity_statements():
     assert (s21.singular_values > 1e-10).sum() == 6
 
 
+def _complement_basis(sp, e, sig):
+    """u-frame columns of the e-frame orthogonal complement of the kernel."""
+    S = wm.domain_transform(wm.complete_frame(e, sig)[0], *sp.shape)
+    kern_e = np.linalg.solve(S, sp.kernel_basis)
+    return S @ (wm._orthonormal_nullspace(kern_e.T) if kern_e.shape[1] else np.eye(len(S)))
+
+
 def test_projector_algebra():
     for _ in range(10):
         e = random_nondegenerate_coframe(RNG, LORENTZIAN)
         for shape in wm.SHAPES:
             sp = wm.kernel_basis(e, shape, LORENTZIAN)
+            comp = _complement_basis(sp, e, LORENTZIAN)
             dom = sp.p.shape[0]
             assert np.abs(sp.p @ sp.p - sp.p).max() <= 1e-12
             assert np.abs(sp.p_prime @ sp.p_prime - sp.p_prime).max() <= 1e-12
@@ -76,9 +107,9 @@ def test_projector_algebra():
             # p annihilates exactly the complement, fixes the kernel
             if sp.kernel_basis.shape[1]:
                 assert np.abs(sp.p @ sp.kernel_basis - sp.kernel_basis).max() <= 1e-12
-                assert np.abs(sp.p @ sp.complement_basis).max() <= 1e-12
+                assert np.abs(sp.p @ comp).max() <= 1e-12
             # p_dagger fixes the image
-            img = sp.matrix @ sp.complement_basis
+            img = sp.matrix @ comp
             assert np.abs(sp.p_dagger @ img - img).max() <= 1e-10 * max(1, np.abs(img).max())
 
 
