@@ -223,8 +223,10 @@ def make_on_shell(spec: TriadSpec, grid: Grid3, gamma: float, sig: Signature,
     else:
         order, eta_bar = [0, 1, 2, 3], np.array([1.0, 1.0, 1.0])
 
-    gamma_blk = ehdata.gamma_block(eb, eta_bar, grid, C=spec.anholonomy(grid))
-    A = ehdata.a_from_K(eb, eta_bar, K)
+    eb_inv = wedgemaps.inv3(eb)[0]
+    gamma_blk = ehdata.gamma_block(eb, eta_bar, grid, C=spec.anholonomy(grid), e_inv=eb_inv)
+    A = ehdata.a_from_K(eb, eta_bar, K, e_inv=eb_inv)
+    del eb_inv      # freed before the certification, which sets the peak
     # the w-frame (w_1, w_2, w_3, w_0) is the u-frame permuted by P
     P = np.eye(4)[:, order]
     e = Coframe(FormField(grid, 1, 1, eb @ P[:, :3].T), sig)

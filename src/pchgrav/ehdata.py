@@ -159,17 +159,20 @@ def _triad_fields(e_bar, gamma_blk, eta_bar, grid):
 
 
 def gamma_of_triad(e_bar: np.ndarray, eta_bar: np.ndarray, grid: Grid3,
-                   C: np.ndarray | None = None) -> np.ndarray:
+                   C: np.ndarray | None = None, e_inv: np.ndarray | None = None) -> np.ndarray:
     """Triad-compatible so(3)-block connection Gamma(ebar), d_Gamma ebar = 0.
 
     e_bar: (n,n,n,3,3) with ebar[..., a, i].  C, when given, is the
     anholonomy C[..., a, b, i] = d_a ebar_b^i - d_b ebar_a^i evaluated from a
     closed-form spec (exact derivatives); otherwise central differences of the
     grid data are used, in which case the compatibility holds to roundoff.
+    e_inv, when given, is ebar^-1 (`inv3(e_bar)[0]`).
 
     Returns Gamma[..., a, i, j] as antisymmetric internal matrices.
     """
-    E = (inv3(e_bar)[0] / eta_bar[:, None])[..., None, :, :]   # E^{a i}, [..., 1, i, a]
+    if e_inv is None:
+        e_inv = inv3(e_bar)[0]
+    E = (e_inv / eta_bar[:, None])[..., None, :, :]             # E^{a i}, [..., 1, i, a]
     if C is None:
         de = np.stack([deriv_axis(e_bar, c, grid) for c in range(3)], axis=-3)
         C = de - np.swapaxes(de, -3, -2)            # C[..., a, b, i]
@@ -180,9 +183,9 @@ def gamma_of_triad(e_bar: np.ndarray, eta_bar: np.ndarray, grid: Grid3,
     return T - np.swapaxes(T, -1, -2) - 0.5 * (E @ Y @ np.swapaxes(E, -1, -2))
 
 
-def gamma_block(e_bar, eta_bar, grid, C=None) -> np.ndarray:
+def gamma_block(e_bar, eta_bar, grid, C=None, e_inv=None) -> np.ndarray:
     """Gamma(ebar) on pair components (..., a, 3)."""
-    return gamma_of_triad(e_bar, eta_bar, grid, C)[..., _SP_I, _SP_J]
+    return gamma_of_triad(e_bar, eta_bar, grid, C, e_inv)[..., _SP_I, _SP_J]
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +235,13 @@ def extrinsic_tensor(frame: AdaptedFrame, a_part: np.ndarray) -> np.ndarray:
     return 0.5 * (KA + np.swapaxes(KA, -1, -2))
 
 
-def a_from_K(e_bar: np.ndarray, eta_bar: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Inverse of extrinsic_tensor for symmetric K: A_b^j = eta^{jk} E^a_k K_ab."""
-    N = inv3(e_bar)[0]                      # N[..., i, a]
+def a_from_K(e_bar: np.ndarray, eta_bar: np.ndarray, K: np.ndarray,
+             e_inv: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of extrinsic_tensor for symmetric K: A_b^j = eta^{jk} E^a_k K_ab.
+
+    e_inv, when given, is E = ebar^-1 (`inv3(e_bar)[0]`).
+    """
+    N = inv3(e_bar)[0] if e_inv is None else e_inv      # N[..., i, a]
     return (np.swapaxes(K, -1, -2) @ np.swapaxes(N, -1, -2)) / eta_bar
 
 

@@ -6,12 +6,14 @@ correction v with
     e ^ v = 0,     [v, e] = -p_{(2,1)}(d_omega e)
 
 produces the structural representative omega~ = omega + v satisfying
-p d_omega~ e = 0.  The per-site solve goes through the isomorphism
+p d_omega~ e = 0.  The per-site solve inverts the isomorphism
 phi_e = p_{(2,1)} o [.,e] restricted to ker W_e^{(1,2)}, assembled here in the
 e-adapted frame where it is an explicit 6x6 matrix depending only on the
-boundary metric.  `PhiFrame` is the one per-site object of that frame: the
-projectors, this kernel chain and the template wedge solves that the
-Hamiltonian vector fields of `constraints` use too.
+boundary metric g.  Its inverse is closed-form, Q(g) / det g with Q quadratic
+in the entries of g, so each solve is a per-site matrix-vector product.
+`PhiFrame` is the one per-site object of that frame: the projectors, this
+kernel chain and the template wedge solves that the Hamiltonian vector fields
+of `constraints` use too.
 
 The same frame algebra drives the kernel-intersection dimension counting
 K = ker([.,e]) cap ker(W_e^{(1,2)}) at exactly constructed (possibly
@@ -77,6 +79,88 @@ _PHI_FLAT = np.einsum("Dk,cdDE,El->cdkl", K21HAT,
 def phi_matrix(g: np.ndarray) -> np.ndarray:
     """phi_e in the orthonormal template bases, as a function of g (..., 3, 3)."""
     return (g.reshape(g.shape[:-2] + (9,)) @ _PHI_FLAT).reshape(g.shape[:-2] + (6, 6))
+
+
+def integer_kernel_basis_12() -> list:
+    """Integer basis of the (1,2)-kernel template, columns as length-18 lists."""
+    eqs = exactla.from_numpy_int(wedgemaps.kernel_equations((1, 2)))
+    return exactla.nullspace(eqs)
+
+
+def integer_kernel_basis_21() -> list:
+    eqs = exactla.from_numpy_int(wedgemaps.kernel_equations((2, 1)))
+    return exactla.nullspace(eqs)
+
+
+#: 2 det(g) phi_Z(g)^-1 with phi_Z = Z21^T B(g) Z12 in the integer kernel bases Z12, Z21
+#: (`integer_kernel_basis_12/21`): entry [i, j], row-major, is the sum of c g_ab g_cd
+#: over its terms (c, "abcd").  Exact; tests/test_reduction.py derives it again with
+#: `exactla`.
+_PHI_INV_Z2_TERMS = (
+    ((-1, "0022"), (2, "0202")), ((1, "0011"), (-2, "0101")), ((1, "0012"), (-2, "0102")),
+    ((1, "0000"),), ((1, "0001"),), ((1, "0002"),),
+    ((1, "1122"), (-2, "1212")), ((1, "1111"),), ((1, "1112"),),
+    ((1, "0011"), (-2, "0101")), ((-1, "0111"),), ((-2, "0112"), (1, "0211")),
+    ((-1, "0122"), (2, "0212")), ((-1, "0111"),), ((-1, "0211"),),
+    ((1, "0001"),), ((1, "0011"),), ((1, "0012"),),
+    ((1, "2222"),), ((1, "1122"), (-2, "1212")), ((-1, "1222"),),
+    ((-1, "0022"), (2, "0202")), ((-1, "0122"), (2, "0212")), ((1, "0222"),),
+    ((-1, "1222"),), ((1, "1112"),), ((1, "1122"),),
+    ((1, "0012"), (-2, "0102")), ((-1, "0211"),), ((-1, "0122"),),
+    ((1, "0222"),), ((-2, "0112"), (1, "0211")), ((-1, "0122"),),
+    ((1, "0002"),), ((1, "0012"),), ((1, "0022"),),
+)
+#: the six entries g_ab (a <= b) and their 21 quadratic monomials x_m x_n (m <= n)
+_G_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_G_MONOMIALS = tuple((m, n) for m in range(6) for n in range(m, 6))
+
+
+def _phi_inverse_table_z() -> np.ndarray:
+    """det(g) phi_Z(g)^-1 as a (21, 36) table over `_G_MONOMIALS`, entries in Z/2."""
+    table = np.zeros((len(_G_MONOMIALS), 36))
+    for k, terms in enumerate(_PHI_INV_Z2_TERMS):
+        for c, abcd in terms:
+            m, n = (_G_ENTRIES.index((int(abcd[i]), int(abcd[i + 1]))) for i in (0, 2))
+            table[_G_MONOMIALS.index((m, n)), k] += 0.5 * c
+    return table
+
+
+@functools.cache
+def _phi_inverse_table() -> np.ndarray:
+    """The (21, 36) table of `phi_inverse`: phi^-1 = K12^T Z12 phi_Z^-1 Z21^T K21 takes
+    `_phi_inverse_table_z` to the orthonormal templates.  Built on first use, since the
+    exact integer bases cost more than the rest of the module's import."""
+    return np.einsum(
+        "ik,mkl,lj->mij", K12HAT.T @ np.array(integer_kernel_basis_12(), dtype=float).T,
+        _phi_inverse_table_z().reshape(-1, 6, 6),
+        np.array(integer_kernel_basis_21(), dtype=float) @ K21HAT).reshape(-1, 36)
+
+
+_G_ROWS, _G_COLS = np.array(_G_ENTRIES).T
+_MONO_M, _MONO_N = np.array(_G_MONOMIALS).T
+#: sites per block of `phi_inverse`
+_PHI_INV_BLOCK = 2048
+
+
+def phi_inverse(g: np.ndarray, det_g: np.ndarray) -> np.ndarray:
+    """phi_e^-1 in the orthonormal template bases, Q(g) / det g, from g (..., 3, 3) and
+    its signed determinant (...,).
+
+    Q is quadratic in the entries of g: one product of their 21 monomials with a
+    fixed (21, 36) table, in blocks of sites so that the monomials stay small.
+    No per-site factorization; within a few eps cond(phi_e) of a LAPACK
+    inverse of `phi_matrix`.
+    """
+    table = _phi_inverse_table()
+    x = g[..., _G_ROWS, _G_COLS].reshape(-1, 6)
+    q = np.empty((len(x), 36))
+    for start in range(0, len(x), _PHI_INV_BLOCK):
+        block = slice(start, start + _PHI_INV_BLOCK)
+        mono = x[block, _MONO_M]
+        mono *= x[block, _MONO_N]
+        np.matmul(mono, table, out=q[block])
+    q /= np.reshape(det_g, (-1, 1))
+    return q.reshape(g.shape[:-2] + (6, 6))
 
 
 #: N(lambda)[i, j] = lambda[3 - i - j] off the diagonal
@@ -179,14 +263,15 @@ class PhiFrame:
     as x @ S^T.  The templates are orthogonal projectors, hence symmetric, and
     the transposes S^-T T S^T that the adjoints need swap only the transforms.
     Lambda^2(P^-1) and the contiguous transposes are built on first use, so
-    the omega~ solve pays for none of them.
+    the omega~ solve pays for none of them.  The kernel chain inverts phi_e
+    through its closed-form inverse (`phi_inverse`), a per-site product.
     """
 
     frames: np.ndarray       # P = [e_1 e_2 e_3 e_n], e-frame -> u-frame on V, (..., 4, 4)
     frames_inv: np.ndarray   # P^-1
     frames_det: np.ndarray   # det P = sqrt|det g| > 0
     L2P: np.ndarray          # Lambda^2 P, e-frame -> u-frame on bivector components
-    phi: np.ndarray          # (..., 6, 6) phi_e in the orthonormal template bases
+    phi_inv: np.ndarray      # (..., 6, 6) phi_e^-1 in the orthonormal template bases
     g: np.ndarray            # (..., 3, 3) boundary metric
 
     @functools.cached_property
@@ -245,14 +330,14 @@ class PhiFrame:
     def kernel_correction(self, x: np.ndarray) -> np.ndarray:
         """Kernel coordinates (..., 6) of the kernel-valued v with p[v, e] = -p x,
         for Omega^2(V) legs x (..., 3, 4)."""
-        return -np.linalg.solve(self.phi, self.kernel_coords(x)[..., None])[..., 0]
+        return -np.einsum("...ij,...j->...i", self.phi_inv, self.kernel_coords(x))
 
     def kernel_correction_T(self, y: np.ndarray) -> np.ndarray:
         """The transpose of `kernel_field` o `kernel_correction`: Omega^1(L^2) legs
         y (..., 3, 6) to Omega^2(V) legs S2v^-T K21 (-phi^-T) K12^T S12^T y (..., 3, 4)."""
         v = y @ self.L2P
-        lam = -np.linalg.solve(np.swapaxes(self.phi, -1, -2),
-                               (v.reshape(v.shape[:-2] + (18,)) @ K12HAT)[..., None])[..., 0]
+        lam = -np.einsum("...ji,...j->...i", self.phi_inv,
+                         v.reshape(v.shape[:-2] + (18,)) @ K12HAT)
         return (lam @ K21HAT.T).reshape(lam.shape[:-1] + (3, 4)) @ self.frames_inv
 
     def kernel_field(self, coords: np.ndarray, grid: Grid3) -> FormField:
@@ -297,7 +382,7 @@ def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
     null only within its own tolerance.  The frame Gram is
     P^T eta P = diag(g, q_n) with q_n = eta(e_n, e_n) = +-1, so the inverse
     is P^-1 = diag(g^-1, q_n) P^T eta, with g^-1 and det g from `inv3`, and
-    (det P)^2 = |det g|.
+    (det P)^2 = |det g|; the same signed det g gives phi_e^-1 (`phi_inverse`).
     """
     e = np.asarray(e, dtype=float)
     g = (e * sig.eta) @ np.swapaxes(e, -1, -2)
@@ -312,8 +397,9 @@ def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
     frames_inv = np.swapaxes(frames, -1, -2) * sig.eta
     frames_inv[..., :3, :] = ginv @ frames_inv[..., :3, :]
     frames_inv[..., 3, :] *= qn[..., None]
+    # phi_e^-1 last: held through the frame completion it would raise the peak
     return PhiFrame(frames, frames_inv, np.sqrt(np.abs(det_g)), compound_matrix(frames, 2),
-                    phi_matrix(g), g)
+                    phi_inverse(g, det_g), g)
 
 
 # ---------------------------------------------------------------------------
@@ -409,75 +495,65 @@ def make_degenerate_coframe(signs, sig: Signature) -> np.ndarray:
 
 @dataclass
 class ExactSequenceReport:
-    dim_kernel_12: int
-    dim_image_bracket: int
-    dim_kernel_21: int
-    rank_w21: int
-    wedge_residual: float          # max |e ^ [v,e]| over kernel basis
-    containment_residual: float    # im([.,e]|ker) inside ker W^{(2,1)}
-    reverse_residual: float        # ker W^{(2,1)} inside im([.,e]|ker)
+    """Per-site arrays over the stack of coframes the check was given."""
+
+    dim_kernel_12: np.ndarray
+    dim_image_bracket: np.ndarray
+    dim_kernel_21: np.ndarray
+    rank_w21: np.ndarray
+    wedge_residual: np.ndarray          # max |e ^ [v,e]| over kernel basis
+    containment_residual: np.ndarray    # im([.,e]|ker) inside ker W^{(2,1)}
+    reverse_residual: np.ndarray        # ker W^{(2,1)} inside im([.,e]|ker)
 
     @property
-    def is_exact(self) -> bool:
-        return (
-            self.dim_image_bracket == self.dim_kernel_12 == self.dim_kernel_21
-            and self.rank_w21 == 6
-            and max(self.containment_residual, self.reverse_residual) < 1e-9
-        )
+    def is_exact(self) -> np.ndarray:
+        return ((self.dim_image_bracket == self.dim_kernel_12)
+                & (self.dim_kernel_12 == self.dim_kernel_21) & (self.rank_w21 == 6)
+                & (np.maximum(self.containment_residual, self.reverse_residual) < 1e-9))
+
+
+def _numerical_rank(M: np.ndarray) -> np.ndarray:
+    sv = np.linalg.svd(M, compute_uv=False)
+    return (sv > 1e-10 * sv[..., :1]).sum(axis=-1)
 
 
 def _orth(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning each site's columns; the dropped ones are zero."""
     q, r = np.linalg.qr(columns)
-    keep = np.abs(np.diag(r)) > 1e-10 * max(1.0, np.abs(r).max())
-    return q[:, keep]
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    keep = diag > 1e-10 * np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))[..., None]
+    return q * keep[..., None, :]
 
 
 def exact_sequence_check(e: np.ndarray, sig: Signature) -> ExactSequenceReport:
+    """The exact sequence at every coframe of a stack e (..., 3, 4): one stacked split
+    per shape."""
     e = np.asarray(e, dtype=float)
     s12 = wedgemaps.kernel_basis(e, (1, 2), sig)
     s21 = wedgemaps.kernel_basis(e, (2, 1), sig)
-    B = bracket_matrix(e, sig)
-    img = B @ s12.kernel_basis                     # (12, 6)
-    sv = np.linalg.svd(img, compute_uv=False)
-    dim_img = int((sv > 1e-10 * sv[0]).sum())
-
+    img = bracket_matrix(e, sig) @ s12.kernel_basis         # (..., 12, 6)
     W21 = s21.matrix
-    sv21 = np.linalg.svd(W21, compute_uv=False)
-    rank_w21 = int((sv21 > 1e-10 * sv21[0]).sum())
-
-    wedge_res = float(np.abs(W21 @ img).max() / max(1.0, np.abs(img).max()))
+    wedge_res = (np.abs(W21 @ img).max(axis=(-2, -1))
+                 / np.maximum(1.0, np.abs(img).max(axis=(-2, -1))))
 
     img_o = _orth(img)
     ker_o = _orth(s21.kernel_basis)
-    Pker = ker_o @ ker_o.T
-    Pimg = img_o @ img_o.T
-    cont = float(np.linalg.norm(img_o - Pker @ img_o, ord=2))
-    rev = float(np.linalg.norm(ker_o - Pimg @ ker_o, ord=2))
-
+    Pker = ker_o @ np.swapaxes(ker_o, -1, -2)
+    Pimg = img_o @ np.swapaxes(img_o, -1, -2)
+    sites = e.shape[:-2]
     return ExactSequenceReport(
-        dim_kernel_12=s12.kernel_basis.shape[1],
-        dim_image_bracket=dim_img,
-        dim_kernel_21=s21.kernel_basis.shape[1],
-        rank_w21=rank_w21,
+        dim_kernel_12=np.full(sites, s12.kernel_basis.shape[-1]),
+        dim_image_bracket=_numerical_rank(img),
+        dim_kernel_21=np.full(sites, s21.kernel_basis.shape[-1]),
+        rank_w21=_numerical_rank(W21),
         wedge_residual=wedge_res,
-        containment_residual=cont,
-        reverse_residual=rev,
+        containment_residual=np.linalg.norm(img_o - Pker @ img_o, ord=2, axis=(-2, -1)),
+        reverse_residual=np.linalg.norm(ker_o - Pimg @ ker_o, ord=2, axis=(-2, -1)),
     )
 
 
 # ---------------------------------------------------------------------------
 # exact-arithmetic spot data (integer template bases)
-
-
-def integer_kernel_basis_12() -> list:
-    """Integer basis of the (1,2)-kernel template, columns as length-18 lists."""
-    eqs = exactla.from_numpy_int(wedgemaps.kernel_equations((1, 2)))
-    return exactla.nullspace(eqs)
-
-
-def integer_kernel_basis_21() -> list:
-    eqs = exactla.from_numpy_int(wedgemaps.kernel_equations((2, 1)))
-    return exactla.nullspace(eqs)
 
 
 def phi_pairing_det_exact(gdiag) -> Fraction:

@@ -410,16 +410,12 @@ def run_reduction(cfg: RunConfig) -> list:
             val == 4, None)
 
     rng = s.rng()
-    worst_wedge = 0.0
-    worst_cont = 0.0
-    dims_ok = True
-    for i in range(20):
-        e = random_nondegenerate_coframe(rng, sig)
-        rep = red.exact_sequence_check(e, sig)
-        worst_wedge = max(worst_wedge, rep.wedge_residual)
-        worst_cont = max(worst_cont, rep.containment_residual, rep.reverse_residual)
-        dims_ok &= (rep.dim_kernel_12 == rep.dim_image_bracket == rep.dim_kernel_21 == 6
-                    and rep.rank_w21 == 6)
+    rep = red.exact_sequence_check(
+        np.stack([random_nondegenerate_coframe(rng, sig) for _ in range(20)]), sig)
+    worst_wedge = float(rep.wedge_residual.max())
+    worst_cont = float(max(rep.containment_residual.max(), rep.reverse_residual.max()))
+    dims_ok = bool(np.all((rep.dim_kernel_12 == 6) & (rep.dim_image_bracket == 6)
+                          & (rep.dim_kernel_21 == 6) & (rep.rank_w21 == 6)))
     tolw = cfg.tol("exact_sequence_wedge")
     tolc = cfg.tol("exact_sequence_containment")
     s.check("exact-sequence", "short exact sequence via the bracket-with-e map",

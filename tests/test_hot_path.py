@@ -1,10 +1,12 @@
-"""No per-site SVD, pseudo-inverse, inverse or determinant on the state, vector-field and EH paths.
+"""No per-site SVD, pseudo-inverse, solve, inverse or determinant on the state, vector-field
+and EH paths.
 
-cond(phi_e) comes from the spectrum of the boundary metric, the frame inverse
-from the frame Gram, the wedge solves from fixed e-frame template inverses,
-and every per-site 3x3 inverse and determinant from `wedgemaps.inv3`; this
-test keeps a per-site LAPACK decomposition from coming back.  Single matrices
-(ndim 2, such as the fixed pairing Grams) may still go through LAPACK.  The
+cond(phi_e) comes from the spectrum of the boundary metric, phi_e^-1 from its
+closed form in g, the frame inverse from the frame Gram, the wedge solves from
+fixed e-frame template inverses, and every per-site 3x3 inverse and
+determinant from `wedgemaps.inv3`; this test keeps a per-site LAPACK
+decomposition from coming back.  Single matrices (ndim 2, such as the fixed
+pairing Grams) may still go through LAPACK.  The
 FD-bracket path runs no eigensolve at all (the phi_e and coframe checks clear
 well-conditioned sites by exact bounds), and the e-adapted frame holds no
 per-site array larger than 6x6 and builds its transposes only when they are
@@ -33,7 +35,7 @@ from pchgrav.suites import (LAPSE_PROBES, SHIFT_PROBES, acceptance_triad_spec,
 
 @pytest.fixture
 def lapack_guard(monkeypatch):
-    """Make np.linalg.svd and pinv raise, and inv and det raise on stacks of matrices."""
+    """Make np.linalg.svd and pinv raise, and solve, inv and det raise on stacks of matrices."""
     def refuse(name):
         def call(*args, **kwargs):
             raise AssertionError(f"np.linalg.{name} on the hot path")
@@ -49,6 +51,7 @@ def lapack_guard(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", refuse("svd"))
     monkeypatch.setattr(np.linalg, "pinv", refuse("pinv"))
+    monkeypatch.setattr(np.linalg, "solve", single_only("solve", np.linalg.solve))
     monkeypatch.setattr(np.linalg, "inv", single_only("inv", np.linalg.inv))
     monkeypatch.setattr(np.linalg, "det", single_only("det", np.linalg.det))
 
@@ -129,20 +132,18 @@ def test_omega_tilde_builds_no_lazy_frame_field_and_states_hold_no_frame(monkeyp
     assert not any(isinstance(v, PhiFrame) for v in held)
 
 
-def test_offshell_j_field_solves_phi_three_times(monkeypatch):
-    st = _offshell_state()
-    solves = []
-    solve = np.linalg.solve
+def test_make_on_shell_inverts_the_triad_once(monkeypatch):
+    calls, inv3 = [], wm.inv3
 
-    def counted(a, b):
-        solves.append(np.shape(a)[-2:])
-        return solve(a, b)
+    def counted(a):
+        calls.append(np.shape(a))
+        return inv3(a)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4]))
-    assert max(X.wedge_residuals.values()) <= 1e-12
-    # A(X_e), B(p' X_omega) and the adjoint covector shared by A+ and B+
-    assert solves == [(6, 6)] * 3
+    monkeypatch.setattr(wm, "inv3", counted)
+    monkeypatch.setattr(eh, "inv3", counted)
+    cst.make_on_shell(acceptance_triad_spec(), Grid3(4), 1.0, LORENTZIAN, Lambda=0.1)
+    # the triad once for Gamma(ebar) and A(K), the boundary metric once in omega~
+    assert calls == [(4, 4, 4, 3, 3)] * 2
 
 
 def test_bracket_derivative_certifies_nothing_and_evaluates_six_times(monkeypatch):

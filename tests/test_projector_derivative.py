@@ -45,7 +45,7 @@ def _fd_a_map(state, de, pack):
     pd = np.einsum("...ij,...j->...i", p21,
                    cst._flat(cov_deriv(de, state.omega, state.sig)))
     z = np.einsum("...ij,...j->...i", S2v_inv, dp_d + pd) @ red.K21HAT
-    return -np.linalg.solve(pack.phi, z[..., None])[..., 0]
+    return -np.linalg.solve(red.phi_matrix(pack.g), z[..., None])[..., 0]
 
 
 def _fd_a_dagger(state, Q, pack):
@@ -53,7 +53,7 @@ def _fd_a_dagger(state, Q, pack):
     PB = cst._pairing_gram_22_12(state.gamma, state.sig)
     K12S = np.einsum("...ij,jk->...ik", S12, red.K12HAT)
     qK = np.einsum("...j,...jk->...k", cst._flat(Q) @ PB, K12S)
-    lam = -np.linalg.solve(np.swapaxes(pack.phi, -1, -2), qK[..., None])[..., 0]
+    lam = -np.linalg.solve(np.swapaxes(red.phi_matrix(pack.g), -1, -2), qK[..., None])[..., 0]
     w = np.einsum("Dk,...k->...D", red.K21HAT, lam)
     w = np.einsum("...ji,...j->...i", S2v_inv, w)
     dvec = cst._flat(cst.torsion(state))

@@ -113,6 +113,77 @@ def test_phi_frobenius_bound_closed_form(signs):
     assert np.all(closed >= cond2) and np.all(closed <= 3.4 * cond2)
 
 
+def _phi_inverse_error(g):
+    """|phi_inverse - LAPACK inv(phi_matrix)|, relative to |phi^-1|, in units of eps cond(phi)."""
+    phi = red.phi_matrix(g)
+    ref = np.linalg.inv(phi)
+    got = red.phi_inverse(g, wm.inv3(g)[1])
+    err = np.abs(got - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+    cond = np.linalg.cond(phi)
+    return err / (np.finfo(float).eps * cond), cond
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, 1, -1), (1, -1, -1), (-1, -1, -1)])
+def test_phi_inverse_matches_lapack_inverse(signs):
+    # eigenvalue magnitudes over six decades: cond(phi) from 1 to well beyond 1e6
+    rot = np.linalg.qr(RNG.normal(size=(500, 3, 3)))[0]
+    lam = np.array(signs) * 10.0 ** RNG.uniform(-3.0, 3.0, size=(500, 3))
+    g = np.einsum("sac,sc,sbc->sab", rot, lam, rot)
+    ratio, cond = _phi_inverse_error(g)
+    assert cond.max() > 1e5
+    assert ratio.max() <= 4.0
+
+
+@pytest.mark.parametrize("sig,middle", [(EUCLIDEAN, 1.0), (LORENTZIAN, 1.0), (LORENTZIAN, -1.0)],
+                         ids=["euclidean", "lorentzian", "lorentzian-timelike"])
+def test_phi_frame_inverse_matches_lapack_inverse(sig, middle):
+    if sig is EUCLIDEAN:
+        e = np.stack([random_nondegenerate_coframe(RNG, sig) for _ in range(200)])
+    else:
+        # g = Q diag(1, middle, s) Q^T with s down to 1e-6: cond(phi) up to about 1e6
+        e = np.concatenate([_coframes_with_metric(s, middle, 20)
+                            for s in np.logspace(-6, 1, 10)])
+    pf = red.phi_frame(e, sig)
+    ratio, cond = _phi_inverse_error(pf.g)
+    assert np.array_equal(pf.phi_inv, red.phi_inverse(pf.g, wm.inv3(pf.g)[1]))
+    assert ratio.max() <= 4.0
+    assert np.abs(np.einsum("...ij,...jk->...ik", pf.phi_inv, red.phi_matrix(pf.g))
+                  - np.eye(6)).max(axis=(-2, -1)).max() <= 1e-15 * cond.max()
+
+
+def test_phi_inverse_table_is_the_exact_half_integer_inverse():
+    """det(g) phi_Z(g)^-1 in the integer kernel bases is a quadratic polynomial in the
+    entries of g with coefficients in Z/2: interpolated exactly at 21 integer metrics,
+    confirmed at three more, and equal to the module's table."""
+    from pchgrav import exactla
+
+    Z12 = [list(row) for row in zip(*red.integer_kernel_basis_12())]       # 18 x 6
+    Z21T = red.integer_kernel_basis_21()                                   # 6 x 12
+    rng = np.random.Generator(np.random.Philox(key=21))
+    rows, values = [], []
+    while len(rows) < 24:
+        x = [Fraction(int(v)) for v in rng.integers(-3, 4, size=6)]
+        g = np.zeros((3, 3), dtype=object)
+        for (a, b), v in zip(red._G_ENTRIES, x):
+            g[a, b] = g[b, a] = v
+        det = exactla.det(g.tolist())
+        if det == 0:
+            continue
+        phi_z = exactla.matmul(Z21T, exactla.matmul(red.frame_bracket_matrix(g).tolist(), Z12))
+        reduced, pivots = exactla.rref([row + [Fraction(int(i == j)) for j in range(6)]
+                                        for i, row in enumerate(phi_z)])
+        assert pivots == list(range(6))
+        rows.append([x[m] * x[n] for m, n in red._G_MONOMIALS])
+        values.append([det * v for row in reduced for v in row[6:]])
+    solved, pivots = exactla.rref([r + v for r, v in zip(rows[:21], values[:21])])
+    assert pivots == list(range(21))
+    table = [row[21:] for row in solved]
+    for r, v in zip(rows[21:], values[21:]):
+        assert exactla.matmul([r], table)[0] == v
+    assert all((2 * t).denominator == 1 for row in table for t in row)
+    assert table == [[Fraction(t) for t in row] for row in red._phi_inverse_table_z()]
+
+
 def _coframes_with_metric(s, middle, n):
     """n coframes with g = e eta e^T = Q diag(1, middle, s) Q^T (Lorentzian, s > 0)."""
     legs = np.zeros((3, 4))
@@ -311,6 +382,17 @@ def test_exact_sequence_random_sites():
         assert rep.wedge_residual <= 1e-12
         assert max(rep.containment_residual, rep.reverse_residual) <= 1e-10
         assert rep.is_exact
+
+
+@pytest.mark.parametrize("sig", [LORENTZIAN, EUCLIDEAN], ids=["lorentzian", "euclidean"])
+def test_exact_sequence_stack_matches_single_sites(sig):
+    e = np.stack([random_nondegenerate_coframe(RNG, sig) for _ in range(20)])
+    rep = red.exact_sequence_check(e, sig)
+    assert rep.wedge_residual.shape == (20,) and rep.is_exact.all()
+    for i in range(20):
+        one = red.exact_sequence_check(e[i], sig)
+        for name, value in vars(one).items():
+            assert np.array_equal(value, getattr(rep, name)[i]), name
 
 
 def test_exact_sequence_standard_coframe_exact_arithmetic():
