@@ -132,6 +132,27 @@ def test_omega_tilde_builds_no_lazy_frame_field_and_states_hold_no_frame(monkeyp
     assert not any(isinstance(v, PhiFrame) for v in held)
 
 
+def test_offshell_j_field_solves_phi_three_times(lapack_guard, monkeypatch):
+    st = _offshell_state()
+    solves = []
+
+    def counted(name):
+        apply = getattr(PhiFrame, name)
+
+        def call(self, x):
+            solves.append((name, self.phi_inv.shape[-2:]))
+            return apply(self, x)
+        return call
+
+    for name in ("kernel_correction", "kernel_correction_T"):
+        monkeypatch.setattr(PhiFrame, name, counted(name))
+    X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4]))
+    assert max(X.wedge_residuals.values()) <= 1e-12
+    # A(X_e), B(p' X_omega) and the adjoint covector shared by A+ and B+, each through
+    # the closed-form phi_e^-1 (the guard refuses a per-site np.linalg.solve)
+    assert sorted(solves) == [("kernel_correction", (6, 6))] * 2 + [("kernel_correction_T", (6, 6))]
+
+
 def test_make_on_shell_inverts_the_triad_once(monkeypatch):
     calls, inv3 = [], wm.inv3
 
