@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -166,6 +167,17 @@ def _thread_count(text: str) -> int:
     return count
 
 
+def _finite_float(text: str) -> float:
+    """A `--Lambda` value: a finite float (argparse exits 2 otherwise)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pchgrav",
@@ -190,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--out", required=True)
     pr.add_argument("--format", choices=("json", "csv"), default="json")
     pr.add_argument("--signature", default="lorentzian")
-    pr.add_argument("--Lambda", type=float, default=0.0)
+    pr.add_argument("--Lambda", type=_finite_float, default=0.0)
     pr.set_defaults(func=_cmd_reduce)
 
     po = sub.add_parser("omega-tilde", help="structural representative for field files")

@@ -19,7 +19,7 @@ DEFAULTS = {
 }
 
 
-#: every check tolerance and workload size a config may override, with its default
+#: every check tolerance a config may override, with its default
 TOLERANCES = {
     "twist_determinant": 1e-12,
     "star_cyclic": 1e-13,
@@ -29,7 +29,6 @@ TOLERANCES = {
     "lie_axioms": 1e-13,
     "wedge_axioms": 1e-13,
     "twist_symmetry": 1e-13,
-    "kernel_samples": 100,
     "sv_gap": 1e6,
     "projector_algebra": 1e-12,
     "annihilator": 1e-10,
@@ -37,7 +36,6 @@ TOLERANCES = {
     "matrix_crosscheck": 1e-13,
     "exact_sequence_wedge": 1e-12,
     "exact_sequence_containment": 1e-10,
-    "omega_tilde_states": 20,
     "structural_residual": 1e-9,
     "gauge_invariance": 1e-9,
     "kernel_wedge": 1e-11,

@@ -38,16 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import PAIR_INDEX, Signature
+from .fiber import PAIR_INDEX, Signature, wedge_signs
 from .grid import COMP_BASIS, FormField, Grid3, cov_deriv, curvature, deriv_axis, wedge_fields
 from .wedgemaps import (ConditioningError, NullNormalError, at_site, complete_frame,
                         compound_matrix, inv3)
 
-EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    EPS3[_i, _j, _k] = 1.0
-for _i, _j, _k in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:
-    EPS3[_i, _j, _k] = -1.0
+#: eps_{ijk} from the coordinate wedge: dx^i ^ dx^j ^ dx^k = eps_{ijk} dx^1 ^ dx^2 ^ dx^3
+EPS3 = np.einsum("ijP,Pk->ijk", wedge_signs(3, 1, 1), wedge_signs(3, 2, 1)[:, :, 0]).astype(float)
 
 #: spatial index pairs (12, 13, 23), ordered as the coordinate 2-form components
 SPATIAL_PAIRS = COMP_BASIS[2]

@@ -72,19 +72,6 @@ def wedge_signs(n: int, k: int, m: int) -> np.ndarray:
     return S
 
 
-def eps4(i: int, j: int, k: int, l: int) -> int:
-    idx = (i, j, k, l)
-    if len(set(idx)) < 4:
-        return 0
-    sign = 1
-    lst = list(idx)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if lst[a] > lst[b]:
-                sign = -sign
-    return sign
-
-
 # ---------------------------------------------------------------------------
 # signature
 
@@ -141,35 +128,18 @@ def tr_quad(q: np.ndarray) -> np.ndarray:
     return q[..., 0]
 
 
-def _star2_matrix_entries(eta_diag, exact: bool):
-    """star(u_i^u_j) = 1/2 eps_{ijkl} eta^{km} eta^{ln} u_m^u_n (diagonal eta)."""
-    one = Fraction(1) if exact else 1.0
-    M = [[Fraction(0) if exact else 0.0 for _ in range(6)] for _ in range(6)]
-    for I, (i, j) in enumerate(PAIRS):
-        for k in range(4):
-            for l in range(4):
-                e = eps4(i, j, k, l)
-                if e == 0:
-                    continue
-                coef = e * one / (2 * eta_diag[k] * eta_diag[l])
-                if k < l:
-                    M[PAIR_INDEX[(k, l)]][I] += coef
-                else:
-                    M[PAIR_INDEX[(l, k)]][I] -= coef
-    return M
-
-
 @lru_cache(maxsize=None)
 def star2_matrix(sig: Signature, exact: bool = False) -> np.ndarray:
-    """Matrix of the Hodge star on bivector components, built on first use, read-only."""
-    ent = _star2_matrix_entries(sig.eta_diag, exact)
-    if exact:
-        out = np.empty((6, 6), dtype=object)
-        for i in range(6):
-            for j in range(6):
-                out[i, j] = ent[i][j]
-    else:
-        out = np.array(ent, dtype=float)
+    """Matrix of the Hodge star on bivector components, built on first use, read-only.
+
+    star(u_i^u_j) = 1/2 eps_{ijkl} eta^{kk} eta^{ll} u_k^u_l, so the entry at
+    (kl, ij) is the Tr Gram entry eps_{ijkl} weighted by eta_k eta_l of its
+    row pair; `exact` gives the Fraction entries.
+    """
+    weights = [sig.eta_diag[k] * sig.eta_diag[l] for k, l in PAIRS]
+    S = (np.array(weights)[:, None] * wedge_signs(4, 2, 2)[:, :, 0]).tolist()
+    out = np.array([[Fraction(x) for x in row] for row in S], dtype=object) if exact \
+        else np.array(S, dtype=float)
     out.flags.writeable = False
     return out
 
@@ -281,16 +251,8 @@ def bilinear_matrix(T: np.ndarray, y) -> np.ndarray:
     return M.reshape(y.shape[:-1] + (O, A))
 
 
-def tr_gram2() -> np.ndarray:
-    """Gram matrix G_IJ = Tr[b_I ^ b_J] of the Tr pairing on Lambda^2 V."""
-    G = np.zeros((6, 6))
-    for I, (i, j) in enumerate(PAIRS):
-        for J, (k, l) in enumerate(PAIRS):
-            G[I, J] = eps4(i, j, k, l)
-    return G
-
-
-TR_GRAM2 = tr_gram2()
+#: Gram matrix G_IJ = Tr[b_I ^ b_J] of the Tr pairing on Lambda^2 V
+TR_GRAM2 = wedge_signs(4, 2, 2)[:, :, 0].astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fiber, wedgemaps
+from . import fiber, reduction, wedgemaps
 from .fiber import Signature
 from .grid import (
     Coframe,
@@ -84,20 +84,15 @@ def phi_symplecto(t_bold: FormField, e: Coframe, gamma: float):
     """Recover the reduced-connection representative from t_bold.
 
     Solves T_gamma[omega] ^ e = t_bold for the complement part of
-    T_gamma[omega] by least squares and returns the connection representative
-    (kernel part zero in the twisted variable).  Round-trips with hs_project
-    on the class level.
+    T_gamma[omega] with the e-adapted frame's template solve
+    (`PhiFrame.solve_complement_12`) and returns the connection representative
+    (kernel part zero in the twisted variable) with the max-norm residual of
+    the wedge equation.  Round-trips with hs_project on the class level.
     """
-    sig = e.sig
-    M = wedgemaps.wedge_matrix(e.data, (1, 2))
-    Mpinv = np.linalg.pinv(M)
-    rvec = t_bold.data.reshape(t_bold.data.shape[:3] + (-1,))
-    x = np.einsum("...ij,...j->...i", Mpinv, rvec)
-    sigma = FormField(e.grid, 1, 2, x.reshape(x.shape[:-1] + (3, 6)))
-    Tinv = np.linalg.inv(fiber.t_gamma_endo_matrix(gamma, sig))
+    sigma = reduction.phi_frame(e.data, e.sig).solve_complement_12(t_bold)
+    Tinv = np.linalg.inv(fiber.t_gamma_endo_matrix(gamma, e.sig))
     omega = FormField(e.grid, 1, 2, sigma.data @ Tinv.T)
-    residual = float(np.abs(np.einsum("...ij,...j->...i", M, x) - rvec).max())
-    return omega, residual
+    return omega, (wedge_fields(sigma, e.field) - t_bold).sup_norm()
 
 
 def pairing_hs(dt: FormField, de: FormField) -> float:
@@ -132,6 +127,20 @@ def _locus_equation_matrix(omega_ref: FormField, gamma: float, sig: Signature) -
     return fiber.bilinear_matrix(fiber.product_tensor(1, 2, 1, 2), data)
 
 
+def _locus_kernel(omega_ref: FormField, gamma: float, sig: Signature):
+    """(basis, rank): the kernel of e -> e ^ T_gamma[F_ref] at every site.
+
+    One stacked SVD of the locus Jacobian; the rank is `wedgemaps.decide_rank`'s
+    (a RankDecisionError names an ambiguous site).  basis (..., 12, 12) holds
+    the orthonormal right singular vectors of the kernel as columns and zero
+    columns in place of the dropped ones, so sites of any rank stack.
+    """
+    _, sv, vh = np.linalg.svd(_locus_equation_matrix(omega_ref, gamma, sig))
+    rank, _ = wedgemaps.decide_rank(sv, "the locus Jacobian e -> e ^ T_gamma F_ref")
+    keep = np.arange(vh.shape[-1]) >= rank[..., None]
+    return np.swapaxes(vh, -1, -2) * keep[..., None, :], rank
+
+
 def sample_locus_state(grid: Grid3, sig: Signature, gamma: float, rng) -> HalfShellState:
     """A point of the projected Euler-Lagrange locus with Lambda = 0.
 
@@ -146,10 +155,8 @@ def sample_locus_state(grid: Grid3, sig: Signature, gamma: float, rng) -> HalfSh
     ref[..., 1, :] = np.array([-0.2, 0.6, 0.1, -0.5, 0.3, 0.2])
     ref[..., 2, :] = np.array([0.1, 0.2, -0.7, 0.3, 0.4, -0.2])
     omega_ref = FormField(grid, 1, 2, ref)
-    # per-site kernel of e -> e ^ TF
-    J = _locus_equation_matrix(omega_ref, gamma, sig)
-    _, _, vh = np.linalg.svd(J)
-    proj = np.swapaxes(vh[..., 4:, :], -1, -2) @ vh[..., 4:, :]   # (..., 12, 12)
+    kern, _ = _locus_kernel(omega_ref, gamma, sig)
+    proj = kern @ np.swapaxes(kern, -1, -2)                      # (..., 12, 12)
     e_data = np.zeros((n, n, n, 3, 4))
     bad = np.ones((n, n, n), dtype=bool)
     for attempt in range(128):
@@ -172,62 +179,38 @@ def sample_locus_state(grid: Grid3, sig: Signature, gamma: float, rng) -> HalfSh
 def isotropy_diagnosis(state: HalfShellState, full_locus: bool = True) -> IsotropyReport:
     """Rank-based isotropy/Lagrangian diagnosis of the projected locus.
 
-    The tangent space of {t_bold = 0 (and e ^ T_gamma F_ref = 0)} is computed
-    per site from the Jacobian kernel with a singular-value gap policy (gap at
-    least 1e6); the symplectic pairing int Tr[dt ^ de] is evaluated on 200
-    seeded random tangent pairs (isotropy) and the dimension of the symplectic
-    orthogonal is compared against the tangent dimension (Lagrangian or not).
-    Global dense ranks: use tiny grids only.
+    The tangent space of {t_bold = 0 (and e ^ T_gamma F_ref = 0)} has delta
+    t = 0 and delta e in the per-site kernel of the locus Jacobian
+    (`_locus_kernel`).  In the coordinates (delta t, delta e) of all sites,
+    varpi_HS is the block-diagonal matrix Omega with the per-site block
+    h^3 [[0, PG], [-PG^T, 0]], PG the Tr pairing of Omega^2(L^3) with
+    Omega^1(V); with the tangent basis as the columns of B, B^T Omega B holds
+    varpi_HS on every pair of basis vectors (isotropy) and the symplectic
+    orthogonal has dimension dim - rank(B^T Omega), the rank by
+    `wedgemaps.decide_rank` (Lagrangian or not).  Dense global matrices: use
+    tiny grids only.
     """
     grid = state.grid
-    n = grid.n
-    nsites = n**3
-    dim_e = nsites * 12
-
+    nsites = grid.n**3
     if full_locus:
-        Jac = _locus_equation_matrix(state.omega_ref, state.gamma, state.sig)
-        Jflat = Jac.reshape(nsites, 4, 12)
-        e_blocks = []
-        for s in range(nsites):
-            _, sv, vh = np.linalg.svd(Jflat[s])
-            rank = int((sv > 1e-10 * max(sv[0], 1e-300)).sum())
-            if 0 < rank < 4:
-                g = sv[rank - 1] / max(sv[rank], 1e-300)
-                if g < 1e6:
-                    site = tuple(int(i) for i in np.unravel_index(s, (n, n, n)))
-                    raise wedgemaps.RankDecisionError(
-                        f"rank ambiguity at site {site}: gap {g:.2e}")
-            e_blocks.append(vh[rank:].T)
-        dim_tan = sum(b.shape[1] for b in e_blocks)
+        kern, rank = _locus_kernel(state.omega_ref, state.gamma, state.sig)
+        kern, dim_tan = kern.reshape(nsites, 12, 12), int((12 - rank).sum())
     else:
-        e_blocks = [np.eye(12) for _ in range(nsites)]
-        dim_tan = dim_e
-
-    # numeric isotropy check on sampled tangent pairs (X_t = 0 on the locus)
-    rng = np.random.Generator(np.random.Philox(key=7))
-    sites = [s for s, b in enumerate(e_blocks) if b.shape[1]]
-    max_pair = 0.0
-    for _ in range(200):
-        sx, sy = rng.choice(sites), rng.choice(sites)
-        bx, by = e_blocks[sx], e_blocks[sy]
-        Xe = np.zeros((nsites, 12))
-        Ye = np.zeros((nsites, 12))
-        Xe[sx] = bx @ rng.normal(size=bx.shape[1])
-        Ye[sy] = by @ rng.normal(size=by.shape[1])
-        X = (FormField.zeros(grid, 2, 3), FormField(grid, 1, 1, Xe.reshape(n, n, n, 3, 4)))
-        Y = (FormField.zeros(grid, 2, 3), FormField(grid, 1, 1, Ye.reshape(n, n, n, 3, 4)))
-        max_pair = max(max_pair, abs(symplectic_form_hs(X, Y)))
-
-    # orthogonal: Y_t must annihilate every tangent e-block under the pairing
-    PG = wedgemaps.dual_pairing_matrix(1, 1)   # Omega^2(L^3) x Omega^1(V)
-    dim_orth = dim_e                           # Y_e is unconstrained
-    for b in e_blocks:
-        A = PG @ b
-        dim_orth += 12 - np.linalg.matrix_rank(A, tol=1e-10)
+        kern, dim_tan = np.broadcast_to(np.eye(12), (nsites, 12, 12)), nsites * 12
+    sites = np.arange(nsites)
+    B = np.zeros((nsites, 24, nsites, 12))          # per site: delta t (12), then delta e (12)
+    B[sites, 12:, sites] = kern
+    B = B.reshape(nsites * 24, nsites * 12)
+    PG = wedgemaps.dual_pairing_matrix(1, 1)        # Omega^2(L^3) x Omega^1(V)
+    block = np.block([[np.zeros((12, 12)), PG], [-PG.T, np.zeros((12, 12))]])
+    BtO = B.T @ np.kron(np.eye(nsites), grid.h**3 * block)
+    orth_rank, _ = wedgemaps.decide_rank(np.linalg.svd(BtO, compute_uv=False),
+                                         "the varpi_HS pairing of the locus tangent")
+    dim_orth = nsites * 24 - int(orth_rank)
     return IsotropyReport(
         dim_tangent=dim_tan,
         dim_orthogonal=dim_orth,
-        max_pairing=max_pair,
+        max_pairing=float(np.abs(BtO @ B).max()),
         lagrangian=(dim_orth == dim_tan),
         locus="full" if full_locus else "t_bold=0",
     )
@@ -237,23 +220,21 @@ def isotropy_diagnosis(state: HalfShellState, full_locus: bool = True) -> Isotro
 # locus inequivalence
 
 
+def _rel_wedge_e(x: FormField, e: Coframe) -> float:
+    """|x ^ e|max normalized by |x|max |e|max (|e|max is the largest entry of the
+    wedge matrix of e)."""
+    return wedge_fields(x, e.field).sup_norm() / max(np.abs(e.data).max() * x.sup_norm(),
+                                                     1e-300)
+
+
 def locus_residuals(e: Coframe, omega: FormField, omega_ref: FormField, gamma: float):
     """Normalized defining residuals of the two projected loci at (e, omega).
 
     Half-shell pullback: T_gamma[omega] ^ e = 0.  Plain boundary locus: omega
     equals the reference class, i.e. the complement part of T_gamma[omega -
-    omega_ref] vanishes.  Both are normalized by the magnitude of the tested
-    object so "far from the locus" reads as O(1).
+    omega_ref] vanishes, which is T_gamma[omega - omega_ref] ^ e = 0.  Both
+    are normalized by the magnitude of the tested object so "far from the
+    locus" reads as O(1).
     """
-    sig = e.sig
-    M = wedgemaps.wedge_matrix(e.data, (1, 2))
-    tw = t_gamma_field(omega, gamma, sig)
-    tvec = tw.data.reshape(tw.data.shape[:3] + (-1,))
-    hs = np.einsum("...ij,...j->...i", M, tvec)
-    hs_res = float(np.abs(hs).max() / max(np.abs(M).max() * np.abs(tvec).max(), 1e-300))
-
-    diff = t_gamma_field(omega - omega_ref, gamma, sig)
-    dvec = diff.data.reshape(diff.data.shape[:3] + (-1,))
-    img = np.einsum("...ij,...j->...i", M, dvec)   # zero iff diff is kernel-valued
-    pch_res = float(np.abs(img).max() / max(np.abs(M).max() * np.abs(dvec).max(), 1e-300))
-    return hs_res, pch_res
+    return (_rel_wedge_e(t_gamma_field(omega, gamma, e.sig), e),
+            _rel_wedge_e(t_gamma_field(omega - omega_ref, gamma, e.sig), e))

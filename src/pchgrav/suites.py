@@ -80,6 +80,12 @@ class _Suite:
         self._start = time.perf_counter()
 
 
+#: random coframes of the kernels suite's kernel table
+KERNEL_SAMPLES = 100
+#: off-shell states of the reduction suite's omega~ row
+OMEGA_TILDE_STATES = 20
+
+
 # ---------------------------------------------------------------------------
 # canonical on-shell spec and probes (frozen; used by acceptance tests too)
 
@@ -310,10 +316,9 @@ def run_algebra(cfg: RunConfig) -> list:
 def run_kernels(cfg: RunConfig) -> list:
     s = _Suite("kernels", cfg)
     sig = s.sig
-    n_frames = int(cfg.tol("kernel_samples"))
 
     rng = s.rng()
-    frames = np.stack([random_nondegenerate_coframe(rng, sig) for _ in range(n_frames)])
+    frames = np.stack([random_nondegenerate_coframe(rng, sig) for _ in range(KERNEL_SAMPLES)])
     table_ok = True
     min_gap = np.inf
     worst_proj = 0.0
@@ -339,7 +344,7 @@ def run_kernels(cfg: RunConfig) -> list:
     gap_floor = cfg.tol("sv_gap")
     tol = cfg.tol("projector_algebra")
     s.check("kernel-table", "kernel dims 0/6/6 with ranks 12/12/6 over random coframes",
-            {"frames": n_frames, "min_gap": float(min_gap), "projector_residual": worst_proj,
+            {"frames": KERNEL_SAMPLES, "min_gap": float(min_gap), "projector_residual": worst_proj,
              "explicit_equation_residual": worst_eq},
             table_ok and min_gap >= gap_floor and worst_proj <= tol and worst_eq <= 1e-12,
             tol)
@@ -448,8 +453,7 @@ def run_reduction(cfg: RunConfig) -> list:
     worst_kernel = 0.0
     worst_idem = 0.0
     worst_cond = 0.0
-    n_states = int(cfg.tol("omega_tilde_states"))
-    for i in range(n_states):
+    for i in range(OMEGA_TILDE_STATES):
         st = random_offshell_state(rng, grid, sig, cfg.gamma, cfg.Lambda)
         res = st.ot
         worst_struct = max(worst_struct, res.structural_residual)
@@ -469,7 +473,7 @@ def run_reduction(cfg: RunConfig) -> list:
     tol_k = cfg.tol("kernel_wedge")
     tol_i = cfg.tol("idempotence")
     s.check("omega-tilde", "unique structural representative: p d_w~ e = 0, basic, idempotent",
-            {"states": n_states, "structural": worst_struct, "gauge_shift": worst_gauge,
+            {"states": OMEGA_TILDE_STATES, "structural": worst_struct, "gauge_shift": worst_gauge,
              "kernel_wedge": worst_kernel, "idempotence": worst_idem,
              "max_condition": worst_cond},
             (worst_struct <= tol_s and worst_gauge <= tol_g and worst_kernel <= tol_k
@@ -717,7 +721,6 @@ def run_eh(cfg: RunConfig) -> list:
             ok and s.elapsed() < 300.0, None)
 
     g = Grid3(8)
-    s.rng()   # unused, but the draw counter it advances keys the streams of the later rows
     X, Y, Z = g.coords()
     field = np.stack([harmonic(0.7, (1, 0, 0), 0.2).eval(X, Y, Z),
                       harmonic(0.5, (0, 1, 0), 1.0).eval(X, Y, Z),

@@ -291,39 +291,53 @@ class ComplementSplit:
     gap: np.ndarray               # (...,) singular-value gap at the rank cut
 
 
+def decide_rank(sv: np.ndarray, what: str):
+    """(rank, gap) at every site of a stack of singular values sv (..., m), descending.
+
+    The rank counts the singular values above 1e-10 times the largest.  The
+    decision must be backed by a single dominant gap of the spectrum, of at
+    least 1e6, with that threshold cut inside it; a near-degenerate matrix
+    leaves intermediate singular values that break one of the two conditions,
+    and a RankDecisionError names the first such site.  The gap is the ratio of
+    the smallest kept singular value to the largest dropped one, or to the
+    floor 1e-15 times the largest.
+    """
+    floor = 1e-15 * sv[..., :1]
+    cut = (sv > 1e-10 * sv[..., :1]).sum(axis=-1)
+    padded = np.concatenate([sv, floor], axis=-1)
+    ratios = padded[..., :-1] / np.maximum(padded[..., 1:], floor)
+    spectral = np.argmax(ratios, axis=-1) + 1
+    gap = np.take_along_axis(ratios, cut[..., None] - 1, axis=-1)[..., 0]
+    bad = (spectral != cut) | (gap < 1e6)
+    if np.any(bad):
+        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise RankDecisionError(
+            f"ill-conditioned rank decision for {what}{at_site(bad)}: gap {gap[i]:.3e}, "
+            f"threshold rank {cut[i]} vs spectral rank {spectral[i]}")
+    return cut, gap
+
+
 def kernel_basis(e: np.ndarray, shape: tuple, sig: Signature) -> ComplementSplit:
     """Kernel/complement split of W_e^{shape} on a stack e of shape (..., 3, 4).
 
-    Per site, the rank counts the singular values above 1e-10 times the
-    largest; the decision must be backed by a gap of at least 1e6 between the
-    smallest kept and the largest discarded singular value, and the rank must
-    be that of W at a coframe (the e-frame template's), otherwise a
-    RankDecisionError naming the first such site signals a near-degenerate
-    coframe.  One SVD, frame completion, inverse and QR serve the whole stack.
+    Per site the rank is that of `decide_rank`, and it must be the rank of W
+    at a coframe (the e-frame template's); otherwise a RankDecisionError
+    naming the first such site signals a near-degenerate coframe.  One SVD,
+    frame completion, inverse and QR serve the whole stack.
     """
     e = np.asarray(e, dtype=float)
     if e.shape[-2:] != (3, 4):
         raise ValueError(f"per-site coframe must be 3x4, got a stack of shape {e.shape}")
     p, k = shape
     M = wedge_matrix(e, shape)
-    cod, dom = M.shape[-2:]
+    dom = M.shape[-1]
     u, sv, vh = np.linalg.svd(M)
     rank = dom - KERNEL_TEMPLATES[shape].shape[1]        # the rank of W at a coframe
-    cut = (sv > 1e-10 * sv[..., :1]).sum(axis=-1)
-    # the spectrum must have a single dominant gap of at least 1e6, with
-    # the threshold cut inside it; near-degenerate coframes leave intermediate
-    # singular values that break one of the two conditions
-    floor = 1e-15 * sv[..., :1]
-    padded = np.concatenate([sv, floor], axis=-1)
-    spectral = np.argmax(padded[..., :-1] / np.maximum(padded[..., 1:], floor), axis=-1) + 1
-    bottom = np.maximum(sv[..., rank], floor[..., 0]) if rank < sv.shape[-1] else floor[..., 0]
-    gap = sv[..., rank - 1] / bottom
-    bad = (cut != rank) | (spectral != rank) | (gap < 1e6)
-    if np.any(bad):
-        i = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise RankDecisionError(
-            f"ill-conditioned rank decision for W^{shape}{at_site(bad)}: gap {gap[i]:.3e}, "
-            f"threshold rank {cut[i]} vs spectral rank {spectral[i]} (coframe rank {rank})")
+    cut, gap = decide_rank(sv, f"W^{shape}")
+    off = cut != rank
+    if np.any(off):
+        raise RankDecisionError(f"W^{shape} has rank {cut.flat[np.argmax(off)]}{at_site(off)}, "
+                                f"not the coframe rank {rank}")
 
     try:
         P, _ = complete_frame(e, sig)

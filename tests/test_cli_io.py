@@ -46,6 +46,9 @@ def test_gamma_infinity_accepted():
     ({"tolerances": {"kernel_sampels": 3}}, "$.tolerances.kernel_sampels"),
     ({"tolerances": {"bracket_ll": math.nan}}, "$.tolerances.bracket_ll"),
     ({"seed": True}, "$.seed"),
+    # sample counts are constants of the suites, not tolerances
+    ({"tolerances": {"kernel_samples": 100}}, "$.tolerances.kernel_samples"),
+    ({"tolerances": {"omega_tilde_states": -3}}, "$.tolerances.omega_tilde_states"),
 ])
 def test_bad_numbers_and_tolerance_names_exit_2(tmp_path, capsys, raw, path):
     cfgp = write_cfg(tmp_path, {"suites": ["algebra"], **raw})
@@ -429,6 +432,19 @@ def test_verify_threads_below_one_exit_2(tmp_path, capsys, count):
         cli.main(["verify", "--config", str(cfgp), "--out", str(out), "--threads", count])
     assert info.value.code == 2
     assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "x"])
+def test_reduce_non_finite_lambda_exit_2(tmp_path, capsys, value):
+    from pchgrav.grid import FormField, Grid3
+
+    files = _field_files(tmp_path, FormField.zeros(Grid3(4), 1, 2))
+    out = tmp_path / "eh.json"
+    with pytest.raises(SystemExit) as info:
+        cli.main(["reduce", *files, "--out", str(out), "--Lambda", value])
+    assert info.value.code == 2
+    assert "--Lambda" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -32,6 +32,11 @@ def _triad_compatibility_residual(e_bar, gamma_blk, eta_bar, grid) -> float:
     return float(np.abs(cov_deriv(E, gamma, sig_w).data).max())
 
 
+def test_eps3_is_the_levi_civita_symbol():
+    i, j, k = np.indices((3, 3, 3))
+    assert np.array_equal(eh.EPS3, (i - j) * (j - k) * (k - i) / 2)
+
+
 # --- orthonormal frames -----------------------------------------------------------
 
 def test_standard_coframe_adapted_frame():

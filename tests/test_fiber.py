@@ -1,5 +1,7 @@
 """Exact pointwise algebra: wedge, star, bracket, twist."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +125,17 @@ def test_star_oracle_basis_values():
         for I in range(6):
             b = np.eye(6)[I]
             assert np.allclose(fiber.hodge_star2(b, sig), star_oracle(b, sig.eta))
+
+
+@pytest.mark.parametrize("eta_diag", [(1, 1, 1, 1), (1, 1, 1, -1), (1, 1, -1, 1)])
+def test_sign_tables_match_the_epsilon_oracle(eta_diag):
+    sig = fiber.Signature(eta_diag)
+    oracle = np.array([star_oracle(b, sig.eta) for b in np.eye(6)]).T
+    S, S_exact = fiber.star2_matrix(sig), fiber.star2_matrix(sig, exact=True)
+    assert S.dtype == float and np.array_equal(S, oracle)
+    assert all(type(x) is Fraction and x == y for x, y in zip(S_exact.ravel(), oracle.ravel()))
+    gram = [[eps4_oracle(*PAIRS[I], *PAIRS[J]) for J in range(6)] for I in range(6)]
+    assert np.array_equal(fiber.TR_GRAM2, gram)
 
 
 def test_star_squares_to_signature_sign():

@@ -148,3 +148,88 @@ def test_loci_coincide_with_vanishing_multiplier(locus_state):
     dvec = diff.data.reshape((2,) * 3 + (18,))
     class_res = float(np.abs(np.einsum("...ij,...j->...i", M12, dvec)).max())
     assert abs(t_bold_res - class_res) <= 1e-10 * max(1.0, class_res)
+
+
+def test_isotropy_dimensions_and_pairing(locus_state):
+    # rank 4 of the locus Jacobian at each of the 8 sites: 8 tangent directions
+    # per site on the full locus, all 12 of delta e on t_bold = 0
+    full = hs.isotropy_diagnosis(locus_state, full_locus=True)
+    t0 = hs.isotropy_diagnosis(locus_state, full_locus=False)
+    assert (full.dim_tangent, full.dim_orthogonal, full.max_pairing) == (64, 128, 0.0)
+    assert (t0.dim_tangent, t0.dim_orthogonal, t0.max_pairing) == (96, 96, 0.0)
+
+
+def test_wedge_matrix_largest_entry_is_the_coframe_largest_entry():
+    # locus_residuals normalizes by |e|max in place of the largest entry of W_e^{(1,2)}
+    e = RNG.normal(size=(20, 3, 4))
+    M = wm.wedge_matrix(e, (1, 2))
+    assert np.array_equal(np.abs(M).max(axis=(-2, -1)), np.abs(e).max(axis=(-2, -1)))
+
+
+def test_phi_symplecto_is_complement_valued(locus_state):
+    st = locus_state
+    om = random_field_spec(RNG, 1, 2, n_modes=1, amp=0.5).sample(st.grid)
+    tb = wedge_fields(t_gamma_field(om, st.gamma, st.sig), st.e.field)
+    om_rec, res = hs.phi_symplecto(tb, st.e, st.gamma)
+    assert res <= 1e-12
+    pack = cst.projector_pack(st.e)
+    twisted = t_gamma_field(om_rec, st.gamma, st.sig).data
+    assert np.abs(pack.p12(twisted)).max() <= 1e-12 * np.abs(twisted).max()
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Record the operand shapes of np.linalg.svd, pinv and matrix_rank calls."""
+    calls = []
+
+    def recorded(name, fn):
+        def call(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return fn(a, *args, **kwargs)
+        return call
+
+    for name in ("svd", "pinv", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+    return calls
+
+
+def test_halfshell_decides_ranks_on_stacks(linalg_calls):
+    st = hs.sample_locus_state(Grid3(2), LORENTZIAN, 1.0,
+                               np.random.Generator(np.random.Philox(key=3)))
+    # one SVD of the stacked locus Jacobian, then one of the coframe stack per draw
+    assert linalg_calls[0] == ("svd", (2, 2, 2, 4, 12))
+    assert set(linalg_calls[1:]) == {("svd", (2, 2, 2, 3, 4))}
+    del linalg_calls[:]
+    hs.isotropy_diagnosis(st, full_locus=True)
+    hs.isotropy_diagnosis(st, full_locus=False)
+    # per diagnosis one global SVD of B^T Omega, the full locus also one of the Jacobians
+    assert linalg_calls == [("svd", (2, 2, 2, 4, 12)), ("svd", (96, 192)), ("svd", (96, 192))]
+    del linalg_calls[:]
+    tb = wedge_fields(t_gamma_field(st.omega_ref, st.gamma, st.sig), st.e.field)
+    hs.phi_symplecto(tb, st.e, st.gamma)
+    hs.locus_residuals(st.e, st.omega, st.omega_ref, st.gamma)
+    assert linalg_calls == []
+
+
+def test_rank_ambiguous_locus_jacobian_names_the_site(monkeypatch, locus_state):
+    # an intermediate singular value 1e-8 at site (1, 0, 1): above the 1e-10
+    # threshold, but the dominant gap lies above it
+    u, _, vh = np.linalg.svd(RNG.normal(size=(2, 2, 2, 4, 12)), full_matrices=False)
+    sv = np.broadcast_to([3.0, 2.0, 1.0, 0.5], (2, 2, 2, 4)).copy()
+    sv[1, 0, 1, 3] = 1e-8
+    monkeypatch.setattr(hs, "_locus_equation_matrix",
+                        lambda *args: u @ (sv[..., :, None] * vh))
+    rule_calls = []
+    decide_rank = wm.decide_rank
+
+    def shared_rule(sv, what):
+        rule_calls.append(what)
+        return decide_rank(sv, what)
+
+    monkeypatch.setattr(wm, "decide_rank", shared_rule)
+    site = r"locus Jacobian.* at site \(1, 0, 1\)"
+    with pytest.raises(wm.RankDecisionError, match=site):
+        hs.sample_locus_state(Grid3(2), LORENTZIAN, 1.0, np.random.Generator(np.random.Philox(key=3)))
+    with pytest.raises(wm.RankDecisionError, match=site):
+        hs.isotropy_diagnosis(locus_state, full_locus=True)
+    assert len(rule_calls) == 2

@@ -75,6 +75,22 @@ def test_rank_decision_error_names_the_site():
         wm.kernel_basis(e.reshape(2, 6, 3, 4), (2, 1), LORENTZIAN)
 
 
+def test_decide_rank_is_the_gap_rule_of_kernel_basis(monkeypatch):
+    sv = np.array([[2.0, 1.0, 1e-12, 0.0], [1.0, 0.5, 0.25, 0.1],
+                   [1.0, 1e-3, 1e-9, 1e-12]])
+    rank, gap = wm.decide_rank(sv[:2], "test")
+    assert rank.tolist() == [2, 4] and np.allclose(gap, [1e12, 1e14])
+    # the threshold keeps 1e-9, but the dominant gap lies above it
+    with pytest.raises(wm.RankDecisionError, match=r"test at site \(2,\).*rank 3 vs spectral rank 2"):
+        wm.decide_rank(sv, "test")
+    seen = []
+    decide_rank = wm.decide_rank
+    monkeypatch.setattr(wm, "decide_rank", lambda sv, what: seen.append(what) or decide_rank(sv, what))
+    e = np.stack([random_nondegenerate_coframe(RNG, LORENTZIAN) for _ in range(3)])
+    split = wm.kernel_basis(e, (2, 1), LORENTZIAN)
+    assert seen == ["W^(2, 1)"] and (split.gap >= 1e6).all()
+
+
 def test_injectivity_surjectivity_statements():
     e = random_nondegenerate_coframe(RNG, LORENTZIAN)
     s11 = wm.kernel_basis(e, (1, 1), LORENTZIAN)
