@@ -189,6 +189,12 @@ def isotropy_diagnosis(state: HalfShellState, full_locus: bool = True) -> Isotro
     orthogonal has dimension dim - rank(B^T Omega), the rank by
     `wedgemaps.decide_rank` (Lagrangian or not).  Dense global matrices: use
     tiny grids only.
+
+    The delta t rows of B are zero, so B^T Omega B vanishes identically and
+    `max_pairing` is 0 on both loci whatever the state: the isotropy conjunct
+    of `halfshell/isotropy` cannot fail, and only the dimensions decide the
+    row.  A pairing that can fail needs tangents with delta t != 0, such as
+    the locus in the unprojected (e, omega, t) chart.
     """
     grid = state.grid
     nsites = grid.n**3

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import exactla, fiber, wedgemaps
 from .fiber import Signature
-from .grid import Coframe, FormField, Grid3, action_wedge, cov_deriv
+from .grid import Coframe, FormField, Grid3, action_wedge, ext_deriv
 from .wedgemaps import KERNEL_TEMPLATES, complete_frame, compound_matrix
 
 # ---------------------------------------------------------------------------
@@ -59,21 +59,34 @@ def frame_bracket_matrix(g: np.ndarray) -> np.ndarray:
     Gram G in place of eta, act(e_m ^ e_n, e_d) = e_m G_{nd} - e_n G_{md}, and
     only its spatial block g enters (G_{nd} = 0 for the orthogonal
     completion).  That is the eta = identity action on the lowered legs G e_d,
-    so the matrix is bracket_matrix at the coframe (g^T | 0).  Object
-    (Fraction) metrics give exact matrices.
+    so the matrix is bracket_matrix at the coframe (g^T | 0).  Each entry is 0
+    or +-g_cd for one (c, d) (`_BRACKET_ENTRIES`), so object (Fraction) metrics
+    give exact matrices with no contraction.
     """
     g = np.asarray(g)
-    legs = np.concatenate([np.swapaxes(g, -1, -2), np.zeros_like(g[..., :1])], axis=-1)
-    return bracket_matrix(legs, fiber.EUCLIDEAN)
+    exact = g.dtype == object
+    out = np.full(g.shape[:-2] + (12, 18), Fraction(0) if exact else 0.0,
+                  dtype=object if exact else float)
+    c, d, o, a, u = _BRACKET_ENTRIES
+    out[..., o, a] += u * g[..., c, d]
+    return out
 
+
+#: U[c, d], the e-frame bracket matrix at the unit metric E_cd: bracket_matrix at
+#: the coframe (E_cd^T | 0), entries -1, 0 and 1
+_BRACKET_UNITS = bracket_matrix(np.concatenate(
+    [np.eye(9).reshape(3, 3, 3, 3).transpose(0, 1, 3, 2), np.zeros((3, 3, 3, 1))], axis=-1),
+    fiber.EUCLIDEAN)
+#: its 54 nonzero entries as arrays (c, d, o, a, sign); no two share an (o, a)
+_BRACKET_ENTRIES = (*np.nonzero(_BRACKET_UNITS),
+                    _BRACKET_UNITS[np.nonzero(_BRACKET_UNITS)].astype(int))
 
 K12HAT = KERNEL_TEMPLATES[(1, 2)]  # (18, 6) orthonormal
 K21HAT = KERNEL_TEMPLATES[(2, 1)]  # (12, 6) orthonormal
 
 #: phi(g) = K21^T B(g) K12 is linear in g: the (9, 36) matrix from the flattened g to
 #: the flattened phi, one row per unit metric E_cd
-_PHI_FLAT = np.einsum("Dk,cdDE,El->cdkl", K21HAT,
-                      frame_bracket_matrix(np.eye(9).reshape(3, 3, 3, 3)), K12HAT).reshape(9, 36)
+_PHI_FLAT = np.einsum("Dk,cdDE,El->cdkl", K21HAT, _BRACKET_UNITS, K12HAT).reshape(9, 36)
 
 
 def phi_matrix(g: np.ndarray) -> np.ndarray:
@@ -81,19 +94,25 @@ def phi_matrix(g: np.ndarray) -> np.ndarray:
     return (g.reshape(g.shape[:-2] + (9,)) @ _PHI_FLAT).reshape(g.shape[:-2] + (6, 6))
 
 
-def integer_kernel_basis_12() -> list:
-    """Integer basis of the (1,2)-kernel template, columns as length-18 lists."""
-    eqs = exactla.from_numpy_int(wedgemaps.kernel_equations((1, 2)))
-    return exactla.nullspace(eqs)
+def _frozen(rows: list) -> tuple:
+    return tuple(map(tuple, rows))
 
 
-def integer_kernel_basis_21() -> list:
-    eqs = exactla.from_numpy_int(wedgemaps.kernel_equations((2, 1)))
-    return exactla.nullspace(eqs)
+@functools.cache
+def _kernel_equation_rows(shape: tuple) -> tuple:
+    """The integer template equations of ker W^{(p,k)} as Fraction rows, built once;
+    immutable, since callers extend a copy with their own rows."""
+    return _frozen(exactla.from_numpy_int(wedgemaps.kernel_equations(shape)))
+
+
+@functools.cache
+def integer_kernel_basis(shape: tuple) -> tuple:
+    """Integer basis of the (1,2)- or (2,1)-kernel template, columns as tuples."""
+    return _frozen(exactla.nullspace(_kernel_equation_rows(shape)))
 
 
 #: 2 det(g) phi_Z(g)^-1 with phi_Z = Z21^T B(g) Z12 in the integer kernel bases Z12, Z21
-#: (`integer_kernel_basis_12/21`): entry [i, j], row-major, is the sum of c g_ab g_cd
+#: (`integer_kernel_basis`): entry [i, j], row-major, is the sum of c g_ab g_cd
 #: over its terms (c, "abcd").  Exact; tests/test_reduction.py derives it again with
 #: `exactla`.
 _PHI_INV_Z2_TERMS = (
@@ -131,9 +150,9 @@ def _phi_inverse_table() -> np.ndarray:
     `_phi_inverse_table_z` to the orthonormal templates.  Built on first use, since the
     exact integer bases cost more than the rest of the module's import."""
     return np.einsum(
-        "ik,mkl,lj->mij", K12HAT.T @ np.array(integer_kernel_basis_12(), dtype=float).T,
+        "ik,mkl,lj->mij", K12HAT.T @ np.array(integer_kernel_basis((1, 2)), dtype=float).T,
         _phi_inverse_table_z().reshape(-1, 6, 6),
-        np.array(integer_kernel_basis_21(), dtype=float) @ K21HAT).reshape(-1, 36)
+        np.array(integer_kernel_basis((2, 1)), dtype=float) @ K21HAT).reshape(-1, 36)
 
 
 _G_ROWS, _G_COLS = np.array(_G_ENTRIES).T
@@ -273,6 +292,7 @@ class PhiFrame:
     L2P: np.ndarray          # Lambda^2 P, e-frame -> u-frame on bivector components
     phi_inv: np.ndarray      # (..., 6, 6) phi_e^-1 in the orthonormal template bases
     g: np.ndarray            # (..., 3, 3) boundary metric
+    sig: Signature
 
     @functools.cached_property
     def L2P_inv(self) -> np.ndarray:
@@ -399,7 +419,22 @@ def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
     frames_inv[..., 3, :] *= qn[..., None]
     # phi_e^-1 last: held through the frame completion it would raise the peak
     return PhiFrame(frames, frames_inv, np.sqrt(np.abs(det_g)), compound_matrix(frames, 2),
-                    phi_inverse(g, det_g), g)
+                    phi_inverse(g, det_g), g, sig)
+
+
+def _checked_frame(frame: PhiFrame, e: Coframe) -> PhiFrame:
+    """`frame` if it is the e-adapted frame of the coframe e, else ValueError.
+
+    Its first three frame columns must equal e^T bit for bit and its signature
+    must be the coframe's: a frame of another coframe, or of the same one under
+    another eta, would give a wrong omega~ without any other sign.
+    """
+    if frame.sig != e.sig:
+        raise ValueError(f"frame of signature {frame.sig.eta_diag} passed for a coframe of "
+                         f"signature {e.sig.eta_diag}")
+    if not np.array_equal(frame.frames[..., :3], np.swapaxes(e.data, -1, -2)):
+        raise ValueError("frame of another coframe: its first three columns are not e^T")
+    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +454,21 @@ class OmegaTildeResult:
         return float(phi_conditions(self.g).max())
 
 
-def omega_tilde(e: Coframe, omega: FormField) -> OmegaTildeResult:
+def omega_tilde(e: Coframe, omega: FormField, frame: PhiFrame | None = None) -> OmegaTildeResult:
     """Unique structural representative omega~ = omega + v~ with p d_omega~ e = 0.
 
     v~ is kernel-valued (e ^ v~ = 0) and gauge-invariant: shifting omega by any
-    kernel-valued field leaves omega~ unchanged.
+    kernel-valued field leaves omega~ unchanged.  `frame`, the coframe's
+    `phi_frame`, spares building it again (`_checked_frame` refuses any other).
     """
-    pf = phi_frame(e.data, e.sig)
-    v_field = pf.kernel_field(pf.kernel_correction(cov_deriv(e.field, omega, e.sig).data),
-                              e.grid)
+    pf = phi_frame(e.data, e.sig) if frame is None else _checked_frame(frame, e)
+    # d e once for both covariant derivatives d_w e = d e + [w ^ e], after the frame,
+    # which sets the peak
+    de = ext_deriv(e.field)
+    v_field = pf.kernel_field(
+        pf.kernel_correction((de + action_wedge(omega, e.field, e.sig)).data), e.grid)
     om_t = omega + v_field
-    res = float(np.abs(pf.kernel_coords(cov_deriv(e.field, om_t, e.sig).data)).max())
+    res = float(np.abs(pf.kernel_coords((de + action_wedge(om_t, e.field, e.sig)).data)).max())
     return OmegaTildeResult(v_field, om_t, res, pf.g)
 
 
@@ -444,8 +483,8 @@ def _kernel_intersection_dim_exact(g) -> int:
     by the integer template equations and [., e] is the frame bracket matrix,
     which involves only the boundary metric.
     """
-    rows = exactla.from_numpy_int(wedgemaps.kernel_equations((1, 2)))
-    rows += frame_bracket_matrix(np.asarray(g, dtype=object)).tolist()
+    rows = [*_kernel_equation_rows((1, 2)),
+            *frame_bracket_matrix(np.asarray(g, dtype=object)).tolist()]
     return 18 - exactla.rank(rows)
 
 
@@ -562,8 +601,8 @@ def phi_pairing_det_exact(gdiag) -> Fraction:
     Nonzero iff phi_e is an isomorphism at that boundary metric.
     """
     B = frame_bracket_matrix(np.diag([Fraction(v) for v in gdiag])).tolist()
-    K12 = integer_kernel_basis_12()   # columns
-    K21 = integer_kernel_basis_21()
+    K12 = integer_kernel_basis((1, 2))   # columns
+    K21 = integer_kernel_basis((2, 1))
     K12m = [[col[i] for col in K12] for i in range(18)]
     K21mT = [list(col) for col in K21]  # rows = basis vectors
     BK = exactla.matmul(B, K12m)

@@ -13,7 +13,12 @@ per-site array larger than 6x6 and builds its transposes only when they are
 used.  A bracket derivative evaluates the functional on six uncertified
 stencil states and solves for no structural representative.  The kernels
 suite splits each shape once over a stack of coframes, and the EH ladder
-evaluates J on no state whose deviations it does not read.
+evaluates J on no state whose deviations it does not read.  The reduction
+suite's omega~ row builds one e-adapted frame per drawn state and hands it to
+the solve, the kernel shift and both re-solves, omega~ differentiates
+the coframe once for both of its covariant derivatives, and the exact kernel
+count builds its bracket matrix from the unit table, with no object-dtype
+contraction.
 """
 
 import functools
@@ -23,14 +28,17 @@ import pytest
 
 from pchgrav import constraints as cst
 from pchgrav import ehdata as eh
+from pchgrav import fiber
 from pchgrav import reduction as red
+from pchgrav import suites
 from pchgrav import wedgemaps as wm
 from pchgrav.config import validate_config
 from pchgrav.fiber import LORENTZIAN
 from pchgrav.grid import Coframe, Grid3
 from pchgrav.reduction import PhiFrame, omega_tilde
-from pchgrav.suites import (LAPSE_PROBES, SHIFT_PROBES, acceptance_triad_spec,
-                            random_offshell_state, run_eh, run_kernels)
+from pchgrav.suites import (LAPSE_PROBES, OMEGA_TILDE_STATES, SHIFT_PROBES,
+                            acceptance_triad_spec, random_offshell_state, run_eh,
+                            run_kernels, run_reduction)
 
 
 @pytest.fixture
@@ -250,3 +258,48 @@ def test_eh_ladder_evaluates_no_J_on_the_finest_state(monkeypatch):
     rows = run_eh(validate_config({"suites": ["eh"], "grid_n": [4, 6, 10]}))
     assert rows[0].values["levels"] == [4, 6, 10]
     assert set(grids) == {4, 6}
+
+
+def test_omega_tilde_row_builds_one_frame_per_state(monkeypatch):
+    built, phi_frame = [], red.phi_frame
+    per_row, check = {}, suites._Suite.check
+
+    def counted(e, sig):
+        built.append(np.shape(e))
+        return phi_frame(e, sig)
+
+    def checked(self, cid, *args, **kwargs):
+        per_row[cid] = len(built) - sum(per_row.values())
+        return check(self, cid, *args, **kwargs)
+
+    monkeypatch.setattr(red, "phi_frame", counted)
+    monkeypatch.setattr(suites._Suite, "check", checked)
+    rows = run_reduction(validate_config({"suites": ["reduction"]}))
+    assert [r.id for r in rows if not r.passed] == ["reduction/kernel-intersection-(1,0,0)"]
+    assert per_row["omega-tilde"] == OMEGA_TILDE_STATES
+
+
+def test_omega_tilde_differentiates_the_coframe_once(monkeypatch):
+    degrees, ext_deriv = [], red.ext_deriv
+
+    def counted(f):
+        degrees.append((f.p, f.grade))
+        return ext_deriv(f)
+
+    monkeypatch.setattr(red, "ext_deriv", counted)
+    _offshell_state()
+    assert degrees == [(1, 1)]
+
+
+def test_exact_kernel_count_contracts_no_object_arrays(monkeypatch):
+    bilinear_matrix = fiber.bilinear_matrix
+
+    def float_only(T, y):
+        if np.asarray(y).dtype == object:
+            raise AssertionError("object-dtype bilinear_matrix in the exact kernel count")
+        return bilinear_matrix(T, y)
+
+    monkeypatch.setattr(fiber, "bilinear_matrix", float_only)
+    dims = [red.kernel_intersection_dim(g)
+            for g in ((1, 1, 1), (1, 1, -1), (1, 1, 0), (1, -1, 0), (1, 0, 0), (0, 0, 0))]
+    assert dims == [0, 0, 2, 2, 3, 6]

@@ -10,6 +10,7 @@ from pchgrav.grid import Coframe, FormField, Grid3, random_field_spec
 from pchgrav.suites import (
     acceptance_triad_spec,
     random_nondegenerate_coframe,
+    random_offshell_fields,
     random_offshell_state,
 )
 
@@ -157,8 +158,8 @@ def test_phi_inverse_table_is_the_exact_half_integer_inverse():
     confirmed at three more, and equal to the module's table."""
     from pchgrav import exactla
 
-    Z12 = [list(row) for row in zip(*red.integer_kernel_basis_12())]       # 18 x 6
-    Z21T = red.integer_kernel_basis_21()                                   # 6 x 12
+    Z12 = [list(row) for row in zip(*red.integer_kernel_basis((1, 2)))]    # 18 x 6
+    Z21T = red.integer_kernel_basis((2, 1))                                # 6 x 12
     rng = np.random.Generator(np.random.Philox(key=21))
     rows, values = [], []
     while len(rows) < 24:
@@ -316,6 +317,32 @@ def test_slice_pairing_insensitive_to_kernel_direction(random_state):
     assert worst <= 1e-11
 
 
+# --- frame hand-off ----------------------------------------------------------------
+
+@pytest.mark.parametrize("sig", [LORENTZIAN, EUCLIDEAN], ids=lambda s: s.name)
+def test_passed_frame_gives_bit_identical_results(sig):
+    rng = np.random.Generator(np.random.Philox(key=17))
+    e, om = random_offshell_fields(rng, Grid3(4), sig)
+    pf = red.phi_frame(e.data, sig)
+    got, ref = red.omega_tilde(e, om, pf), red.omega_tilde(e, om)
+    assert np.array_equal(got.v_tilde.data, ref.v_tilde.data)
+    assert np.array_equal(got.omega_tilde.data, ref.omega_tilde.data)
+    assert got.structural_residual == ref.structural_residual
+    assert np.array_equal(got.g, ref.g)
+
+
+@pytest.mark.parametrize("sig,other", [(LORENTZIAN, EUCLIDEAN), (EUCLIDEAN, LORENTZIAN)],
+                         ids=["lorentzian", "euclidean"])
+def test_frame_of_another_coframe_or_signature_is_refused(sig, other):
+    rng = np.random.Generator(np.random.Philox(key=18))
+    e, om = random_offshell_fields(rng, Grid3(4), sig)
+    e2, _ = random_offshell_fields(rng, Grid3(4), sig)
+    for frame, what in ((red.phi_frame(e2.data, sig), "another coframe"),
+                        (red.phi_frame(e.data, other), "signature")):
+        with pytest.raises(ValueError, match=what):
+            red.omega_tilde(e, om, frame)
+
+
 # --- kernel intersection ---------------------------------------------------------
 
 def test_kernel_intersection_exact_table():
@@ -340,6 +367,19 @@ def test_kernel_intersection_embedded_crosscheck():
     e_nd = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
     assert red.kernel_intersection_dim_from_coframe(e_nd, LORENTZIAN) == 0
     assert red.kernel_intersection_dim_from_coframe(e_nd, EUCLIDEAN) == 0
+
+
+EXACT_METRICS = ((1, 1, 1), (1, 1, -1), (1, 1, 0), (1, -1, 0), (1, 0, 0), (0, 0, 0))
+
+
+def test_kernel_intersection_caches_hold_between_counts():
+    # the integer rows and bases are built once and shared: a count must not extend them
+    det = red.phi_pairing_det_exact((1, 1, 1))
+    for _ in range(2):
+        assert [red.kernel_intersection_dim(g) for g in EXACT_METRICS] == [0, 0, 2, 2, 3, 6]
+    e = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]
+    assert red.kernel_intersection_dim_from_coframe(e, LORENTZIAN) == 2
+    assert red.phi_pairing_det_exact((1, 1, 1)) == det == -16
 
 
 def test_kernel_intersection_exact_rational_inputs():
