@@ -230,7 +230,7 @@ def make_on_shell(spec: TriadSpec, grid: Grid3, gamma: float, sig: Signature,
     # the w-frame (w_1, w_2, w_3, w_0) is the u-frame permuted by P
     P = np.eye(4)[:, order]
     e = Coframe(FormField(grid, 1, 1, eb @ P[:, :3].T), sig)
-    omega_u = ehdata.adapted_connection(gamma_blk, A, grid).data @ compound_matrix(P, 2).T
+    omega_u = ehdata.adapted_connection(gamma_blk, A, grid).data @ compound_matrix(P).T
     return certify(e, FormField(grid, 1, 2, omega_u), gamma, Lambda, on_shell=True)
 
 

@@ -215,7 +215,7 @@ def split_connection(omega: FormField, frame: AdaptedFrame, grid: Grid3) -> Conn
     eta_w = np.append(frame.eta_bar, frame.eta00)
     V = frame.frame
     Vinv = np.ascontiguousarray(np.swapaxes(V, -1, -2)) * (eta_w[:, None] * frame.eta)
-    omega_w = omega.data @ np.swapaxes(compound_matrix(Vinv, 2), -1, -2)
+    omega_w = omega.data @ np.swapaxes(compound_matrix(Vinv), -1, -2)
     dV = np.stack([deriv_axis(V, a, grid) for a in range(3)], axis=-3)  # [..., a, i, j]
     G = (Vinv[..., None, :, :] @ dV) / eta_w
     gamma_part = omega_w[..., _GAMMA_SLOTS] + G[..., _SP_I, _SP_J]

@@ -252,10 +252,22 @@ _P11DAG_E = _U11 @ _U11.T
 _W11_PINV_E = np.linalg.pinv(_W11_TEMPLATE)                          # (12, 18)
 #: template inverse of W^{(1,2)} onto the complement of its kernel, (1 - P12_E) W12_E^+
 _W12_PINV_E = _Q12_E @ np.linalg.pinv(_W12_TEMPLATE)                 # (18, 12)
-#: Lambda^3(P^-1)[I, J] = (-1)^(m(I) + m(J)) P[m(J), m(I)] / det P, with m(I) the
-#: index missing from the triple I; the triples are ordered so that m(I) = 3 - I,
-#: which makes the sign (-1)^(I + J)
+#: Jacobi's complementary-minor identity (Horn & Johnson, Matrix Analysis, 0.8.4):
+#: Lambda^k(P^-1)[I, J] = (-1)^(|I| + |J|) Lambda^(4-k)P[J^c, I^c] / det P, with |I|
+#: the index sum of I and I^c its complement.  The pairs (`fiber.PAIRS`) are ordered
+#: so that I^c = 5 - I, and the triples, read as their missing index m(I) = 3 - I
+#: (Lambda^1 P = P), so that the sign is (-1)^(m(I) + m(J)) = (-1)^(I + J)
+_PAIR_SIGNS = (-1.0) ** np.array(fiber.PAIRS).sum(axis=1)
+_L2_SIGNS = np.outer(_PAIR_SIGNS, _PAIR_SIGNS)
 _L3_SIGNS = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
+
+
+def _jacobi_inverse(L: np.ndarray, signs: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Lambda^k(P^-1) from L = Lambda^(4-k) P (..., m, m) and det P (...,): the signed,
+    reversed transpose of L over det P."""
+    out = signs * np.swapaxes(L, -1, -2)[..., ::-1, ::-1]
+    out /= det[..., None, None]
+    return out
 
 
 def _conj(x: np.ndarray, A: np.ndarray, T: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -281,8 +293,10 @@ class PhiFrame:
     methods take a leg array x (..., 3, d), one leg per row, so S maps a leg
     as x @ S^T.  The templates are orthogonal projectors, hence symmetric, and
     the transposes S^-T T S^T that the adjoints need swap only the transforms.
-    Lambda^2(P^-1) and the contiguous transposes are built on first use, so
-    the omega~ solve pays for none of them.  The kernel chain inverts phi_e
+    Lambda^2(P^-1) comes from Lambda^2 P by Jacobi's identity, so S12 and its
+    inverse agree to roundoff in the entries of Lambda^2 P; it and the
+    contiguous transposes are built on first use, so the omega~ solve pays
+    for none of them.  The kernel chain inverts phi_e
     through its closed-form inverse (`phi_inverse`), a per-site product.
     """
 
@@ -296,8 +310,8 @@ class PhiFrame:
 
     @functools.cached_property
     def L2P_inv(self) -> np.ndarray:
-        """Lambda^2(P^-1) = (Lambda^2 P)^-1."""
-        return compound_matrix(self.frames_inv, 2)
+        """Lambda^2(P^-1) = (Lambda^2 P)^-1, from Lambda^2 P by Jacobi's identity."""
+        return _jacobi_inverse(self.L2P, _L2_SIGNS, self.frames_det)
 
     @functools.cached_property
     def frames_T(self) -> np.ndarray:
@@ -383,8 +397,7 @@ class PhiFrame:
         solution is S12 (1 - P12_E) W12_E^+ block3(Lambda^3 P^-1) rhs: a fixed
         template inverse between the frame transforms.
         """
-        L3P_inv = _L3_SIGNS * np.swapaxes(self.frames, -1, -2)[..., ::-1, ::-1]
-        L3P_inv /= self.frames_det[..., None, None]
+        L3P_inv = _jacobi_inverse(self.frames, _L3_SIGNS, self.frames_det)
         r_e = np.einsum("...IJ,...cJ->...cI", L3P_inv, rhs.data)
         x_e = r_e.reshape(r_e.shape[:-2] + (12,)) @ _W12_PINV_E.T
         return FormField(rhs.grid, 1, 2, x_e.reshape(x_e.shape[:-1] + (3, 6)) @ self.L2P_T)
@@ -418,7 +431,7 @@ def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
     frames_inv[..., :3, :] = ginv @ frames_inv[..., :3, :]
     frames_inv[..., 3, :] *= qn[..., None]
     # phi_e^-1 last: held through the frame completion it would raise the peak
-    return PhiFrame(frames, frames_inv, np.sqrt(np.abs(det_g)), compound_matrix(frames, 2),
+    return PhiFrame(frames, frames_inv, np.sqrt(np.abs(det_g)), compound_matrix(frames),
                     phi_inverse(g, det_g), g, sig)
 
 
@@ -565,18 +578,18 @@ def _orth(columns: np.ndarray) -> np.ndarray:
 
 
 def exact_sequence_check(e: np.ndarray, sig: Signature) -> ExactSequenceReport:
-    """The exact sequence at every coframe of a stack e (..., 3, 4): one stacked split
-    per shape."""
+    """The exact sequence at every coframe of a stack e (..., 3, 4): one stacked kernel
+    per shape, each orthonormal."""
     e = np.asarray(e, dtype=float)
-    s12 = wedgemaps.kernel_basis(e, (1, 2), sig)
-    s21 = wedgemaps.kernel_basis(e, (2, 1), sig)
+    s12 = wedgemaps.kernel_basis(e, (1, 2))
+    s21 = wedgemaps.kernel_basis(e, (2, 1))
     img = bracket_matrix(e, sig) @ s12.kernel_basis         # (..., 12, 6)
     W21 = s21.matrix
     wedge_res = (np.abs(W21 @ img).max(axis=(-2, -1))
                  / np.maximum(1.0, np.abs(img).max(axis=(-2, -1))))
 
     img_o = _orth(img)
-    ker_o = _orth(s21.kernel_basis)
+    ker_o = s21.kernel_basis
     Pker = ker_o @ np.swapaxes(ker_o, -1, -2)
     Pimg = img_o @ np.swapaxes(img_o, -1, -2)
     sites = e.shape[:-2]

@@ -317,34 +317,43 @@ def run_algebra(cfg: RunConfig) -> list:
 # kernels suite
 
 
+def _projector_matrices(pf: red.PhiFrame, name: str, d: int) -> np.ndarray:
+    """Dense per-site matrices (..., 3d, 3d) of the frame's projector `name` on legs of
+    width d, from its images of the basis legs."""
+    sites = pf.frames.shape[:-2]
+    basis = np.broadcast_to(np.eye(3 * d).reshape((3 * d,) + (1,) * len(sites) + (3, d)),
+                            (3 * d,) + sites + (3, d))
+    images = getattr(pf, name)(basis).reshape((3 * d,) + sites + (3 * d,))
+    return np.moveaxis(images, 0, -1)
+
+
 def run_kernels(cfg: RunConfig) -> list:
     s = _Suite("kernels", cfg)
     sig = s.sig
 
     rng = s.rng()
     frames = np.stack([random_nondegenerate_coframe(rng, sig) for _ in range(KERNEL_SAMPLES)])
+    pf = red.phi_frame(frames, sig)
+    # the e-frame coordinates of a kernel leg: Lambda^2(P^-1) on Omega^1(L^2), P^-1 on Omega^2(V)
+    to_e_frame = {(1, 2): pf.L2P_inv, (2, 1): pf.frames_inv}
     table_ok = True
     min_gap = np.inf
-    worst_proj = 0.0
     worst_eq = 0.0
     for shape, expect_k, expect_r in (((1, 1), 0, 12), ((1, 2), 6, 12), ((2, 1), 6, 6)):
-        split = wm.kernel_basis(frames, shape, sig)
+        split = wm.kernel_basis(frames, shape)
         kdim = split.kernel_basis.shape[-1]
         rank = split.matrix.shape[-1] - kdim
         table_ok &= (kdim == expect_k and rank == expect_r)
         min_gap = min(min_gap, split.gap.min())
-        worst_proj = max(
-            worst_proj,
-            np.abs(split.p @ split.p - split.p).max(),
-            np.abs(split.p @ split.p_prime).max(),
-            np.abs(split.p + split.p_prime - np.eye(split.p.shape[-1])).max(),
-            np.abs(split.p_dagger @ split.p_dagger - split.p_dagger).max(),
-        )
-        if shape != (1, 1) and kdim:
-            P, _ = wm.complete_frame(frames, sig)
-            S = wm.domain_transform(P, *shape)
-            k_e = np.linalg.solve(S, split.kernel_basis)
+        if kdim:
+            legs = split.kernel_basis.reshape(KERNEL_SAMPLES, 3, -1, kdim)
+            k_e = (to_e_frame[shape][:, None] @ legs).reshape(split.kernel_basis.shape)
             worst_eq = max(worst_eq, np.abs(wm.kernel_equations(shape) @ k_e).max())
+    p = {name: _projector_matrices(pf, name, d)
+         for name, d in (("p12", 6), ("p12_prime", 6), ("p21", 4), ("p11_dag", 6))}
+    worst_proj = max(*(np.abs(m @ m - m).max() for m in p.values()),
+                     np.abs(p["p12"] @ p["p12_prime"]).max(),
+                     np.abs(p["p12"] + p["p12_prime"] - np.eye(18)).max())
     gap_floor = cfg.tol("sv_gap")
     tol = cfg.tol("projector_algebra")
     s.check("kernel-table", "kernel dims 0/6/6 with ranks 12/12/6 over random coframes",
@@ -355,7 +364,7 @@ def run_kernels(cfg: RunConfig) -> list:
 
     rng = s.rng()
     frames = np.stack([random_nondegenerate_coframe(rng, sig) for _ in range(20)])
-    worst = max(wm.annihilator_check(wm.kernel_basis(frames, shape, sig))["max_residual"]
+    worst = max(wm.annihilator_check(wm.kernel_basis(frames, shape))["max_residual"]
                 for shape in wm.SHAPES)
     tol = cfg.tol("annihilator")
     s.check("annihilator", "kernel annihilator realized as the image of the dual wedge map",
@@ -368,7 +377,8 @@ def run_kernels(cfg: RunConfig) -> list:
         d = rng.normal(size=(3, 4))
         steps.append(1e-6 * d / np.abs(d).max())
     frames, steps = np.stack(frames), np.stack(steps)
-    p, p_step = wm.kernel_basis(np.stack([frames, frames + steps]), (1, 2), sig).p
+    p, p_step = _projector_matrices(red.phi_frame(np.stack([frames, frames + steps]), sig),
+                                    "p12", 6)
     worst_lin = (np.abs(p_step - p).max(axis=(-2, -1)) / np.abs(steps).max(axis=(-2, -1))).max()
     tol = cfg.tol("projector_smoothness")   # O(1) Lipschitz expected
     s.check("projector-smoothness", "projector family is Lipschitz in the coframe",
@@ -872,9 +882,9 @@ def run_halfshell(cfg: RunConfig) -> list:
             {"max_deviation": worst_pair}, worst_pair <= tol, tol)
 
     rng = s.rng()
-    M12 = wm.wedge_matrix(st.e.data, (1, 2))
-    _, _, vh = np.linalg.svd(M12)
-    kern = vh[..., 12:, :]
+    split = wm.kernel_basis(st.e.data, (1, 2))
+    M12 = split.matrix
+    kern = np.swapaxes(split.kernel_basis, -1, -2)
     coeff = rng.normal(size=kern.shape[:-2] + (1, 6))
     sig_data = (coeff @ kern)[..., 0, :].reshape((grid.n,) * 3 + (3, 6))
     Tinv = np.linalg.inv(fiber.t_gamma_endo_matrix(gamma, sig))

@@ -1,13 +1,11 @@
 """Pointwise matrix realizations of the wedge maps X -> X ^ e.
 
 For the three shapes (p,k) in {(1,1), (1,2), (2,1)} this module builds the
-coefficient matrices of W_e^{(p,k)}, decides their ranks and kernels through
-singular values with an explicit gap policy, and assembles the projector
-family (p, p', p^dagger).  The kernel/complement split is orthogonal in the
-coefficient coordinates of the e-adapted frame {e_1, e_2, e_3, e_n}, which
-keeps the projectors well conditioned and smooth in e.
-
-In the e-adapted frame the wedge matrices are universal integer templates;
+coefficient matrices of W_e^{(p,k)} and decides their ranks and kernels
+through singular values with an explicit gap policy.  The kernel/complement
+split that the reduction applies, with its projectors p, p' and p^dagger,
+is the e-adapted frame of `reduction.PhiFrame`: in the frame
+{e_1, e_2, e_3, e_n} the wedge matrices are universal integer templates;
 their kernels have the explicit descriptions
 
     (1,2):  X_a^{n b} = 0  and  sum_a X_a^{a b} = 0,
@@ -25,7 +23,7 @@ import numpy as np
 
 from . import fiber
 from .fiber import PAIR_INDEX, Signature
-from .grid import COMP_BASIS, NCOMP
+from .grid import COMP_BASIS
 
 SHAPES = ((1, 1), (1, 2), (2, 1))
 
@@ -166,37 +164,13 @@ def complete_frame(e: np.ndarray, sig: Signature):
     return np.concatenate([np.swapaxes(e, -1, -2), n[..., :, None]], axis=-1), qn
 
 
-def compound_matrix(P: np.ndarray, k: int) -> np.ndarray:
-    """Induced map Lambda^k P on the ordered-basis components."""
-    if k == 1:
-        return P
-    if k == 2:
-        # minor ((a, b), (c, d)) = P[a, c] P[b, d] - P[a, d] P[b, c], from the rows a and b
-        ra, rb = P[..., _PAIR_A, :], P[..., _PAIR_B, :]
-        return ra[..., _PAIR_A] * rb[..., _PAIR_B] - ra[..., _PAIR_B] * rb[..., _PAIR_A]
-    basis = fiber.GRADE_BASIS[k]
-    dim = len(basis)
-    out = np.zeros(P.shape[:-2] + (dim, dim))
-    for J, cols in enumerate(basis):
-        sub = P[..., :, cols]
-        for I, rows in enumerate(basis):
-            out[..., I, J] = np.linalg.det(sub[..., rows, :])
-    return out
+def compound_matrix(P: np.ndarray) -> np.ndarray:
+    """Induced map Lambda^2 P on the ordered bivector components (`fiber.PAIRS`).
 
-
-def block_diag(M: np.ndarray, m: int) -> np.ndarray:
-    """kron(I_m, M), batched on the last two axes, C-contiguous whatever the layout of M
-    (a strided operand makes the batched matmuls with it slower)."""
-    d = M.shape[-1]
-    out = np.zeros(M.shape[:-2] + (m, d, m, d))
-    for c in range(m):
-        out[..., c, :, c, :] = M
-    return out.reshape(M.shape[:-2] + (m * d, m * d))
-
-
-def domain_transform(P: np.ndarray, p: int, k: int) -> np.ndarray:
-    """Coefficient map from e-frame to u-frame for Omega^p(Lambda^k)."""
-    return block_diag(compound_matrix(P, k), NCOMP[p])
+    The minor ((a, b), (c, d)) is P[a, c] P[b, d] - P[a, d] P[b, c], from the rows a and b.
+    """
+    ra, rb = P[..., _PAIR_A, :], P[..., _PAIR_B, :]
+    return ra[..., _PAIR_A] * rb[..., _PAIR_B] - ra[..., _PAIR_B] * rb[..., _PAIR_A]
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +248,8 @@ KERNEL_TEMPLATES = {
 
 
 @dataclass
-class ComplementSplit:
-    """Kernel/complement split of W_e^{shape} at every site of a coframe stack.
+class WedgeKernel:
+    """Rank decision and kernel of W_e^{shape} at every site of a coframe stack.
 
     Each array carries the leading (site) axes of the stack `e`.
     """
@@ -283,10 +257,7 @@ class ComplementSplit:
     shape: tuple
     e: np.ndarray                 # (..., 3, 4) coframes
     matrix: np.ndarray            # (..., cod, dom) coefficient matrices of W_e
-    kernel_basis: np.ndarray      # (..., dom, kdim), orthonormal in e-frame coords
-    p: np.ndarray                 # projector onto the kernel (domain)
-    p_prime: np.ndarray           # projector onto the complement (domain)
-    p_dagger: np.ndarray          # projector onto im(W) (codomain)
+    kernel_basis: np.ndarray      # (..., dom, kdim), orthonormal in u-frame coords
     singular_values: np.ndarray   # (..., min(cod, dom))
     gap: np.ndarray               # (...,) singular-value gap at the rank cut
 
@@ -317,54 +288,28 @@ def decide_rank(sv: np.ndarray, what: str):
     return cut, gap
 
 
-def kernel_basis(e: np.ndarray, shape: tuple, sig: Signature) -> ComplementSplit:
-    """Kernel/complement split of W_e^{shape} on a stack e of shape (..., 3, 4).
+def kernel_basis(e: np.ndarray, shape: tuple) -> WedgeKernel:
+    """Rank and kernel of W_e^{shape} on a stack e of shape (..., 3, 4), from one SVD.
 
     Per site the rank is that of `decide_rank`, and it must be the rank of W
     at a coframe (the e-frame template's); otherwise a RankDecisionError
-    naming the first such site signals a near-degenerate coframe.  One SVD,
-    frame completion, inverse and QR serve the whole stack.
+    naming the first such site signals a near-degenerate coframe.  The kernel
+    is spanned by the trailing right singular vectors.
     """
     e = np.asarray(e, dtype=float)
     if e.shape[-2:] != (3, 4):
         raise ValueError(f"per-site coframe must be 3x4, got a stack of shape {e.shape}")
-    p, k = shape
     M = wedge_matrix(e, shape)
-    dom = M.shape[-1]
-    u, sv, vh = np.linalg.svd(M)
-    rank = dom - KERNEL_TEMPLATES[shape].shape[1]        # the rank of W at a coframe
+    _, sv, vh = np.linalg.svd(M)
+    rank = M.shape[-1] - KERNEL_TEMPLATES[shape].shape[1]    # the rank of W at a coframe
     cut, gap = decide_rank(sv, f"W^{shape}")
     off = cut != rank
     if np.any(off):
         raise RankDecisionError(f"W^{shape} has rank {cut.flat[np.argmax(off)]}{at_site(off)}, "
                                 f"not the coframe rank {rank}")
-
-    try:
-        P, _ = complete_frame(e, sig)
-        S_dom = domain_transform(P, p, k)
-        S_cod = domain_transform(P, p + 1, k + 1)
-        S_dom_inv = np.linalg.inv(S_dom)
-        S_cod_inv = np.linalg.inv(S_cod)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise RankDecisionError(f"degenerate coframe for W^{shape}: {exc}") from None
-
-    kern_e = S_dom_inv @ np.swapaxes(vh[..., rank:, :], -1, -2)   # (..., dom, kdim)
-    kern_e = np.linalg.qr(kern_e)[0] if rank < dom else kern_e
-    proj = S_dom @ (kern_e @ np.swapaxes(kern_e, -1, -2)) @ S_dom_inv
-    im_e = np.linalg.qr(S_cod_inv @ u[..., :, :rank])[0]
-    p_dag = S_cod @ (im_e @ np.swapaxes(im_e, -1, -2)) @ S_cod_inv
-
-    return ComplementSplit(
-        shape=shape,
-        e=e,
-        matrix=M,
-        kernel_basis=S_dom @ kern_e,
-        p=proj,
-        p_prime=np.eye(dom) - proj,
-        p_dagger=p_dag,
-        singular_values=sv,
-        gap=gap,
-    )
+    return WedgeKernel(shape=shape, e=e, matrix=M,
+                       kernel_basis=np.swapaxes(vh[..., rank:, :], -1, -2),
+                       singular_values=sv, gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +321,7 @@ def dual_pairing_matrix(p: int, k: int) -> np.ndarray:
     return fiber.product_tensor(3 - p, p, 4 - k, k)[:, :, 0].astype(float)
 
 
-def annihilator_check(split: ComplementSplit) -> dict:
+def annihilator_check(split: WedgeKernel) -> dict:
     """Verify that the annihilator of the kernel is the image of the dual wedge map.
 
     Covectors vanishing on ker W_e^{(p,k)} must be of the form Y ^ e for the

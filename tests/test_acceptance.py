@@ -93,7 +93,7 @@ def test_criterion_4_kernel_dimension_table():
             e = random_nondegenerate_coframe(rng, sig)
             count += 1
             for shape, kdim, rank in (((1, 1), 0, 12), ((1, 2), 6, 12), ((2, 1), 6, 6)):
-                sp = wm.kernel_basis(e, shape, sig)
+                sp = wm.kernel_basis(e, shape)
                 ok &= (sp.kernel_basis.shape[1] == kdim
                        and sp.matrix.shape[1] - kdim == rank)
                 min_gap = min(min_gap, sp.gap)

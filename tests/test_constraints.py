@@ -239,8 +239,8 @@ def test_template_wedge_solves_match_pinv_reference(sig, gamma):
     assert np.abs(got_e - ref_e).max() <= 1e-12 * np.abs(ref_e).max()
     # dense p12' = S12 (1 - P12_E) S12^-1 from the pack's frames
     P12 = red.K12HAT @ red.K12HAT.T
-    p12_prime = (wm.block_diag(pack.L2P, 3) @ (np.eye(18) - P12)
-                 @ wm.block_diag(wm.compound_matrix(pack.frames_inv, 2), 3))
+    p12_prime = (np.kron(np.eye(3), pack.L2P) @ (np.eye(18) - P12)
+                 @ np.kron(np.eye(3), wm.compound_matrix(pack.frames_inv)))
     ref_w = np.einsum("...ij,...j->...i", p12_prime,
                       apply(np.linalg.pinv(wm.wedge_matrix(st.e.data, (1, 2))), rhs_w))
     got_w = pack.solve_complement_12(rhs_w).data.reshape(ref_w.shape)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pchgrav import constraints as cst, fiber, halfshell as hs, wedgemaps as wm
+from pchgrav.config import validate_config
 from pchgrav.fiber import LORENTZIAN
 from pchgrav.grid import (
     FormField,
@@ -13,6 +14,7 @@ from pchgrav.grid import (
     t_gamma_field,
     wedge_fields,
 )
+from pchgrav.suites import run_halfshell
 
 RNG = np.random.Generator(np.random.Philox(key=707))
 
@@ -209,6 +211,26 @@ def test_halfshell_decides_ranks_on_stacks(linalg_calls):
     hs.phi_symplecto(tb, st.e, st.gamma)
     hs.locus_residuals(st.e, st.omega, st.omega_ref, st.gamma)
     assert linalg_calls == []
+
+
+def test_loci_inequivalence_takes_its_kernel_from_kernel_basis(linalg_calls, monkeypatch):
+    # the row's class kernel is that of the checked rank decision; any SVD of a
+    # (12, 18) wedge matrix outside kernel_basis would be an unchecked one
+    splits, kernel_basis = [], wm.kernel_basis
+
+    def counted(e, shape):
+        splits.append((shape, np.shape(e)))
+        seen = len(linalg_calls)
+        out = kernel_basis(e, shape)
+        assert linalg_calls[seen:] == [("svd", np.shape(e)[:-2] + (12, 18))]
+        del linalg_calls[seen:]
+        return out
+
+    monkeypatch.setattr(wm, "kernel_basis", counted)
+    rows = run_halfshell(validate_config({"suites": ["halfshell"]}))
+    assert rows[-1].id == "halfshell/loci-inequivalence" and all(r.passed for r in rows)
+    assert splits == [((1, 2), (2, 2, 2, 3, 4))]
+    assert not [shape for name, shape in linalg_calls if shape[-2:] == (12, 18)]
 
 
 def test_rank_ambiguous_locus_jacobian_names_the_site(monkeypatch, locus_state):

@@ -228,19 +228,46 @@ def test_bracket_stencil_is_step_independent(kind, smear, smear2):
 
 
 def test_kernels_rows_split_each_shape_once(monkeypatch):
-    calls, kernel_basis = [], wm.kernel_basis
+    splits, frames = [], []
+    kernel_basis, phi_frame = wm.kernel_basis, red.phi_frame
 
-    def counted(e, shape, sig):
-        calls.append((shape, np.shape(e)))
-        return kernel_basis(e, shape, sig)
+    def counted_split(e, shape):
+        splits.append((shape, np.shape(e)))
+        return kernel_basis(e, shape)
 
-    monkeypatch.setattr(wm, "kernel_basis", counted)
+    def counted_frame(e, sig):
+        frames.append(np.shape(e))
+        return phi_frame(e, sig)
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"np.linalg.{name} in the kernels suite")
+        return call
+
+    monkeypatch.setattr(wm, "kernel_basis", counted_split)
+    monkeypatch.setattr(red, "phi_frame", counted_frame)
+    for name in ("inv", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse(name))
     rows = run_kernels(validate_config({"suites": ["kernels"]}))
     assert all(r.passed for r in rows)
-    # kernel-table over 100 frames, annihilator over 20, projector-smoothness at e and e + d
-    assert calls == ([(shape, (100, 3, 4)) for shape in wm.SHAPES]
-                     + [(shape, (20, 3, 4)) for shape in wm.SHAPES]
-                     + [((1, 2), (2, 10, 3, 4))])
+    # kernel-table over 100 frames, annihilator over 20; the projectors come from one
+    # frame of the kernel-table's coframes and one of the stacked (e, e + d)
+    assert splits == ([(shape, (100, 3, 4)) for shape in wm.SHAPES]
+                      + [(shape, (20, 3, 4)) for shape in wm.SHAPES])
+    assert frames == [(100, 3, 4), (2, 10, 3, 4)]
+
+
+def test_l2p_inv_builds_no_compound_matrix(monkeypatch):
+    e = np.stack([suites.random_nondegenerate_coframe(np.random.Generator(np.random.Philox(key=5)),
+                                                      LORENTZIAN) for _ in range(4)])
+    pf = red.phi_frame(e, LORENTZIAN)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compound_matrix for Lambda^2(P^-1)")
+
+    monkeypatch.setattr(wm, "compound_matrix", refuse)
+    monkeypatch.setattr(red, "compound_matrix", refuse)
+    assert np.abs(pf.L2P_inv @ pf.L2P - np.eye(6)).max() <= 1e-12
 
 
 def test_eh_ladder_evaluates_no_J_on_the_finest_state(monkeypatch):

@@ -1,4 +1,5 @@
-"""Exact projector derivative, closed-form frame completion, the frame's factored projectors.
+"""Exact projector derivative, closed-form frame completion, the frame's factored projectors,
+Jacobi's Lambda^2(P^-1).
 
 The central-difference implementations of A and A+ (rebuilding the e-adapted
 frame at e +- eps de) are kept here as references for the exact derivative;
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from pchgrav import constraints as cst, fiber, reduction as red, wedgemaps as wm
-from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
+from pchgrav.fiber import EUCLIDEAN, LORENTZIAN, Signature
 from pchgrav.grid import Coframe, FormField, Grid3, cov_deriv, random_field_spec
 from pchgrav.suites import random_nondegenerate_coframe, random_offshell_state
 
@@ -18,10 +19,16 @@ RNG = np.random.Generator(np.random.Philox(key=1973))
 FD_STEP = 1e-6
 
 
+def _block3(M):
+    """kron(I_3, M), batched on the last two axes: a leg-wise map on three legs."""
+    return np.kron(np.eye(3), M)
+
+
 def _dense(pack):
-    """Dense per-site references (S12, S12^-1, S2v, S2v^-1) of the pack's frame transforms."""
-    return (wm.block_diag(pack.L2P, 3), wm.block_diag(wm.compound_matrix(pack.frames_inv, 2), 3),
-            wm.block_diag(pack.frames, 3), wm.block_diag(pack.frames_inv, 3))
+    """Dense per-site references (S12, S12^-1, S2v, S2v^-1) of the pack's frame transforms;
+    S12^-1 from Lambda^2 of P^-1, independent of the pack's L2P_inv."""
+    return (_block3(pack.L2P), _block3(wm.compound_matrix(pack.frames_inv)),
+            _block3(pack.frames), _block3(pack.frames_inv))
 
 
 def _dense_p21(pack):
@@ -87,7 +94,7 @@ def test_exact_dp21_matches_central_difference(offshell):
     st, pack = offshell
     de = random_field_spec(RNG, 1, 1, n_modes=2, amp=0.3).sample(st.grid)
     X = cst._frame_velocity(de.data, pack, st.sig)
-    XB = wm.block_diag(X, 3)
+    XB = _block3(X)
     p21 = _dense_p21(pack)
     exact = XB @ p21 - p21 @ XB
     assert _rel(exact, _fd_dp21(st, de)) <= 1e-8
@@ -180,4 +187,29 @@ def test_compound_matrix_matches_minor_loop():
     for J, cols in enumerate(basis):
         for I, rows in enumerate(basis):
             ref[:, I, J] = np.linalg.det(P[:, list(rows)][:, :, list(cols)])
-    assert np.abs(wm.compound_matrix(P, 2) - ref).max() <= 1e-13
+    assert np.abs(wm.compound_matrix(P) - ref).max() <= 1e-13
+
+
+def _timelike_span(n):
+    """n coframes near (e_1, e_2, e_0): Lorentzian boundary metrics of signature (1, 1, -1)."""
+    e = np.eye(4)[[0, 1, 3]] + 0.2 * RNG.normal(size=(n, 3, 4))
+    g = (e * LORENTZIAN.eta) @ np.swapaxes(e, -1, -2)
+    assert (np.linalg.det(g) < 0).all()
+    return e
+
+
+@pytest.mark.parametrize("sig,draw", [
+    (LORENTZIAN, None), (EUCLIDEAN, None), (Signature((1, 1, -1, 1)), None),
+    (LORENTZIAN, _timelike_span),
+], ids=["lorentzian", "euclidean", "eta-1,1,-1,1", "timelike-span"])
+def test_jacobi_l2p_inv_is_the_inverse(sig, draw):
+    e = (draw(100) if draw else
+         np.stack([random_nondegenerate_coframe(RNG, sig) for _ in range(100)]))
+    pf = red.phi_frame(e, sig)
+    ref = np.linalg.inv(pf.L2P)
+    kappa = np.linalg.cond(pf.L2P)
+    eps = np.finfo(float).eps
+    err = np.abs(pf.L2P_inv - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+    assert (err <= 10 * kappa * eps).all()
+    res = np.abs(pf.L2P_inv @ pf.L2P - np.eye(6)).max(axis=(-2, -1))
+    assert (res <= 10 * kappa * eps).all()

@@ -32,7 +32,7 @@ def test_bracket_matrix_full_rank_and_kernel_wedge():
         e = random_nondegenerate_coframe(RNG, LORENTZIAN)
         B = red.bracket_matrix(e, LORENTZIAN)
         assert np.linalg.matrix_rank(B, tol=1e-10) == 12   # onto Omega^2(V)
-        sp = wm.kernel_basis(e, (1, 2), LORENTZIAN)
+        sp = wm.kernel_basis(e, (1, 2))
         img = B @ sp.kernel_basis
         W21 = wm.wedge_matrix(e, (2, 1))
         # e ^ [v, e] = 0 for kernel v

@@ -1,12 +1,18 @@
-"""Wedge-map matrices, kernels, complements, projectors."""
+"""Wedge-map matrices, kernels, complements, projectors.
+
+The kernels come from the SVD rank decision of `wedgemaps.kernel_basis`; the
+projectors are those of the e-adapted frame (`reduction.PhiFrame`), as dense
+per-site matrices of their applies.
+"""
 
 import numpy as np
 import pytest
 from fractions import Fraction
 
-from pchgrav import exactla, fiber, wedgemaps as wm
+from pchgrav import exactla, fiber, reduction as red, wedgemaps as wm
 from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
-from pchgrav.suites import random_nondegenerate_coframe
+from pchgrav.config import validate_config
+from pchgrav.suites import _projector_matrices, random_nondegenerate_coframe, run_kernels
 
 RNG = np.random.Generator(np.random.Philox(key=303))
 
@@ -26,9 +32,9 @@ def test_unsupported_shape_rejected():
     with pytest.raises(ValueError, match="unsupported shape"):
         wm.wedge_matrix(STANDARD, (2, 2))
     # a (1, 3, 4) array is a stack of one coframe; a malformed trailing shape is refused
-    assert wm.kernel_basis(STANDARD[None], (1, 2), LORENTZIAN).p.shape == (1, 18, 18)
+    assert wm.kernel_basis(STANDARD[None], (1, 2)).kernel_basis.shape == (1, 18, 6)
     with pytest.raises(ValueError, match="3x4"):
-        wm.kernel_basis(STANDARD[:, :3], (1, 2), LORENTZIAN)
+        wm.kernel_basis(STANDARD[:, :3], (1, 2))
 
 
 def test_matrix_matches_fiber_wedge():
@@ -48,7 +54,7 @@ def test_kernel_dimension_table_random_coframes():
         for _ in range(50):
             e = random_nondegenerate_coframe(RNG, sig)
             for shape, kdim, rank in (((1, 1), 0, 12), ((1, 2), 6, 12), ((2, 1), 6, 6)):
-                split = wm.kernel_basis(e, shape, sig)
+                split = wm.kernel_basis(e, shape)
                 assert split.kernel_basis.shape[1] == kdim
                 assert split.matrix.shape[1] - kdim == rank
                 assert split.gap >= 1e6
@@ -58,11 +64,11 @@ def test_kernel_dimension_table_random_coframes():
 @pytest.mark.parametrize("shape", wm.SHAPES, ids=str)
 def test_stacked_split_matches_single_sites(sig, shape):
     e = np.stack([random_nondegenerate_coframe(RNG, sig) for _ in range(20)]).reshape(4, 5, 3, 4)
-    stack = wm.kernel_basis(e, shape, sig)
+    stack = wm.kernel_basis(e, shape)
     assert stack.gap.shape == (4, 5)
     for site in np.ndindex(4, 5):
-        one = wm.kernel_basis(e[site], shape, sig)
-        for name in ("p", "p_prime", "p_dagger", "kernel_basis", "gap"):
+        one = wm.kernel_basis(e[site], shape)
+        for name in ("matrix", "kernel_basis", "singular_values", "gap"):
             assert np.array_equal(getattr(stack, name)[site], getattr(one, name)), name
 
 
@@ -70,9 +76,9 @@ def test_rank_decision_error_names_the_site():
     e = np.stack([random_nondegenerate_coframe(RNG, LORENTZIAN) for _ in range(12)])
     e[7] = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1e-8, 0]]
     with pytest.raises(wm.RankDecisionError, match=r"at site \(7,\)"):
-        wm.kernel_basis(e, (1, 2), LORENTZIAN)
+        wm.kernel_basis(e, (1, 2))
     with pytest.raises(wm.RankDecisionError, match=r"at site \(1, 1\)"):
-        wm.kernel_basis(e.reshape(2, 6, 3, 4), (2, 1), LORENTZIAN)
+        wm.kernel_basis(e.reshape(2, 6, 3, 4), (2, 1))
 
 
 def test_decide_rank_is_the_gap_rule_of_kernel_basis(monkeypatch):
@@ -87,68 +93,82 @@ def test_decide_rank_is_the_gap_rule_of_kernel_basis(monkeypatch):
     decide_rank = wm.decide_rank
     monkeypatch.setattr(wm, "decide_rank", lambda sv, what: seen.append(what) or decide_rank(sv, what))
     e = np.stack([random_nondegenerate_coframe(RNG, LORENTZIAN) for _ in range(3)])
-    split = wm.kernel_basis(e, (2, 1), LORENTZIAN)
+    split = wm.kernel_basis(e, (2, 1))
     assert seen == ["W^(2, 1)"] and (split.gap >= 1e6).all()
+
+
+def _block3(M):
+    """kron(I_3, M), batched on the last two axes: a leg-wise map on three legs."""
+    return np.kron(np.eye(3), M)
+
+
+def _frame_projectors(e, sig):
+    pf = red.phi_frame(e, sig)
+    return pf, {name: _projector_matrices(pf, name, d)
+                for name, d in (("p12", 6), ("p12_prime", 6), ("p21", 4), ("p11_dag", 6))}
 
 
 def test_injectivity_surjectivity_statements():
     e = random_nondegenerate_coframe(RNG, LORENTZIAN)
-    s11 = wm.kernel_basis(e, (1, 1), LORENTZIAN)
+    s11 = wm.kernel_basis(e, (1, 1))
     assert s11.kernel_basis.shape[1] == 0           # injective at p = k = 1
-    s12 = wm.kernel_basis(e, (1, 2), LORENTZIAN)
+    s12 = wm.kernel_basis(e, (1, 2))
     assert (s12.singular_values > 1e-10).sum() == 12   # surjective onto 12 dims
-    s21 = wm.kernel_basis(e, (2, 1), LORENTZIAN)
+    s21 = wm.kernel_basis(e, (2, 1))
     assert (s21.singular_values > 1e-10).sum() == 6
+    # the frame's projectors have the same ranks: kernels of dimension 6 and the
+    # 12-dimensional image of the injective W^(1,1)
+    _, p = _frame_projectors(e, LORENTZIAN)
+    assert [round(float(np.trace(p[name]))) for name in ("p12", "p12_prime", "p21", "p11_dag")] \
+        == [6, 12, 6, 12]
+    assert np.abs(s12.matrix @ p["p12"]).max() <= 1e-12 * np.abs(p["p12"]).max()
+    assert np.abs(s21.matrix @ p["p21"]).max() <= 1e-12 * np.abs(p["p21"]).max()
 
 
-def _complement_basis(sp, e, sig):
-    """u-frame columns of the e-frame orthogonal complement of the kernel."""
-    S = wm.domain_transform(wm.complete_frame(e, sig)[0], *sp.shape)
-    kern_e = np.linalg.solve(S, sp.kernel_basis)
+def _complement_basis(kern, S):
+    """u-frame columns of the e-frame orthogonal complement of the kernel columns kern,
+    with S the dense e-frame to u-frame transform."""
+    kern_e = np.linalg.solve(S, kern)
     return S @ (wm._orthonormal_nullspace(kern_e.T) if kern_e.shape[1] else np.eye(len(S)))
 
 
 def test_projector_algebra():
-    for _ in range(10):
-        e = random_nondegenerate_coframe(RNG, LORENTZIAN)
-        for shape in wm.SHAPES:
-            sp = wm.kernel_basis(e, shape, LORENTZIAN)
-            comp = _complement_basis(sp, e, LORENTZIAN)
-            dom = sp.p.shape[0]
-            assert np.abs(sp.p @ sp.p - sp.p).max() <= 1e-12
-            assert np.abs(sp.p_prime @ sp.p_prime - sp.p_prime).max() <= 1e-12
-            assert np.abs(sp.p @ sp.p_prime).max() <= 1e-12
-            assert np.abs(sp.p + sp.p_prime - np.eye(dom)).max() <= 1e-12
-            assert np.abs(sp.p_dagger @ sp.p_dagger - sp.p_dagger).max() <= 1e-11
-            # p annihilates exactly the complement, fixes the kernel
-            if sp.kernel_basis.shape[1]:
-                assert np.abs(sp.p @ sp.kernel_basis - sp.kernel_basis).max() <= 1e-12
-                assert np.abs(sp.p @ comp).max() <= 1e-12
-            # p_dagger fixes the image
-            img = sp.matrix @ comp
-            assert np.abs(sp.p_dagger @ img - img).max() <= 1e-10 * max(1, np.abs(img).max())
+    e = np.stack([random_nondegenerate_coframe(RNG, LORENTZIAN) for _ in range(10)])
+    pf, p = _frame_projectors(e, LORENTZIAN)
+    for m in p.values():
+        assert np.abs(m @ m - m).max() <= 1e-12
+    assert np.abs(p["p12"] @ p["p12_prime"]).max() <= 1e-12
+    assert np.abs(p["p12"] + p["p12_prime"] - np.eye(18)).max() <= 1e-12
+    # each kernel projector fixes the SVD kernel and annihilates the e-frame complement
+    for name, shape, S in (("p12", (1, 2), _block3(pf.L2P)), ("p21", (2, 1), _block3(pf.frames))):
+        kern = wm.kernel_basis(e, shape).kernel_basis
+        assert np.abs(p[name] @ kern - kern).max() <= 1e-12
+        for site in range(len(e)):
+            comp = _complement_basis(kern[site], S[site])
+            assert np.abs(p[name][site] @ comp).max() <= 1e-12 * np.abs(comp).max()
+    # p11_dag fixes the image of W^(1,1)
+    img = wm.wedge_matrix(e, (1, 1)) @ RNG.normal(size=(10, 12, 5))
+    assert np.abs(p["p11_dag"] @ img - img).max() <= 1e-10 * max(1, np.abs(img).max())
 
 
 def test_kernel_membership_by_explicit_equations():
-    for shape in ((1, 2), (2, 1)):
-        for _ in range(10):
-            e = random_nondegenerate_coframe(RNG, LORENTZIAN)
-            sp = wm.kernel_basis(e, shape, LORENTZIAN)
-            P, _ = wm.complete_frame(e, LORENTZIAN)
-            S = wm.domain_transform(P, *shape)
-            k_e = np.linalg.solve(S, sp.kernel_basis)
-            assert np.abs(wm.kernel_equations(shape) @ k_e).max() <= 1e-12
+    e = np.stack([random_nondegenerate_coframe(RNG, LORENTZIAN) for _ in range(10)])
+    pf = red.phi_frame(e, LORENTZIAN)
+    for shape, S_inv in (((1, 2), _block3(pf.L2P_inv)), ((2, 1), _block3(pf.frames_inv))):
+        # the SVD kernel, moved into e-frame coordinates by the frame's inverse transform
+        k_e = S_inv @ wm.kernel_basis(e, shape).kernel_basis
+        assert np.abs(wm.kernel_equations(shape) @ k_e).max() <= 1e-12
 
 
 def test_rank_decision_error_near_degenerate():
     # a tiny third direction puts singular values between "kept" and "zero"
     e = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1e-8, 0]])
     with pytest.raises(wm.RankDecisionError):
-        wm.kernel_basis(e, (1, 2), LORENTZIAN)
+        wm.kernel_basis(e, (1, 2))
     # an (almost) rank-two array is rejected as a coframe outright
     e2 = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [1.0, 1e-9, 0, 0]])
     with pytest.raises(wm.RankDecisionError):
-        wm.kernel_basis(e2, (1, 2), LORENTZIAN)
+        wm.kernel_basis(e2, (1, 2))
 
 
 def test_annihilator_random_and_standard():
@@ -156,11 +176,11 @@ def test_annihilator_random_and_standard():
     for _ in range(20):
         e = random_nondegenerate_coframe(RNG, LORENTZIAN)
         for shape in wm.SHAPES:
-            sp = wm.kernel_basis(e, shape, LORENTZIAN)
+            sp = wm.kernel_basis(e, shape)
             worst = max(worst, wm.annihilator_check(sp)["max_residual"])
     assert worst <= 1e-10
 
-    sp = wm.kernel_basis(STANDARD, (1, 2), LORENTZIAN)
+    sp = wm.kernel_basis(STANDARD, (1, 2))
     rep = wm.annihilator_check(sp)
     assert rep["max_residual"] <= 1e-12
 
@@ -186,14 +206,21 @@ def test_annihilator_exact_rational_at_standard_coframe():
         assert exactla.rank(aug) == base_rank     # exactly solvable: residual 0
 
 
+def test_kernel_table_fails_on_a_perturbed_frame_template(monkeypatch):
+    # the row certifies the projectors that the reduction applies: a 1e-9 error in
+    # the e-frame kernel template breaks p12^2 = p12 and p12 + p12' = 1
+    monkeypatch.setattr(red, "_P12_E", red._P12_E + 1e-9 * np.eye(18))
+    row = run_kernels(validate_config({"suites": ["kernels"]}))[0]
+    assert row.id == "kernels/kernel-table" and not row.passed
+    assert row.values["projector_residual"] >= 1e-10
+
+
 def test_projector_smoothness_in_e():
-    for _ in range(10):
-        e = random_nondegenerate_coframe(RNG, LORENTZIAN)
-        sp = wm.kernel_basis(e, (1, 2), LORENTZIAN)
-        d = RNG.normal(size=(3, 4))
-        d = 1e-6 * d / np.abs(d).max()
-        sp2 = wm.kernel_basis(e + d, (1, 2), LORENTZIAN)
-        assert np.abs(sp2.p - sp.p).max() <= 1e-3   # O(|delta|) with O(1) constant
+    e = np.stack([random_nondegenerate_coframe(RNG, LORENTZIAN) for _ in range(10)])
+    d = RNG.normal(size=(10, 3, 4))
+    d = 1e-6 * d / np.abs(d).max(axis=(-2, -1), keepdims=True)
+    p, p2 = _projector_matrices(red.phi_frame(np.stack([e, e + d]), LORENTZIAN), "p12", 6)
+    assert np.abs(p2 - p).max() <= 1e-3   # O(|delta|) with O(1) constant
 
 
 def test_complete_frame_properties():
