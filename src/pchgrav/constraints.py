@@ -448,8 +448,8 @@ def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormFiel
                              pack: reduction.PhiFrame | None = None) -> TangentVector:
     """Hamiltonian vector field of L_alpha or J_mu on the structural slice.
 
-    For J the adjoint-map corrections vanish on shell; they are assembled
-    only when the state is off shell (any grid size).
+    For J the adjoint-map corrections are assembled at every state: they vanish
+    with the torsion, which a discrete on-shell state keeps at O(h^2).
     """
     sig = state.sig
     if pack is None:
@@ -467,13 +467,12 @@ def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormFiel
         rhs_w12 = wedge_fields(mu, state.F)
         if state.Lambda != 0.0:
             rhs_w12 = rhs_w12 + 3.0 * state.Lambda * wedge_fields(mu, state.ee)
-        rhs_e = wedge_fields(dmu, state.e.field) * (-1.0)
-        if not state.on_shell:
-            Q = wedge_fields(mu, torsion(state) - _p21_torsion(state, pack))
-            cov = kernel_covector(state, Q, pack)
-            rhs_e = rhs_e + _apply_sitewise(pack.p11_dag, Q) + b_dagger(state, cov, pack)
-            rhs_w12 = rhs_w12 + a_dagger(state, cov, pack)
-            del Q, cov      # freed here: the solves and wedge residuals below set the peak
+        Q = wedge_fields(mu, torsion(state) - _p21_torsion(state, pack))
+        cov = kernel_covector(state, Q, pack)
+        rhs_e = (wedge_fields(dmu, state.e.field) * (-1.0)
+                 + _apply_sitewise(pack.p11_dag, Q) + b_dagger(state, cov, pack))
+        rhs_w12 = rhs_w12 + a_dagger(state, cov, pack)
+        del Q, cov      # freed here: the solves and wedge residuals below set the peak
         X_e = pack.solve_w11(rhs_e)
         # e ^ p'X_omega = rhs_w12  <=>  (p'X_omega) ^ e = -rhs_w12
         Xw_c = pack.solve_complement_12(rhs_w12 * (-1.0))

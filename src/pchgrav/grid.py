@@ -125,13 +125,6 @@ class FieldSpec:
                 data[..., c, f] = self.polys[c][f].eval(X, Y, Z)
         return FormField(grid, self.p, self.grade, data)
 
-    def deriv(self, axis: int) -> "FieldSpec":
-        return FieldSpec(
-            self.p,
-            self.grade,
-            tuple(tuple(p.deriv(axis) for p in row) for row in self.polys),
-        )
-
 
 def random_field_spec(rng, p, grade, n_modes=2, amp=0.1, kmax=2, base=None) -> FieldSpec:
     """Deterministic random trig spec; `base` adds a constant offset per slot."""

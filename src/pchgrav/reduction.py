@@ -547,57 +547,39 @@ def make_degenerate_coframe(signs, sig: Signature) -> np.ndarray:
 
 @dataclass
 class ExactSequenceReport:
-    """Per-site arrays over the stack of coframes the check was given."""
+    """Per-site arrays over the stack of coframes the check was given.  ker W^{(1,2)} and
+    ker W^{(2,1)} have dimension 6 at every site: `kernel_basis` refuses any other rank."""
 
-    dim_kernel_12: np.ndarray
-    dim_image_bracket: np.ndarray
-    dim_kernel_21: np.ndarray
-    rank_w21: np.ndarray
+    dim_image_bracket: np.ndarray       # rank of [.,e] on ker W^{(1,2)}, by decide_rank
     wedge_residual: np.ndarray          # max |e ^ [v,e]| over kernel basis
     containment_residual: np.ndarray    # im([.,e]|ker) inside ker W^{(2,1)}
     reverse_residual: np.ndarray        # ker W^{(2,1)} inside im([.,e]|ker)
 
     @property
     def is_exact(self) -> np.ndarray:
-        return ((self.dim_image_bracket == self.dim_kernel_12)
-                & (self.dim_kernel_12 == self.dim_kernel_21) & (self.rank_w21 == 6)
+        return ((self.dim_image_bracket == 6)
                 & (np.maximum(self.containment_residual, self.reverse_residual) < 1e-9))
-
-
-def _numerical_rank(M: np.ndarray) -> np.ndarray:
-    sv = np.linalg.svd(M, compute_uv=False)
-    return (sv > 1e-10 * sv[..., :1]).sum(axis=-1)
-
-
-def _orth(columns: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning each site's columns; the dropped ones are zero."""
-    q, r = np.linalg.qr(columns)
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    keep = diag > 1e-10 * np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))[..., None]
-    return q * keep[..., None, :]
 
 
 def exact_sequence_check(e: np.ndarray, sig: Signature) -> ExactSequenceReport:
     """The exact sequence at every coframe of a stack e (..., 3, 4): one stacked kernel
-    per shape, each orthonormal."""
+    per shape, and one SVD of the bracket image, whose rank is `decide_rank`'s and whose
+    leading left singular vectors are its orthonormal basis."""
     e = np.asarray(e, dtype=float)
     s12 = wedgemaps.kernel_basis(e, (1, 2))
     s21 = wedgemaps.kernel_basis(e, (2, 1))
     img = bracket_matrix(e, sig) @ s12.kernel_basis         # (..., 12, 6)
-    W21 = s21.matrix
-    wedge_res = (np.abs(W21 @ img).max(axis=(-2, -1))
+    wedge_res = (np.abs(s21.matrix @ img).max(axis=(-2, -1))
                  / np.maximum(1.0, np.abs(img).max(axis=(-2, -1))))
 
-    img_o = _orth(img)
+    u, sv, _ = np.linalg.svd(img, full_matrices=False)
+    rank, _ = wedgemaps.decide_rank(sv, "the bracket image [., e] of ker W^(1,2)")
+    img_o = u * (np.arange(sv.shape[-1]) < np.expand_dims(rank, -1))[..., None, :]
     ker_o = s21.kernel_basis
     Pker = ker_o @ np.swapaxes(ker_o, -1, -2)
     Pimg = img_o @ np.swapaxes(img_o, -1, -2)
-    sites = e.shape[:-2]
     return ExactSequenceReport(
-        dim_kernel_12=np.full(sites, s12.kernel_basis.shape[-1]),
-        dim_image_bracket=_numerical_rank(img),
-        dim_kernel_21=np.full(sites, s21.kernel_basis.shape[-1]),
-        rank_w21=_numerical_rank(W21),
+        dim_image_bracket=rank,
         wedge_residual=wedge_res,
         containment_residual=np.linalg.norm(img_o - Pker @ img_o, ord=2, axis=(-2, -1)),
         reverse_residual=np.linalg.norm(ker_o - Pimg @ ker_o, ord=2, axis=(-2, -1)),

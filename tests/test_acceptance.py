@@ -1,32 +1,29 @@
 """Acceptance criteria, one test per criterion, with printed pass/fail lines.
 
-Every tolerance is pinned here.  Criterion 5 contains one sub-case, the
-kernel-intersection dimension at boundary-metric signature (1,0,0), whose
-tabulated value 4 (from dim K = 2 dim ker g) is not what the defining kernel
-equations give: solving them exactly over the rationals yields 3, and
-embedded brute-force computations agree wherever the signature is realizable.
-That single assertion is implemented as tabulated and expected to fail
-(strict xfail).
+Each test reads its rows, by id, from the session's one `pchgrav verify` run
+on the default config (Lorentzian, gamma = 1); criterion 4 also reads the
+`kernels` suite run Euclidean with gamma = 2.  Every bound is pinned here and
+asserted on the rows' values, not taken from a row's verdict, which uses the
+configurable `config.TOLERANCES`.  A verdict is asserted as well only where
+it has a conjunct the values lack: the kernel table's dims and ranks, and the
+exact sequence's image dimension.
+
+Criterion 5 contains one sub-case, the kernel-intersection dimension at
+boundary-metric signature (1,0,0), whose tabulated value 4 (from dim K =
+2 dim ker g) is not what the defining kernel equations give: solving them
+exactly over the rationals yields 3, and embedded brute-force computations
+agree wherever the signature is realizable.  That single assertion is
+implemented as tabulated and expected to fail (strict xfail).
+
+Criterion 11's `max_pairing` is 0 by construction: the delta t rows of the
+half-shell tangent basis are zero, so B^T Omega B = 0.  Its bound is kept as
+stated; the dimension counts carry the criterion.
 """
 
-import time
-
-import numpy as np
 import pytest
 
-from pchgrav import constraints as cst, ehdata as eh, fiber, halfshell as hs
-from pchgrav import reduction as red, wedgemaps as wm
-from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
-from pchgrav.grid import Grid3
-from pchgrav.suites import (
-    LAPSE_PROBES,
-    SHIFT_PROBES,
-    acceptance_triad_spec,
-    flat_triad_spec,
-    random_nondegenerate_coframe,
-    random_offshell_state,
-    trig_alpha_field,
-)
+from pchgrav.config import validate_config
+from pchgrav.suites import run_suites
 
 ORDER_WINDOW = (3.2, 4.8)
 
@@ -37,207 +34,134 @@ def report(criterion: str, passed: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def onshell_states():
-    spec = acceptance_triad_spec()
-    return {n: cst.make_on_shell(spec, Grid3(n), 1.0, LORENTZIAN, Lambda=0.1)
-            for n in (8, 16, 32)}
+def rows(default_verify):
+    return {row["id"]: row for row in default_verify[1]["rows"]}
 
 
-def test_criterion_1_twist_determinants():
-    t0 = time.perf_counter()
-    worst = 0.0
-    for g in (0.5, 1.0, 2.0, 10.0):
-        _, det = fiber.t_gamma_matrix(g, LORENTZIAN)
-        expect = -((1 + g**-2) ** 3)
-        worst = max(worst, abs(det - expect) / abs(expect))
-    for al in (0.5, 1.0):
-        _, det = fiber.f_alpha_matrix(al)
-        worst = max(worst, abs(det - (1 + al**2) ** 3) / (1 + al**2) ** 3)
-    rt = time.perf_counter() - t0
-    ok = worst <= 1e-12 and rt < 1.0
+@pytest.fixture(scope="module")
+def euclidean_rows():
+    cfg = validate_config({"signature": "euclidean", "gamma": 2.0, "suites": ["kernels"]})
+    return {row.id: row.as_dict() for row in run_suites(cfg).rows}
+
+
+def test_criterion_1_twist_determinants(rows):
+    row = rows["algebra/twist-determinants"]
+    worst = row["values"]["rel_error"]
+    ok = worst <= 1e-12 and row["runtime_s"] < 1.0
     assert report("1 (twist determinants)", ok,
-                  f"max rel error {worst:.2e}, runtime {rt:.3f}s")
+                  f"max rel error {worst:.2e}, runtime {row['runtime_s']:.3f}s")
 
 
-def test_criterion_2_morphism_residuals():
-    r_e1 = fiber.morphism_residual(1.0, EUCLIDEAN)
-    r_e2 = fiber.morphism_residual(-1.0, EUCLIDEAN)
-    lor = {g: fiber.morphism_residual(g, LORENTZIAN) for g in (0.5, 1.0, 2.0)}
-    ok = r_e1 <= 1e-13 and r_e2 <= 1e-13 and all(v >= 0.1 for v in lor.values())
-    assert report("2 (twist morphism)", ok,
-                  f"euclid {max(r_e1, r_e2):.2e}; lorentz min {min(lor.values()):.3f}")
+def test_criterion_2_morphism_residuals(rows):
+    v = rows["algebra/twist-morphism"]["values"]
+    euclid = max(v["euclid_+1"], v["euclid_-1"])
+    lorentz = min(v[f"lorentz_{g}"] for g in (0.5, 1.0, 2.0))
+    ok = euclid <= 1e-13 and lorentz >= 0.1
+    assert report("2 (twist morphism)", ok, f"euclid {euclid:.2e}; lorentz min {lorentz:.3f}")
 
 
-def test_criterion_3_star_cyclic():
-    rng = np.random.Generator(np.random.Philox(key=30))
-    worst = 0.0
-    for sig in (EUCLIDEAN, LORENTZIAN):
-        S = fiber.star2_matrix(sig)
-        for _ in range(100):
-            a, b = rng.normal(size=6), rng.normal(size=6)
-            l1 = S @ fiber.bracket2(a, b, sig)
-            worst = max(worst,
-                        np.abs(l1 - fiber.bracket2(S @ a, b, sig)).max(),
-                        np.abs(l1 - fiber.bracket2(a, S @ b, sig)).max())
-    ok = worst <= 1e-13
-    assert report("3 (star cyclic)", ok, f"max residual {worst:.2e} over 200 pairs")
+def test_criterion_3_star_cyclic(rows):
+    v = rows["algebra/star-cyclic"]["values"]
+    ok = v["max_residual"] <= 1e-13 and v["pairs"] >= 200
+    assert report("3 (star cyclic)", ok,
+                  f"max residual {v['max_residual']:.2e} over {v['pairs']} pairs")
 
 
-def test_criterion_4_kernel_dimension_table():
-    rng = np.random.Generator(np.random.Philox(key=40))
-    min_gap = np.inf
-    ok = True
-    count = 0
-    for sig in (LORENTZIAN, EUCLIDEAN):
-        for _ in range(50):
-            e = random_nondegenerate_coframe(rng, sig)
-            count += 1
-            for shape, kdim, rank in (((1, 1), 0, 12), ((1, 2), 6, 12), ((2, 1), 6, 6)):
-                sp = wm.kernel_basis(e, shape)
-                ok &= (sp.kernel_basis.shape[1] == kdim
-                       and sp.matrix.shape[1] - kdim == rank)
-                min_gap = min(min_gap, sp.gap)
-    ok = ok and min_gap >= 1e6 and count >= 100
+def test_criterion_4_kernel_dimension_table(rows, euclidean_rows):
+    table = [rows["kernels/kernel-table"], euclidean_rows["kernels/kernel-table"]]
+    vals = [row["values"] for row in table]
+    count = sum(v["frames"] for v in vals)
+    min_gap = min(v["min_gap"] for v in vals)
+    worst_proj = max(v["projector_residual"] for v in vals)
+    worst_eq = max(v["explicit_equation_residual"] for v in vals)
+    # the verdicts carry the dims 0/6/6 and ranks 12/12/6, which the values do not
+    ok = (all(row["passed"] for row in table) and min_gap >= 1e6 and count >= 100
+          and worst_proj <= 1e-12 and worst_eq <= 1e-12)
     assert report("4 (kernel table)", ok,
-                  f"{count} coframes, dims 0/6/6 ranks 12/12/6, min gap {min_gap:.1e}")
+                  f"{count} coframes over both signatures, dims 0/6/6 ranks 12/12/6, "
+                  f"min gap {min_gap:.1e}, projectors {worst_proj:.1e}, "
+                  f"equations {worst_eq:.1e}")
 
 
-def test_criterion_5_kernel_intersection_attainable():
-    vals = {
-        "(1,1,1)": red.kernel_intersection_dim((1, 1, 1)),
-        "(1,1,-1)": red.kernel_intersection_dim((1, 1, -1)),
-        "(1,1,0)": red.kernel_intersection_dim((1, 1, 0)),
-        "(1,-1,0)": red.kernel_intersection_dim((1, -1, 0)),
-    }
-    ok = (vals["(1,1,1)"] == 0 and vals["(1,1,-1)"] == 0
-          and vals["(1,1,0)"] == 2 and vals["(1,-1,0)"] == 2)
+def test_criterion_5_kernel_intersection_attainable(rows):
+    v = rows["reduction/kernel-intersection"]["values"]
+    dims = {k: v["dims"][k] for k in ("(1, 1, 1)", "(1, 1, -1)", "(1, 1, 0)", "(1, -1, 0)")}
+    ok = list(dims.values()) == [0, 0, 2, 2] and v["embedded_110"] == 2
     assert report("5 (kernel intersection, signatures (1,1,±1)/(1,±1,0))", ok,
-                  f"exact dims {vals}")
+                  f"exact dims {dims}, embedded (1,1,0) {v['embedded_110']}")
 
 
 @pytest.mark.xfail(strict=True,
                    reason="tabulated value 4 at (1,0,0); the defining kernel equations "
                           "give 3 exactly (the (1,0,0) case analysis misses the "
                           "antisymmetry ties among the v components)")
-def test_criterion_5_kernel_intersection_100():
-    val = red.kernel_intersection_dim((1, 0, 0))
+def test_criterion_5_kernel_intersection_100(rows):
+    val = rows["reduction/kernel-intersection-(1,0,0)"]["values"]["measured"]
     report("5 (kernel intersection, signature (1,0,0))", val == 4,
            f"measured dim {val}, stated 4")
     assert val == 4
 
 
-def test_criterion_6_exact_sequence():
-    rng = np.random.Generator(np.random.Philox(key=60))
-    worst_wedge, worst_cont = 0.0, 0.0
-    dims_ok = True
-    for _ in range(100):
-        e = random_nondegenerate_coframe(rng, LORENTZIAN)
-        rep = red.exact_sequence_check(e, LORENTZIAN)
-        worst_wedge = max(worst_wedge, rep.wedge_residual)
-        worst_cont = max(worst_cont, rep.containment_residual, rep.reverse_residual)
-        dims_ok &= rep.is_exact
-    ok = dims_ok and worst_wedge <= 1e-12 and worst_cont <= 1e-10
+def test_criterion_6_exact_sequence(rows):
+    row = rows["reduction/exact-sequence"]
+    v = row["values"]
+    # the verdict carries the image dimension 6, which the values do not
+    ok = (row["passed"] and v["sites"] >= 100 and v["wedge_residual"] <= 1e-12
+          and v["containment_residual"] <= 1e-10)
     assert report("6 (exact sequence)", ok,
-                  f"e^[v,e] {worst_wedge:.1e}; containment {worst_cont:.1e}")
+                  f"{v['sites']} coframes; e^[v,e] {v['wedge_residual']:.1e}; "
+                  f"containment {v['containment_residual']:.1e}")
 
 
-def test_criterion_7_omega_tilde():
-    t0 = time.perf_counter()
-    rng = np.random.Generator(np.random.Philox(key=70))
-    grid = Grid3(8)
-    worst_struct, worst_gauge = 0.0, 0.0
-    for _ in range(20):
-        st = random_offshell_state(rng, grid, LORENTZIAN, 1.0, 0.0)
-        worst_struct = max(worst_struct, st.ot.structural_residual)
-        pack = cst.projector_pack(st.e)
-        shift = cst.kernel_field_from_coords(rng.normal(size=(8, 8, 8, 6)), pack, grid)
-        res2 = red.omega_tilde(st.e, st.omega + shift)
-        worst_gauge = max(worst_gauge, (res2.omega_tilde - st.omega).sup_norm())
-    rt = time.perf_counter() - t0
-    ok = worst_struct <= 1e-9 and worst_gauge <= 1e-9 and rt < 60.0
+def test_criterion_7_omega_tilde(rows):
+    row = rows["reduction/omega-tilde"]
+    v = row["values"]
+    ok = (v["states"] >= 20 and v["structural"] <= 1e-9 and v["gauge_shift"] <= 1e-9
+          and row["runtime_s"] < 60.0)
     assert report("7 (structural representative)", ok,
-                  f"structural {worst_struct:.1e}, gauge {worst_gauge:.1e}, {rt:.1f}s")
+                  f"{v['states']} states, structural {v['structural']:.1e}, "
+                  f"gauge {v['gauge_shift']:.1e}, {row['runtime_s']:.1f}s")
 
 
-def test_criterion_8_on_shell_builder(onshell_states):
-    flat = cst.make_on_shell(flat_triad_spec(), Grid3(8), 1.0, LORENTZIAN)
-    flat_L = abs(cst.eval_L(flat, trig_alpha_field(flat.grid)))
-    Ls = {n: abs(cst.eval_L(onshell_states[n], trig_alpha_field(onshell_states[n].grid)))
-          for n in (8, 16)}
-    ratio = Ls[8] / Ls[16]
+def test_criterion_8_on_shell_builder(rows):
+    flat_L = rows["constraints/flat-state"]["values"]["L"]
+    ratio = rows["constraints/on-shell-order2"]["values"]["ratio"]
     ok = flat_L <= 1e-15 and ORDER_WINDOW[0] <= ratio <= ORDER_WINDOW[1]
-    assert report("8 (on-shell builder)", ok,
-                  f"flat L {flat_L:.1e}; |L| ratio 8->16 {ratio:.2f}")
+    assert report("8 (on-shell builder)", ok, f"flat L {flat_L:.1e}; |L| ratio 8->16 {ratio:.2f}")
 
 
-def test_criterion_9_bracket_algebra(onshell_states):
-    rng = np.random.Generator(np.random.Philox(key=90))
-    grid = Grid3(4)
-    st = random_offshell_state(rng, grid, LORENTZIAN, 1.0, 0.1)
-    ac = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
-    ac2 = np.array([-0.1, 0.4, 0.2, -0.3, 0.25, 0.15])
-    br, _ = cst.poisson_bracket(st, "L", cst.smear_constant(grid, 2, ac),
-                                "L", cst.smear_constant(grid, 2, ac2))
-    rhs = cst.eval_L(st, cst.smear_constant(grid, 2, fiber.bracket2(ac2, ac, LORENTZIAN)))
-    rel = abs(br - rhs) / abs(rhs)
-
-    st_on = cst.make_on_shell(acceptance_triad_spec(), grid, 1.0, LORENTZIAN, Lambda=0.1)
-    mc = np.array([0.2, -0.3, 0.4, 0.6])
-    mc2 = np.array([0.5, 0.1, -0.2, 0.3])
-    mu, mu2 = cst.smear_constant(grid, 1, mc), cst.smear_constant(grid, 1, mc2)
-    bJJ, _ = cst.poisson_bracket(st_on, "J", mu, "J", mu2)
-    scaleJJ = 1.0 + abs(cst.eval_J(st_on, mu)) + abs(cst.eval_J(st_on, mu2))
-    budgetJJ = 2.0 * grid.h**2 * scaleJJ
-
-    alpha = cst.smear_constant(grid, 2, ac)
-    bLJ, _ = cst.poisson_bracket(st_on, "L", alpha, "J", mu)
-    Jam = cst.eval_J(st_on, cst.smear_constant(
-        grid, 1, fiber.act_on_vector(ac, mc, LORENTZIAN)))
-    lpart = abs(bLJ + Jam)
-    budgetLJ = 2.0 * grid.h**2 * (1.0 + abs(Jam))
-
-    ok = (rel <= 1e-4 and abs(rhs) > 1e-8
-          and abs(bJJ) <= budgetJJ and lpart <= budgetLJ)
+def test_criterion_9_bracket_algebra(rows):
+    h2 = (1 / 4) ** 2       # the brackets suite's 4^3 grid
+    ll = rows["brackets/gauge-algebra"]["values"]
+    jj = rows["brackets/energy-brackets"]["values"]
+    lj = rows["brackets/mixed-bracket"]["values"]
+    budget_jj = 2.0 * h2 * jj["J_scale"]
+    budget_lj = 2.0 * h2 * (1.0 + abs(lj["J_bracketed"]))
+    ok = (ll["rel_error"] <= 1e-4 and abs(ll["rhs"]) > 1e-8
+          and abs(jj["bracket_n4"]) <= budget_jj and abs(lj["l_part"]) <= budget_lj)
     assert report("9 (bracket algebra)", ok,
-                  f"{{L,L'}} rel {rel:.1e}; |{{J,J'}}| {abs(bJJ):.2e} <= {budgetJJ:.2e}; "
-                  f"L-part of {{L,J}} {lpart:.2e} <= {budgetLJ:.2e}")
+                  f"{{L,L'}} rel {ll['rel_error']:.1e}; "
+                  f"|{{J,J'}}| {abs(jj['bracket_n4']):.2e} <= {budget_jj:.2e}; "
+                  f"L-part of {{L,J}} {abs(lj['l_part']):.2e} <= {budget_lj:.2e}")
 
 
-def test_criterion_10_eh_reduction(onshell_states):
-    t0 = time.perf_counter()
-    comps = {n: eh.compare_pch_eh(onshell_states[n], LAPSE_PROBES, SHIFT_PROBES)
-             for n in (8, 16, 32)}
-    ratios = {
-        "hamiltonian": comps[8]["hamiltonian"] / comps[16]["hamiltonian"],
-        "momentum": comps[8]["momentum"] / comps[16]["momentum"],
-        "gamma_independence": comps[8]["gamma_independence"] / comps[16]["gamma_independence"],
-        "ricci_mutual": comps[16]["ricci_mutual"] / comps[32]["ricci_mutual"],
-        "momentum_mutual": comps[16]["momentum_mutual"] / comps[32]["momentum_mutual"],
-    }
-    grid = Grid3(8)
-    X, Y, Z = grid.coords()
-    from pchgrav.grid import harmonic
-    field = np.stack([harmonic(0.7, (1, 0, 0), 0.2).eval(X, Y, Z),
-                      harmonic(0.5, (0, 1, 0), 1.0).eval(X, Y, Z),
-                      harmonic(0.3, (1, 1, 1), 0.4).eval(X, Y, Z)], axis=-1)
-    div_int = abs(eh.exact_divergence_integral(grid, field))
-    rt = time.perf_counter() - t0
+def test_criterion_10_eh_reduction(rows):
+    row = rows["eh/reduction-convergence"]
+    ratios = row["values"]["ratios"]
+    div_int = rows["eh/closed-boundary-term"]["values"]["integral"]
     ok = (all(ORDER_WINDOW[0] <= r <= ORDER_WINDOW[1] for r in ratios.values())
-          and div_int <= 1e-12 and rt < 300.0)
-    detail = ", ".join(f"{k} {v:.2f}" for k, v in ratios.items())
+          and div_int <= 1e-12 and row["runtime_s"] < 300.0)
+    detail = ", ".join(f"{k} {r:.2f}" for k, r in ratios.items())
     assert report("10 (EH reduction)", ok,
-                  f"order-2 ratios: {detail}; exact boundary term {div_int:.1e}; {rt:.0f}s")
+                  f"order-2 ratios: {detail}; exact boundary term {div_int:.1e}; "
+                  f"{row['runtime_s']:.0f}s")
 
 
-def test_criterion_11_halfshell():
-    rng = np.random.Generator(np.random.Philox(key=110))
-    st = hs.sample_locus_state(Grid3(2), LORENTZIAN, 1.0, rng)
-    rep_full = hs.isotropy_diagnosis(st, full_locus=True)
-    rep_t0 = hs.isotropy_diagnosis(st, full_locus=False)
-    ok = (rep_full.max_pairing <= 1e-10
-          and rep_full.dim_orthogonal > rep_full.dim_tangent
-          and rep_t0.dim_orthogonal == rep_t0.dim_tangent)
+def test_criterion_11_halfshell(rows):
+    v = rows["halfshell/isotropy"]["values"]
+    ok = (v["max_pairing"] <= 1e-10 and v["dim_orthogonal"] > v["dim_tangent"]
+          and v["t0_dim_orthogonal"] == v["t0_dim_tangent"])
     assert report("11 (half-shell locus)", ok,
-                  f"max pairing {rep_full.max_pairing:.1e}; "
-                  f"dims {rep_full.dim_tangent} < {rep_full.dim_orthogonal} (full); "
-                  f"{rep_t0.dim_tangent} = {rep_t0.dim_orthogonal} (multiplier only)")
+                  f"max pairing {v['max_pairing']:.1e}; "
+                  f"dims {v['dim_tangent']} < {v['dim_orthogonal']} (full); "
+                  f"{v['t0_dim_tangent']} = {v['t0_dim_orthogonal']} (multiplier only)")

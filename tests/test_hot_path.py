@@ -140,8 +140,8 @@ def test_omega_tilde_builds_no_lazy_frame_field_and_states_hold_no_frame(monkeyp
     assert not any(isinstance(v, PhiFrame) for v in held)
 
 
-def test_offshell_j_field_solves_phi_three_times(lapack_guard, monkeypatch):
-    st = _offshell_state()
+def _j_field_phi_solves(st, monkeypatch) -> list:
+    """The phi_e^-1 applications of one J Hamiltonian vector field at st."""
     solves = []
 
     def counted(name):
@@ -156,9 +156,23 @@ def test_offshell_j_field_solves_phi_three_times(lapack_guard, monkeypatch):
         monkeypatch.setattr(PhiFrame, name, counted(name))
     X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4]))
     assert max(X.wedge_residuals.values()) <= 1e-12
-    # A(X_e), B(p' X_omega) and the adjoint covector shared by A+ and B+, each through
-    # the closed-form phi_e^-1 (the guard refuses a per-site np.linalg.solve)
-    assert sorted(solves) == [("kernel_correction", (6, 6))] * 2 + [("kernel_correction_T", (6, 6))]
+    return sorted(solves)
+
+
+# A(X_e), B(p' X_omega) and the adjoint covector shared by A+ and B+, each through
+# the closed-form phi_e^-1 (the guard refuses a per-site np.linalg.solve)
+THREE_PHI_SOLVES = [("kernel_correction", (6, 6))] * 2 + [("kernel_correction_T", (6, 6))]
+
+
+def test_offshell_j_field_solves_phi_three_times(lapack_guard, monkeypatch):
+    assert _j_field_phi_solves(_offshell_state(), monkeypatch) == THREE_PHI_SOLVES
+
+
+def test_onshell_j_field_solves_phi_three_times(lapack_guard, monkeypatch):
+    # the adjoint corrections are assembled on shell too: the discrete on-shell
+    # state keeps O(h^2) torsion
+    st = cst.make_on_shell(acceptance_triad_spec(), Grid3(4), 1.0, LORENTZIAN, Lambda=0.1)
+    assert _j_field_phi_solves(st, monkeypatch) == THREE_PHI_SOLVES
 
 
 def test_make_on_shell_inverts_the_triad_once(monkeypatch):
