@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiber import PAIR_INDEX, Signature, wedge_signs
+from .fiber import PAIR_INDEX, Signature, site_blocks, wedge_signs
 from .grid import COMP_BASIS, FormField, Grid3, cov_deriv, curvature, deriv_axis, wedge_fields
 from .wedgemaps import (ConditioningError, NullNormalError, at_site, complete_frame,
                         compound_matrix, inv3)
@@ -126,6 +126,8 @@ def orthonormal_frame(e: np.ndarray, sig: Signature) -> AdaptedFrame:
 _GAMMA_SLOTS = [PAIR_INDEX[p] for p in SPATIAL_PAIRS]
 _A_SLOTS = [PAIR_INDEX[(i, 3)] for i in range(3)]
 _SP_I, _SP_J = np.array(SPATIAL_PAIRS).T
+#: entries (row, column) of V^-1 dV that `split_connection` reads: the spatial pairs, the w_0 row
+_GAUGE_ROWS, _GAUGE_COLS = np.array(SPATIAL_PAIRS + [(3, 0), (3, 1), (3, 2)]).T
 
 
 def adapted_connection(gamma_blk: np.ndarray, a_part, grid: Grid3) -> FormField:
@@ -155,9 +157,8 @@ def _triad_fields(e_bar, gamma_blk, eta_bar, grid):
     return _w_vectors(e_bar, grid), adapted_connection(gamma_blk, 0.0, grid), sig_w
 
 
-def gamma_of_triad(e_bar: np.ndarray, eta_bar: np.ndarray, grid: Grid3,
-                   C: np.ndarray | None = None, e_inv: np.ndarray | None = None) -> np.ndarray:
-    """Triad-compatible so(3)-block connection Gamma(ebar), d_Gamma ebar = 0.
+def gamma_block(e_bar, eta_bar, grid, C=None, e_inv=None) -> np.ndarray:
+    """Triad-compatible connection Gamma(ebar), d_Gamma ebar = 0, on pair components (..., a, 3).
 
     e_bar: (n,n,n,3,3) with ebar[..., a, i].  C, when given, is the
     anholonomy C[..., a, b, i] = d_a ebar_b^i - d_b ebar_a^i evaluated from a
@@ -165,24 +166,23 @@ def gamma_of_triad(e_bar: np.ndarray, eta_bar: np.ndarray, grid: Grid3,
     grid data are used, in which case the compatibility holds to roundoff.
     e_inv, when given, is ebar^-1 (`inv3(e_bar)[0]`).
 
-    Returns Gamma[..., a, i, j] as antisymmetric internal matrices.
+    Only the returned components are built.  With E^{ib} = [ebar^-1]^{ib} / eta_i,
+    W[a, i, k] = sum_b E^{ib} C[a, b, k] and Z[p, k] = sum_c E^{jc} W[c, i, k], the
+    pair p = (i, j) has Gamma[a, p] = (W[a, i, j] - W[a, j, i] + sum_k eta_k ebar[a, k] Z[p, k]) / 2.
     """
-    if e_inv is None:
-        e_inv = inv3(e_bar)[0]
-    E = (e_inv / eta_bar[:, None])[..., None, :, :]             # E^{a i}, [..., 1, i, a]
-    if C is None:
-        de = np.stack([deriv_axis(e_bar, c, grid) for c in range(3)], axis=-3)
-        C = de - np.swapaxes(de, -3, -2)            # C[..., a, b, i]
-    T = 0.5 * (E @ C)                               # T[a] = 1/2 E C[a]: t1 + t2 = T - T^T
-    # t3[a] = -1/2 E Y[a] E^T with Y[a, b, c] = sum_k C_low[b, c, k] ebar[a, k]
-    Y = np.moveaxis(((C * eta_bar).reshape(C.shape[:-3] + (9, 3))
-                     @ np.swapaxes(e_bar, -1, -2)).reshape(C.shape), -1, -3)
-    return T - np.swapaxes(T, -1, -2) - 0.5 * (E @ Y @ np.swapaxes(E, -1, -2))
-
-
-def gamma_block(e_bar, eta_bar, grid, C=None, e_inv=None) -> np.ndarray:
-    """Gamma(ebar) on pair components (..., a, 3)."""
-    return gamma_of_triad(e_bar, eta_bar, grid, C, e_inv)[..., _SP_I, _SP_J]
+    e_inv = inv3(e_bar)[0] if e_inv is None else e_inv
+    d = np.stack([deriv_axis(e_bar, c, grid) for c in range(3)], axis=-3) if C is None else C
+    sites, E = np.reshape(d, (-1, 3, 3, 3)), (e_inv / eta_bar[:, None]).reshape(-1, 3, 3)
+    eb, out = (e_bar * eta_bar).reshape(-1, 3, 3), np.empty((len(sites), 3, 3))
+    for block in site_blocks(len(sites)):                       # site axis last in a block
+        c, Eb, ebk = (np.ascontiguousarray(np.moveaxis(x[block], 0, -1)) for x in (sites, E, eb))
+        if C is None:
+            c = c - c.swapaxes(0, 1)                            # C[a, b, k] from d_a ebar_b^k
+        W = sum(Eb[:, b, None] * c[:, None, b] for b in range(3))
+        Z = sum(Eb[_SP_J, b, None] * W[b, _SP_I] for b in range(3))
+        G = W[:, _SP_I, _SP_J] - W[:, _SP_J, _SP_I] + (ebk[:, None] * Z).sum(axis=2)
+        out[block] = 0.5 * np.moveaxis(G, -1, 0)
+    return out.reshape(e_bar.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +216,16 @@ def split_connection(omega: FormField, frame: AdaptedFrame, grid: Grid3) -> Conn
     V = frame.frame
     Vinv = np.ascontiguousarray(np.swapaxes(V, -1, -2)) * (eta_w[:, None] * frame.eta)
     omega_w = omega.data @ np.swapaxes(compound_matrix(Vinv), -1, -2)
-    dV = np.stack([deriv_axis(V, a, grid) for a in range(3)], axis=-3)  # [..., a, i, j]
-    G = (Vinv[..., None, :, :] @ dV) / eta_w
-    gamma_part = omega_w[..., _GAMMA_SLOTS] + G[..., _SP_I, _SP_J]
-    a_part = G[..., 3, :3] - omega_w[..., _A_SLOTS]
+    # V^-1 d_a V / eta_w on the entries read only: the spatial pairs and the w_0 row
+    dV = np.stack([deriv_axis(V[..., :3], a, grid) for a in range(3)], axis=-3).reshape(-1, 3, 4, 3)
+    Vi, G = Vinv.reshape(-1, 4, 4), np.empty((len(dV), 3, 6))
+    for block in site_blocks(len(dV)):
+        v = np.ascontiguousarray(Vi[block].T)[:, _GAUGE_ROWS]   # v[k, q] = Vinv[row_q, k]
+        d = np.ascontiguousarray(dV[block].T)[_GAUGE_COLS]      # d[q, k, a] = d_a V[k, col_q]
+        G[block] = sum(v[k, :, None] * d[:, k] for k in range(4)).T
+    G = G.reshape(omega_w.shape) / eta_w[_GAUGE_COLS]
+    gamma_part = omega_w[..., _GAMMA_SLOTS] + G[..., :3]
+    a_part = G[..., 3:] - omega_w[..., _A_SLOTS]
     K = extrinsic_tensor(frame, a_part)
     return ConnectionSplit(gamma_part, a_part, gamma_triad,
                            float(np.abs(gamma_part - gamma_triad).max()),

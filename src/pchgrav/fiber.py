@@ -180,8 +180,14 @@ def act_on_vector(a: np.ndarray, v: np.ndarray, sig: Signature) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the contraction kernel: every wedge, bracket and action product goes here
 
-#: sites per block of the float path; bounds the per-block intermediate to a few MB
-_BLOCK = 2048
+#: sites per block of every per-site kernel (this one, `inv3`, Lambda^2 P, Gamma(ebar), the
+#: connection split's gauge term, phi_e^-1): the per-block intermediates stay a few MB
+SITE_BLOCK = 2048
+
+
+def site_blocks(n: int):
+    """Slices of `SITE_BLOCK` consecutive sites covering range(n)."""
+    return (slice(s, s + SITE_BLOCK) for s in range(0, n, SITE_BLOCK))
 
 
 @lru_cache(maxsize=None)
@@ -235,11 +241,11 @@ def bilinear(T: np.ndarray, x, y) -> np.ndarray:
     y = y.reshape(-1, B)
     out = np.empty((x.shape[0], O), dtype=np.result_type(x, y, T))
     T2 = T.reshape(A, B * O).astype(out.dtype)
-    buf = np.empty((min(_BLOCK, x.shape[0]), B * O), dtype=out.dtype)   # one block at a time
-    for s in range(0, x.shape[0], _BLOCK):
-        xs = x[s:s + _BLOCK]
+    buf = np.empty((min(SITE_BLOCK, x.shape[0]), B * O), dtype=out.dtype)   # one block at a time
+    for blk in site_blocks(x.shape[0]):
+        xs = x[blk]
         t = np.matmul(xs, T2, out=buf[:len(xs)]).reshape(-1, B, O)
-        np.einsum("sbo,sb->so", t, y[s:s + _BLOCK], out=out[s:s + _BLOCK])
+        np.einsum("sbo,sb->so", t, y[blk], out=out[blk])
     return out.reshape(lead + (O,))
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla, fiber, wedgemaps
-from .fiber import Signature
+from .fiber import Signature, site_blocks
 from .grid import Coframe, FormField, Grid3, action_wedge, ext_deriv
 from .wedgemaps import KERNEL_TEMPLATES, complete_frame, compound_matrix
 
@@ -157,8 +157,6 @@ def _phi_inverse_table() -> np.ndarray:
 
 _G_ROWS, _G_COLS = np.array(_G_ENTRIES).T
 _MONO_M, _MONO_N = np.array(_G_MONOMIALS).T
-#: sites per block of `phi_inverse`
-_PHI_INV_BLOCK = 2048
 
 
 def phi_inverse(g: np.ndarray, det_g: np.ndarray) -> np.ndarray:
@@ -173,8 +171,7 @@ def phi_inverse(g: np.ndarray, det_g: np.ndarray) -> np.ndarray:
     table = _phi_inverse_table()
     x = g[..., _G_ROWS, _G_COLS].reshape(-1, 6)
     q = np.empty((len(x), 36))
-    for start in range(0, len(x), _PHI_INV_BLOCK):
-        block = slice(start, start + _PHI_INV_BLOCK)
+    for block in site_blocks(len(x)):
         mono = x[block, _MONO_M]
         mono *= x[block, _MONO_N]
         np.matmul(mono, table, out=q[block])
@@ -554,11 +551,6 @@ class ExactSequenceReport:
     wedge_residual: np.ndarray          # max |e ^ [v,e]| over kernel basis
     containment_residual: np.ndarray    # im([.,e]|ker) inside ker W^{(2,1)}
     reverse_residual: np.ndarray        # ker W^{(2,1)} inside im([.,e]|ker)
-
-    @property
-    def is_exact(self) -> np.ndarray:
-        return ((self.dim_image_bracket == 6)
-                & (np.maximum(self.containment_residual, self.reverse_residual) < 1e-9))
 
 
 def exact_sequence_check(e: np.ndarray, sig: Signature) -> ExactSequenceReport:

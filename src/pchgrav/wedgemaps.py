@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fiber
-from .fiber import PAIR_INDEX, Signature
+from .fiber import PAIR_INDEX, Signature, site_blocks
 from .grid import COMP_BASIS
 
 SHAPES = ((1, 1), (1, 2), (2, 1))
@@ -61,8 +61,6 @@ _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
 #: 2^27 + 1: Veltkamp's constant, splitting a double into two halves of 26 bits
 _SPLIT = 134217729.0
-#: sites per block of `inv3`, so that its temporaries stay in cache
-_INV3_BLOCK = 2048
 
 
 def _two_product(x, y):
@@ -109,8 +107,7 @@ def inv3(a: np.ndarray):
     sites = a.reshape(-1, 3, 3)
     inv, det = np.empty(sites.shape), np.empty(len(sites))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, len(sites), _INV3_BLOCK):
-            block = slice(start, start + _INV3_BLOCK)
+        for block in site_blocks(len(sites)):
             _inv3_block(np.moveaxis(sites[block], 0, -1), inv[block], det[block])
     if not np.isfinite(inv).all():
         bad = ~np.isfinite(inv).all(axis=(-2, -1))
@@ -168,9 +165,15 @@ def compound_matrix(P: np.ndarray) -> np.ndarray:
     """Induced map Lambda^2 P on the ordered bivector components (`fiber.PAIRS`).
 
     The minor ((a, b), (c, d)) is P[a, c] P[b, d] - P[a, d] P[b, c], from the rows a and b.
+    Written in blocks of sites into one array with the site axis fastest in memory.
     """
-    ra, rb = P[..., _PAIR_A, :], P[..., _PAIR_B, :]
-    return ra[..., _PAIR_A] * rb[..., _PAIR_B] - ra[..., _PAIR_B] * rb[..., _PAIR_A]
+    sites = np.reshape(P, (-1, 4, 4))
+    out = np.empty((6, 6, len(sites)))                          # [(c, d), (a, b), site]
+    for block in site_blocks(len(sites)):
+        cols = np.ascontiguousarray(sites[block].T)             # cols[c, a] = P[a, c]
+        ca, cb = cols[_PAIR_A], cols[_PAIR_B]
+        out[..., block] = ca[:, _PAIR_A] * cb[:, _PAIR_B] - cb[:, _PAIR_A] * ca[:, _PAIR_B]
+    return np.moveaxis(out, (0, 1), (-1, -2)).reshape(np.shape(P)[:-2] + (6, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -178,50 +181,31 @@ def compound_matrix(P: np.ndarray) -> np.ndarray:
 
 
 def kernel_equations(shape: tuple) -> np.ndarray:
-    """Integer matrix E with  ker W^{(p,k)} = { X : E X = 0 }  in e-frame coords."""
-    if shape == (1, 2):
-        rows = []
-        # X_a^{n b} = 0  (pairs containing the frame index 3 = n)
-        for a in range(3):
-            for pair in [(0, 3), (1, 3), (2, 3)]:
-                r = np.zeros(18)
-                r[a * 6 + PAIR_INDEX[pair]] = 1
-                rows.append(r)
-        # sum_a X_a^{a b} = 0 for each b
-        for b in range(3):
-            r = np.zeros(18)
-            for a in range(3):
-                if a == b:
-                    continue
-                pair = (a, b) if a < b else (b, a)
-                sgn = 1 if a < b else -1
-                r[a * 6 + PAIR_INDEX[pair]] += sgn
-            rows.append(r)
-        return np.array(rows)
-    if shape == (2, 1):
-        rows = []
-        pairs2 = COMP_BASIS[2]
-        # X_{ab}^n = 0
-        for ci in range(3):
-            r = np.zeros(12)
-            r[ci * 4 + 3] = 1
-            rows.append(r)
-        # sum_a X_{ab}^a = 0 for each b
-        for b in range(3):
-            r = np.zeros(12)
-            for a in range(3):
-                if a == b:
-                    continue
-                if (a, b) in pairs2:
-                    ci, sgn = pairs2.index((a, b)), 1
-                else:
-                    ci, sgn = pairs2.index((b, a)), -1
-                r[ci * 4 + a] += sgn
-            rows.append(r)
-        return np.array(rows)
+    """Integer matrix E with  ker W^{(p,k)} = { X : E X = 0 }  in e-frame coords.
+
+    (1,2): X_a^{n b} = 0 and sum_a X_a^{a b} = 0, with X_a^{cd} at a * 6 + PAIR_INDEX[(c, d)];
+    (2,1): X_{ab}^n = 0 and sum_a X_{ab}^a = 0, with X_{cd}^v at COMP_BASIS[2].index((c, d)) * 4 + v.
+    """
     if shape == (1, 1):
         return np.eye(12)  # trivial kernel
-    raise ValueError(f"unsupported shape {shape}")
+    if shape == (1, 2):
+        zero = [a * 6 + PAIR_INDEX[(b, 3)] for a in range(3) for b in range(3)]
+
+        def trace(a, b):                                        # X_a^{ab}
+            return a * 6 + PAIR_INDEX[(min(a, b), max(a, b))]
+    elif shape == (2, 1):
+        zero = [ci * 4 + 3 for ci in range(3)]
+
+        def trace(a, b):                                        # X_{ab}^a
+            return COMP_BASIS[2].index((min(a, b), max(a, b))) * 4 + a
+    else:
+        raise ValueError(f"unsupported shape {shape}")
+    E = np.zeros((len(zero) + 3, 18 if shape == (1, 2) else 12))
+    E[range(len(zero)), zero] = 1
+    for b in range(3):
+        for a in {0, 1, 2} - {b}:
+            E[len(zero) + b, trace(a, b)] += 1 if a < b else -1
+    return E
 
 
 def _orthonormal_nullspace(E: np.ndarray) -> np.ndarray:

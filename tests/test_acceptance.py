@@ -22,8 +22,9 @@ stated; the dimension counts carry the criterion.
 
 import pytest
 
+from pchgrav import suites
 from pchgrav.config import validate_config
-from pchgrav.suites import run_suites
+from pchgrav.suites import SuiteAbort, run_suites
 
 ORDER_WINDOW = (3.2, 4.8)
 
@@ -33,9 +34,32 @@ def report(criterion: str, passed: bool, detail: str):
     return passed
 
 
+class ReportRows(dict):
+    """The rows of a verify report by id; a missing row fails with the run's abort."""
+
+    def __missing__(self, row_id):
+        errors = [f"{k}: {row['values']['error']}" for k, row in self.items() if k.endswith("/aborted")]
+        pytest.fail(f"row {row_id} is not in the verify report; "
+                    + ("; ".join(errors) if errors else "no suite aborted"))
+
+
 @pytest.fixture(scope="module")
 def rows(default_verify):
-    return {row["id"]: row for row in default_verify[1]["rows"]}
+    return ReportRows((row["id"], row) for row in default_verify[1]["rows"])
+
+
+def test_a_missing_row_names_the_abort(monkeypatch):
+    def broken(cfg):
+        raise ArithmeticError("bracket stencil refused")
+
+    monkeypatch.setitem(suites.SUITE_FUNCS, "brackets", broken)
+    with pytest.raises(SuiteAbort) as abort:
+        run_suites(validate_config({"suites": ["algebra", "brackets"]}))
+    partial = ReportRows((row.id, row.as_dict()) for row in abort.value.report.rows)
+    assert partial["algebra/twist-determinants"]["passed"]
+    with pytest.raises(pytest.fail.Exception,
+                       match="brackets/aborted: ArithmeticError: bracket stencil refused"):
+        partial["brackets/energy-brackets"]
 
 
 @pytest.fixture(scope="module")

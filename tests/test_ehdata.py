@@ -5,7 +5,7 @@ import pytest
 
 from pchgrav import constraints as cst, ehdata as eh, wedgemaps as wm
 from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
-from pchgrav.fiber import PAIRS
+from pchgrav.fiber import PAIRS, SITE_BLOCK
 from pchgrav.grid import Grid3, TrigPoly, cov_deriv, deriv_axis, harmonic
 from pchgrav.suites import (
     LAPSE_PROBES,
@@ -341,16 +341,23 @@ def test_exact_divergence_integral():
 
 # --- pairwise contractions against the multi-operand einsum references ---------------
 
-def _gamma_of_triad_reference(e_bar, eta_bar, grid):
+def _gamma_of_triad_reference(e_bar, eta_bar, grid, C=None):
     N = np.linalg.inv(e_bar)
     Eup = N / eta_bar[:, None]
-    de = np.stack([deriv_axis(e_bar, c, grid) for c in range(3)], axis=-3)
-    C = de - np.swapaxes(de, -3, -2)
+    if C is None:
+        de = np.stack([deriv_axis(e_bar, c, grid) for c in range(3)], axis=-3)
+        C = de - np.swapaxes(de, -3, -2)
     Clow = C * eta_bar
     t1 = 0.5 * np.einsum("...ib,...abj->...aij", Eup, C)
     t2 = -0.5 * np.einsum("...jb,...abi->...aij", Eup, C)
     t3 = -0.5 * np.einsum("...ib,...jc,...bck,...ak->...aij", Eup, Eup, Clow, e_bar)
     return t1 + t2 + t3
+
+
+def _gamma_block_reference(e_bar, eta_bar, grid, C=None):
+    """The reference Gamma(ebar) on the spatial pairs (12, 13, 23), laid out as `gamma_block`."""
+    G = _gamma_of_triad_reference(e_bar, eta_bar, grid, C)
+    return np.stack([G[..., i, j] for (i, j) in eh.SPATIAL_PAIRS], axis=-1)
 
 
 def _split_reference(omega, frame, grid, sig):
@@ -466,8 +473,8 @@ def _reduction_state(n, sig, shell):
 def test_eh_contractions_match_einsum_references(n, sig, shell):
     st, frame, split = _reduction_state(n, sig, shell)
     grid = st.grid
-    got = eh.gamma_of_triad(frame.e_bar, frame.eta_bar, grid)
-    assert _rel(got, _gamma_of_triad_reference(frame.e_bar, frame.eta_bar, grid)) <= 1e-13
+    got = eh.gamma_block(frame.e_bar, frame.eta_bar, grid)
+    assert _rel(got, _gamma_block_reference(frame.e_bar, frame.eta_bar, grid)) <= 1e-13
     eta_bar = frame.eta_bar
     KA = np.einsum("...ai,i,...bi->...ab", frame.e_bar, eta_bar, split.a_part)
     assert _rel(eh.extrinsic_tensor(frame, split.a_part), 0.5 * (KA + np.swapaxes(KA, -1, -2))) <= 1e-13
@@ -476,6 +483,35 @@ def test_eh_contractions_match_einsum_references(n, sig, shell):
     assert _rel(eh.christoffel(g, ginv, grid), _christoffel_reference(g, grid)) <= 1e-13
     assert _rel(eh.ricci_scalar_via_metric(ginv, eh.christoffel(g, ginv, grid), grid),
                 _ricci_metric_reference(g, grid)) <= 1e-13
+
+
+SEAM_STATES = [(LORENTZIAN, "on"), (EUCLIDEAN, "on"), (LORENTZIAN, "off"), (EUCLIDEAN, "off"),
+               (LORENTZIAN, "timelike")]
+
+
+@pytest.mark.parametrize("sig,shell", SEAM_STATES, ids=[f"{shell}-{sig.name}" for sig, shell in SEAM_STATES])
+def test_site_blocks_of_gamma_and_split_match_references(sig, shell):
+    """16^3 sites span two site blocks of `gamma_block` (discrete anholonomy) and of the
+    split's gauge term."""
+    st, frame, split = _reduction_state(16, sig, shell)
+    assert st.grid.n ** 3 > SITE_BLOCK
+    if shell == "timelike":
+        assert list(frame.eta_bar) == [1.0, 1.0, -1.0]
+    got = eh.gamma_block(frame.e_bar, frame.eta_bar, st.grid)
+    assert _rel(got, _gamma_block_reference(frame.e_bar, frame.eta_bar, st.grid)) <= 1e-13
+    gamma_ref, a_ref = _split_reference(st.omega, frame, st.grid, sig)
+    assert _rel(split.gamma_part, gamma_ref) <= 1e-13
+    assert _rel(split.a_part, a_ref) <= 1e-13
+
+
+@pytest.mark.parametrize("eta_bar", [(1.0, 1.0, 1.0), (1.0, 1.0, -1.0)], ids=["spacelike", "timelike"])
+def test_gamma_block_exact_anholonomy_across_site_blocks(eta_bar):
+    """The exact-C route of `make_on_shell` over two site blocks, with ebar^-1 passed in."""
+    spec, grid, eta_bar = acceptance_triad_spec(), Grid3(16), np.array(eta_bar)
+    eb, _ = spec.sample(grid)
+    C = spec.anholonomy(grid)
+    got = eh.gamma_block(eb, eta_bar, grid, C=C, e_inv=wm.inv3(eb)[0])
+    assert _rel(got, _gamma_block_reference(eb, eta_bar, grid, C)) <= 1e-13
 
 
 REDUCTION_STATES = ([(n, sig, shell) for shell in ("on", "off") for sig in (LORENTZIAN, EUCLIDEAN)
@@ -492,9 +528,7 @@ def test_eh_kernel_route_matches_so3_references(n, sig, shell):
     gamma_ref, a_ref = _split_reference(st.omega, frame, grid, sig)
     assert _rel(split.gamma_part, gamma_ref) <= 1e-13
     assert _rel(split.a_part, a_ref) <= 1e-13
-    assert _rel(split.gamma_triad,
-                np.stack([_gamma_of_triad_reference(frame.e_bar, frame.eta_bar, grid)[..., i, j]
-                          for (i, j) in eh.SPATIAL_PAIRS], axis=-1)) <= 1e-13
+    assert _rel(split.gamma_triad, _gamma_block_reference(frame.e_bar, frame.eta_bar, grid)) <= 1e-13
     if shell != "off":
         assert split.gamma_residual <= 0.1 and split.k_asymmetry <= 1e-10
     e_bar, eta_bar = frame.e_bar, frame.eta_bar

@@ -18,10 +18,12 @@ suite's omega~ row builds one e-adapted frame per drawn state and hands it to
 the solve, the kernel shift and both re-solves, omega~ differentiates
 the coframe once for both of its covariant derivatives, and the exact kernel
 count builds its bracket matrix from the unit table, with no object-dtype
-contraction.
+contraction.  At 32^3, Lambda^2 P and Gamma(ebar) are built in site blocks: their traced
+peaks stay within a small multiple of what they return.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,3 +346,26 @@ def test_exact_kernel_count_contracts_no_object_arrays(monkeypatch):
     dims = [red.kernel_intersection_dim(g)
             for g in ((1, 1, 1), (1, 1, -1), (1, 1, 0), (1, -1, 0), (1, 0, 0), (0, 0, 0))]
     assert dims == [0, 0, 2, 2, 3, 6]
+
+
+def _traced_peak(f):
+    """(result, traced peak allocation of the call above its start, in bytes)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_site_block_kernels_build_no_large_temporaries():
+    grid, spec = Grid3(32), acceptance_triad_spec()
+    P = np.random.Generator(np.random.Philox(key=32)).normal(size=(32, 32, 32, 4, 4))
+    l2p, peak = _traced_peak(lambda: wm.compound_matrix(P))
+    assert peak <= 2 * l2p.nbytes
+    eb, _ = spec.sample(grid)
+    C, e_inv = spec.anholonomy(grid), wm.inv3(eb)[0]
+    gamma, peak = _traced_peak(lambda: eh.gamma_block(eb, np.ones(3), grid, C=C, e_inv=e_inv))
+    assert peak <= 6 * gamma.nbytes

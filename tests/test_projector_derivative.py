@@ -181,13 +181,21 @@ def test_null_normal_and_dependent_coframe_rejected():
 
 
 def test_compound_matrix_matches_minor_loop():
-    P = RNG.normal(size=(10, 4, 4))
-    basis = fiber.GRADE_BASIS[2]
-    ref = np.zeros((10, 6, 6))
-    for J, cols in enumerate(basis):
-        for I, rows in enumerate(basis):
-            ref[:, I, J] = np.linalg.det(P[:, list(rows)][:, :, list(cols)])
-    assert np.abs(wm.compound_matrix(P) - ref).max() <= 1e-13
+    """Each minor P[a, c] P[b, d] - P[a, d] P[b, c] bit for bit, over the block seam too,
+    in the layout with the site axis fastest."""
+    rng = np.random.Generator(np.random.Philox(key=6))      # leaves the module's RNG stream alone
+    for shape, strides in [((20, 4, 4), (8, 160, 960)), ((4, 4, 4, 4, 4), (128, 32, 8, 512, 3072)),
+                           ((fiber.SITE_BLOCK + 5, 4, 4), None)]:
+        P = rng.normal(size=shape)
+        ref, det = np.zeros(shape[:-2] + (6, 6)), np.zeros(shape[:-2] + (6, 6))
+        for J, (c, d) in enumerate(fiber.GRADE_BASIS[2]):
+            for I, (a, b) in enumerate(fiber.GRADE_BASIS[2]):
+                ref[..., I, J] = P[..., a, c] * P[..., b, d] - P[..., a, d] * P[..., b, c]
+                det[..., I, J] = np.linalg.det(P[..., [a, b], :][..., [c, d]])
+        got = wm.compound_matrix(P)
+        assert np.array_equal(got, ref)
+        assert np.abs(got - det).max() <= 1e-13
+        assert strides is None or got.strides == strides
 
 
 def _timelike_span(n):
