@@ -53,7 +53,6 @@ TOLERANCES = {
     "exact_divergence": 1e-12,
     "eh_identities": 1e-11,
     "gaugefix_budget": 0.05,
-    "isotropy": 1e-10,
     "kernel_flow": 1e-11,
     "round_trip": 1e-10,
     "pairing_match": 1e-9,

@@ -18,7 +18,7 @@ so bracket derivatives are exact five-point stencils on uncertified states.
 Hamiltonian vector fields solve the defining wedge equations
 
     L:  X_e = [alpha, e],        e ^ X_omega = -e ^ d_omega alpha,
-    J:  e ^ X_e      = -d_omega mu ^ e + (p+ + B+)(mu ^ p' d_omega e),
+    J:  e ^ X_e      = d_omega mu ^ e + (p+ + B+)(mu ^ p' d_omega e),
         e ^ p'X_omega = mu ^ (F + 3 Lambda e^2) + A+(mu ^ p' d_omega e),
 
 with the kernel part of X_omega fixed by the constrained-variation relation
@@ -469,7 +469,7 @@ def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormFiel
             rhs_w12 = rhs_w12 + 3.0 * state.Lambda * wedge_fields(mu, state.ee)
         Q = wedge_fields(mu, torsion(state) - _p21_torsion(state, pack))
         cov = kernel_covector(state, Q, pack)
-        rhs_e = (wedge_fields(dmu, state.e.field) * (-1.0)
+        rhs_e = (wedge_fields(dmu, state.e.field)
                  + _apply_sitewise(pack.p11_dag, Q) + b_dagger(state, cov, pack))
         rhs_w12 = rhs_w12 + a_dagger(state, cov, pack)
         del Q, cov      # freed here: the solves and wedge residuals below set the peak

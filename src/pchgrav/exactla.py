@@ -2,19 +2,19 @@
 
 Used wherever a rank decision must be bit-certain: kernel-dimension counting
 at exactly constructed degenerate boundary metrics, and exact-arithmetic spot
-checks of the projector and pairing templates.
+checks of the projector and pairing templates.  The only Fraction arithmetic
+of the package: rows of integers (Python or numpy) or Fractions are converted
+on entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 
 def rref(mat: list):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    m = [row[:] for row in mat]
+    m = _fractions(mat)
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots = []
@@ -61,7 +61,7 @@ def nullspace(mat: list) -> list:
 
 
 def det(mat: list) -> Fraction:
-    m = [row[:] for row in mat]
+    m = _fractions(mat)
     n = len(m)
     d = Fraction(1)
     for c in range(n):
@@ -80,12 +80,5 @@ def det(mat: list) -> Fraction:
     return d
 
 
-def matmul(a: list, b: list) -> list:
-    return [
-        [sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-        for row in a
-    ]
-
-
-def from_numpy_int(arr: np.ndarray) -> list:
-    return [[Fraction(int(round(x))) for x in row] for row in np.asarray(arr)]
+def _fractions(mat: list) -> list:
+    return [[Fraction(x) for x in row] for row in mat]

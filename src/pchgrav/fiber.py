@@ -24,7 +24,6 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -129,28 +128,22 @@ def tr_quad(q: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def star2_matrix(sig: Signature, exact: bool = False) -> np.ndarray:
-    """Matrix of the Hodge star on bivector components, built on first use, read-only.
+def star2_matrix(sig: Signature) -> np.ndarray:
+    """Integer matrix of the Hodge star on bivector components, built on first use, read-only.
 
     star(u_i^u_j) = 1/2 eps_{ijkl} eta^{kk} eta^{ll} u_k^u_l, so the entry at
     (kl, ij) is the Tr Gram entry eps_{ijkl} weighted by eta_k eta_l of its
-    row pair; `exact` gives the Fraction entries.
+    row pair.
     """
     weights = [sig.eta_diag[k] * sig.eta_diag[l] for k, l in PAIRS]
-    S = (np.array(weights)[:, None] * wedge_signs(4, 2, 2)[:, :, 0]).tolist()
-    out = np.array([[Fraction(x) for x in row] for row in S], dtype=object) if exact \
-        else np.array(S, dtype=float)
+    out = np.array(weights)[:, None] * wedge_signs(4, 2, 2)[:, :, 0]
     out.flags.writeable = False
     return out
 
 
 def hodge_star2(b: np.ndarray, sig: Signature) -> np.ndarray:
     """Internal Hodge star on bivector components; star o star = s * id."""
-    b = np.asarray(b)
-    S = star2_matrix(sig, b.dtype == object)
-    if b.dtype == object:
-        return np.array([sum(S[i, j] * b[..., j] for j in range(6)) for i in range(6)]).T
-    return b @ S.T
+    return np.asarray(b) @ star2_matrix(sig).T
 
 
 def _bracket_tensor(sig: Signature) -> np.ndarray:
@@ -218,9 +211,9 @@ def product_tensor(p: int, q: int, k: int, m: int, sig: Signature | None = None)
 def bilinear(T: np.ndarray, x, y) -> np.ndarray:
     """sum_ab T[a, b, o] x[..., a] y[..., b], broadcasting over leading axes.
 
-    Object (Fraction) operands take the exact path.  Floats are contracted in
-    blocks of sites with the operand of more components against T first, so
-    the per-site intermediate is (fewer components) x (output dim).
+    The one path for floats and integers (integer operands stay exact): the
+    sites are contracted in blocks with the operand of more components against
+    T first, so the per-site intermediate is (fewer components) x (output dim).
     """
     x = np.asarray(x)
     y = np.asarray(y)
@@ -229,12 +222,6 @@ def bilinear(T: np.ndarray, x, y) -> np.ndarray:
         lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
         x, y = np.broadcast_to(x, lead + (A,)), np.broadcast_to(y, lead + (B,))
     lead = x.shape[:-1]
-    if x.dtype == object or y.dtype == object:
-        out = np.zeros(lead + (O,), dtype=object)
-        out[...] = Fraction(0)
-        for a, b, o in zip(*np.nonzero(T)):
-            out[..., o] = out[..., o] + int(T[a, b, o]) * x[..., a] * y[..., b]
-        return out
     if A < B:
         T, x, y, A, B = T.transpose(1, 0, 2), y, x, B, A
     x = x.reshape(-1, A)
@@ -250,7 +237,7 @@ def bilinear(T: np.ndarray, x, y) -> np.ndarray:
 
 
 def bilinear_matrix(T: np.ndarray, y) -> np.ndarray:
-    """Matrix M[..., o, a] of x -> bilinear(T, x, y) for a fixed y (Fractions stay exact)."""
+    """Matrix M[..., o, a] of x -> bilinear(T, x, y) for a fixed y (integers stay exact)."""
     A, B, O = T.shape
     y = np.asarray(y)
     M = y.reshape(-1, B) @ T.transpose(1, 2, 0).reshape(B, O * A)
@@ -321,14 +308,3 @@ def morphism_residual(gamma: float, sig: Signature) -> float:
         r = np.linalg.norm(bracket2(ta, tb, sig) - 2.0 * t_gamma(bracket2(a, b, sig), gamma, sig))
         worst = max(worst, r / (np.linalg.norm(a) * np.linalg.norm(b)))
     return worst
-
-
-def frac_array(values) -> np.ndarray:
-    """Object array of Fractions, for the exact-rational arithmetic mode."""
-    arr = np.asarray(values)
-    out = np.empty(arr.shape, dtype=object)
-    flat_in = arr.reshape(-1)
-    flat_out = out.reshape(-1)
-    for idx in range(flat_in.size):
-        flat_out[idx] = Fraction(flat_in[idx])
-    return out

@@ -159,7 +159,7 @@ class FormField:
         expected = (self.grid.n,) * 3 + (NCOMP[self.p], GRADE_DIMS[self.grade])
         if self.data.shape != expected:
             raise ValueError(f"data shape {self.data.shape}, expected {expected}")
-        if self.data.dtype != object and not np.all(np.isfinite(self.data)):
+        if not np.all(np.isfinite(self.data)):
             raise ValueError("non-finite field values")
 
     @staticmethod

@@ -115,7 +115,6 @@ def symplectic_form_hs(X, Y) -> float:
 class IsotropyReport:
     dim_tangent: int
     dim_orthogonal: int
-    max_pairing: float
     lagrangian: bool
     locus: str
 
@@ -177,46 +176,37 @@ def sample_locus_state(grid: Grid3, sig: Signature, gamma: float, rng) -> HalfSh
 
 
 def isotropy_diagnosis(state: HalfShellState, full_locus: bool = True) -> IsotropyReport:
-    """Rank-based isotropy/Lagrangian diagnosis of the projected locus.
+    """Rank-based Lagrangian diagnosis of the projected locus.
 
     The tangent space of {t_bold = 0 (and e ^ T_gamma F_ref = 0)} has delta
     t = 0 and delta e in the per-site kernel of the locus Jacobian
     (`_locus_kernel`).  In the coordinates (delta t, delta e) of all sites,
-    varpi_HS is the block-diagonal matrix Omega with the per-site block
-    h^3 [[0, PG], [-PG^T, 0]], PG the Tr pairing of Omega^2(L^3) with
-    Omega^1(V); with the tangent basis as the columns of B, B^T Omega B holds
-    varpi_HS on every pair of basis vectors (isotropy) and the symplectic
-    orthogonal has dimension dim - rank(B^T Omega), the rank by
-    `wedgemaps.decide_rank` (Lagrangian or not).  Dense global matrices: use
-    tiny grids only.
+    varpi_HS is block-diagonal with the per-site block h^3 [[0, PG], [-PG^T, 0]],
+    PG the Tr pairing of Omega^2(L^3) with Omega^1(V).  With the tangent basis
+    as the columns of B, B^T Omega is block-diagonal too, its site block
+    -h^3 [kern^T PG^T, 0], so the symplectic orthogonal has dimension
+    dim - sum of the per-site ranks of kern^T PG^T, each by
+    `wedgemaps.decide_rank` (Lagrangian or not).
 
-    The delta t rows of B are zero, so B^T Omega B vanishes identically and
-    `max_pairing` is 0 on both loci whatever the state: the isotropy conjunct
-    of `halfshell/isotropy` cannot fail, and only the dimensions decide the
-    row.  A pairing that can fail needs tangents with delta t != 0, such as
-    the locus in the unprojected (e, omega, t) chart.
+    The delta t rows of B are zero, so B^T Omega B vanishes identically: the
+    locus is isotropic whatever the state, and only the dimensions decide.  A
+    pairing that can fail needs tangents with delta t != 0, such as the locus
+    in the unprojected (e, omega, t) chart.
     """
-    grid = state.grid
-    nsites = grid.n**3
+    nsites = state.grid.n**3
     if full_locus:
         kern, rank = _locus_kernel(state.omega_ref, state.gamma, state.sig)
         kern, dim_tan = kern.reshape(nsites, 12, 12), int((12 - rank).sum())
     else:
         kern, dim_tan = np.broadcast_to(np.eye(12), (nsites, 12, 12)), nsites * 12
-    sites = np.arange(nsites)
-    B = np.zeros((nsites, 24, nsites, 12))          # per site: delta t (12), then delta e (12)
-    B[sites, 12:, sites] = kern
-    B = B.reshape(nsites * 24, nsites * 12)
     PG = wedgemaps.dual_pairing_matrix(1, 1)        # Omega^2(L^3) x Omega^1(V)
-    block = np.block([[np.zeros((12, 12)), PG], [-PG.T, np.zeros((12, 12))]])
-    BtO = B.T @ np.kron(np.eye(nsites), grid.h**3 * block)
-    orth_rank, _ = wedgemaps.decide_rank(np.linalg.svd(BtO, compute_uv=False),
-                                         "the varpi_HS pairing of the locus tangent")
-    dim_orth = nsites * 24 - int(orth_rank)
+    orth_rank, _ = wedgemaps.decide_rank(
+        np.linalg.svd(np.swapaxes(kern, -1, -2) @ PG.T, compute_uv=False),
+        "the varpi_HS pairing of the locus tangent")
+    dim_orth = nsites * 24 - int(orth_rank.sum())
     return IsotropyReport(
         dim_tangent=dim_tan,
         dim_orthogonal=dim_orth,
-        max_pairing=float(np.abs(BtO @ B).max()),
         lagrangian=(dim_orth == dim_tan),
         locus="full" if full_locus else "t_bold=0",
     )

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -60,13 +59,11 @@ def frame_bracket_matrix(g: np.ndarray) -> np.ndarray:
     only its spatial block g enters (G_{nd} = 0 for the orthogonal
     completion).  That is the eta = identity action on the lowered legs G e_d,
     so the matrix is bracket_matrix at the coframe (g^T | 0).  Each entry is 0
-    or +-g_cd for one (c, d) (`_BRACKET_ENTRIES`), so object (Fraction) metrics
-    give exact matrices with no contraction.
+    or +-g_cd for one (c, d) (`_BRACKET_ENTRIES`), so integer and rational
+    metrics give exact matrices with no contraction.
     """
     g = np.asarray(g)
-    exact = g.dtype == object
-    out = np.full(g.shape[:-2] + (12, 18), Fraction(0) if exact else 0.0,
-                  dtype=object if exact else float)
+    out = np.zeros(g.shape[:-2] + (12, 18), dtype=g.dtype)
     c, d, o, a, u = _BRACKET_ENTRIES
     out[..., o, a] += u * g[..., c, d]
     return out
@@ -100,9 +97,9 @@ def _frozen(rows: list) -> tuple:
 
 @functools.cache
 def _kernel_equation_rows(shape: tuple) -> tuple:
-    """The integer template equations of ker W^{(p,k)} as Fraction rows, built once;
+    """The integer template equations of ker W^{(p,k)} as rows, built once;
     immutable, since callers extend a copy with their own rows."""
-    return _frozen(exactla.from_numpy_int(wedgemaps.kernel_equations(shape)))
+    return _frozen(wedgemaps.kernel_equations(shape).astype(int).tolist())
 
 
 @functools.cache
@@ -493,8 +490,7 @@ def _kernel_intersection_dim_exact(g) -> int:
     by the integer template equations and [., e] is the frame bracket matrix,
     which involves only the boundary metric.
     """
-    rows = [*_kernel_equation_rows((1, 2)),
-            *frame_bracket_matrix(np.asarray(g, dtype=object)).tolist()]
+    rows = [*_kernel_equation_rows((1, 2)), *frame_bracket_matrix(g).tolist()]
     return 18 - exactla.rank(rows)
 
 
@@ -503,12 +499,12 @@ def kernel_intersection_dim(gdiag) -> int:
 
     Expected: twice the dimension of ker(g).
     """
-    return _kernel_intersection_dim_exact(np.diag([Fraction(v) for v in gdiag]))
+    return _kernel_intersection_dim_exact(np.diag(gdiag))
 
 
 def kernel_intersection_dim_from_coframe(e_exact, sig: Signature) -> int:
     """Same count from an exactly given coframe: g = e eta e^T computed exactly."""
-    e = np.array([[Fraction(x) for x in row] for row in e_exact], dtype=object)
+    e = np.asarray(e_exact)
     return _kernel_intersection_dim_exact((e * np.array(sig.eta_diag)) @ e.T)
 
 
@@ -582,16 +578,11 @@ def exact_sequence_check(e: np.ndarray, sig: Signature) -> ExactSequenceReport:
 # exact-arithmetic spot data (integer template bases)
 
 
-def phi_pairing_det_exact(gdiag) -> Fraction:
-    """det of K21^T B(g) K12 with integer template bases, exact.
+def phi_pairing_det_exact(gdiag):
+    """det of K21^T B(g) K12 with integer template bases, exact (a Fraction).
 
     Nonzero iff phi_e is an isomorphism at that boundary metric.
     """
-    B = frame_bracket_matrix(np.diag([Fraction(v) for v in gdiag])).tolist()
-    K12 = integer_kernel_basis((1, 2))   # columns
-    K21 = integer_kernel_basis((2, 1))
-    K12m = [[col[i] for col in K12] for i in range(18)]
-    K21mT = [list(col) for col in K21]  # rows = basis vectors
-    BK = exactla.matmul(B, K12m)
-    M = exactla.matmul(K21mT, BK)
-    return exactla.det(M)
+    Z12 = np.array(integer_kernel_basis((1, 2))).T
+    Z21 = np.array(integer_kernel_basis((2, 1)))
+    return exactla.det((Z21 @ frame_bracket_matrix(np.diag(gdiag)) @ Z12).tolist())

@@ -1,6 +1,7 @@
 """The structure-constant contraction kernel against loop-built references."""
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -213,10 +214,12 @@ def test_frame_bracket_matrix_matches_reference_exact_and_float():
     for _ in range(10):
         g = RNG.integers(-3, 4, size=(3, 3))
         g = g + g.T
-        exact = np.array([[Fraction(int(x)) for x in row] for row in g], dtype=object)
-        got = red.frame_bracket_matrix(exact)
-        assert got.tolist() == frame_bracket_rows_ref(exact.tolist())
-        assert all(isinstance(x, Fraction) for x in got.reshape(-1))
+        got = red.frame_bracket_matrix(g)
+        assert got.dtype == g.dtype and got.tolist() == frame_bracket_rows_ref(g.tolist())
+        rational = np.vectorize(lambda x: Fraction(int(x), 3), otypes=[object])(g)
+        got = red.frame_bracket_matrix(rational)
+        assert got.tolist() == frame_bracket_rows_ref(rational.tolist())
+        assert all(isinstance(x, Fraction) for x in got.reshape(-1) if x != 0)
         gf = RNG.normal(size=(3, 3))
         assert np.array_equal(red.frame_bracket_matrix(gf + gf.T),
                               np.array(frame_bracket_rows_ref(gf + gf.T)))
@@ -239,37 +242,36 @@ def test_pairing_gram_22_12_matches_reference(sig):
         assert np.array_equal(cst._pairing_gram_22_12(gamma, sig), ref)
 
 
-# --- float and exact paths agree on small integers --------------------------------
+# --- one kernel: integer operands stay exact and equal the float results ----------
 
 def small_ints(*shape):
     return RNG.integers(-3, 4, size=shape)
 
 
-def assert_float_matches_exact(T, x, y):
-    exact = fiber.bilinear(T, fiber.frac_array(x), fiber.frac_array(y))
-    got = fiber.bilinear(T, x.astype(float), y.astype(float))
-    assert exact.dtype == object and got.dtype == float
-    assert np.array_equal(got, exact.astype(float))
+def assert_int_matches_float(op, x, y):
+    """op on integer operands is an integer array equal to op on their floats."""
+    exact = op(x, y)
+    got = op(x.astype(float), y.astype(float))
+    assert exact.dtype == np.int64 and got.dtype == float
+    assert np.array_equal(got, exact)
 
 
 @pytest.mark.parametrize("k,m", GRADE_PAIRS)
 def test_float_and_exact_paths_agree_wedge(k, m):
     x, y = small_ints(7, GRADE_DIMS[k]), small_ints(7, GRADE_DIMS[m])
-    assert_float_matches_exact(fiber.product_tensor(0, 0, k, m), x, y)
-    got = fiber.wedge_comps(k, m, fiber.frac_array(x), fiber.frac_array(y))
-    assert np.array_equal(got.astype(float), fiber.wedge_comps(k, m, x * 1.0, y * 1.0))
+    assert_int_matches_float(partial(fiber.bilinear, fiber.product_tensor(0, 0, k, m)), x, y)
+    assert_int_matches_float(partial(fiber.wedge_comps, k, m), x, y)
 
 
 @pytest.mark.parametrize("sig", SIGS, ids=lambda s: s.name)
 @pytest.mark.parametrize("m", (1, 2))
 def test_float_and_exact_paths_agree_action(sig, m):
     x, y = small_ints(7, 6), small_ints(7, GRADE_DIMS[m])
-    assert_float_matches_exact(fiber.product_tensor(0, 0, 2, m, sig), x, y)
-    assert_float_matches_exact(fiber.product_tensor(1, 1, 2, m, sig), small_ints(5, 18),
-                               small_ints(5, 3 * GRADE_DIMS[m]))
+    assert_int_matches_float(partial(fiber.bilinear, fiber.product_tensor(0, 0, 2, m, sig)), x, y)
+    assert_int_matches_float(partial(fiber.bilinear, fiber.product_tensor(1, 1, 2, m, sig)),
+                             small_ints(5, 18), small_ints(5, 3 * GRADE_DIMS[m]))
     op = fiber.act_on_vector if m == 1 else fiber.bracket2
-    got = op(fiber.frac_array(x), fiber.frac_array(y), sig)
-    assert np.array_equal(got.astype(float), op(x * 1.0, y * 1.0, sig))
+    assert_int_matches_float(lambda a, b: op(a, b, sig), x, y)
 
 
 def test_kernel_broadcasts_leading_axes():

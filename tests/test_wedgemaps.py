@@ -7,7 +7,6 @@ per-site matrices of their applies.
 
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from pchgrav import exactla, fiber, reduction as red, wedgemaps as wm
 from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
@@ -186,15 +185,12 @@ def test_annihilator_random_and_standard():
 
 
 def test_annihilator_exact_rational_at_standard_coframe():
-    # exact-mode statement: every covector annihilating the kernel template is
+    # exact statement: every covector annihilating the kernel template is
     # in the column space of the dual wedge matrix (rank does not grow)
-    PG = exactla.from_numpy_int(wm.dual_pairing_matrix(1, 2))
-    kern = [[Fraction(x) for x in col] for col in
-            map(list, np.array([list(map(int, np.rint(v)))
-                                for v in np.zeros((0, 18))]))]
-    K12 = exactla.from_numpy_int(wm.kernel_equations((1, 2)))
+    PG = wm.dual_pairing_matrix(1, 2).astype(int).tolist()
+    K12 = wm.kernel_equations((1, 2)).astype(int).tolist()
     kernel_cols = exactla.nullspace(K12)                   # exact kernel basis
-    M_dual = exactla.from_numpy_int(np.rint(wm.wedge_matrix(STANDARD, (1, 1))))
+    M_dual = np.rint(wm.wedge_matrix(STANDARD, (1, 1))).astype(int).tolist()
     # annihilator = nullspace of (kernel^T PG^T)
     rows = []
     for col in kernel_cols:
@@ -262,9 +258,9 @@ def test_inv3_exact_on_integer_matrices():
     a = a[np.abs(np.round(np.linalg.det(a))) > 0]
     inv, det = wm.inv3(a)
     for m, m_inv, d in zip(a, inv, det):
-        exact = exactla.from_numpy_int(m)
+        exact = m.astype(int).tolist()
         assert d == exactla.det(exact)
-        aug = [row + [Fraction(int(i == j)) for j in range(3)] for i, row in enumerate(exact)]
+        aug = [row + [int(i == j) for j in range(3)] for i, row in enumerate(exact)]
         ref = [row[3:] for row in exactla.rref(aug)[0]]
         assert [[float(x) for x in row] for row in ref] == m_inv.tolist()
 
