@@ -11,7 +11,9 @@ p d_omega~ e = 0, certified by the kernel-correction solve.  On such states
 since T_gamma = 1 + gamma^-1 star is symmetric under the trace pairing
 (a ^ star b = <a, b> vol) and the wedge is associative.  A state builds these
 densities (and F, e ^ e, the torsion) once, on first use, so each smearing
-costs one pointwise wedge.  L and J are cubic in (e, omega), and a direction
+costs one pointwise wedge; likewise its e-adapted frame, built by the first
+vector field at the state and shared by the later ones (a certification keeps
+none).  L and J are cubic in (e, omega), and a direction
 tangent to the slice moves the structural representative only at second order,
 so bracket derivatives are exact five-point stencils on uncertified states.
 
@@ -76,10 +78,16 @@ class BoundaryState:
     def sig(self) -> Signature:
         return self.e.sig
 
-    def _once(self, key: str, build) -> FormField:
+    def _once(self, key: str, build):
         if key not in self._fields:
             self._fields[key] = build()
         return self._fields[key]
+
+    @property
+    def frame(self) -> reduction.PhiFrame:
+        """The e-adapted frame of the coframe, built by the first field at the state;
+        a state that asks for no field holds none."""
+        return self._once("frame", lambda: projector_pack(self.e))
 
     @property
     def F(self) -> FormField:
@@ -88,6 +96,16 @@ class BoundaryState:
     @property
     def ee(self) -> FormField:
         return self._once("ee", lambda: wedge_fields(self.e.field, self.e.field))
+
+    @property
+    def torsion(self) -> FormField:
+        """d_omega e."""
+        return self._once("torsion", lambda: cov_deriv(self.e.field, self.omega, self.sig))
+
+    @property
+    def p21_torsion(self) -> FormField:
+        """p21 d_omega e, through the state's frame."""
+        return self._once("p21 torsion", lambda: _apply_sitewise(self.frame.p21, self.torsion))
 
     def j_density(self, gamma: float) -> FormField:
         """e ^ T_gamma F + Lambda e^3, so that J_mu = integral Tr[mu ^ density]."""
@@ -104,7 +122,7 @@ class BoundaryState:
     def l_density(self) -> FormField:
         """T_gamma(e ^ d_omega e), so that L_alpha = integral Tr[alpha ^ density]."""
         return self._once("L", lambda: t_gamma_field(
-            wedge_fields(self.e.field, torsion(self)), self.gamma, self.sig))
+            wedge_fields(self.e.field, self.torsion), self.gamma, self.sig))
 
 
 def certify(e: Coframe, omega: FormField, gamma: float, Lambda: float = 0.0,
@@ -132,10 +150,6 @@ def smear_constant(grid: Grid3, grade: int, comps) -> FormField:
     return FormField(grid, 0, grade, data)
 
 
-def torsion(state: BoundaryState) -> FormField:
-    return state._once("torsion", lambda: cov_deriv(state.e.field, state.omega, state.sig))
-
-
 def eval_L(state: BoundaryState, alpha: FormField) -> float:
     """L_alpha = integral Tr[alpha ^ T_gamma(e ^ d_omega e)] (T_gamma moved across the
     symmetric trace pairing); linear in alpha, O(h^2) on on-shell states."""
@@ -153,11 +167,6 @@ def eval_J(state: BoundaryState, mu: FormField, gamma: float | None = None) -> f
     if g == 0:
         raise ValueError("gamma must be nonzero")
     return integrate(tr_quad_field(wedge_fields(mu, state.j_density(g))))
-
-
-def eval_J_infinity(state: BoundaryState, mu: FormField) -> float:
-    """J_mu in the gamma -> infinity normalization (untwisted pairing)."""
-    return eval_J(state, mu, gamma=np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +279,17 @@ def act_field(alpha: FormField, f: FormField, sig: Signature) -> FormField:
 # constrained-variation maps A, B and their adjoints
 
 
-def _p21_torsion(state: BoundaryState, pack: reduction.PhiFrame) -> FormField:
-    """p21 d_omega e, built once per state; pack is the frame of state.e."""
-    return state._once("p21 torsion", lambda: _apply_sitewise(pack.p21, torsion(state)))
-
-
-def _frame_velocity(de: np.ndarray, pack: reduction.PhiFrame, sig: Signature) -> np.ndarray:
+def _frame_velocity(frame: reduction.PhiFrame, de: np.ndarray) -> np.ndarray:
     """dP P^-1 for the frame P = [e^T | n] moving along de: dP = [de^T | dn] with
     eta(e_a, dn) = -eta(de_a, n) =: r_a and eta(n, dn) = 0, i.e. dn = eta P^-T r."""
-    r = -np.einsum("...ai,i,...i->...a", de, sig.eta, pack.frames[..., :, 3])
-    dn = sig.eta * np.einsum("...ai,...a->...i", pack.frames_inv[..., :3, :], r)
+    eta = frame.sig.eta
+    r = -np.einsum("...ai,i,...i->...a", de, eta, frame.frames[..., :, 3])
+    dn = eta * np.einsum("...ai,...a->...i", frame.frames_inv[..., :3, :], r)
     dP = np.concatenate([np.swapaxes(de, -1, -2), dn[..., :, None]], axis=-1)
-    return dP @ pack.frames_inv
+    return dP @ frame.frames_inv
 
 
-def a_map(state: BoundaryState, de: FormField, pack: reduction.PhiFrame) -> np.ndarray:
+def a_map(state: BoundaryState, de: FormField) -> np.ndarray:
     """A(de) in kernel coordinates:  phi A(de) = -p[(d_e p)(d_w e) + p d_w de].
 
     The projector derivative is exact: d_e p21 = [X, p21] with
@@ -292,21 +297,21 @@ def a_map(state: BoundaryState, de: FormField, pack: reduction.PhiFrame) -> np.n
     to the torsion d as X(p21 d) - p21(X d).  The outer p21 is left to the
     kernel chain, whose projection absorbs it (K21^T P21_E = K21^T).
     """
-    Xt = np.swapaxes(_frame_velocity(de.data, pack, state.sig), -1, -2)
-    d = torsion(state).data
-    rhs = _p21_torsion(state, pack).data @ Xt + (cov_deriv(de, state.omega, state.sig).data
-                                                 - d @ Xt)
-    return pack.kernel_correction(rhs)
+    Xt = np.swapaxes(_frame_velocity(state.frame, de.data), -1, -2)
+    rhs = state.p21_torsion.data @ Xt + (cov_deriv(de, state.omega, state.sig).data
+                                         - state.torsion.data @ Xt)
+    return state.frame.kernel_correction(rhs)
 
 
-def b_map(state: BoundaryState, c: FormField, pack: reduction.PhiFrame) -> np.ndarray:
+def b_map(state: BoundaryState, c: FormField) -> np.ndarray:
     """B(c) = -phi^{-1} p [c, e] in kernel coordinates, pointwise."""
-    return pack.kernel_correction(reduction.bracket_with_e(c, state.e).data)
+    return state.frame.kernel_correction(reduction.bracket_with_e(c, state.e).data)
 
 
 def kernel_field_from_coords(coords: np.ndarray, pack: reduction.PhiFrame,
                              grid: Grid3) -> FormField:
-    """The kernel-valued field of kernel coordinates (..., 6), through the frame."""
+    """The kernel-valued field of kernel coordinates (..., 6), through the frame of a
+    coframe (`projector_pack`)."""
     return pack.kernel_field(coords, grid)
 
 
@@ -347,7 +352,7 @@ def _pairing_gram_inv_22_12(gamma: float, sig: Signature) -> np.ndarray:
     return inv
 
 
-def kernel_covector(state: BoundaryState, Q: FormField, pack: reduction.PhiFrame):
+def kernel_covector(state: BoundaryState, Q: FormField):
     """The covector w on Omega^2(V) that Q pulls back through the kernel chain, and p21^T w.
 
     Both adjoints pair Q with S12 K12 lam, lam = -phi^-1 K21^T S2v^-1 (.), under
@@ -355,11 +360,11 @@ def kernel_covector(state: BoundaryState, Q: FormField, pack: reduction.PhiFrame
     (..., 3, 4).  `a_dagger` and `b_dagger` take the pair (w, p21^T w).
     """
     PB = _pairing_gram_22_12(state.gamma, state.sig)
-    w = pack.kernel_correction_T((_flat(Q) @ PB).reshape(Q.data.shape))
-    return w, pack.p21_T(w)
+    w = state.frame.kernel_correction_T((_flat(Q) @ PB).reshape(Q.data.shape))
+    return w, state.frame.p21_T(w)
 
 
-def b_dagger(state: BoundaryState, cov, pack: reduction.PhiFrame) -> FormField:
+def b_dagger(state: BoundaryState, cov) -> FormField:
     """Adjoint of B o p' under the twisted pairing, applied to the `kernel_covector`
     pair cov of Q; lands in im W^{(1,1)}.
 
@@ -371,7 +376,7 @@ def b_dagger(state: BoundaryState, cov, pack: reduction.PhiFrame) -> FormField:
     _, wp = cov
     BT = fiber.product_tensor(1, 1, 2, 1, state.sig).transpose(1, 2, 0)   # [., e]^T
     y = fiber.bilinear(BT, _flat(state.e.field), wp.reshape(wp.shape[:-2] + (12,)))
-    rhs = pack.p12_prime_T(y.reshape(wp.shape[:-1] + (6,)))
+    rhs = state.frame.p12_prime_T(y.reshape(wp.shape[:-1] + (6,)))
     return _unflat(rhs.reshape(y.shape) @ PB_invT.T, state.grid, 2, 2)
 
 
@@ -392,7 +397,7 @@ def _cov_deriv_transpose(Y: FormField, omega: FormField, sig: Signature) -> Form
     return out
 
 
-def a_dagger(state: BoundaryState, cov, pack: reduction.PhiFrame) -> FormField:
+def a_dagger(state: BoundaryState, cov) -> FormField:
     """Adjoint of A under the twisted pairing, applied to the `kernel_covector` pair
     cov of Q, as an Omega^2(L^3)-valued field.
 
@@ -402,16 +407,16 @@ def a_dagger(state: BoundaryState, cov, pack: reduction.PhiFrame) -> FormField:
     discrete transpose of the covariant derivative.
     """
     w, wp = cov
+    frame = state.frame
 
     # pointwise part: w . [X, p21] d = <dP, H> with H = G P^-T and
     # G_ij = sum_c (w_ci (p21 d)_cj - (p21^T w)_ci d_cj); the dn column of dP
     # is eliminated through dn = eta P^-T r
-    d = torsion(state).data
-    G = (np.einsum("...ci,...cj->...ij", w, _p21_torsion(state, pack).data)
-         - np.einsum("...ci,...cj->...ij", wp, d))
-    H = G @ pack.frames_inv_T
-    g = np.einsum("...ai,...i->...a", pack.frames_inv[..., :3, :], state.sig.eta * H[..., :, 3])
-    eta_n = state.sig.eta * pack.frames[..., :, 3]
+    G = (np.einsum("...ci,...cj->...ij", w, state.p21_torsion.data)
+         - np.einsum("...ci,...cj->...ij", wp, state.torsion.data))
+    H = G @ frame.frames_inv_T
+    g = np.einsum("...ai,...i->...a", frame.frames_inv[..., :3, :], state.sig.eta * H[..., :, 3])
+    eta_n = state.sig.eta * frame.frames[..., :, 3]
     psi = np.swapaxes(H[..., :, :3], -1, -2) - g[..., :, None] * eta_n[..., None, :]
 
     # nonlocal part: <w, p21 d_omega de> = <D^T(p21^T w), de>
@@ -427,39 +432,35 @@ def a_dagger(state: BoundaryState, cov, pack: reduction.PhiFrame) -> FormField:
 class TangentVector:
     de: FormField
     domega: FormField
-    kind: str
     # sup |p X_omega - K(A X_e + B p'X_omega)| / sup |X_omega|; nan when not measured
     constraint_residual: float = float("nan")
     wedge_residuals: dict | None = None
 
 
-def slice_tangent(state: BoundaryState, de: FormField, dw_c: FormField,
-                  pack: reduction.PhiFrame, kind: str = "probe") -> TangentVector:
+def slice_tangent(state: BoundaryState, de: FormField, dw_c: FormField) -> TangentVector:
     """The slice tangent (de, dw_c + K(A de + B dw_c)) for dw_c = p'X_omega; its
     recorded residual also shows a kernel-valued part in dw_c."""
-    Xw_k = pack.kernel_field(a_map(state, de, pack) + b_map(state, dw_c, pack), state.grid)
+    Xw_k = state.frame.kernel_field(a_map(state, de) + b_map(state, dw_c), state.grid)
     X_omega = dw_c + Xw_k
-    pX = _apply_sitewise(pack.p12, X_omega)
+    pX = _apply_sitewise(state.frame.p12, X_omega)
     residual = (pX - Xw_k).sup_norm() / max(X_omega.sup_norm(), 1e-300)
-    return TangentVector(de, X_omega, kind, residual)
+    return TangentVector(de, X_omega, residual)
 
 
-def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormField,
-                             pack: reduction.PhiFrame | None = None) -> TangentVector:
+def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormField) -> TangentVector:
     """Hamiltonian vector field of L_alpha or J_mu on the structural slice.
 
     For J the adjoint-map corrections are assembled at every state: they vanish
     with the torsion, which a discrete on-shell state keeps at O(h^2).
     """
     sig = state.sig
-    if pack is None:
-        pack = projector_pack(state.e)
+    frame = state.frame
     wedge_res = {}
     if kind == "L":
         alpha = smearing
         X_e = act_field(alpha, state.e.field, sig)
         dal = cov_deriv(alpha, state.omega, sig)
-        Xw_c = _apply_sitewise(pack.p12_prime, dal) * (-1.0)
+        Xw_c = _apply_sitewise(frame.p12_prime, dal) * (-1.0)
         rhs_w = wedge_fields(state.e.field, dal) * (-1.0)
     elif kind == "J":
         mu = smearing
@@ -467,21 +468,21 @@ def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormFiel
         rhs_w12 = wedge_fields(mu, state.F)
         if state.Lambda != 0.0:
             rhs_w12 = rhs_w12 + 3.0 * state.Lambda * wedge_fields(mu, state.ee)
-        Q = wedge_fields(mu, torsion(state) - _p21_torsion(state, pack))
-        cov = kernel_covector(state, Q, pack)
+        Q = wedge_fields(mu, state.torsion - state.p21_torsion)
+        cov = kernel_covector(state, Q)
         rhs_e = (wedge_fields(dmu, state.e.field)
-                 + _apply_sitewise(pack.p11_dag, Q) + b_dagger(state, cov, pack))
-        rhs_w12 = rhs_w12 + a_dagger(state, cov, pack)
+                 + _apply_sitewise(frame.p11_dag, Q) + b_dagger(state, cov))
+        rhs_w12 = rhs_w12 + a_dagger(state, cov)
         del Q, cov      # freed here: the solves and wedge residuals below set the peak
-        X_e = pack.solve_w11(rhs_e)
+        X_e = frame.solve_w11(rhs_e)
         # e ^ p'X_omega = rhs_w12  <=>  (p'X_omega) ^ e = -rhs_w12
-        Xw_c = pack.solve_complement_12(rhs_w12 * (-1.0))
+        Xw_c = frame.solve_complement_12(rhs_w12 * (-1.0))
         rhs_w = rhs_w12
         wedge_res["X_e"] = _rel_wedge_residual(X_e, rhs_e, state, (1, 1))
     else:
         raise ValueError("kind must be 'L' or 'J'")
 
-    X = slice_tangent(state, X_e, Xw_c, pack, kind)
+    X = slice_tangent(state, X_e, Xw_c)
     wedge_res["X_omega"] = _rel_wedge_residual(X.domega, rhs_w * (-1.0), state, (1, 2))
     X.wedge_residuals = wedge_res
     return X
@@ -495,14 +496,11 @@ def _rel_wedge_residual(X: FormField, rhs: FormField, state: BoundaryState, shap
     return float(np.abs(got - _flat(rhs)).max() / scale)
 
 
-def psi_alpha(state: BoundaryState, alpha: FormField,
-              pack: reduction.PhiFrame | None = None) -> FormField:
+def psi_alpha(state: BoundaryState, alpha: FormField) -> FormField:
     """psi_alpha = p (L^alpha)_omega + p d_omega alpha; vanishes on shell."""
-    if pack is None:
-        pack = projector_pack(state.e)
-    X = hamiltonian_vector_field(state, "L", alpha, pack)
+    X = hamiltonian_vector_field(state, "L", alpha)
     dal = cov_deriv(alpha, state.omega, state.sig)
-    return _apply_sitewise(pack.p12, X.domega + dal)
+    return _apply_sitewise(state.frame.p12, X.domega + dal)
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,7 @@ def compare_pch_eh(state, lam0_polys, xi_polys) -> dict:
     for lp in lam0_polys:
         lam = lp.eval(X, Y, Z)
         mu = FormField(grid, 0, 1, (lam[..., None] * frame.frame[..., :, 3])[..., None, :])
-        jinf = cst.eval_J_infinity(state, mu)
+        jinf = cst.eval_J(state, mu, gamma=np.inf)
         out["hamiltonian"] = max(out.get("hamiltonian", 0.0),
                                  abs(jinf - float((lam * data.H_density).sum() * h3)))
         out["gamma_independence"] = max(
@@ -439,7 +439,7 @@ def compare_pch_eh(state, lam0_polys, xi_polys) -> dict:
         xi = np.stack([p.eval(X, Y, Z) * np.ones_like(X) for p in xp], axis=-1)
         mu = FormField(grid, 0, 1,
                        np.einsum("...a,...ai->...i", xi, state.e.data)[..., None, :])
-        jxi = cst.eval_J_infinity(state, mu)
+        jxi = cst.eval_J(state, mu, gamma=np.inf)
         out["momentum"] = max(out.get("momentum", 0.0),
                               abs(jxi - float((xi * data.M_density).sum() * h3)))
     return out

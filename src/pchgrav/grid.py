@@ -273,12 +273,15 @@ def tr_quad_field(f: FormField) -> FormField:
 #: a coframe site with det G >= _GRAM_SCREEN (tr G)^3 has sigma_3^2 / sigma_1^2 >= 1e-10
 _GRAM_SCREEN = 1e-10
 
+#: the cyclic successors i+1 and i+2 of the indices 0, 1, 2
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
-def _det3(a: np.ndarray) -> np.ndarray:
-    """det of a stack of 3x3 matrices (..., 3, 3), expanded along the first row."""
-    return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
-            - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
-            + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+
+def cofactors3(a: np.ndarray) -> np.ndarray:
+    """Cofactor matrix of a stack of 3x3 matrices (..., 3, 3), plain products."""
+    b, c = a[..., _NEXT, :], a[..., _PREV, :]                   # rows i+1 and i+2
+    return b[..., _NEXT] * c[..., _PREV] - b[..., _PREV] * c[..., _NEXT]
 
 
 class Coframe:
@@ -295,7 +298,12 @@ class Coframe:
         # only the other sites need the spectrum
         G = field.data @ np.swapaxes(field.data, -1, -2)
         tr = G[..., 0, 0] + G[..., 1, 1] + G[..., 2, 2]
-        unclear = ~(_det3(G) >= _GRAM_SCREEN * tr**3)
+        # det G, G's first row against its cofactor row, in site blocks: the whole
+        # cofactor matrix at once would need 13 MB of temporaries at 32^3
+        sites, det = G.reshape(-1, 3, 3), np.empty(tr.shape)
+        for b in fiber.site_blocks(len(sites)):
+            det.reshape(-1)[b] = (sites[b, 0] * cofactors3(sites[b])[:, 0]).sum(axis=-1)
+        unclear = ~(det >= _GRAM_SCREEN * tr**3)
         if unclear.any():
             sv2 = np.linalg.eigvalsh(G[unclear])
             if np.any(sv2[..., 0] < 1e-12 * sv2[..., 2]):

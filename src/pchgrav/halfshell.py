@@ -19,6 +19,7 @@ Lagrangian), while {t_bold = 0} alone is exactly Lagrangian.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,11 @@ class HalfShellState:
     def sig(self) -> Signature:
         return self.e.sig
 
+    @functools.cached_property
+    def frame(self) -> reduction.PhiFrame:
+        """The e-adapted frame of the coframe, built on first use."""
+        return reduction.phi_frame(self.e.data, self.sig)
+
 
 def hs_project(state: HalfShellState):
     """(t_bold, e_bold) with t_bold = t + T_gamma[omega_ref - omega] ^ e."""
@@ -80,31 +86,27 @@ def kernel_flow(state: HalfShellState, sigma: FormField) -> HalfShellState:
 # symplectomorphism to the plain boundary chart
 
 
-def phi_symplecto(t_bold: FormField, e: Coframe, gamma: float):
-    """Recover the reduced-connection representative from t_bold.
+def phi_symplecto(state: HalfShellState, t_bold: FormField):
+    """Recover the reduced-connection representative from t_bold at the state's e and gamma.
 
     Solves T_gamma[omega] ^ e = t_bold for the complement part of
-    T_gamma[omega] with the e-adapted frame's template solve
+    T_gamma[omega] with the state's frame's template solve
     (`PhiFrame.solve_complement_12`) and returns the connection representative
     (kernel part zero in the twisted variable) with the max-norm residual of
     the wedge equation.  Round-trips with hs_project on the class level.
     """
-    sigma = reduction.phi_frame(e.data, e.sig).solve_complement_12(t_bold)
-    Tinv = np.linalg.inv(fiber.t_gamma_endo_matrix(gamma, e.sig))
-    omega = FormField(e.grid, 1, 2, sigma.data @ Tinv.T)
-    return omega, (wedge_fields(sigma, e.field) - t_bold).sup_norm()
-
-
-def pairing_hs(dt: FormField, de: FormField) -> float:
-    """int Tr[dt ^ de] over the torus."""
-    return integrate(tr_quad_field(wedge_fields(dt, de)))
+    sigma = state.frame.solve_complement_12(t_bold)
+    Tinv = np.linalg.inv(fiber.t_gamma_endo_matrix(state.gamma, state.sig))
+    omega = FormField(state.grid, 1, 2, sigma.data @ Tinv.T)
+    return omega, (wedge_fields(sigma, state.e.field) - t_bold).sup_norm()
 
 
 def symplectic_form_hs(X, Y) -> float:
-    """varpi_HS(X, Y) = int Tr[X_t ^ Y_e] - int Tr[Y_t ^ X_e]."""
+    """varpi_HS(X, Y) = int Tr[X_t ^ Y_e] - int Tr[Y_t ^ X_e] for X = (X_t, X_e)."""
     dt_x, de_x = X
     dt_y, de_y = Y
-    return pairing_hs(dt_x, de_y) - pairing_hs(dt_y, de_x)
+    return (integrate(tr_quad_field(wedge_fields(dt_x, de_y)))
+            - integrate(tr_quad_field(wedge_fields(dt_y, de_x))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ phi_e = p_{(2,1)} o [.,e] restricted to ker W_e^{(1,2)}, assembled here in the
 e-adapted frame where it is an explicit 6x6 matrix depending only on the
 boundary metric g.  Its inverse is closed-form, Q(g) / det g with Q quadratic
 in the entries of g, so each solve is a per-site matrix-vector product.
-`PhiFrame` is the one per-site object of that frame: the projectors, this
-kernel chain and the template wedge solves that the Hamiltonian vector fields
-of `constraints` use too.
+`PhiFrame` is the one per-site object of that frame, built from e alone: the
+omega~ solve (`PhiFrame.omega_tilde`), the projectors, this kernel chain and
+the template wedge solves that the Hamiltonian vector fields of `constraints`
+use too.
 
 The same frame algebra drives the kernel-intersection dimension counting
 K = ker([.,e]) cap ker(W_e^{(1,2)}) at exactly constructed (possibly
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import exactla, fiber, wedgemaps
 from .fiber import Signature, site_blocks
-from .grid import Coframe, FormField, Grid3, action_wedge, ext_deriv
+from .grid import Coframe, FormField, Grid3, action_wedge, cofactors3, ext_deriv
 from .wedgemaps import KERNEL_TEMPLATES, complete_frame, compound_matrix
 
 # ---------------------------------------------------------------------------
@@ -211,7 +212,7 @@ def _phi_frobenius_terms(g: np.ndarray):
     From the singular values of phi (`phi_singular_values`),
     |phi|_F^2 = 3 |g|_F^2 and |phi^-1|_F^2 = (|adj g|_F^2 + |g|_F^4 / 4) / det(g)^2.
     """
-    cof = wedgemaps.cofactors3(g)
+    cof = cofactors3(g)
     g2 = (g * g).sum(axis=(-2, -1))
     b = 3.0 * g2 * ((cof * cof).sum(axis=(-2, -1)) + 0.25 * g2 * g2)
     return b, (g[..., 0, :] * cof[..., 0, :]).sum(axis=-1)
@@ -289,11 +290,15 @@ class PhiFrame:
     the transposes S^-T T S^T that the adjoints need swap only the transforms.
     Lambda^2(P^-1) comes from Lambda^2 P by Jacobi's identity, so S12 and its
     inverse agree to roundoff in the entries of Lambda^2 P; it and the
-    contiguous transposes are built on first use, so the omega~ solve pays
-    for none of them.  The kernel chain inverts phi_e
-    through its closed-form inverse (`phi_inverse`), a per-site product.
+    contiguous transposes are built at each use and not held, so the omega~
+    solve pays for none of them and a frame kept by a state holds only the
+    fields below, about half of what it would hold with them.  The kernel
+    chain inverts phi_e through its closed-form inverse (`phi_inverse`), a
+    per-site product.  The frame holds the coframe array it was built from (a
+    reference, not a copy), so its omega~ solve cannot meet another coframe.
     """
 
+    e: np.ndarray            # (..., 3, 4) the coframe this frame completes
     frames: np.ndarray       # P = [e_1 e_2 e_3 e_n], e-frame -> u-frame on V, (..., 4, 4)
     frames_inv: np.ndarray   # P^-1
     frames_det: np.ndarray   # det P = sqrt|det g| > 0
@@ -302,24 +307,24 @@ class PhiFrame:
     g: np.ndarray            # (..., 3, 3) boundary metric
     sig: Signature
 
-    @functools.cached_property
+    @property
     def L2P_inv(self) -> np.ndarray:
         """Lambda^2(P^-1) = (Lambda^2 P)^-1, from Lambda^2 P by Jacobi's identity."""
         return _jacobi_inverse(self.L2P, _L2_SIGNS, self.frames_det)
 
-    @functools.cached_property
+    @property
     def frames_T(self) -> np.ndarray:
         return _transpose(self.frames)
 
-    @functools.cached_property
+    @property
     def frames_inv_T(self) -> np.ndarray:
         return _transpose(self.frames_inv)
 
-    @functools.cached_property
+    @property
     def L2P_T(self) -> np.ndarray:
         return _transpose(self.L2P)
 
-    @functools.cached_property
+    @property
     def L2P_inv_T(self) -> np.ndarray:
         return _transpose(self.L2P_inv)
 
@@ -396,6 +401,23 @@ class PhiFrame:
         x_e = r_e.reshape(r_e.shape[:-2] + (12,)) @ _W12_PINV_E.T
         return FormField(rhs.grid, 1, 2, x_e.reshape(x_e.shape[:-1] + (3, 6)) @ self.L2P_T)
 
+    # -- omega~
+
+    def omega_tilde(self, omega: FormField) -> OmegaTildeResult:
+        """Unique structural representative omega~ = omega + v~ with p d_omega~ e = 0.
+
+        v~ is kernel-valued (e ^ v~ = 0) and gauge-invariant: shifting omega by
+        any kernel-valued field leaves omega~ unchanged.
+        """
+        e = FormField(omega.grid, 1, 1, self.e)
+        # d e once for both covariant derivatives d_w e = d e + [w ^ e]
+        de = ext_deriv(e)
+        v_field = self.kernel_field(
+            self.kernel_correction((de + action_wedge(omega, e, self.sig)).data), omega.grid)
+        om_t = omega + v_field
+        res = float(np.abs(self.kernel_coords((de + action_wedge(om_t, e, self.sig)).data)).max())
+        return OmegaTildeResult(v_field, om_t, res, self.g)
+
 
 def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
     """phi_e, then the frame completion, its inverse and Lambda^2, for a coframe (..., 3, 4).
@@ -425,23 +447,8 @@ def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
     frames_inv[..., :3, :] = ginv @ frames_inv[..., :3, :]
     frames_inv[..., 3, :] *= qn[..., None]
     # phi_e^-1 last: held through the frame completion it would raise the peak
-    return PhiFrame(frames, frames_inv, np.sqrt(np.abs(det_g)), compound_matrix(frames),
+    return PhiFrame(e, frames, frames_inv, np.sqrt(np.abs(det_g)), compound_matrix(frames),
                     phi_inverse(g, det_g), g, sig)
-
-
-def _checked_frame(frame: PhiFrame, e: Coframe) -> PhiFrame:
-    """`frame` if it is the e-adapted frame of the coframe e, else ValueError.
-
-    Its first three frame columns must equal e^T bit for bit and its signature
-    must be the coframe's: a frame of another coframe, or of the same one under
-    another eta, would give a wrong omega~ without any other sign.
-    """
-    if frame.sig != e.sig:
-        raise ValueError(f"frame of signature {frame.sig.eta_diag} passed for a coframe of "
-                         f"signature {e.sig.eta_diag}")
-    if not np.array_equal(frame.frames[..., :3], np.swapaxes(e.data, -1, -2)):
-        raise ValueError("frame of another coframe: its first three columns are not e^T")
-    return frame
 
 
 # ---------------------------------------------------------------------------
@@ -461,22 +468,9 @@ class OmegaTildeResult:
         return float(phi_conditions(self.g).max())
 
 
-def omega_tilde(e: Coframe, omega: FormField, frame: PhiFrame | None = None) -> OmegaTildeResult:
-    """Unique structural representative omega~ = omega + v~ with p d_omega~ e = 0.
-
-    v~ is kernel-valued (e ^ v~ = 0) and gauge-invariant: shifting omega by any
-    kernel-valued field leaves omega~ unchanged.  `frame`, the coframe's
-    `phi_frame`, spares building it again (`_checked_frame` refuses any other).
-    """
-    pf = phi_frame(e.data, e.sig) if frame is None else _checked_frame(frame, e)
-    # d e once for both covariant derivatives d_w e = d e + [w ^ e], after the frame,
-    # which sets the peak
-    de = ext_deriv(e.field)
-    v_field = pf.kernel_field(
-        pf.kernel_correction((de + action_wedge(omega, e.field, e.sig)).data), e.grid)
-    om_t = omega + v_field
-    res = float(np.abs(pf.kernel_coords((de + action_wedge(om_t, e.field, e.sig)).data)).max())
-    return OmegaTildeResult(v_field, om_t, res, pf.g)
+def omega_tilde(e: Coframe, omega: FormField) -> OmegaTildeResult:
+    """omega~ of the connection omega at the coframe e, through e's own frame."""
+    return phi_frame(e.data, e.sig).omega_tilde(omega)
 
 
 # ---------------------------------------------------------------------------

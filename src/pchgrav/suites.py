@@ -462,18 +462,18 @@ def run_reduction(cfg: RunConfig) -> list:
     for i in range(OMEGA_TILDE_STATES):
         # one e-adapted frame per state: the solve, the kernel shift and both re-solves
         e, om = random_offshell_fields(rng, grid, sig)
-        pack = cst.projector_pack(e)
-        res = red.omega_tilde(e, om, pack)
+        pf = red.phi_frame(e.data, sig)
+        res = pf.omega_tilde(om)
         worst_struct = max(worst_struct, res.structural_residual)
         worst_cond = max(worst_cond, res.solver_conditioning)
         M12 = wm.wedge_matrix(e.data, (1, 2))
         v = res.v_tilde.data.reshape(grid.n, grid.n, grid.n, 18)
         worst_kernel = max(worst_kernel,
                            float(np.abs(np.einsum("...ij,...j->...i", M12, v)).max()))
-        shift = cst.kernel_field_from_coords(rng.normal(size=(grid.n,) * 3 + (6,)), pack, grid)
-        res2 = red.omega_tilde(e, res.omega_tilde + shift, pack)
+        shift = pf.kernel_field(rng.normal(size=(grid.n,) * 3 + (6,)), grid)
+        res2 = pf.omega_tilde(res.omega_tilde + shift)
         worst_gauge = max(worst_gauge, (res2.omega_tilde - res.omega_tilde).sup_norm())
-        res3 = red.omega_tilde(e, res.omega_tilde, pack)
+        res3 = pf.omega_tilde(res.omega_tilde)
         worst_idem = max(worst_idem, (res3.omega_tilde - res.omega_tilde).sup_norm())
     tol_s = cfg.tol("structural_residual")
     tol_g = cfg.tol("gauge_invariance")
@@ -488,12 +488,11 @@ def run_reduction(cfg: RunConfig) -> list:
 
     rng = s.rng()
     st = random_offshell_state(rng, Grid3(4), sig, cfg.gamma, cfg.Lambda)
-    pack = cst.projector_pack(st.e)
     worst = 0.0
     for _ in range(10):
         de1 = random_field_spec(rng, 1, 1, n_modes=1, amp=0.2).sample(st.grid)
         de2 = random_field_spec(rng, 1, 1, n_modes=1, amp=0.2).sample(st.grid)
-        vt = cst.kernel_field_from_coords(rng.normal(size=(4, 4, 4, 6)), pack, st.grid)
+        vt = st.frame.kernel_field(rng.normal(size=(4, 4, 4, 6)), st.grid)
 
         def bilinear(a, b):
             ex = wedge_fields(a, b)
@@ -551,7 +550,7 @@ def run_constraints(cfg: RunConfig) -> list:
     st_k = cst.make_on_shell(constant_k_spec(c), grid, gamma, sig, Lambda=lam)
     eta00 = -1.0 if sig.s == -1 else 1.0
     expected = 3.0 * eta00 * c**2 - 6.0 * lam
-    val = cst.eval_J_infinity(st_k, mu4)
+    val = cst.eval_J(st_k, mu4, gamma=np.inf)
     s.check("constant-curvature", "constant-K closed form: J = 3 eta00 c^2 - 6 Lambda",
             {"J": val, "expected": expected}, abs(val - expected) <= 1e-12, 1e-12)
 
@@ -591,11 +590,10 @@ def run_constraints(cfg: RunConfig) -> list:
 
     rng = s.rng()
     st = random_offshell_state(rng, Grid3(4), sig, gamma, cfg.Lambda)
-    pack = cst.projector_pack(st.e)
     alpha_c = cst.smear_constant(st.grid, 2, rng.normal(size=6))
     mu_c = cst.smear_constant(st.grid, 1, rng.normal(size=4))
-    XL = cst.hamiltonian_vector_field(st, "L", alpha_c, pack)
-    XJ = cst.hamiltonian_vector_field(st, "J", mu_c, pack)
+    XL = cst.hamiltonian_vector_field(st, "L", alpha_c)
+    XJ = cst.hamiltonian_vector_field(st, "J", mu_c)
     exact_xe = (XL.de - cst.act_field(alpha_c, st.e.field, sig)).sup_norm()
     worst_wedge = max(XL.wedge_residuals["X_omega"], XJ.wedge_residuals["X_omega"],
                       XJ.wedge_residuals["X_e"])
@@ -671,10 +669,9 @@ def run_brackets(cfg: RunConfig) -> list:
     # squared L2 norm of Y.de, at least that of its constant offset
     rng = s.rng()
     st = random_offshell_state(rng, grid, sig, gamma, cfg.Lambda)
-    pack = cst.projector_pack(st.e)
     de = random_field_spec(rng, 1, 1, n_modes=1, amp=0.1, base=0.1).sample(grid)
     dw = random_field_spec(rng, 1, 2, n_modes=1, amp=0.1).sample(grid)
-    Y = cst.slice_tangent(st, de, cst._apply_sitewise(pack.p12_prime, dw), pack)
+    Y = cst.slice_tangent(st, de, cst._apply_sitewise(st.frame.p12_prime, dw))
     probe = cst._unflat(cst._flat(de) @ cst._GRAM_23_11_INV, grid, 2, 3)
 
     def linear_functional(state):
@@ -840,7 +837,7 @@ def run_halfshell(cfg: RunConfig) -> list:
     for _ in range(5):
         om_rand = random_field_spec(rng, 1, 2, n_modes=1, amp=0.5).sample(grid)
         tb = wedge_fields(t_gamma_field(om_rand, gamma, sig), st.e.field)
-        om_rec, _ = hs.phi_symplecto(tb, st.e, gamma)
+        om_rec, _ = hs.phi_symplecto(st, tb)
         tb2 = wedge_fields(t_gamma_field(om_rec, gamma, sig), st.e.field)
         worst_rt = max(worst_rt, (tb2 - tb).sup_norm())
     tol = cfg.tol("round_trip")
@@ -848,7 +845,7 @@ def run_halfshell(cfg: RunConfig) -> list:
             {"max_residual": worst_rt}, worst_rt <= tol, tol)
 
     rng = s.rng()
-    om0, _ = hs.phi_symplecto(tb0, st.e, gamma)
+    om0, _ = hs.phi_symplecto(st, tb0)
     Tom = t_gamma_field(om0, gamma, sig)
     worst_pair = 0.0
     for _ in range(4):
@@ -863,8 +860,8 @@ def run_halfshell(cfg: RunConfig) -> list:
 
         lhs = hs.symplectic_form_hs((dt(de1, dw1), de1), (dt(de2, dw2), de2))
         # varpi_HS pulls back to -varpi of the plain boundary chart
-        rhs = -cst.symplectic_form(st, cst.TangentVector(de1, dw1, "probe"),
-                                   cst.TangentVector(de2, dw2, "probe"))
+        rhs = -cst.symplectic_form(st, cst.TangentVector(de1, dw1),
+                                   cst.TangentVector(de2, dw2))
         worst_pair = max(worst_pair, abs(lhs - rhs))
     tol = cfg.tol("pairing_match")
     s.check("pairing-pullback", "pulled-back symplectic pairings agree",

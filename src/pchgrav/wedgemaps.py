@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fiber
 from .fiber import PAIR_INDEX, Signature, site_blocks
-from .grid import COMP_BASIS
+from .grid import _NEXT, _PREV, COMP_BASIS
 
 SHAPES = ((1, 1), (1, 2), (2, 1))
 
@@ -57,8 +57,6 @@ def at_site(score: np.ndarray) -> str:
     return f" at site {tuple(int(i) for i in site)}"
 
 
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
 #: 2^27 + 1: Veltkamp's constant, splitting a double into two halves of 26 bits
 _SPLIT = 134217729.0
 
@@ -86,12 +84,6 @@ def _inv3_block(m, inv, det):
     cof[0] = (p - q) + (pe - qe)
     det[:] = (m[0] * cof[0]).sum(axis=0)
     inv[:] = np.moveaxis(cof, (0, 1), (-1, -2)) / det[:, None, None]
-
-
-def cofactors3(a: np.ndarray) -> np.ndarray:
-    """Cofactor matrix of a stack of 3x3 matrices (..., 3, 3), plain products."""
-    b, c = a[..., _NEXT, :], a[..., _PREV, :]                   # rows i+1 and i+2
-    return b[..., _NEXT] * c[..., _PREV] - b[..., _PREV] * c[..., _NEXT]
 
 
 def inv3(a: np.ndarray):
@@ -255,15 +247,18 @@ def decide_rank(sv: np.ndarray, what: str):
     leaves intermediate singular values that break one of the two conditions,
     and a RankDecisionError names the first such site.  The gap is the ratio of
     the smallest kept singular value to the largest dropped one, or to the
-    floor 1e-15 times the largest.
+    floor 1e-15 times the largest.  A zero spectrum has rank 0 with gap inf.
     """
-    floor = 1e-15 * sv[..., :1]
-    cut = (sv > 1e-10 * sv[..., :1]).sum(axis=-1)
+    zero = sv[..., 0] == 0
+    top = np.where(zero, 1.0, sv[..., 0])[..., None]     # any scale cuts a zero spectrum
+    floor = 1e-15 * top
+    cut = (sv > 1e-10 * top).sum(axis=-1)
     padded = np.concatenate([sv, floor], axis=-1)
     ratios = padded[..., :-1] / np.maximum(padded[..., 1:], floor)
     spectral = np.argmax(ratios, axis=-1) + 1
     gap = np.take_along_axis(ratios, cut[..., None] - 1, axis=-1)[..., 0]
-    bad = (spectral != cut) | (gap < 1e6)
+    gap[zero] = np.inf
+    bad = ~zero & ((spectral != cut) | (gap < 1e6))
     if np.any(bad):
         i = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise RankDecisionError(

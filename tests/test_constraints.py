@@ -90,7 +90,7 @@ def test_constant_extrinsic_closed_form():
     c, lam = 0.3, 0.2
     for sig, eta00 in ((LORENTZIAN, -1.0), (EUCLIDEAN, 1.0)):
         st = cst.make_on_shell(constant_k_spec(c), Grid3(4), 1.0, sig, Lambda=lam)
-        val = cst.eval_J_infinity(st, cst.smear_constant(st.grid, 1, [0, 0, 0, 1]))
+        val = cst.eval_J(st, cst.smear_constant(st.grid, 1, [0, 0, 0, 1]), gamma=np.inf)
         assert abs(val - (3 * eta00 * c**2 - 6 * lam)) <= 1e-12
 
 
@@ -154,21 +154,20 @@ def test_hvf_wedge_residuals_on_random_state(offshell_state):
     assert XJ.constraint_residual <= 1e-9
 
 
-def _slice_tangents(st, pack, rng, n=3):
+def _slice_tangents(st, rng, n=3):
     """n random slice tangents: one-mode delta e and p' delta omega, kernel part from slice_tangent."""
     for _ in range(n):
         de = random_field_spec(rng, 1, 1, n_modes=1, amp=0.1).sample(st.grid)
-        dwc = cst._apply_sitewise(pack.p12_prime,
+        dwc = cst._apply_sitewise(st.frame.p12_prime,
                                   random_field_spec(rng, 1, 2, n_modes=1, amp=0.1).sample(st.grid))
-        yield cst.slice_tangent(st, de, dwc, pack)
+        yield cst.slice_tangent(st, de, dwc)
 
 
 def test_hvf_generator_is_symplectic_gradient(offshell_state):
     st = offshell_state
-    pack = cst.projector_pack(st.e)
     alpha = cst.smear_constant(st.grid, 2, RNG.normal(size=6))
-    X = cst.hamiltonian_vector_field(st, "L", alpha, pack)
-    for Y in _slice_tangents(st, pack, RNG):
+    X = cst.hamiltonian_vector_field(st, "L", alpha)
+    for Y in _slice_tangents(st, RNG):
         w = cst.symplectic_form(st, X, Y)
         dL, _ = cst.directional_derivative(st, cst.functional_L(alpha), Y)
         assert abs(w - dL) <= 1e-9 * max(1.0, abs(dL))
@@ -188,10 +187,9 @@ def test_hvf_J_is_symplectic_gradient(shell, sig, gamma):
     rng = np.random.Generator(np.random.Philox(key=606))
     st = (cst.make_on_shell(acceptance_triad_spec(), Grid3(4), gamma, sig, Lambda=0.1)
           if shell == "on-shell" else random_offshell_state(rng, Grid3(4), sig, gamma, 0.1))
-    pack = cst.projector_pack(st.e)
     mu = cst.smear_constant(st.grid, 1, rng.normal(size=4))
-    X = cst.hamiltonian_vector_field(st, "J", mu, pack)
-    for Y in _slice_tangents(st, pack, rng):
+    X = cst.hamiltonian_vector_field(st, "J", mu)
+    for Y in _slice_tangents(st, rng):
         w = cst.symplectic_form(st, X, Y)
         dJ, _ = cst.directional_derivative(st, cst.functional_J(mu), Y)
         assert abs(w - dJ) <= 1e-9 * max(1.0, abs(dJ))
@@ -228,11 +226,10 @@ def test_complement_solve_solves_its_equations(offshell_state):
     from pchgrav.grid import curvature, wedge_fields
 
     st = offshell_state
-    pack = cst.projector_pack(st.e)
     mu = cst.smear_constant(st.grid, 1, RNG.normal(size=4))
     # Z with p Z = 0 and e ^ Z = mu F
-    Z = pack.solve_complement_12(wedge_fields(mu, st.F) * (-1.0))
-    pZ = cst._apply_sitewise(pack.p12, Z)
+    Z = st.frame.solve_complement_12(wedge_fields(mu, st.F) * (-1.0))
+    pZ = cst._apply_sitewise(st.frame.p12, Z)
     assert pZ.sup_norm() <= 1e-10 * max(1.0, Z.sup_norm())
     M12 = wm.wedge_matrix(st.e.data, (1, 2))
     got = np.einsum("...ij,...j->...i", M12, Z.data.reshape(4, 4, 4, 18))
@@ -249,29 +246,29 @@ def test_template_wedge_solves_match_pinv_reference(sig, gamma):
 
     st = random_offshell_state(np.random.Generator(np.random.Philox(key=23)), Grid3(4),
                                sig, gamma, 0.1)
-    pack = cst.projector_pack(st.e)
+    frame = st.frame
     mu = cst.smear_constant(st.grid, 1, RNG.normal(size=4))
     # the off-shell right-hand sides that hamiltonian_vector_field solves for
-    d = cst.torsion(st)
-    Q = wedge_fields(mu, d - cst._apply_sitewise(pack.p21, d))
-    cov = cst.kernel_covector(st, Q, pack)
+    d = st.torsion
+    Q = wedge_fields(mu, d - cst._apply_sitewise(frame.p21, d))
+    cov = cst.kernel_covector(st, Q)
     rhs_e = (wedge_fields(cov_deriv(mu, st.omega, sig), st.e.field) * (-1.0)
-             + cst._apply_sitewise(pack.p11_dag, Q) + cst.b_dagger(st, cov, pack))
-    rhs_w = (wedge_fields(mu, st.F) + cst.a_dagger(st, cov, pack)) * (-1.0)
+             + cst._apply_sitewise(frame.p11_dag, Q) + cst.b_dagger(st, cov))
+    rhs_w = (wedge_fields(mu, st.F) + cst.a_dagger(st, cov)) * (-1.0)
 
     def apply(M, f):
         return np.einsum("...ij,...j->...i", M, f.data.reshape(4, 4, 4, -1))
 
     ref_e = apply(np.linalg.pinv(wm.wedge_matrix(st.e.data, (1, 1))), rhs_e)
-    got_e = pack.solve_w11(rhs_e).data.reshape(ref_e.shape)
+    got_e = frame.solve_w11(rhs_e).data.reshape(ref_e.shape)
     assert np.abs(got_e - ref_e).max() <= 1e-12 * np.abs(ref_e).max()
-    # dense p12' = S12 (1 - P12_E) S12^-1 from the pack's frames
+    # dense p12' = S12 (1 - P12_E) S12^-1 from the state's frame
     P12 = red.K12HAT @ red.K12HAT.T
-    p12_prime = (np.kron(np.eye(3), pack.L2P) @ (np.eye(18) - P12)
-                 @ np.kron(np.eye(3), wm.compound_matrix(pack.frames_inv)))
+    p12_prime = (np.kron(np.eye(3), frame.L2P) @ (np.eye(18) - P12)
+                 @ np.kron(np.eye(3), wm.compound_matrix(frame.frames_inv)))
     ref_w = np.einsum("...ij,...j->...i", p12_prime,
                       apply(np.linalg.pinv(wm.wedge_matrix(st.e.data, (1, 2))), rhs_w))
-    got_w = pack.solve_complement_12(rhs_w).data.reshape(ref_w.shape)
+    got_w = frame.solve_complement_12(rhs_w).data.reshape(ref_w.shape)
     assert np.abs(got_w - ref_w).max() <= 1e-12 * np.abs(ref_w).max()
 
 
@@ -281,11 +278,10 @@ def test_fd_derivative_exact_on_linear_functional(offshell_state):
     from pchgrav.grid import integrate, tr_quad_field, wedge_fields
 
     st = offshell_state
-    pack = cst.projector_pack(st.e)
     de = random_field_spec(RNG, 1, 1, n_modes=1, amp=0.1, base=0.1).sample(st.grid)
-    dwc = cst._apply_sitewise(pack.p12_prime,
+    dwc = cst._apply_sitewise(st.frame.p12_prime,
                               random_field_spec(RNG, 1, 2, n_modes=1, amp=0.1).sample(st.grid))
-    Y = cst.slice_tangent(st, de, dwc, pack)
+    Y = cst.slice_tangent(st, de, dwc)
     assert Y.constraint_residual <= cst.TANGENCY_LIMIT
     # the pointwise dual of Y.de: the exact derivative is the squared L2 norm of Y.de
     probe = cst._unflat(cst._flat(de) @ cst._GRAM_23_11_INV, st.grid, 2, 3)
@@ -304,18 +300,16 @@ def test_stencil_needs_a_slice_tangent_direction(offshell_state):
     """A kernel-valued part added to X_omega is refused, and along it the raw stencil is
     not the derivative of the functional on the slice (the re-certified one)."""
     st = offshell_state
-    pack = cst.projector_pack(st.e)
     G = cst.functional_J(cst.smear_constant(st.grid, 1, [0.5, 0.1, -0.2, 0.3]))
-    X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.2, -0.3, 0.4, 0.6]),
-                                     pack)
+    X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.2, -0.3, 0.4, 0.6]))
 
     def linearized_constraint(Y):
         # the linearization of p d_omega e = 0 along Y, in kernel coordinates
-        coords = cst.a_map(st, Y.de, pack) + cst.b_map(st, Y.domega, pack)
-        return pack.kernel_field(coords, st.grid).sup_norm() / Y.domega.sup_norm()
+        coords = cst.a_map(st, Y.de) + cst.b_map(st, Y.domega)
+        return st.frame.kernel_field(coords, st.grid).sup_norm() / Y.domega.sup_norm()
 
-    kern = cst.kernel_field_from_coords(RNG.normal(size=(4, 4, 4, 6)), pack, st.grid)
-    bad = dataclasses.replace(X, domega=X.domega + kern, kind="mutant")
+    kern = st.frame.kernel_field(RNG.normal(size=(4, 4, 4, 6)), st.grid)
+    bad = dataclasses.replace(X, domega=X.domega + kern)
     bad.constraint_residual = linearized_constraint(bad)
     assert linearized_constraint(X) <= cst.TANGENCY_LIMIT < bad.constraint_residual
     with pytest.raises(ValueError, match="not tangent"):
@@ -381,8 +375,7 @@ def test_bracket_LJ_l_part_vanishes_on_shell():
 
 def test_kernel_shift_invariance_of_functionals(offshell_state):
     st = offshell_state
-    pack = cst.projector_pack(st.e)
-    shift = cst.kernel_field_from_coords(RNG.normal(size=(4, 4, 4, 6)), pack, st.grid)
+    shift = st.frame.kernel_field(RNG.normal(size=(4, 4, 4, 6)), st.grid)
     st2 = cst.certify(st.e, st.omega + shift, st.gamma, st.Lambda)
     alpha = cst.smear_constant(st.grid, 2, RNG.normal(size=6))
     mu = cst.smear_constant(st.grid, 1, RNG.normal(size=4))
@@ -439,8 +432,6 @@ def test_densities_match_direct_formulas(n, sig, Lambda, shell):
         for g in (None, 0.5, 10.0, np.inf):
             ref, scale = _J_direct(st, mu, gamma if g is None else g)
             assert abs(cst.eval_J(st, mu, gamma=g) - ref) <= 1e-12 * scale
-        ref, scale = _J_direct(st, mu, np.inf)
-        assert abs(cst.eval_J_infinity(st, mu) - ref) <= 1e-12 * scale
         ref, scale = _L_direct(st, alpha)
         assert abs(cst.eval_L(st, alpha) - ref) <= 1e-12 * scale
 

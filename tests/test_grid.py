@@ -249,6 +249,23 @@ def test_coframe_screen_decides_as_the_spectrum():
     assert 10 <= refused <= 110
 
 
+def _det3_first_row(a):
+    """det of a stack of 3x3 matrices, expanded along the first row: the expansion the
+    coframe screen used before it took the cofactor row of `cofactors3`."""
+    return (a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+            - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+            + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]))
+
+
+def test_gram_determinant_from_the_cofactor_row_is_bit_identical():
+    rng = np.random.Generator(np.random.Philox(key=2028))
+    e = rng.normal(size=(2, 1000, 3, 4))
+    e[1, :, 2] = e[1, :, 0] - 0.5 * e[1, :, 1] + 1e-7 * e[1, :, 2]    # nearly rank 2
+    gram = e @ np.swapaxes(e, -1, -2)
+    det = (gram[..., 0, :] * G.cofactors3(gram)[..., 0, :]).sum(axis=-1)
+    assert np.array_equal(det, _det3_first_row(gram))
+
+
 def test_field_io_bit_exact(tmp_path):
     g = Grid3(6)
     f = random_field_spec(RNG, 2, 2, n_modes=2, amp=0.9).sample(g)

@@ -58,7 +58,7 @@ def test_kernel_flow_invariance(locus_state):
 def test_phi_symplecto_zero_maps_to_kernel_class(locus_state):
     st = locus_state
     zero = FormField.zeros(st.grid, 2, 3)
-    om, res = hs.phi_symplecto(zero, st.e, st.gamma)
+    om, res = hs.phi_symplecto(st, zero)
     assert om.sup_norm() <= 1e-12 and res <= 1e-12
 
 
@@ -67,7 +67,7 @@ def test_phi_symplecto_round_trip(locus_state):
     for _ in range(5):
         om = random_field_spec(RNG, 1, 2, n_modes=1, amp=0.5).sample(st.grid)
         tb = wedge_fields(t_gamma_field(om, st.gamma, st.sig), st.e.field)
-        om_rec, _ = hs.phi_symplecto(tb, st.e, st.gamma)
+        om_rec, _ = hs.phi_symplecto(st, tb)
         tb2 = wedge_fields(t_gamma_field(om_rec, st.gamma, st.sig), st.e.field)
         assert (tb2 - tb).sup_norm() <= 1e-10
 
@@ -75,7 +75,7 @@ def test_phi_symplecto_round_trip(locus_state):
 def test_pairing_pullback_matches(locus_state):
     st = locus_state
     tb0, _ = hs.hs_project(st)
-    om0, _ = hs.phi_symplecto(tb0, st.e, st.gamma)
+    om0, _ = hs.phi_symplecto(st, tb0)
     Tom = t_gamma_field(om0, st.gamma, st.sig)
 
     def dt(de, dw):
@@ -89,8 +89,7 @@ def test_pairing_pullback_matches(locus_state):
         dw2 = random_field_spec(RNG, 1, 2, n_modes=1, amp=0.2).sample(st.grid)
         lhs = hs.symplectic_form_hs((dt(de1, dw1), de1), (dt(de2, dw2), de2))
         # varpi_HS pulls back to -varpi of the plain boundary chart
-        rhs = -cst.symplectic_form(st, cst.TangentVector(de1, dw1, "probe"),
-                                   cst.TangentVector(de2, dw2, "probe"))
+        rhs = -cst.symplectic_form(st, cst.TangentVector(de1, dw1), cst.TangentVector(de2, dw2))
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
@@ -172,6 +171,13 @@ def test_isotropy_dimensions_and_pairing(locus_state):
     assert 192 - np.linalg.matrix_rank(B.T @ Omega) == full.dim_orthogonal
 
 
+def test_locus_kernel_at_a_flat_reference_connection_is_all_of_delta_e():
+    # F_ref = 0: the locus Jacobian vanishes, a clean rank 0 with all 12 kernel columns
+    kern, rank = hs._locus_kernel(FormField.zeros(Grid3(2), 1, 2), 1.0, LORENTZIAN)
+    assert rank.shape == (2, 2, 2) and not rank.any()
+    assert np.abs(np.swapaxes(kern, -1, -2) @ kern - np.eye(12)).max() <= 1e-14
+
+
 def test_wedge_matrix_largest_entry_is_the_coframe_largest_entry():
     # locus_residuals normalizes by |e|max in place of the largest entry of W_e^{(1,2)}
     e = RNG.normal(size=(20, 3, 4))
@@ -183,11 +189,10 @@ def test_phi_symplecto_is_complement_valued(locus_state):
     st = locus_state
     om = random_field_spec(RNG, 1, 2, n_modes=1, amp=0.5).sample(st.grid)
     tb = wedge_fields(t_gamma_field(om, st.gamma, st.sig), st.e.field)
-    om_rec, res = hs.phi_symplecto(tb, st.e, st.gamma)
+    om_rec, res = hs.phi_symplecto(st, tb)
     assert res <= 1e-12
-    pack = cst.projector_pack(st.e)
     twisted = t_gamma_field(om_rec, st.gamma, st.sig).data
-    assert np.abs(pack.p12(twisted)).max() <= 1e-12 * np.abs(twisted).max()
+    assert np.abs(st.frame.p12(twisted)).max() <= 1e-12 * np.abs(twisted).max()
 
 
 @pytest.fixture
@@ -220,7 +225,7 @@ def test_halfshell_decides_ranks_on_stacks(linalg_calls):
     assert linalg_calls == [("svd", (2, 2, 2, 4, 12)), ("svd", (8, 12, 12)), ("svd", (8, 12, 12))]
     del linalg_calls[:]
     tb = wedge_fields(t_gamma_field(st.omega_ref, st.gamma, st.sig), st.e.field)
-    hs.phi_symplecto(tb, st.e, st.gamma)
+    hs.phi_symplecto(st, tb)
     hs.locus_residuals(st.e, st.omega, st.omega_ref, st.gamma)
     assert linalg_calls == []
 

@@ -9,20 +9,24 @@ decomposition from coming back.  Single matrices (ndim 2, such as the fixed
 pairing Grams) may still go through LAPACK.  The
 FD-bracket path runs no eigensolve at all (the phi_e and coframe checks clear
 well-conditioned sites by exact bounds), and the e-adapted frame holds no
-per-site array larger than 6x6 and builds its transposes only when they are
-used.  A bracket derivative evaluates the functional on six uncertified
+per-site array larger than 6x6 and builds its transposes at each use, holding
+none.  A bracket derivative evaluates the functional on six uncertified
 stencil states and solves for no structural representative.  The kernels
 suite splits each shape once over a stack of coframes, and the EH ladder
-evaluates J on no state whose deviations it does not read.  The reduction
-suite's omega~ row builds one e-adapted frame per drawn state and hands it to
-the solve, the kernel shift and both re-solves, omega~ differentiates
+evaluates J on no state whose deviations it does not read.  Each e-adapted
+frame belongs to what it frames: a certification builds one for omega~ and
+keeps none, a state builds its own with its first field and shares it with the
+later ones, a half-shell state builds one for all its solves, and the reduction
+suite's omega~ row solves three times on one frame per drawn state.  No public
+function takes a frame beside its coframe.  omega~ differentiates
 the coframe once for both of its covariant derivatives, and the exact kernel
 count builds its bracket matrix from the unit table, with no object-dtype
-contraction.  At 32^3, Lambda^2 P and Gamma(ebar) are built in site blocks: their traced
-peaks stay within a small multiple of what they return.
+contraction.  At 32^3, Lambda^2 P, Gamma(ebar) and the coframe check's det G are built in
+site blocks: their traced peaks stay within a small multiple of what they return or read.
 """
 
-import functools
+import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -31,16 +35,17 @@ import pytest
 from pchgrav import constraints as cst
 from pchgrav import ehdata as eh
 from pchgrav import fiber
+from pchgrav import halfshell as hs
 from pchgrav import reduction as red
 from pchgrav import suites
 from pchgrav import wedgemaps as wm
 from pchgrav.config import validate_config
 from pchgrav.fiber import LORENTZIAN
-from pchgrav.grid import Coframe, Grid3
+from pchgrav.grid import Coframe, FormField, Grid3
 from pchgrav.reduction import PhiFrame, omega_tilde
 from pchgrav.suites import (LAPSE_PROBES, OMEGA_TILDE_STATES, SHIFT_PROBES,
-                            acceptance_triad_spec, random_offshell_state, run_eh,
-                            run_kernels, run_reduction)
+                            acceptance_triad_spec, random_offshell_state, run_brackets,
+                            run_eh, run_halfshell, run_kernels, run_reduction)
 
 
 @pytest.fixture
@@ -123,7 +128,9 @@ def _offshell_state():
                                  LORENTZIAN, 1.0, 0.1)
 
 
-def test_omega_tilde_builds_no_lazy_frame_field_and_states_hold_no_frame(monkeypatch):
+@pytest.fixture
+def built_frames(monkeypatch) -> list:
+    """Every e-adapted frame built while the test runs, in order."""
     frames, phi_frame = [], red.phi_frame
 
     def recorded(e, sig):
@@ -131,15 +138,75 @@ def test_omega_tilde_builds_no_lazy_frame_field_and_states_hold_no_frame(monkeyp
         return frames[-1]
 
     monkeypatch.setattr(red, "phi_frame", recorded)
+    return frames
+
+
+def test_states_build_their_frame_on_first_use(built_frames):
     st = _offshell_state()
-    assert len(frames) == 1
-    lazy = {k for k, v in vars(PhiFrame).items() if isinstance(v, functools.cached_property)}
-    assert lazy == {"L2P_inv", "frames_T", "frames_inv_T", "L2P_T", "L2P_inv_T"}
-    assert not lazy & set(vars(frames[0]))
-    cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4]))
-    assert len(frames) == 2 and lazy <= set(vars(frames[1]))
+    # the certification builds one frame for omega~ and keeps none
+    assert len(built_frames) == 1
     held = [*vars(st).values(), *st._fields.values(), *vars(st.ot).values()]
     assert not any(isinstance(v, PhiFrame) for v in held)
+    # the first field builds the state's frame; a second field, psi and a slice tangent share it
+    X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4]))
+    assert len(built_frames) == 2 and st.frame is built_frames[1]
+    # the kept frame holds its fields and no transpose or Lambda^2(P^-1) that a field used
+    assert set(vars(st.frame)) == {f.name for f in dataclasses.fields(PhiFrame)}
+    assert st.frame.e is st.e.data
+    alpha = cst.smear_constant(st.grid, 2, [0.3, -0.2, 0.5, 0.1, -0.4, 0.2])
+    cst.hamiltonian_vector_field(st, "L", alpha)
+    cst.psi_alpha(st, alpha)
+    cst.slice_tangent(st, X.de, cst._apply_sitewise(st.frame.p12_prime, X.domega))
+    assert len(built_frames) == 2
+    # the EH comparison asks for no field; an L field first builds the frame too
+    on = cst.make_on_shell(acceptance_triad_spec(), Grid3(4), 1.0, LORENTZIAN, Lambda=0.1)
+    assert len(built_frames) == 3
+    eh.compare_pch_eh(on, LAPSE_PROBES[:1], SHIFT_PROBES[:1])
+    assert len(built_frames) == 3 and "frame" not in on._fields
+    cst.hamiltonian_vector_field(on, "L", alpha)
+    assert len(built_frames) == 4 and on.frame is built_frames[3]
+
+
+def test_halfshell_suite_builds_one_frame(built_frames):
+    rows = run_halfshell(validate_config({"suites": ["halfshell"]}))
+    assert all(r.passed for r in rows)
+    assert len(built_frames) == 1
+
+
+def test_brackets_suite_builds_one_frame_per_state_with_a_field(built_frames, monkeypatch):
+    # mixed-bracket reuses the frame of the 4^3 on-shell state of energy-brackets
+    certified, fielded = [], []
+    certify, projector_pack = cst.certify, cst.projector_pack
+
+    def counted_certify(*args, **kwargs):
+        certified.append(certify(*args, **kwargs))
+        return certified[-1]
+
+    def counted_pack(e):
+        fielded.append(e)
+        return projector_pack(e)
+
+    monkeypatch.setattr(cst, "certify", counted_certify)
+    monkeypatch.setattr(cst, "projector_pack", counted_pack)
+    rows = run_brackets(validate_config({"suites": ["brackets"]}))
+    assert all(r.passed for r in rows)
+    assert len(fielded) == len({id(e) for e in fielded}) == 4
+    # every other frame is the omega~ solve of a certification
+    assert len(built_frames) == len(certified) + len(fielded)
+
+
+def test_no_public_function_takes_a_frame_beside_its_coframe():
+    """A frame is built from its coframe by the object that owns it, so no caller can pair
+    a frame with another coframe.  The one exception is `kernel_field_from_coords`, the
+    coframe-level entry point that perfbench/workloads.py calls with `projector_pack`."""
+    takes_frame = []
+    for module in (cst, red, hs):
+        for name, fn in vars(module).items():
+            if (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                    and not name.startswith("_")
+                    and {"pack", "frame"} & set(inspect.signature(fn).parameters)):
+                takes_frame.append(f"{module.__name__}.{name}")
+    assert takes_frame == ["pchgrav.constraints.kernel_field_from_coords"]
 
 
 def _j_field_phi_solves(st, monkeypatch) -> list:
@@ -204,6 +271,7 @@ def test_bracket_derivative_certifies_nothing_and_evaluates_six_times(monkeypatc
     monkeypatch.setattr(cst, "certify", refuse("certify"))
     monkeypatch.setattr(cst, "omega_tilde", refuse("omega_tilde"))
     monkeypatch.setattr(red, "omega_tilde", refuse("omega_tilde"))
+    monkeypatch.setattr(PhiFrame, "omega_tilde", refuse("PhiFrame.omega_tilde"))
     evaluated, functional_J = [], cst.functional_J
 
     def counted(smearing):
@@ -369,3 +437,7 @@ def test_site_block_kernels_build_no_large_temporaries():
     C, e_inv = spec.anholonomy(grid), wm.inv3(eb)[0]
     gamma, peak = _traced_peak(lambda: eh.gamma_block(eb, np.ones(3), grid, C=C, e_inv=e_inv))
     assert peak <= 6 * gamma.nbytes
+    # the whole cofactor matrix of the Gram at once would peak near 5 times the coframe
+    e = FormField(grid, 1, 1, eb @ np.eye(3, 4))
+    _, peak = _traced_peak(lambda: Coframe(e, LORENTZIAN))
+    assert peak <= 1.5 * e.data.nbytes

@@ -24,15 +24,15 @@ def _block3(M):
     return np.kron(np.eye(3), M)
 
 
-def _dense(pack):
-    """Dense per-site references (S12, S12^-1, S2v, S2v^-1) of the pack's frame transforms;
-    S12^-1 from Lambda^2 of P^-1, independent of the pack's L2P_inv."""
-    return (_block3(pack.L2P), _block3(wm.compound_matrix(pack.frames_inv)),
-            _block3(pack.frames), _block3(pack.frames_inv))
+def _dense(frame):
+    """Dense per-site references (S12, S12^-1, S2v, S2v^-1) of the frame's transforms;
+    S12^-1 from Lambda^2 of P^-1, independent of the frame's L2P_inv."""
+    return (_block3(frame.L2P), _block3(wm.compound_matrix(frame.frames_inv)),
+            _block3(frame.frames), _block3(frame.frames_inv))
 
 
-def _dense_p21(pack):
-    _, _, S2v, S2v_inv = _dense(pack)
+def _dense_p21(frame):
+    _, _, S2v, S2v_inv = _dense(frame)
     return S2v @ (red.K21HAT @ red.K21HAT.T) @ S2v_inv
 
 
@@ -45,25 +45,26 @@ def _fd_dp21(state, de):
     return (_dense_p21(pp) - _dense_p21(pm)) / (2 * eps)
 
 
-def _fd_a_map(state, de, pack):
-    S2v_inv, p21 = _dense(pack)[3], _dense_p21(pack)
-    dvec = cst._flat(cst.torsion(state))
+def _fd_a_map(state, de):
+    S2v_inv, p21 = _dense(state.frame)[3], _dense_p21(state.frame)
+    dvec = cst._flat(state.torsion)
     dp_d = np.einsum("...ij,...j->...i", _fd_dp21(state, de), dvec)
     pd = np.einsum("...ij,...j->...i", p21,
                    cst._flat(cov_deriv(de, state.omega, state.sig)))
     z = np.einsum("...ij,...j->...i", S2v_inv, dp_d + pd) @ red.K21HAT
-    return -np.linalg.solve(red.phi_matrix(pack.g), z[..., None])[..., 0]
+    return -np.linalg.solve(red.phi_matrix(state.frame.g), z[..., None])[..., 0]
 
 
-def _fd_a_dagger(state, Q, pack):
-    S12, _, _, S2v_inv = _dense(pack)
+def _fd_a_dagger(state, Q):
+    S12, _, _, S2v_inv = _dense(state.frame)
     PB = cst._pairing_gram_22_12(state.gamma, state.sig)
     K12S = np.einsum("...ij,jk->...ik", S12, red.K12HAT)
     qK = np.einsum("...j,...jk->...k", cst._flat(Q) @ PB, K12S)
-    lam = -np.linalg.solve(np.swapaxes(red.phi_matrix(pack.g), -1, -2), qK[..., None])[..., 0]
+    lam = -np.linalg.solve(np.swapaxes(red.phi_matrix(state.frame.g), -1, -2),
+                           qK[..., None])[..., 0]
     w = np.einsum("Dk,...k->...D", red.K21HAT, lam)
     w = np.einsum("...ji,...j->...i", S2v_inv, w)
-    dvec = cst._flat(cst.torsion(state))
+    dvec = cst._flat(state.torsion)
     psi = np.zeros(w.shape[:-1] + (12,))
     for a in range(3):
         for i in range(4):
@@ -72,7 +73,7 @@ def _fd_a_dagger(state, Q, pack):
             dp = _fd_dp21(state, FormField(state.grid, 1, 1, bump))
             col = np.einsum("...ij,...j->...i", dp, dvec)
             psi[..., a * 4 + i] = np.einsum("...i,...i->...", w, col)
-    wp = np.einsum("...ji,...j->...i", _dense_p21(pack), w)
+    wp = np.einsum("...ji,...j->...i", _dense_p21(state.frame), w)
     Dt = cst._cov_deriv_transpose(cst._unflat(wp, state.grid, 2, 1), state.omega, state.sig)
     psi += cst._flat(Dt)
     PG = wm.dual_pairing_matrix(1, 1)
@@ -87,68 +88,68 @@ def _rel(a, b):
 def offshell(request):
     rng = np.random.Generator(np.random.Philox(key=request.param))
     st = random_offshell_state(rng, Grid3(request.param), LORENTZIAN, 1.0, 0.1)
-    return st, cst.projector_pack(st.e)
+    return st
 
 
 def test_exact_dp21_matches_central_difference(offshell):
-    st, pack = offshell
+    st = offshell
     de = random_field_spec(RNG, 1, 1, n_modes=2, amp=0.3).sample(st.grid)
-    X = cst._frame_velocity(de.data, pack, st.sig)
+    X = cst._frame_velocity(st.frame, de.data)
     XB = _block3(X)
-    p21 = _dense_p21(pack)
+    p21 = _dense_p21(st.frame)
     exact = XB @ p21 - p21 @ XB
     assert _rel(exact, _fd_dp21(st, de)) <= 1e-8
 
 
 def test_a_map_matches_central_difference(offshell):
-    st, pack = offshell
+    st = offshell
     for _ in range(2):
         de = random_field_spec(RNG, 1, 1, n_modes=2, amp=0.3).sample(st.grid)
-        assert _rel(cst.a_map(st, de, pack), _fd_a_map(st, de, pack)) <= 1e-8
+        assert _rel(cst.a_map(st, de), _fd_a_map(st, de)) <= 1e-8
 
 
 def test_a_dagger_matches_central_difference(offshell):
-    st, pack = offshell
+    st = offshell
     Q = random_field_spec(RNG, 2, 2, n_modes=2, amp=0.3).sample(st.grid)
-    got = cst.a_dagger(st, cst.kernel_covector(st, Q, pack), pack)
-    assert _rel(got.data, _fd_a_dagger(st, Q, pack).data) <= 1e-8
+    got = cst.a_dagger(st, cst.kernel_covector(st, Q))
+    assert _rel(got.data, _fd_a_dagger(st, Q).data) <= 1e-8
 
 
 @pytest.fixture(scope="module", params=[EUCLIDEAN, LORENTZIAN], ids=["euclidean", "lorentzian"])
-def pack_and_dense(request):
+def frame_and_dense(request):
     st = random_offshell_state(np.random.Generator(np.random.Philox(key=5)), Grid3(4),
                                request.param, 2.0, 0.1)
-    pack = cst.projector_pack(st.e)
-    S12, S12_inv, _, _ = _dense(pack)
+    frame = st.frame
+    S12, S12_inv, _, _ = _dense(frame)
     P12 = red.K12HAT @ red.K12HAT.T
     U11 = np.linalg.svd(wm.wedge_matrix(np.eye(3, 4), (1, 1)))[0][:, :12]
     dense = {"p12": S12 @ P12 @ S12_inv, "p12_prime": S12 @ (np.eye(18) - P12) @ S12_inv,
-             "p11_dag": S12 @ (U11 @ U11.T) @ S12_inv, "p21": _dense_p21(pack)}
-    return pack, dense
+             "p11_dag": S12 @ (U11 @ U11.T) @ S12_inv, "p21": _dense_p21(frame)}
+    return frame, dense
 
 
-def test_pack_applies_and_transposes_match_dense_projectors(pack_and_dense):
-    pack, dense = pack_and_dense
+def test_pack_applies_and_transposes_match_dense_projectors(frame_and_dense):
+    frame, dense = frame_and_dense
     for name, M in dense.items():
         x = RNG.normal(size=(4, 4, 4, 3, M.shape[-1] // 3))
         flat = x.reshape(4, 4, 4, -1)
-        applies = [(getattr(pack, name), M)]
-        if hasattr(pack, name + "_T"):
-            applies.append((getattr(pack, name + "_T"), np.swapaxes(M, -1, -2)))
+        applies = [(getattr(frame, name), M)]
+        if hasattr(frame, name + "_T"):
+            applies.append((getattr(frame, name + "_T"), np.swapaxes(M, -1, -2)))
         for apply, ref in applies:
             want = np.einsum("...ij,...j->...i", ref, flat)
             assert _rel(apply(x).reshape(flat.shape), want) <= 1e-13
-    assert hasattr(pack, "p12_prime_T") and hasattr(pack, "p21_T")
+    assert hasattr(frame, "p12_prime_T") and hasattr(frame, "p21_T")
 
 
-def test_pack_projectors_are_idempotent(pack_and_dense):
-    pack, dense = pack_and_dense
+def test_pack_projectors_are_idempotent(frame_and_dense):
+    frame, dense = frame_and_dense
     for name, M in dense.items():
-        p = getattr(pack, name)
+        p = getattr(frame, name)
         px = p(RNG.normal(size=(4, 4, 4, 3, M.shape[-1] // 3)))
         assert _rel(p(px), px) <= 1e-12
     x = RNG.normal(size=(4, 4, 4, 3, 6))
-    assert _rel(pack.p12(x) + pack.p12_prime(x), x) <= 1e-13
+    assert _rel(frame.p12(x) + frame.p12_prime(x), x) <= 1e-13
 
 
 def _svd_frame(e, sig):

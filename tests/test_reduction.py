@@ -271,8 +271,7 @@ def test_omega_tilde_kernel_valued(random_state):
 
 def test_omega_tilde_gauge_invariance_and_idempotence(random_state):
     st = random_state
-    pack = cst.projector_pack(st.e)
-    shift = cst.kernel_field_from_coords(RNG.normal(size=(8, 8, 8, 6)), pack, st.grid)
+    shift = st.frame.kernel_field(RNG.normal(size=(8, 8, 8, 6)), st.grid)
     res2 = red.omega_tilde(st.e, st.omega + shift)
     assert (res2.omega_tilde - st.omega).sup_norm() <= 1e-9
     res3 = red.omega_tilde(st.e, st.omega)
@@ -291,23 +290,22 @@ def test_torsion_residual_dichotomy():
     sups = {}
     for n in (8, 16):
         st = cst.make_on_shell(spec, Grid3(n), 1.0, LORENTZIAN)
-        sups[n] = cst.torsion(st).sup_norm()
+        sups[n] = st.torsion.sup_norm()
     ratio = sups[8] / sups[16]
     assert 3.0 <= ratio <= 5.5
     st_off = random_offshell_state(RNG, Grid3(8), LORENTZIAN, 1.0, 0.0)
-    assert cst.torsion(st_off).sup_norm() > 0.05
+    assert st_off.torsion.sup_norm() > 0.05
 
 
 def test_slice_pairing_insensitive_to_kernel_direction(random_state):
     from pchgrav.grid import integrate, t_gamma_field, tr_quad_field, wedge_fields
 
     st = random_state
-    pack = cst.projector_pack(st.e)
     worst = 0.0
     for _ in range(10):
         de1 = random_field_spec(RNG, 1, 1, n_modes=1, amp=0.2).sample(st.grid)
         de2 = random_field_spec(RNG, 1, 1, n_modes=1, amp=0.2).sample(st.grid)
-        vt = cst.kernel_field_from_coords(RNG.normal(size=(8, 8, 8, 6)), pack, st.grid)
+        vt = st.frame.kernel_field(RNG.normal(size=(8, 8, 8, 6)), st.grid)
 
         def pairing(a, b):
             ex = wedge_fields(a, b)
@@ -318,30 +316,19 @@ def test_slice_pairing_insensitive_to_kernel_direction(random_state):
     assert worst <= 1e-11
 
 
-# --- frame hand-off ----------------------------------------------------------------
+# --- the frame's omega~ solve --------------------------------------------------------
 
 @pytest.mark.parametrize("sig", [LORENTZIAN, EUCLIDEAN], ids=lambda s: s.name)
 def test_passed_frame_gives_bit_identical_results(sig):
     rng = np.random.Generator(np.random.Philox(key=17))
     e, om = random_offshell_fields(rng, Grid3(4), sig)
     pf = red.phi_frame(e.data, sig)
-    got, ref = red.omega_tilde(e, om, pf), red.omega_tilde(e, om)
+    assert pf.e is e.data       # the frame holds its coframe, not a copy
+    got, ref = pf.omega_tilde(om), red.omega_tilde(e, om)
     assert np.array_equal(got.v_tilde.data, ref.v_tilde.data)
     assert np.array_equal(got.omega_tilde.data, ref.omega_tilde.data)
     assert got.structural_residual == ref.structural_residual
     assert np.array_equal(got.g, ref.g)
-
-
-@pytest.mark.parametrize("sig,other", [(LORENTZIAN, EUCLIDEAN), (EUCLIDEAN, LORENTZIAN)],
-                         ids=["lorentzian", "euclidean"])
-def test_frame_of_another_coframe_or_signature_is_refused(sig, other):
-    rng = np.random.Generator(np.random.Philox(key=18))
-    e, om = random_offshell_fields(rng, Grid3(4), sig)
-    e2, _ = random_offshell_fields(rng, Grid3(4), sig)
-    for frame, what in ((red.phi_frame(e2.data, sig), "another coframe"),
-                        (red.phi_frame(e.data, other), "signature")):
-        with pytest.raises(ValueError, match=what):
-            red.omega_tilde(e, om, frame)
 
 
 # --- kernel intersection ---------------------------------------------------------

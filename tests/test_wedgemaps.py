@@ -96,6 +96,17 @@ def test_decide_rank_is_the_gap_rule_of_kernel_basis(monkeypatch):
     assert seen == ["W^(2, 1)"] and (split.gap >= 1e6).all()
 
 
+def test_decide_rank_of_a_zero_spectrum_is_zero():
+    rank, gap = wm.decide_rank(np.zeros((2, 4)), "test")
+    assert rank.tolist() == [0, 0] and np.isinf(gap).all()
+    # a zero site leaves the decisions and gaps of the other sites as they were
+    sv = np.array([[2.0, 1.0, 1e-12, 0.0], [0.0] * 4, [1.0, 0.5, 0.25, 0.1]])
+    rank, gap = wm.decide_rank(sv, "test")
+    ref_rank, ref_gap = wm.decide_rank(sv[[0, 2]], "test")
+    assert rank.tolist() == [2, 0, 4] and rank[[0, 2]].tolist() == ref_rank.tolist()
+    assert np.array_equal(gap[[0, 2]], ref_gap) and gap[1] == np.inf
+
+
 def _block3(M):
     """kron(I_3, M), batched on the last two axes: a leg-wise map on three legs."""
     return np.kron(np.eye(3), M)
