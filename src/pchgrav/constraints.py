@@ -13,9 +13,10 @@ since T_gamma = 1 + gamma^-1 star is symmetric under the trace pairing
 densities (and F, e ^ e, the torsion) once, on first use, so each smearing
 costs one pointwise wedge; likewise its e-adapted frame, built by the first
 vector field at the state and shared by the later ones (a certification keeps
-none).  L and J are cubic in (e, omega), and a direction
-tangent to the slice moves the structural representative only at second order,
-so bracket derivatives are exact five-point stencils on uncertified states.
+neither the frame nor the record of its omega~ solve).  L and J are cubic in
+(e, omega), and a direction tangent to the slice moves the structural
+representative only at second order, so bracket derivatives are exact
+five-point stencils on uncertified states.
 
 Hamiltonian vector fields solve the defining wedge equations
 
@@ -34,7 +35,7 @@ derivative for the nonlocal part).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +51,9 @@ from .grid import (
     deriv_axis,
     integrate,
     t_gamma_field,
-    tr_quad_field,
     wedge_fields,
 )
-from .reduction import OmegaTildeResult, omega_tilde
+from .reduction import omega_tilde
 from .wedgemaps import compound_matrix
 
 # ---------------------------------------------------------------------------
@@ -66,9 +66,7 @@ class BoundaryState:
     omega: FormField            # structural representative when certified
     gamma: float
     Lambda: float
-    ot: OmegaTildeResult | None = None   # the certification; None on a shifted state
     on_shell: bool = False      # built on the residual-constraint surface
-    _fields: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid3:
@@ -78,60 +76,65 @@ class BoundaryState:
     def sig(self) -> Signature:
         return self.e.sig
 
-    def _once(self, key: str, build):
-        if key not in self._fields:
-            self._fields[key] = build()
-        return self._fields[key]
-
-    @property
+    @functools.cached_property
     def frame(self) -> reduction.PhiFrame:
         """The e-adapted frame of the coframe, built by the first field at the state;
         a state that asks for no field holds none."""
-        return self._once("frame", lambda: projector_pack(self.e))
+        return projector_pack(self.e)
 
-    @property
+    @functools.cached_property
     def F(self) -> FormField:
-        return self._once("F", lambda: curvature(self.omega, self.sig))
+        return curvature(self.omega, self.sig)
 
-    @property
+    @functools.cached_property
     def ee(self) -> FormField:
-        return self._once("ee", lambda: wedge_fields(self.e.field, self.e.field))
+        return wedge_fields(self.e.field, self.e.field)
 
-    @property
+    @functools.cached_property
     def torsion(self) -> FormField:
         """d_omega e."""
-        return self._once("torsion", lambda: cov_deriv(self.e.field, self.omega, self.sig))
+        return cov_deriv(self.e.field, self.omega, self.sig)
 
-    @property
+    @functools.cached_property
     def p21_torsion(self) -> FormField:
         """p21 d_omega e, through the state's frame."""
-        return self._once("p21 torsion", lambda: _apply_sitewise(self.frame.p21, self.torsion))
+        return _apply_sitewise(self.frame.p21, self.torsion)
+
+    @functools.cached_property
+    def eF(self) -> FormField:
+        return wedge_fields(self.e.field, self.F)
+
+    @functools.cached_property
+    def e_star_F(self) -> FormField:
+        return wedge_fields(self.e.field, FormField(
+            self.grid, 2, 2, fiber.hodge_star2(self.F.data, self.sig)))
+
+    @functools.cached_property
+    def e3(self) -> FormField:
+        return wedge_fields(self.e.field, self.ee)
 
     def j_density(self, gamma: float) -> FormField:
         """e ^ T_gamma F + Lambda e^3, so that J_mu = integral Tr[mu ^ density]."""
-        e = self.e.field
-        D = self._once("eF", lambda: wedge_fields(e, self.F))
+        D = self.eF
         if not np.isinf(gamma):
-            D = D + self._once("e*F", lambda: wedge_fields(e, FormField(
-                self.grid, 2, 2, fiber.hodge_star2(self.F.data, self.sig)))) * (1.0 / gamma)
+            D = D + self.e_star_F * (1.0 / gamma)
         if self.Lambda != 0.0:
-            D = D + self._once("e3", lambda: wedge_fields(e, self.ee)) * self.Lambda
+            D = D + self.e3 * self.Lambda
         return D
 
-    @property
+    @functools.cached_property
     def l_density(self) -> FormField:
         """T_gamma(e ^ d_omega e), so that L_alpha = integral Tr[alpha ^ density]."""
-        return self._once("L", lambda: t_gamma_field(
-            wedge_fields(self.e.field, self.torsion), self.gamma, self.sig))
+        return t_gamma_field(wedge_fields(self.e.field, self.torsion), self.gamma, self.sig)
 
 
 def certify(e: Coframe, omega: FormField, gamma: float, Lambda: float = 0.0,
             on_shell: bool = False) -> BoundaryState:
-    """Solve for the structural representative and package the state."""
+    """Solve for the structural representative and package the state; the solve's
+    record (v~, residual, conditioning) is `reduction.omega_tilde`'s to report."""
     if gamma == 0:
         raise ValueError("gamma must be nonzero")
-    ot = omega_tilde(e, omega)
-    return BoundaryState(e, ot.omega_tilde, gamma, Lambda, ot, on_shell)
+    return BoundaryState(e, omega_tilde(e, omega).omega_tilde, gamma, Lambda, on_shell)
 
 
 def shifted_state(state: BoundaryState, t: float, de: FormField, domega: FormField) -> BoundaryState:
@@ -155,7 +158,7 @@ def eval_L(state: BoundaryState, alpha: FormField) -> float:
     symmetric trace pairing); linear in alpha, O(h^2) on on-shell states."""
     if alpha.grid.n != state.grid.n:
         raise ValueError("grid mismatch")
-    return integrate(tr_quad_field(wedge_fields(alpha, state.l_density)))
+    return integrate(wedge_fields(alpha, state.l_density))
 
 
 def eval_J(state: BoundaryState, mu: FormField, gamma: float | None = None) -> float:
@@ -166,7 +169,7 @@ def eval_J(state: BoundaryState, mu: FormField, gamma: float | None = None) -> f
     g = state.gamma if gamma is None else gamma
     if g == 0:
         raise ValueError("gamma must be nonzero")
-    return integrate(tr_quad_field(wedge_fields(mu, state.j_density(g))))
+    return integrate(wedge_fields(mu, state.j_density(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +435,16 @@ def a_dagger(state: BoundaryState, cov) -> FormField:
 class TangentVector:
     de: FormField
     domega: FormField
-    # sup |p X_omega - K(A X_e + B p'X_omega)| / sup |X_omega|; nan when not measured
+    # sup |p X_omega - K(A X_e + B p'X_omega)| / sup |X_omega|; nan when not measured.
+    # It sees only a kernel-valued part in the complement input p'X_omega, not a wrong A or B.
     constraint_residual: float = float("nan")
     wedge_residuals: dict | None = None
 
 
 def slice_tangent(state: BoundaryState, de: FormField, dw_c: FormField) -> TangentVector:
-    """The slice tangent (de, dw_c + K(A de + B dw_c)) for dw_c = p'X_omega; its
-    recorded residual also shows a kernel-valued part in dw_c."""
+    """The slice tangent (de, dw_c + K(A de + B dw_c)) for dw_c = p'X_omega.  Its
+    recorded residual compares p X_omega with the kernel part the call itself built, so
+    it shows only a kernel-valued part in dw_c; a wrong A or B leaves it at roundoff."""
     Xw_k = state.frame.kernel_field(a_map(state, de) + b_map(state, dw_c), state.grid)
     X_omega = dw_c + Xw_k
     pX = _apply_sitewise(state.frame.p12, X_omega)
@@ -519,7 +524,9 @@ def directional_derivative(state: BoundaryState, functional, X: TangentVector):
     D(a) = [8(G(s+aX) - G(s-aX)) - (G(s+2aX) - G(s-2aX))] / (12a) is exact
     for polynomials of degree <= 4.  Returns (D(t), |D(t) - D(2t)|), so the
     error is roundoff alone.  ValueError when X.constraint_residual is above
-    TANGENCY_LIMIT: off the slice the stencil is not the slice derivative.
+    TANGENCY_LIMIT: a direction with a kernel-valued part in its complement input
+    is off the slice, where the stencil is not the slice derivative.  The residual
+    cannot see a wrong A or B in the kernel part, so the check does not certify it.
     """
     if not X.constraint_residual <= TANGENCY_LIMIT:
         raise ValueError(f"direction not tangent to the structural slice: constraint "
@@ -560,6 +567,6 @@ def symplectic_form(state: BoundaryState, X, Y) -> float:
     def term(a, b) -> float:
         ex = wedge_fields(e, a.de)                      # Omega^2(L^2)
         tex = t_gamma_field(ex, state.gamma, state.sig)
-        return integrate(tr_quad_field(wedge_fields(tex, b.domega)))
+        return integrate(wedge_fields(tex, b.domega))
 
     return term(X, Y) - term(Y, X)

@@ -367,8 +367,9 @@ def eh_data(frame: AdaptedFrame, split: ConnectionSplit, grid: Grid3,
     ginv, sqrtg = metric_inverse(g)
     K = extrinsic_tensor(frame, split.a_part)
     Pi = momentum_density_tensor(g, K, ginv, sqrtg)
-    R = ricci_scalar_via_frame(frame.e_bar, inv3(frame.e_bar)[1], frame.eta_bar, grid,
-                               split.gamma_triad)
+    # the Gram-Schmidt triad is lower triangular with diagonal signs eta_bar
+    det_e = np.prod(frame.eta_bar) * sqrtg
+    R = ricci_scalar_via_frame(frame.e_bar, det_e, frame.eta_bar, grid, split.gamma_triad)
     H = hamiltonian_density(ginv, sqrtg, K, R, frame.eta00, Lambda)
     M = momentum_density_frame(frame, split.a_part, split.gamma_triad, grid)
     return EHData(g=g, g_inv=ginv, K=K, Pi=Pi, sqrtg=sqrtg, R_scalar=R, H_density=H,

@@ -200,11 +200,12 @@ def ext_deriv(f: FormField) -> FormField:
     if f.p >= 3:
         raise ValueError("top form")
     g = f.grid
-    d = np.stack([deriv_axis(f.data, a, g) for a in range(3)], axis=3)  # [..., a, c, f]
     out = FormField.zeros(g, f.p + 1, f.grade)
     S = fiber.wedge_signs(3, 1, f.p)      # dx^a ^ (component ci) along component co
-    for a, ci, co in zip(*np.nonzero(S)):
-        out.data[..., co, :] += S[a, ci, co] * d[..., a, ci, :]
+    for a in range(3):                    # one axis derivative alive at a time
+        d = deriv_axis(f.data, a, g)
+        for ci, co in zip(*np.nonzero(S[a])):
+            out.data[..., co, :] += S[a, ci, co] * d[..., ci, :]
     return out
 
 
@@ -246,7 +247,7 @@ def curvature(omega: FormField, sig: Signature) -> FormField:
 
 
 def integrate(density: FormField) -> float:
-    """Riemann sum of a top-form density (scalar- or Lambda^4-valued)."""
+    """Riemann sum of a top-form density, scalar or Lambda^4-valued (Tr reads its one entry)."""
     if density.p != 3 or density.grade not in (0, 4):
         raise ValueError("integrate expects a scalar or volume-valued 3-form")
     return float(density.data[..., 0, 0].sum() * density.grid.h**3)
@@ -257,13 +258,6 @@ def t_gamma_field(f: FormField, gamma: float, sig: Signature) -> FormField:
         raise ValueError("twist acts on bivector-valued forms")
     T = fiber.t_gamma_endo_matrix(gamma, sig)
     return FormField(f.grid, f.p, 2, f.data @ T.T)
-
-
-def tr_quad_field(f: FormField) -> FormField:
-    """Volume pairing applied to a Lambda^4-valued field, leaving a scalar form."""
-    if f.grade != 4:
-        raise ValueError("Tr applies to Lambda^4-valued forms")
-    return FormField(f.grid, f.p, 0, f.data.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .grid import (
     curvature,
     integrate,
     t_gamma_field,
-    tr_quad_field,
     wedge_fields,
 )
 
@@ -105,8 +104,7 @@ def symplectic_form_hs(X, Y) -> float:
     """varpi_HS(X, Y) = int Tr[X_t ^ Y_e] - int Tr[Y_t ^ X_e] for X = (X_t, X_e)."""
     dt_x, de_x = X
     dt_y, de_y = Y
-    return (integrate(tr_quad_field(wedge_fields(dt_x, de_y)))
-            - integrate(tr_quad_field(wedge_fields(dt_y, de_x))))
+    return integrate(wedge_fields(dt_x, de_y)) - integrate(wedge_fields(dt_y, de_x))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 class CheckRow:
     id: str
     anchor: str                 # mathematical anchor of the check, or "plumbing"
-    inputs_digest: str
+    inputs_digest: str          # hash of (seed, suite, row id), not of the drawn inputs
     values: dict
     tolerance: float | None
     passed: bool

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pchgrav import constraints as cst, fiber
+from pchgrav import constraints as cst, fiber, reduction as red
 from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
 from pchgrav.grid import (
     Coframe,
@@ -16,7 +16,6 @@ from pchgrav.grid import (
     curvature,
     random_field_spec,
     t_gamma_field,
-    tr_quad_field,
     wedge_fields,
 )
 from pchgrav.suites import (
@@ -54,7 +53,7 @@ def test_grid_mismatch_rejected(offshell_state):
 
 def test_flat_state_gives_exact_zeros():
     st = cst.make_on_shell(flat_triad_spec(), Grid3(8), 1.0, LORENTZIAN)
-    assert st.ot.structural_residual <= 1e-14
+    assert red.omega_tilde(st.e, st.omega).structural_residual <= 1e-14
     assert abs(cst.eval_L(st, trig_alpha_field(st.grid))) <= 1e-15
     assert abs(cst.eval_J(st, cst.smear_constant(st.grid, 1, [0, 0, 0, 1]))) <= 1e-15
 
@@ -242,7 +241,7 @@ def test_complement_solve_solves_its_equations(offshell_state):
 @pytest.mark.parametrize("sig,gamma", [(LORENTZIAN, 1.0), (EUCLIDEAN, 2.0)],
                          ids=["lorentzian", "euclidean"])
 def test_template_wedge_solves_match_pinv_reference(sig, gamma):
-    from pchgrav import reduction as red, wedgemaps as wm
+    from pchgrav import wedgemaps as wm
 
     st = random_offshell_state(np.random.Generator(np.random.Philox(key=23)), Grid3(4),
                                sig, gamma, 0.1)
@@ -275,7 +274,7 @@ def test_template_wedge_solves_match_pinv_reference(sig, gamma):
 # --- finite-difference brackets -----------------------------------------------------
 
 def test_fd_derivative_exact_on_linear_functional(offshell_state):
-    from pchgrav.grid import integrate, tr_quad_field, wedge_fields
+    from pchgrav.grid import integrate, wedge_fields
 
     st = offshell_state
     de = random_field_spec(RNG, 1, 1, n_modes=1, amp=0.1, base=0.1).sample(st.grid)
@@ -287,10 +286,10 @@ def test_fd_derivative_exact_on_linear_functional(offshell_state):
     probe = cst._unflat(cst._flat(de) @ cst._GRAM_23_11_INV, st.grid, 2, 3)
 
     def lin(state):
-        return integrate(tr_quad_field(wedge_fields(probe, state.e.field)))
+        return integrate(wedge_fields(probe, state.e.field))
 
     got, err = cst.directional_derivative(st, lin, Y)
-    exact = integrate(tr_quad_field(wedge_fields(probe, Y.de)))
+    exact = integrate(wedge_fields(probe, Y.de))
     assert abs(exact) > 1e-8
     assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
     assert err <= 1e-10 * max(1.0, abs(exact))
@@ -386,7 +385,7 @@ def test_kernel_shift_invariance_of_functionals(offshell_state):
 # --- constraint densities against the direct formulas ------------------------------
 
 def _integral_and_scale(density: FormField):
-    """Riemann sum of a scalar 3-form and the sum of its absolute values."""
+    """Riemann sum of a volume-valued 3-form and the sum of its absolute values."""
     h3 = density.grid.h**3
     return float(density.data.sum() * h3), float(np.abs(density.data).sum() * h3)
 
@@ -395,9 +394,9 @@ def _J_direct(st, mu, gamma):
     """Tr[T_gamma(mu ^ e) ^ F] + Lambda Tr[mu ^ e^3], every product rebuilt."""
     e = st.e.field
     tme = t_gamma_field(wedge_fields(mu, e), gamma, st.sig)
-    dens = tr_quad_field(wedge_fields(tme, curvature(st.omega, st.sig)))
+    dens = wedge_fields(tme, curvature(st.omega, st.sig))
     e3 = wedge_fields(e, wedge_fields(e, e))
-    dens = dens + st.Lambda * tr_quad_field(wedge_fields(mu, e3))
+    dens = dens + st.Lambda * wedge_fields(mu, e3)
     return _integral_and_scale(dens)
 
 
@@ -405,7 +404,7 @@ def _L_direct(st, alpha):
     """Tr[T_gamma alpha ^ e ^ d_omega e], every product rebuilt."""
     x = wedge_fields(st.e.field, cov_deriv(st.e.field, st.omega, st.sig))
     talpha = t_gamma_field(alpha, st.gamma, st.sig)
-    return _integral_and_scale(tr_quad_field(wedge_fields(talpha, x)))
+    return _integral_and_scale(wedge_fields(talpha, x))
 
 
 def _smearings(grid, seed):

@@ -539,3 +539,21 @@ def test_eh_kernel_route_matches_so3_references(n, sig, shell):
     got = _triad_compatibility_residual(e_bar, split.gamma_part, eta_bar, grid)
     ref = _triad_compatibility_reference(e_bar, split.gamma_part, eta_bar, grid)
     assert abs(got - ref) <= 1e-13 * ref
+
+
+DET_STATES = [(LORENTZIAN, "on"), (LORENTZIAN, "timelike"), (EUCLIDEAN, "on"), (LORENTZIAN, "off")]
+
+
+@pytest.mark.parametrize("sig,shell", DET_STATES, ids=[f"{shell}-{sig.name}" for sig, shell in DET_STATES])
+def test_triad_determinant_from_the_metric(sig, shell):
+    """The Gram-Schmidt triad is lower triangular with diagonal signs eta_bar, so
+    det ebar = (prod eta_bar) sqrt|det g|, the value `eh_data` passes to the frame route of R."""
+    st, frame, split = _reduction_state(8, sig, shell)
+    e_bar, eta_bar, grid = frame.e_bar, frame.eta_bar, st.grid
+    assert np.abs(np.triu(e_bar, 1)).max() <= 1e-15 * np.abs(e_bar).max()
+    assert (np.sign(np.diagonal(e_bar, axis1=-2, axis2=-1)) == eta_bar).all()
+    g = np.einsum("...ai,i,...bi->...ab", e_bar, eta_bar, e_bar)
+    det_e = wm.inv3(e_bar)[1]
+    assert _rel(np.prod(eta_bar) * eh.metric_inverse(g)[1], det_e) <= 1e-15
+    R_ref = eh.ricci_scalar_via_frame(e_bar, det_e, eta_bar, grid, split.gamma_triad)
+    assert _rel(eh.eh_data(frame, split, grid).R_scalar, R_ref) <= 1e-15

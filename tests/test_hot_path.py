@@ -15,7 +15,8 @@ stencil states and solves for no structural representative.  The kernels
 suite splits each shape once over a stack of coframes, and the EH ladder
 evaluates J on no state whose deviations it does not read.  Each e-adapted
 frame belongs to what it frames: a certification builds one for omega~ and
-keeps none, a state builds its own with its first field and shares it with the
+keeps none (nor the solve's record: a certified 32^3 state retains e and omega~
+alone), a state builds its own with its first field and shares it with the
 later ones, a half-shell state builds one for all its solves, and the reduction
 suite's omega~ row solves three times on one frame per drawn state.  No public
 function takes a frame beside its coframe.  omega~ differentiates
@@ -109,7 +110,7 @@ def test_no_eigensolve_on_the_fd_bracket_path(eigvalsh_calls):
     value, err = cst.poisson_bracket(st, "J", mu, "J", mu2)
     assert np.isfinite(value) and eigvalsh_calls == []
     # the worst condition number is computed from the full spectrum when read
-    assert st.ot.solver_conditioning > 1.0
+    assert omega_tilde(st.e, st.omega).solver_conditioning > 1.0
     assert eigvalsh_calls
 
 
@@ -121,6 +122,10 @@ def test_projector_pack_holds_no_dense_projector():
     arrays = [v for v in vars(pack).values() if isinstance(v, np.ndarray)]
     assert len(arrays) >= 6
     assert max(a.size for a in arrays) <= 36 * sites
+
+
+#: what a certified state holds until a derived field is read
+STATE_FIELDS = {"e", "omega", "gamma", "Lambda", "on_shell"}
 
 
 def _offshell_state():
@@ -145,8 +150,7 @@ def test_states_build_their_frame_on_first_use(built_frames):
     st = _offshell_state()
     # the certification builds one frame for omega~ and keeps none
     assert len(built_frames) == 1
-    held = [*vars(st).values(), *st._fields.values(), *vars(st.ot).values()]
-    assert not any(isinstance(v, PhiFrame) for v in held)
+    assert set(vars(st)) == STATE_FIELDS
     # the first field builds the state's frame; a second field, psi and a slice tangent share it
     X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4]))
     assert len(built_frames) == 2 and st.frame is built_frames[1]
@@ -162,7 +166,7 @@ def test_states_build_their_frame_on_first_use(built_frames):
     on = cst.make_on_shell(acceptance_triad_spec(), Grid3(4), 1.0, LORENTZIAN, Lambda=0.1)
     assert len(built_frames) == 3
     eh.compare_pch_eh(on, LAPSE_PROBES[:1], SHIFT_PROBES[:1])
-    assert len(built_frames) == 3 and "frame" not in on._fields
+    assert len(built_frames) == 3 and "frame" not in vars(on)
     cst.hamiltonian_vector_field(on, "L", alpha)
     assert len(built_frames) == 4 and on.frame is built_frames[3]
 
@@ -281,7 +285,7 @@ def test_bracket_derivative_certifies_nothing_and_evaluates_six_times(monkeypatc
     monkeypatch.setattr(cst, "functional_J", counted)
     value, err = cst.poisson_bracket(st, "J", mu, "J", mu2)
     assert np.isfinite(value) and err <= 1e-12 * max(1.0, abs(value))
-    assert len(evaluated) == 6 and all(s.ot is None for s in evaluated)
+    assert len(evaluated) == 6
 
 
 def _stencil_at(st, G, X, t):
@@ -441,3 +445,19 @@ def test_site_block_kernels_build_no_large_temporaries():
     e = FormField(grid, 1, 1, eb @ np.eye(3, 4))
     _, peak = _traced_peak(lambda: Coframe(e, LORENTZIAN))
     assert peak <= 1.5 * e.data.nbytes
+
+
+def test_certified_state_retains_only_its_fields():
+    spec = acceptance_triad_spec()
+    cst.make_on_shell(spec, Grid3(4), 1.0, LORENTZIAN, Lambda=0.1)     # module caches built
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        st = cst.make_on_shell(spec, Grid3(32), 1.0, LORENTZIAN, Lambda=0.1)
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # no frame and no record of the omega~ solve: e and omega~ alone
+    assert set(vars(st)) == STATE_FIELDS
+    assert retained <= 1.1 * (st.e.data.nbytes + st.omega.data.nbytes)
+    assert st.torsion is st.torsion and set(vars(st)) == STATE_FIELDS | {"torsion"}

@@ -221,13 +221,13 @@ def test_phi_screen_clears_well_conditioned_sites():
     assert np.flatnonzero(~red._phi_cleared(g)).tolist() == [3]
 
 
-def test_solver_conditioning_is_the_full_spectrum_maximum(random_state):
+def test_solver_conditioning_is_the_full_spectrum_maximum(random_state, random_solve):
     st = random_state
     e = st.e.data
     g = (e * st.sig.eta) @ np.swapaxes(e, -1, -2)
     sv = red.phi_singular_values(g)
     cond = sv.max(axis=-1) / sv.min(axis=-1)
-    assert st.ot.solver_conditioning == float(cond.max())
+    assert random_solve.solver_conditioning == float(cond.max())
 
 
 def test_phi_refuses_degenerate_metric():
@@ -253,19 +253,30 @@ def test_phi_check_names_the_site_in_every_caller():
 # --- omega tilde ----------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def random_state():
-    return random_offshell_state(np.random.Generator(np.random.Philox(key=7)),
-                                 Grid3(8), LORENTZIAN, 1.0, 0.0)
+def random_fields():
+    return random_offshell_fields(np.random.Generator(np.random.Philox(key=7)), Grid3(8), LORENTZIAN)
 
 
-def test_omega_tilde_structural_residual(random_state):
-    assert random_state.ot.structural_residual <= 1e-9
+@pytest.fixture(scope="module")
+def random_state(random_fields):
+    return cst.certify(*random_fields, 1.0, 0.0)
 
 
-def test_omega_tilde_kernel_valued(random_state):
+@pytest.fixture(scope="module")
+def random_solve(random_fields):
+    """The omega~ solve that certifies `random_state`, with its diagnostics."""
+    return red.omega_tilde(*random_fields)
+
+
+def test_omega_tilde_structural_residual(random_solve):
+    assert random_solve.structural_residual <= 1e-9
+
+
+def test_omega_tilde_kernel_valued(random_state, random_solve):
     st = random_state
+    assert np.array_equal(random_solve.omega_tilde.data, st.omega.data)
     M12 = wm.wedge_matrix(st.e.data, (1, 2))
-    v = st.ot.v_tilde.data.reshape(8, 8, 8, 18)
+    v = random_solve.v_tilde.data.reshape(8, 8, 8, 18)
     assert np.abs(np.einsum("...ij,...j->...i", M12, v)).max() <= 1e-11
 
 
@@ -298,22 +309,36 @@ def test_torsion_residual_dichotomy():
 
 
 def test_slice_pairing_insensitive_to_kernel_direction(random_state):
-    from pchgrav.grid import integrate, t_gamma_field, tr_quad_field, wedge_fields
+    """int Tr[(e ^ de) ^ v] = 0 for kernel-valued v (e ^ v = 0): the gamma -> infinity
+    pairing.  The twisted pairing at finite gamma keeps v (ROADMAP item 1(c))."""
+    from pchgrav.grid import integrate, t_gamma_field, wedge_fields
 
     st = random_state
-    worst = 0.0
+    worst = worst_twisted = 0.0
     for _ in range(10):
-        de1 = random_field_spec(RNG, 1, 1, n_modes=1, amp=0.2).sample(st.grid)
-        de2 = random_field_spec(RNG, 1, 1, n_modes=1, amp=0.2).sample(st.grid)
+        de = random_field_spec(RNG, 1, 1, n_modes=1, amp=0.2).sample(st.grid)
         vt = st.frame.kernel_field(RNG.normal(size=(8, 8, 8, 6)), st.grid)
-
-        def pairing(a, b):
-            ex = wedge_fields(a, b)
-            return integrate(tr_quad_field(wedge_fields(
-                t_gamma_field(ex, st.gamma, st.sig), vt)))
-
-        worst = max(worst, abs(pairing(de1, de2) - pairing(de2, de1)))
+        ex = wedge_fields(st.e.field, de)
+        worst = max(worst, abs(integrate(wedge_fields(ex, vt))))
+        worst_twisted = max(worst_twisted, abs(integrate(
+            wedge_fields(t_gamma_field(ex, st.gamma, st.sig), vt))))
     assert worst <= 1e-11
+    assert worst_twisted > 1e-3
+
+
+def test_slice_pairing_row_fails_off_the_kernel(monkeypatch):
+    """The reduction suite's pairing row FAILs when its corrections are not kernel-valued."""
+    from pchgrav.config import validate_config
+    from pchgrav.suites import run_reduction
+
+    def off_kernel(self, coords, grid):
+        # the same six coordinates on every leg: not a kernel element of e ^ .
+        return FormField(grid, 1, 2, np.repeat(coords[..., None, :], 3, axis=-2))
+
+    monkeypatch.setattr(red.PhiFrame, "kernel_field", off_kernel)
+    rows = run_reduction(validate_config({"suites": ["reduction"]}))
+    row = next(r for r in rows if r.id == "reduction/structural-slice-pairing")
+    assert not row.passed and row.values["max_untwisted"] > 1e-3
 
 
 # --- the frame's omega~ solve --------------------------------------------------------
