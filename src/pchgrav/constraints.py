@@ -336,23 +336,31 @@ class DegeneratePairingError(wedgemaps.ConditioningError, ValueError):
     or worse conditioned than PAIRING_COND_LIMIT."""
 
 
-@functools.lru_cache(maxsize=16)
-def _pairing_gram_inv_22_12(gamma: float, sig: Signature) -> np.ndarray:
-    """Inverse of the transposed twisted-pairing Gram, once per (gamma, signature).
-
-    With star^2 = 1 (the Euclidean signature) T_gamma is singular at gamma = +-1,
-    and the condition number of the Gram grows as about 2 / |gamma -+ 1| near it.
-    """
-    gram = _pairing_gram_22_12(gamma, sig)
-    cond = np.linalg.cond(gram)
+def _twist_inverse(matrix: np.ndarray, gamma: float, sig: Signature) -> np.ndarray:
+    """The read-only inverse of a matrix built on T_gamma, or DegeneratePairingError where its
+    condition number exceeds PAIRING_COND_LIMIT: with star^2 = 1 (the Euclidean signature)
+    T_gamma is singular at gamma = +-1, and the condition number is about 2 / |gamma -+ 1|."""
+    cond = np.linalg.cond(matrix)
     if not cond <= PAIRING_COND_LIMIT:
         raise DegeneratePairingError(
             f"twisted pairing degenerate for the {sig.name} signature at gamma = {gamma}: "
             f"T_gamma = 1 + gamma^-1 star is singular or nearly so, "
             f"cond = {cond:.3e} > {PAIRING_COND_LIMIT:.0e}")
-    inv = np.linalg.inv(gram.T)
+    inv = np.linalg.inv(matrix)
     inv.flags.writeable = False
     return inv
+
+
+@functools.lru_cache(maxsize=16)
+def _pairing_gram_inv_22_12(gamma: float, sig: Signature) -> np.ndarray:
+    """Inverse of the transposed twisted-pairing Gram, once per (gamma, signature)."""
+    return _twist_inverse(_pairing_gram_22_12(gamma, sig).T, gamma, sig)
+
+
+@functools.lru_cache(maxsize=16)
+def t_gamma_inverse(gamma: float, sig: Signature) -> np.ndarray:
+    """T_gamma^-1 on the ordered bivector basis, once per (gamma, signature)."""
+    return _twist_inverse(fiber.t_gamma_endo_matrix(gamma, sig), gamma, sig)
 
 
 def kernel_covector(state: BoundaryState, Q: FormField):

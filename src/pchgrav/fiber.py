@@ -174,7 +174,7 @@ def act_on_vector(a: np.ndarray, v: np.ndarray, sig: Signature) -> np.ndarray:
 # the contraction kernel: every wedge, bracket and action product goes here
 
 #: sites per block of every per-site kernel (this one, `inv3`, Lambda^2 P, Gamma(ebar), the
-#: connection split's gauge term, phi_e^-1): the per-block intermediates stay a few MB
+#: connection split's gauge term, the phi_e screen): the per-block intermediates stay a few MB
 SITE_BLOCK = 2048
 
 

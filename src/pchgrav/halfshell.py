@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fiber, reduction, wedgemaps
+from . import constraints, fiber, reduction, wedgemaps
 from .fiber import Signature
 from .grid import (
     Coframe,
@@ -93,9 +93,11 @@ def phi_symplecto(state: HalfShellState, t_bold: FormField):
     (`PhiFrame.solve_complement_12`) and returns the connection representative
     (kernel part zero in the twisted variable) with the max-norm residual of
     the wedge equation.  Round-trips with hs_project on the class level.
+    `constraints.DegeneratePairingError` where T_gamma is singular or worse
+    conditioned than `constraints.PAIRING_COND_LIMIT` (Euclidean gamma near +-1).
     """
+    Tinv = constraints.t_gamma_inverse(state.gamma, state.sig)
     sigma = state.frame.solve_complement_12(t_bold)
-    Tinv = np.linalg.inv(fiber.t_gamma_endo_matrix(state.gamma, state.sig))
     omega = FormField(state.grid, 1, 2, sigma.data @ Tinv.T)
     return omega, (wedge_fields(sigma, state.e.field) - t_bold).sup_norm()
 

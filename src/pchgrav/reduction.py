@@ -9,8 +9,9 @@ produces the structural representative omega~ = omega + v satisfying
 p d_omega~ e = 0.  The per-site solve inverts the isomorphism
 phi_e = p_{(2,1)} o [.,e] restricted to ker W_e^{(1,2)}, assembled here in the
 e-adapted frame where it is an explicit 6x6 matrix depending only on the
-boundary metric g.  Its inverse is closed-form, Q(g) / det g with Q quadratic
-in the entries of g, so each solve is a per-site matrix-vector product.
+boundary metric g.  Both kernels are copies of Sym(3), and there phi_e is minus
+the tensor cross product with g, whose inverse (g T g - tr(g T) g / 2) / det g
+makes each solve two per-site 3x3 products.
 `PhiFrame` is the one per-site object of that frame, built from e alone: the
 omega~ solve (`PhiFrame.omega_tilde`), the projectors, this kernel chain and
 the template wedge solves that the Hamiltonian vector fields of `constraints`
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import exactla, fiber, wedgemaps
 from .fiber import Signature, site_blocks
-from .grid import Coframe, FormField, Grid3, action_wedge, cofactors3, ext_deriv
+from .grid import COMP_BASIS, Coframe, FormField, Grid3, action_wedge, cofactors3, ext_deriv
 from .wedgemaps import KERNEL_TEMPLATES, complete_frame, compound_matrix
 
 # ---------------------------------------------------------------------------
@@ -109,72 +110,31 @@ def integer_kernel_basis(shape: tuple) -> tuple:
     return _frozen(exactla.nullspace(_kernel_equation_rows(shape)))
 
 
-#: 2 det(g) phi_Z(g)^-1 with phi_Z = Z21^T B(g) Z12 in the integer kernel bases Z12, Z21
-#: (`integer_kernel_basis`): entry [i, j], row-major, is the sum of c g_ab g_cd
-#: over its terms (c, "abcd").  Exact; tests/test_reduction.py derives it again with
-#: `exactla`.
-_PHI_INV_Z2_TERMS = (
-    ((-1, "0022"), (2, "0202")), ((1, "0011"), (-2, "0101")), ((1, "0012"), (-2, "0102")),
-    ((1, "0000"),), ((1, "0001"),), ((1, "0002"),),
-    ((1, "1122"), (-2, "1212")), ((1, "1111"),), ((1, "1112"),),
-    ((1, "0011"), (-2, "0101")), ((-1, "0111"),), ((-2, "0112"), (1, "0211")),
-    ((-1, "0122"), (2, "0212")), ((-1, "0111"),), ((-1, "0211"),),
-    ((1, "0001"),), ((1, "0011"),), ((1, "0012"),),
-    ((1, "2222"),), ((1, "1122"), (-2, "1212")), ((-1, "1222"),),
-    ((-1, "0022"), (2, "0202")), ((-1, "0122"), (2, "0212")), ((1, "0222"),),
-    ((-1, "1222"),), ((1, "1112"),), ((1, "1122"),),
-    ((1, "0012"), (-2, "0102")), ((-1, "0211"),), ((-1, "0122"),),
-    ((1, "0222"),), ((-2, "0112"), (1, "0211")), ((-1, "0122"),),
-    ((1, "0002"),), ((1, "0012"),), ((1, "0022"),),
-)
-#: the six entries g_ab (a <= b) and their 21 quadratic monomials x_m x_n (m <= n)
-_G_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_G_MONOMIALS = tuple((m, n) for m in range(6) for n in range(m, 6))
+#: Both kernels are copies of Sym(3), the symmetric 3x3 matrices, through the integer
+#: isometries M12 (18, 9) and M21 (12, 9) on vec(S) = S.reshape(9): on ker W^{(1,2)},
+#: X_a^{bc} = eps^{bcd} S_ad, zero on the pairs (b, n); on ker W^{(2,1)},
+#: X_{ab}^c = eps_{abd} T^{dc}, zero at c = n
+_EPS = fiber.wedge_signs(3, 2, 1)[:, :, 0]
+_SPATIAL_PAIRS = np.eye(6, dtype=int)[:, [fiber.PAIR_INDEX[p] for p in COMP_BASIS[2]]]
+M12 = np.kron(np.eye(3, dtype=int), _SPATIAL_PAIRS @ _EPS)
+M21 = np.kron(_EPS, np.eye(4, 3, dtype=int))
+#: the template coordinates of vec(S), and vec(T) of template coordinates
+_R12 = K12HAT.T @ M12                  # (6, 9)
+_R21 = M21.T @ K21HAT                  # (9, 6)
 
 
-def _phi_inverse_table_z() -> np.ndarray:
-    """det(g) phi_Z(g)^-1 as a (21, 36) table over `_G_MONOMIALS`, entries in Z/2."""
-    table = np.zeros((len(_G_MONOMIALS), 36))
-    for k, terms in enumerate(_PHI_INV_Z2_TERMS):
-        for c, abcd in terms:
-            m, n = (_G_ENTRIES.index((int(abcd[i]), int(abcd[i + 1]))) for i in (0, 2))
-            table[_G_MONOMIALS.index((m, n)), k] += 0.5 * c
-    return table
+def _phi_inverse(T: np.ndarray, g: np.ndarray, det_g: np.ndarray) -> np.ndarray:
+    """phi_e^-1 on Sym(3), (g T g - tr(g T) g / 2) / det g, for T, g (..., 3, 3), det g (...,).
 
-
-@functools.cache
-def _phi_inverse_table() -> np.ndarray:
-    """The (21, 36) table of `phi_inverse`: phi^-1 = K12^T Z12 phi_Z^-1 Z21^T K21 takes
-    `_phi_inverse_table_z` to the orthonormal templates.  Built on first use, since the
-    exact integer bases cost more than the rest of the module's import."""
-    return np.einsum(
-        "ik,mkl,lj->mij", K12HAT.T @ np.array(integer_kernel_basis((1, 2)), dtype=float).T,
-        _phi_inverse_table_z().reshape(-1, 6, 6),
-        np.array(integer_kernel_basis((2, 1)), dtype=float) @ K21HAT).reshape(-1, 36)
-
-
-_G_ROWS, _G_COLS = np.array(_G_ENTRIES).T
-_MONO_M, _MONO_N = np.array(_G_MONOMIALS).T
-
-
-def phi_inverse(g: np.ndarray, det_g: np.ndarray) -> np.ndarray:
-    """phi_e^-1 in the orthonormal template bases, Q(g) / det g, from g (..., 3, 3) and
-    its signed determinant (...,).
-
-    Q is quadratic in the entries of g: one product of their 21 monomials with a
-    fixed (21, 36) table, in blocks of sites so that the monomials stay small.
-    No per-site factorization; within a few eps cond(phi_e) of a LAPACK
-    inverse of `phi_matrix`.
+    There phi_e(S) = -S x g, the tensor cross product (S x g)_ij = eps_imn eps_jpq S_mp g_nq
+    (Bonet, Gil and Ortigosa, CMAME 283, 2015).  Self-adjoint in the Frobenius product, so
+    the transposed kernel chain applies it too; exact on `Fraction` entries.
     """
-    table = _phi_inverse_table()
-    x = g[..., _G_ROWS, _G_COLS].reshape(-1, 6)
-    q = np.empty((len(x), 36))
-    for block in site_blocks(len(x)):
-        mono = x[block, _MONO_M]
-        mono *= x[block, _MONO_N]
-        np.matmul(mono, table, out=q[block])
-    q /= np.reshape(det_g, (-1, 1))
-    return q.reshape(g.shape[:-2] + (6, 6))
+    gT = g @ T
+    S = gT @ g
+    S -= np.trace(gT, axis1=-2, axis2=-1)[..., None, None] / 2 * g
+    S /= det_g[..., None, None]
+    return S
 
 
 #: N(lambda)[i, j] = lambda[3 - i - j] off the diagonal
@@ -224,10 +184,14 @@ def _phi_cleared(g: np.ndarray) -> np.ndarray:
     cond_2 phi <= |phi|_F |phi^-1|_F, which exceeds cond_2 by a factor between
     sqrt(3) and about 3.4, so a cleared site lies far inside the limit and the
     decision is the spectrum's.  The test has no division: det g = 0 (and any
-    non-finite entry) is left to the spectrum.
+    non-finite entry) is left to the spectrum.  In site blocks, so the cofactors stay small.
     """
-    b, det = _phi_frobenius_terms(g)
-    return np.isfinite(b) & (b <= (PHI_COND_LIMIT * det) ** 2)
+    sites = g.reshape(-1, 3, 3)
+    cleared = np.empty(len(sites), dtype=bool)
+    for block in site_blocks(len(sites)):
+        b, det = _phi_frobenius_terms(sites[block])
+        cleared[block] = np.isfinite(b) & (b <= (PHI_COND_LIMIT * det) ** 2)
+    return cleared.reshape(g.shape[:-2])
 
 
 class PhiSingularError(wedgemaps.ConditioningError, RuntimeError):
@@ -257,11 +221,11 @@ _L2_SIGNS = np.outer(_PAIR_SIGNS, _PAIR_SIGNS)
 _L3_SIGNS = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
 
 
-def _jacobi_inverse(L: np.ndarray, signs: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Lambda^k(P^-1) from L = Lambda^(4-k) P (..., m, m) and det P (...,): the signed,
-    reversed transpose of L over det P."""
+def _jacobi_inverse(L: np.ndarray, signs: np.ndarray, det_g: np.ndarray) -> np.ndarray:
+    """Lambda^k(P^-1) from L = Lambda^(4-k) P (..., m, m) and det g (...,): the signed,
+    reversed transpose of L over det P = sqrt|det g|."""
     out = signs * np.swapaxes(L, -1, -2)[..., ::-1, ::-1]
-    out /= det[..., None, None]
+    out /= np.sqrt(np.abs(det_g))[..., None, None]
     return out
 
 
@@ -292,25 +256,25 @@ class PhiFrame:
     inverse agree to roundoff in the entries of Lambda^2 P; it and the
     contiguous transposes are built at each use and not held, so the omega~
     solve pays for none of them and a frame kept by a state holds only the
-    fields below, about half of what it would hold with them.  The kernel
-    chain inverts phi_e through its closed-form inverse (`phi_inverse`), a
-    per-site product.  The frame holds the coframe array it was built from (a
-    reference, not a copy), so its omega~ solve cannot meet another coframe.
+    fields below, about a third of what it would hold with them.  The kernel
+    chain inverts phi_e in Sym(3) coordinates from g and det g
+    (`_phi_inverse`), so the frame holds no phi_e^-1.  The frame holds the
+    coframe array it was built from (a reference, not a copy), so its omega~
+    solve cannot meet another coframe.
     """
 
     e: np.ndarray            # (..., 3, 4) the coframe this frame completes
     frames: np.ndarray       # P = [e_1 e_2 e_3 e_n], e-frame -> u-frame on V, (..., 4, 4)
     frames_inv: np.ndarray   # P^-1
-    frames_det: np.ndarray   # det P = sqrt|det g| > 0
     L2P: np.ndarray          # Lambda^2 P, e-frame -> u-frame on bivector components
-    phi_inv: np.ndarray      # (..., 6, 6) phi_e^-1 in the orthonormal template bases
     g: np.ndarray            # (..., 3, 3) boundary metric
+    det_g: np.ndarray        # its signed determinant; det P = sqrt|det g| > 0
     sig: Signature
 
     @property
     def L2P_inv(self) -> np.ndarray:
         """Lambda^2(P^-1) = (Lambda^2 P)^-1, from Lambda^2 P by Jacobi's identity."""
-        return _jacobi_inverse(self.L2P, _L2_SIGNS, self.frames_det)
+        return _jacobi_inverse(self.L2P, _L2_SIGNS, self.det_g)
 
     @property
     def frames_T(self) -> np.ndarray:
@@ -353,6 +317,7 @@ class PhiFrame:
         return _conj(x, self.frames, _P21_E, self.frames_inv)
 
     # -- kernel chain: Omega^2(V) --K21^T S2v^-1--> R^6 --(-phi^-1)--> R^6 --S12 K12--> ker W^{(1,2)}
+    # with phi^-1 = R12 vec o phi_e^-1 o mat R21 through Sym(3)
 
     def kernel_coords(self, x: np.ndarray) -> np.ndarray:
         """p x for Omega^2(V) legs x (..., 3, 4), in the orthonormal (2,1)-kernel
@@ -363,14 +328,17 @@ class PhiFrame:
     def kernel_correction(self, x: np.ndarray) -> np.ndarray:
         """Kernel coordinates (..., 6) of the kernel-valued v with p[v, e] = -p x,
         for Omega^2(V) legs x (..., 3, 4)."""
-        return -np.einsum("...ij,...j->...i", self.phi_inv, self.kernel_coords(x))
+        T = self.kernel_coords(x) @ _R21.T
+        S = _phi_inverse(T.reshape(T.shape[:-1] + (3, 3)), self.g, self.det_g)
+        return -(S.reshape(T.shape) @ _R12.T)
 
     def kernel_correction_T(self, y: np.ndarray) -> np.ndarray:
         """The transpose of `kernel_field` o `kernel_correction`: Omega^1(L^2) legs
         y (..., 3, 6) to Omega^2(V) legs S2v^-T K21 (-phi^-T) K12^T S12^T y (..., 3, 4)."""
         v = y @ self.L2P
-        lam = -np.einsum("...ji,...j->...i", self.phi_inv,
-                         v.reshape(v.shape[:-2] + (18,)) @ K12HAT)
+        U = v.reshape(v.shape[:-2] + (18,)) @ K12HAT @ _R12
+        S = _phi_inverse(U.reshape(U.shape[:-1] + (3, 3)), self.g, self.det_g)
+        lam = -(S.reshape(U.shape) @ _R21)
         return (lam @ K21HAT.T).reshape(lam.shape[:-1] + (3, 4)) @ self.frames_inv
 
     def kernel_field(self, coords: np.ndarray, grid: Grid3) -> FormField:
@@ -396,7 +364,7 @@ class PhiFrame:
         solution is S12 (1 - P12_E) W12_E^+ block3(Lambda^3 P^-1) rhs: a fixed
         template inverse between the frame transforms.
         """
-        L3P_inv = _jacobi_inverse(self.frames, _L3_SIGNS, self.frames_det)
+        L3P_inv = _jacobi_inverse(self.frames, _L3_SIGNS, self.det_g)
         r_e = np.einsum("...IJ,...cJ->...cI", L3P_inv, rhs.data)
         x_e = r_e.reshape(r_e.shape[:-2] + (12,)) @ _W12_PINV_E.T
         return FormField(rhs.grid, 1, 2, x_e.reshape(x_e.shape[:-1] + (3, 6)) @ self.L2P_T)
@@ -431,7 +399,7 @@ def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
     null only within its own tolerance.  The frame Gram is
     P^T eta P = diag(g, q_n) with q_n = eta(e_n, e_n) = +-1, so the inverse
     is P^-1 = diag(g^-1, q_n) P^T eta, with g^-1 and det g from `inv3`, and
-    (det P)^2 = |det g|; the same signed det g gives phi_e^-1 (`phi_inverse`).
+    (det P)^2 = |det g|; the frame keeps the signed det g for phi_e^-1.
     """
     e = np.asarray(e, dtype=float)
     g = (e * sig.eta) @ np.swapaxes(e, -1, -2)
@@ -446,9 +414,7 @@ def phi_frame(e: np.ndarray, sig: Signature) -> PhiFrame:
     frames_inv = np.swapaxes(frames, -1, -2) * sig.eta
     frames_inv[..., :3, :] = ginv @ frames_inv[..., :3, :]
     frames_inv[..., 3, :] *= qn[..., None]
-    # phi_e^-1 last: held through the frame completion it would raise the peak
-    return PhiFrame(e, frames, frames_inv, np.sqrt(np.abs(det_g)), compound_matrix(frames),
-                    phi_inverse(g, det_g), g, sig)
+    return PhiFrame(e, frames, frames_inv, compound_matrix(frames), g, det_g, sig)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ since the suite's previous row, or since the suite started.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import time
@@ -538,8 +539,7 @@ def run_constraints(cfg: RunConfig) -> list:
     s.check("flat-state", "flat triad with K = 0 gives exactly vanishing constraints",
             {"L": flat_L, "J": flat_J}, max(flat_L, flat_J) <= 1e-14, 1e-14)
 
-    st_lam = cst.make_on_shell(flat_triad_spec(), grid, gamma, sig, Lambda=1.0)
-    val = cst.eval_J(st_lam, mu4)
+    val = cst.eval_J(dataclasses.replace(st_flat, Lambda=1.0), mu4)
     s.check("cosmological-term", "Tr[mu ^ e^3] normalization: J = -6 Lambda at the flat state",
             {"J": val, "expected": -6.0}, abs(val + 6.0) <= 1e-12, 1e-12)
 
@@ -871,8 +871,7 @@ def run_halfshell(cfg: RunConfig) -> list:
     kern = np.swapaxes(split.kernel_basis, -1, -2)
     coeff = rng.normal(size=kern.shape[:-2] + (1, 6))
     sig_data = (coeff @ kern)[..., 0, :].reshape((grid.n,) * 3 + (3, 6))
-    Tinv = np.linalg.inv(fiber.t_gamma_endo_matrix(gamma, sig))
-    om_hs = FormField(grid, 1, 2, sig_data @ Tinv.T)
+    om_hs = FormField(grid, 1, 2, sig_data @ cst.t_gamma_inverse(gamma, sig).T)
     hs_res, pch_res = hs.locus_residuals(st.e, om_hs, st.omega_ref, gamma)
     om_pch = st.omega_ref + om_hs
     hs2, pch2 = hs.locus_residuals(st.e, om_pch, st.omega_ref, gamma)

@@ -301,21 +301,6 @@ def test_constant_trace_K_hamiltonian_closed_form():
     assert np.abs(data.H_density - expect).max() <= 1e-12
 
 
-def test_momentum_routes_mutual_convergence():
-    spec = acceptance_triad_spec()
-    errs = {}
-    for n in (16, 32):
-        g = Grid3(n)
-        st = cst.make_on_shell(spec, g, 1.0, LORENTZIAN, Lambda=0.1)
-        frame = eh.orthonormal_frame(st.e.data, LORENTZIAN)
-        split = eh.split_connection(st.omega, frame, g)
-        data = eh.eh_data(frame, split, g, Lambda=0.1)
-        Gam = eh.christoffel(data.g, data.g_inv, g)
-        Mlc = eh.momentum_density_metric(data.g_inv, data.Pi, Gam, g)
-        errs[n] = float(np.sqrt(((data.M_density - Mlc) ** 2).sum() * g.h**3))
-    assert 3.2 <= errs[16] / errs[32] <= 4.8
-
-
 def test_compare_flat_state_exact():
     st = cst.make_on_shell(flat_triad_spec(), Grid3(4), 1.0, LORENTZIAN)
     out = eh.compare_pch_eh(st, LAPSE_PROBES, SHIFT_PROBES)

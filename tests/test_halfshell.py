@@ -5,7 +5,7 @@ import pytest
 
 from pchgrav import constraints as cst, fiber, halfshell as hs, wedgemaps as wm
 from pchgrav.config import validate_config
-from pchgrav.fiber import LORENTZIAN
+from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
 from pchgrav.grid import (
     FormField,
     Grid3,
@@ -193,6 +193,20 @@ def test_phi_symplecto_is_complement_valued(locus_state):
     assert res <= 1e-12
     twisted = t_gamma_field(om_rec, st.gamma, st.sig).data
     assert np.abs(st.frame.p12(twisted)).max() <= 1e-12 * np.abs(twisted).max()
+
+
+@pytest.mark.parametrize("gamma,cond", [(1.0, r"(inf|\d\.\d{3}e\+1[6-9])"),
+                                        (1.0 + 1e-12, "2.000e\\+12")],
+                         ids=["singular", "near-singular"])
+def test_phi_symplecto_refuses_a_degenerate_twist(gamma, cond):
+    # Euclidean star^2 = 1: T_gamma = 1 + gamma^-1 star is singular at gamma = 1, and its
+    # condition number is about 2 / |gamma - 1| near it
+    st = hs.sample_locus_state(Grid3(2), EUCLIDEAN, gamma,
+                               np.random.Generator(np.random.Philox(key=3)))
+    tb, _ = hs.hs_project(st)
+    with pytest.raises(cst.DegeneratePairingError, match=f"cond = {cond} > 1e\\+08"):
+        hs.phi_symplecto(st, tb)
+    assert issubclass(cst.DegeneratePairingError, wm.ConditioningError)
 
 
 @pytest.fixture

@@ -2,15 +2,15 @@
 and EH paths.
 
 cond(phi_e) comes from the spectrum of the boundary metric, phi_e^-1 from its
-closed form in g, the frame inverse from the frame Gram, the wedge solves from
+Sym(3) formula in g and det g, the frame inverse from the frame Gram, the wedge solves from
 fixed e-frame template inverses, and every per-site 3x3 inverse and
 determinant from `wedgemaps.inv3`; this test keeps a per-site LAPACK
 decomposition from coming back.  Single matrices (ndim 2, such as the fixed
 pairing Grams) may still go through LAPACK.  The
 FD-bracket path runs no eigensolve at all (the phi_e and coframe checks clear
 well-conditioned sites by exact bounds), and the e-adapted frame holds no
-per-site array larger than 6x6 and builds its transposes at each use, holding
-none.  A bracket derivative evaluates the functional on six uncertified
+per-site array larger than 6x6 and no phi_e^-1, and builds its transposes at each
+use, holding none.  A bracket derivative evaluates the functional on six uncertified
 stencil states and solves for no structural representative.  The kernels
 suite splits each shape once over a stack of coframes, and the EH ladder
 evaluates J on no state whose deviations it does not read.  Each e-adapted
@@ -22,8 +22,9 @@ suite's omega~ row solves three times on one frame per drawn state.  No public
 function takes a frame beside its coframe.  omega~ differentiates
 the coframe once for both of its covariant derivatives, and the exact kernel
 count builds its bracket matrix from the unit table, with no object-dtype
-contraction.  At 32^3, Lambda^2 P, Gamma(ebar) and the coframe check's det G are built in
-site blocks: their traced peaks stay within a small multiple of what they return or read.
+contraction.  At 32^3, Lambda^2 P, Gamma(ebar), the coframe check's det G and the phi_e
+screen are built in site blocks: their traced peaks stay within a small multiple of what
+they return or read.
 """
 
 import dataclasses
@@ -214,17 +215,26 @@ def test_no_public_function_takes_a_frame_beside_its_coframe():
 
 
 def _j_field_phi_solves(st, monkeypatch) -> list:
-    """The phi_e^-1 applications of one J Hamiltonian vector field at st."""
-    solves = []
+    """The phi_e^-1 applications of one J Hamiltonian vector field at st, each with the
+    kernel chain method that made it (None outside them) and its Sym(3) operand shape."""
+    solves, callers, phi_inverse = [], [], red._phi_inverse
+
+    def counted_inverse(T, g, det_g):
+        solves.append((callers[-1] if callers else None, T.shape[-2:]))
+        return phi_inverse(T, g, det_g)
 
     def counted(name):
         apply = getattr(PhiFrame, name)
 
         def call(self, x):
-            solves.append((name, self.phi_inv.shape[-2:]))
-            return apply(self, x)
+            callers.append(name)
+            try:
+                return apply(self, x)
+            finally:
+                callers.pop()
         return call
 
+    monkeypatch.setattr(red, "_phi_inverse", counted_inverse)
     for name in ("kernel_correction", "kernel_correction_T"):
         monkeypatch.setattr(PhiFrame, name, counted(name))
     X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4]))
@@ -233,8 +243,8 @@ def _j_field_phi_solves(st, monkeypatch) -> list:
 
 
 # A(X_e), B(p' X_omega) and the adjoint covector shared by A+ and B+, each through
-# the closed-form phi_e^-1 (the guard refuses a per-site np.linalg.solve)
-THREE_PHI_SOLVES = [("kernel_correction", (6, 6))] * 2 + [("kernel_correction_T", (6, 6))]
+# the Sym(3) formula for phi_e^-1 (the guard refuses a per-site np.linalg.solve)
+THREE_PHI_SOLVES = [("kernel_correction", (3, 3))] * 2 + [("kernel_correction_T", (3, 3))]
 
 
 def test_offshell_j_field_solves_phi_three_times(lapack_guard, monkeypatch):
@@ -445,6 +455,10 @@ def test_site_block_kernels_build_no_large_temporaries():
     e = FormField(grid, 1, 1, eb @ np.eye(3, 4))
     _, peak = _traced_peak(lambda: Coframe(e, LORENTZIAN))
     assert peak <= 1.5 * e.data.nbytes
+    # and the phi_e screen's cofactors of all of g at once near 6 times g
+    g = (e.data * LORENTZIAN.eta) @ np.swapaxes(e.data, -1, -2)
+    cleared, peak = _traced_peak(lambda: red._phi_cleared(g))
+    assert cleared.all() and peak <= 0.5 * g.nbytes
 
 
 def test_certified_state_retains_only_its_fields():

@@ -1,8 +1,10 @@
 """Structural representative, kernel intersections, exact sequence."""
 
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from pchgrav import constraints as cst, reduction as red, wedgemaps as wm
 from pchgrav.config import TOLERANCES
@@ -115,11 +117,19 @@ def test_phi_frobenius_bound_closed_form(signs):
     assert np.all(closed >= cond2) and np.all(closed <= 3.4 * cond2)
 
 
+def _phi_inverse_matrix(g):
+    """phi_e^-1 in the template coordinates (..., 6, 6) as the kernel chain applies it: the
+    Sym(3) inverse between mat R21 and R12 vec, on each unit vector."""
+    T = red._R21.T.reshape(6, 3, 3)                        # mat(R21 e_j), j first
+    S = red._phi_inverse(T, g[..., None, :, :], wm.inv3(g)[1][..., None])
+    return np.swapaxes(S.reshape(S.shape[:-2] + (9,)) @ red._R12.T, -1, -2)
+
+
 def _phi_inverse_error(g):
-    """|phi_inverse - LAPACK inv(phi_matrix)|, relative to |phi^-1|, in units of eps cond(phi)."""
+    """|phi^-1 - LAPACK inv(phi_matrix)|, relative to |phi^-1|, in units of eps cond(phi)."""
     phi = red.phi_matrix(g)
     ref = np.linalg.inv(phi)
-    got = red.phi_inverse(g, wm.inv3(g)[1])
+    got = _phi_inverse_matrix(g)
     err = np.abs(got - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
     cond = np.linalg.cond(phi)
     return err / (np.finfo(float).eps * cond), cond
@@ -146,44 +156,66 @@ def test_phi_frame_inverse_matches_lapack_inverse(sig, middle):
         e = np.concatenate([_coframes_with_metric(s, middle, 20)
                             for s in np.logspace(-6, 1, 10)])
     pf = red.phi_frame(e, sig)
+    assert np.array_equal(pf.det_g, wm.inv3(pf.g)[1])
     ratio, cond = _phi_inverse_error(pf.g)
-    assert np.array_equal(pf.phi_inv, red.phi_inverse(pf.g, wm.inv3(pf.g)[1]))
+    phi_inv = _phi_inverse_matrix(pf.g)
     assert ratio.max() <= 4.0
-    assert np.abs(np.einsum("...ij,...jk->...ik", pf.phi_inv, red.phi_matrix(pf.g))
+    assert np.abs(np.einsum("...ij,...jk->...ik", phi_inv, red.phi_matrix(pf.g))
                   - np.eye(6)).max(axis=(-2, -1)).max() <= 1e-15 * cond.max()
+    # the kernel chain applies -phi^-1 to the kernel coordinates, site by site within
+    # a few eps cond(phi)
+    x = RNG.normal(size=(len(e), 3, 4))
+    c = pf.kernel_coords(x)
+    err = np.abs(pf.kernel_correction(x) + np.einsum("...ij,...j->...i", phi_inv, c)).max(axis=-1)
+    scale = np.abs(phi_inv).max(axis=(-2, -1)) * np.abs(c).max(axis=-1)
+    assert np.all(err <= 4.0 * np.finfo(float).eps * cond * scale)
 
 
-def test_phi_inverse_table_is_the_exact_half_integer_inverse():
-    """det(g) phi_Z(g)^-1 in the integer kernel bases is a quadratic polynomial in the
-    entries of g with coefficients in Z/2: interpolated exactly at 21 integer metrics,
-    confirmed at three more, and equal to the module's table."""
+def _exact_symmetric(rng, n, rational):
+    """n exact symmetric 3x3 matrices (n, 3, 3): integers in [-3, 3], or such integers over
+    denominators in [1, 5] as Fractions (an object array)."""
+    x = rng.integers(-3, 4, size=(n, 3, 3))
+    if rational:
+        x = np.vectorize(Fraction, otypes=[object])(x, rng.integers(1, 6, size=(n, 3, 3)))
+    return np.triu(x) + np.swapaxes(np.triu(x, 1), -1, -2)
+
+
+def _cross(S, g):
+    """The tensor cross product (S x g)_ij = eps_imn eps_jpq S_mp g_nq, summed exactly."""
+    eps = {p: (-1) ** sum(p[a] > p[b] for a in range(3) for b in range(a + 1, 3))
+           for p in itertools.permutations(range(3))}
+    out = np.zeros_like(S)
+    for (i, m, n), s in eps.items():
+        for (j, p, q), t in eps.items():
+            out[..., i, j] += s * t * S[..., m, p] * g[..., n, q]
+    return out
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "fraction"])
+def test_phi_is_minus_the_tensor_cross_product(rational):
+    """phi_e(S) = -S x g in the Sym(3) coordinates of the two kernels, exactly: [., e] takes
+    M12 vec(S) to M21 vec(-S x g), so the image lies in ker W^{(2,1)} and p21 acts as 1."""
+    rng = np.random.Generator(np.random.Philox(key=24))
+    g, S = _exact_symmetric(rng, 20, rational), _exact_symmetric(rng, 20, rational)
+    X = S.reshape(20, 9) @ red.M12.T
+    assert not (X @ wm.wedge_matrix(np.eye(3, 4), (1, 2)).T.astype(int)).any()
+    image = np.einsum("sij,sj->si", red.frame_bracket_matrix(g), X)
+    assert image.tolist() == ((-_cross(S, g)).reshape(20, 9) @ red.M21.T).tolist()
+
+
+def test_phi_inverse_formula_is_exact():
+    """(g T g - tr(g T) g / 2) / det g is phi_e^-1 on Sym(3), exactly on Fraction metrics."""
     from pchgrav import exactla
 
-    Z12 = np.array(red.integer_kernel_basis((1, 2))).T     # 18 x 6
-    Z21T = np.array(red.integer_kernel_basis((2, 1)))      # 6 x 12
-    rng = np.random.Generator(np.random.Philox(key=21))
-    rows, values = [], []
-    while len(rows) < 24:
-        x = rng.integers(-3, 4, size=6).tolist()
-        g = np.zeros((3, 3), dtype=int)
-        for (a, b), v in zip(red._G_ENTRIES, x):
-            g[a, b] = g[b, a] = v
-        det = exactla.det(g.tolist())
-        if det == 0:
-            continue
-        phi_z = (Z21T @ red.frame_bracket_matrix(g) @ Z12).tolist()
-        reduced, pivots = exactla.rref([row + [int(i == j) for j in range(6)]
-                                        for i, row in enumerate(phi_z)])
-        assert pivots == list(range(6))
-        rows.append([x[m] * x[n] for m, n in red._G_MONOMIALS])
-        values.append([det * v for row in reduced for v in row[6:]])
-    solved, pivots = exactla.rref([r + v for r, v in zip(rows[:21], values[:21])])
-    assert pivots == list(range(21))
-    table = [row[21:] for row in solved]
-    for r, v in zip(rows[21:], values[21:]):
-        assert (np.array(r) @ np.array(table)).tolist() == v
-    assert all((2 * t).denominator == 1 for row in table for t in row)
-    assert table == red._phi_inverse_table_z().tolist()
+    rng = np.random.Generator(np.random.Philox(key=25))
+    g = _exact_symmetric(rng, 40, True)
+    det = np.array([exactla.det(m.tolist()) for m in g], dtype=object)
+    g, T = g[det != 0], _exact_symmetric(rng, int((det != 0).sum()), True)
+    S = red._phi_inverse(T, g, det[det != 0])
+    assert np.array_equal(S, np.swapaxes(S, -1, -2))
+    assert (-_cross(S, g)).tolist() == T.tolist()
+    image = np.einsum("sij,sj->si", red.frame_bracket_matrix(g), S.reshape(-1, 9) @ red.M12.T)
+    assert image.tolist() == (T.reshape(-1, 9) @ red.M21.T).tolist()
 
 
 def _coframes_with_metric(s, middle, n):
@@ -212,6 +244,22 @@ def test_phi_frame_refuses_exactly_as_the_spectrum(middle):
         else:
             red.phi_frame(e, LORENTZIAN)
     assert 5 <= refused <= 35
+
+
+@pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN], ids=["euclidean", "lorentzian"])
+def test_kernel_correction_T_is_the_transpose_of_the_kernel_chain(sig):
+    """At every site the matrix of kernel_correction_T (Omega^1(L^2) legs -> Omega^2(V) legs)
+    is the transpose of that of kernel_field o kernel_correction, from the unit legs."""
+    grid = Grid3(2)
+    e = np.stack([random_nondegenerate_coframe(RNG, sig) for _ in range(8)]).reshape(2, 2, 2, 3, 4)
+    pf = red.phi_frame(e, sig)
+    chain = np.stack([pf.kernel_field(pf.kernel_correction(np.broadcast_to(u, e.shape)), grid)
+                      .data.reshape(2, 2, 2, 18) for u in np.eye(12).reshape(12, 3, 4)], axis=-1)
+    chain_T = np.stack([pf.kernel_correction_T(np.broadcast_to(u, (2, 2, 2, 3, 6)))
+                        .reshape(2, 2, 2, 12) for u in np.eye(18).reshape(18, 3, 6)], axis=-1)
+    scale = np.abs(chain).max(axis=(-2, -1), keepdims=True)
+    assert scale.min() > 0.1
+    assert np.all(np.abs(chain_T - np.swapaxes(chain, -1, -2)) <= 1e-14 * scale)
 
 
 def test_phi_screen_clears_well_conditioned_sites():
