@@ -138,14 +138,20 @@ def validate_config(raw: dict) -> RunConfig:
     suites = merged["suites"]
     if not isinstance(suites, list):
         raise ConfigError("$.suites must be a list")
-    for s in suites:
+    for i, s in enumerate(suites):
         if s not in ALL_SUITES:
             raise ConfigError(f"$.suites: unknown suite {s!r}")
+        if s in suites[:i]:
+            raise ConfigError(f"$.suites[{i}]: suite {s!r} is repeated")
     for i, n in enumerate(grid_n):
         if not isinstance(n, int) or n < 2 or n % 2:
             raise ConfigError(f"$.grid_n[{i}] must be an even integer >= 2")
         if n < 4 and any(s != "halfshell" for s in suites):
             raise ConfigError(f"$.grid_n[{i}] = {n} requires suites to be halfshell only")
+    # three or more sizes set the eh convergence ladder, whose order windows assume halving
+    sizes = sorted(set(grid_n))[:3]
+    if len(sizes) == 3 and sizes != [sizes[0], 2 * sizes[0], 4 * sizes[0]]:
+        raise ConfigError(f"$.grid_n: the three smallest sizes {sizes} must double, as n, 2n, 4n")
 
     seed = merged["seed"]
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:

@@ -9,9 +9,12 @@ produces the structural representative omega~ = omega + v satisfying
 p d_omega~ e = 0.  The per-site solve inverts the isomorphism
 phi_e = p_{(2,1)} o [.,e] restricted to ker W_e^{(1,2)}, assembled here in the
 e-adapted frame where it is an explicit 6x6 matrix depending only on the
-boundary metric g.  Both kernels are copies of Sym(3), and there phi_e is minus
-the tensor cross product with g, whose inverse (g T g - tr(g T) g / 2) / det g
-makes each solve two per-site 3x3 products.
+boundary metric g.  Both kernels are copies of Sym(3) through the integer maps
+`wedgemaps.M12`, `M21` and basis Z = `wedgemaps.SYM3`, from which the kernel
+templates, their projectors and the exact counts below are built, so kernel
+coordinates are orthonormal Sym(3) coordinates.  There phi_e is minus the tensor
+cross product with g, whose inverse (g T g - tr(g T) g / 2) / det g makes each
+solve two per-site 3x3 products.
 `PhiFrame` is the one per-site object of that frame, built from e alone: the
 omega~ solve (`PhiFrame.omega_tilde`), the projectors, this kernel chain and
 the template wedge solves that the Hamiltonian vector fields of `constraints`
@@ -33,8 +36,8 @@ import numpy as np
 
 from . import exactla, fiber, wedgemaps
 from .fiber import Signature, site_blocks
-from .grid import COMP_BASIS, Coframe, FormField, Grid3, action_wedge, cofactors3, ext_deriv
-from .wedgemaps import KERNEL_TEMPLATES, complete_frame, compound_matrix
+from .grid import Coframe, FormField, Grid3, action_wedge, cofactors3, ext_deriv
+from .wedgemaps import M12, M21, SYM3, complete_frame, compound_matrix
 
 # ---------------------------------------------------------------------------
 # bracket-with-e matrices
@@ -80,8 +83,15 @@ _BRACKET_UNITS = bracket_matrix(np.concatenate(
 _BRACKET_ENTRIES = (*np.nonzero(_BRACKET_UNITS),
                     _BRACKET_UNITS[np.nonzero(_BRACKET_UNITS)].astype(int))
 
-K12HAT = KERNEL_TEMPLATES[(1, 2)]  # (18, 6) orthonormal
-K21HAT = KERNEL_TEMPLATES[(2, 1)]  # (12, 6) orthonormal
+#: D = Z^T Z for the integer Sym(3) basis Z = SYM3, and Z D^-1/2, its orthonormal basis
+#: (9, 6): kernel coordinates are coordinates in it
+_D = (SYM3 * SYM3).sum(axis=0)
+_SYM_HAT = SYM3 / np.sqrt(_D)
+#: the integer kernel bases M12 Z (18, 6) and M21 Z (12, 6), and the orthonormal kernel
+#: templates M12 Z D^-1/2 and M21 Z D^-1/2
+_Z12, _Z21 = M12 @ SYM3, M21 @ SYM3
+K12HAT = M12 @ _SYM_HAT
+K21HAT = M21 @ _SYM_HAT
 
 #: phi(g) = K21^T B(g) K12 is linear in g: the (9, 36) matrix from the flattened g to
 #: the flattened phi, one row per unit metric E_cd
@@ -91,36 +101,6 @@ _PHI_FLAT = np.einsum("Dk,cdDE,El->cdkl", K21HAT, _BRACKET_UNITS, K12HAT).reshap
 def phi_matrix(g: np.ndarray) -> np.ndarray:
     """phi_e in the orthonormal template bases, as a function of g (..., 3, 3)."""
     return (g.reshape(g.shape[:-2] + (9,)) @ _PHI_FLAT).reshape(g.shape[:-2] + (6, 6))
-
-
-def _frozen(rows: list) -> tuple:
-    return tuple(map(tuple, rows))
-
-
-@functools.cache
-def _kernel_equation_rows(shape: tuple) -> tuple:
-    """The integer template equations of ker W^{(p,k)} as rows, built once;
-    immutable, since callers extend a copy with their own rows."""
-    return _frozen(wedgemaps.kernel_equations(shape).astype(int).tolist())
-
-
-@functools.cache
-def integer_kernel_basis(shape: tuple) -> tuple:
-    """Integer basis of the (1,2)- or (2,1)-kernel template, columns as tuples."""
-    return _frozen(exactla.nullspace(_kernel_equation_rows(shape)))
-
-
-#: Both kernels are copies of Sym(3), the symmetric 3x3 matrices, through the integer
-#: isometries M12 (18, 9) and M21 (12, 9) on vec(S) = S.reshape(9): on ker W^{(1,2)},
-#: X_a^{bc} = eps^{bcd} S_ad, zero on the pairs (b, n); on ker W^{(2,1)},
-#: X_{ab}^c = eps_{abd} T^{dc}, zero at c = n
-_EPS = fiber.wedge_signs(3, 2, 1)[:, :, 0]
-_SPATIAL_PAIRS = np.eye(6, dtype=int)[:, [fiber.PAIR_INDEX[p] for p in COMP_BASIS[2]]]
-M12 = np.kron(np.eye(3, dtype=int), _SPATIAL_PAIRS @ _EPS)
-M21 = np.kron(_EPS, np.eye(4, 3, dtype=int))
-#: the template coordinates of vec(S), and vec(T) of template coordinates
-_R12 = K12HAT.T @ M12                  # (6, 9)
-_R21 = M21.T @ K21HAT                  # (9, 6)
 
 
 def _phi_inverse(T: np.ndarray, g: np.ndarray, det_g: np.ndarray) -> np.ndarray:
@@ -199,16 +179,18 @@ class PhiSingularError(wedgemaps.ConditioningError, RuntimeError):
 
 
 # e-frame templates: in the e-adapted frame the coframe is (1 | 0), the wedge maps
-# are integer templates and every projector is a fixed orthogonal projector
+# are integer templates and every projector is a fixed orthogonal projector.  The
+# kernel projectors are M Z D^-1 Z^T M^T, exact: each row of M Z has at most one
+# nonzero, so every entry is 0, +-1/2 or 1
 
-_P12_E = K12HAT @ K12HAT.T
+_P12_E = _Z12 / _D @ _Z12.T
 _Q12_E = np.eye(18) - _P12_E           # the template complement, for p12'
-_P21_E = K21HAT @ K21HAT.T
+_P21_E = _Z21 / _D @ _Z21.T
 _W11_TEMPLATE = wedgemaps.wedge_matrix(np.eye(3, 4), (1, 1))
 _W12_TEMPLATE = wedgemaps.wedge_matrix(np.eye(3, 4), (1, 2))
-_U11 = np.linalg.svd(_W11_TEMPLATE)[0][:, :12]
-_P11DAG_E = _U11 @ _U11.T
 _W11_PINV_E = np.linalg.pinv(_W11_TEMPLATE)                          # (12, 18)
+#: the projector W11_E W11_E^+ onto im W^{(1,1)}
+_P11DAG_E = _W11_TEMPLATE @ _W11_PINV_E
 #: template inverse of W^{(1,2)} onto the complement of its kernel, (1 - P12_E) W12_E^+
 _W12_PINV_E = _Q12_E @ np.linalg.pinv(_W12_TEMPLATE)                 # (18, 12)
 #: Jacobi's complementary-minor identity (Horn & Johnson, Matrix Analysis, 0.8.4):
@@ -317,28 +299,28 @@ class PhiFrame:
         return _conj(x, self.frames, _P21_E, self.frames_inv)
 
     # -- kernel chain: Omega^2(V) --K21^T S2v^-1--> R^6 --(-phi^-1)--> R^6 --S12 K12--> ker W^{(1,2)}
-    # with phi^-1 = R12 vec o phi_e^-1 o mat R21 through Sym(3)
+    # with phi^-1 = Y^T vec o phi_e^-1 o mat Y in the orthonormal Sym(3) basis Y = Z D^-1/2
 
     def kernel_coords(self, x: np.ndarray) -> np.ndarray:
-        """p x for Omega^2(V) legs x (..., 3, 4), in the orthonormal (2,1)-kernel
-        template coordinates (..., 6)."""
+        """p x for Omega^2(V) legs x (..., 3, 4), in the orthonormal Sym(3) coordinates
+        of the (2,1)-kernel template (..., 6)."""
         x_e = x @ np.swapaxes(self.frames_inv, -1, -2)
         return x_e.reshape(x_e.shape[:-2] + (12,)) @ K21HAT
 
     def kernel_correction(self, x: np.ndarray) -> np.ndarray:
         """Kernel coordinates (..., 6) of the kernel-valued v with p[v, e] = -p x,
         for Omega^2(V) legs x (..., 3, 4)."""
-        T = self.kernel_coords(x) @ _R21.T
+        T = self.kernel_coords(x) @ _SYM_HAT.T
         S = _phi_inverse(T.reshape(T.shape[:-1] + (3, 3)), self.g, self.det_g)
-        return -(S.reshape(T.shape) @ _R12.T)
+        return -(S.reshape(T.shape) @ _SYM_HAT)
 
     def kernel_correction_T(self, y: np.ndarray) -> np.ndarray:
         """The transpose of `kernel_field` o `kernel_correction`: Omega^1(L^2) legs
         y (..., 3, 6) to Omega^2(V) legs S2v^-T K21 (-phi^-T) K12^T S12^T y (..., 3, 4)."""
         v = y @ self.L2P
-        U = v.reshape(v.shape[:-2] + (18,)) @ K12HAT @ _R12
+        U = v.reshape(v.shape[:-2] + (18,)) @ K12HAT @ _SYM_HAT.T
         S = _phi_inverse(U.reshape(U.shape[:-1] + (3, 3)), self.g, self.det_g)
-        lam = -(S.reshape(U.shape) @ _R21)
+        lam = -(S.reshape(U.shape) @ _SYM_HAT)
         return (lam @ K21HAT.T).reshape(lam.shape[:-1] + (3, 4)) @ self.frames_inv
 
     def kernel_field(self, coords: np.ndarray, grid: Grid3) -> FormField:
@@ -446,12 +428,12 @@ def omega_tilde(e: Coframe, omega: FormField) -> OmegaTildeResult:
 def _kernel_intersection_dim_exact(g) -> int:
     """dim( ker([.,e]) cap ker W_e^{(1,2)} ) from an exact 3x3 boundary metric g.
 
-    Pure frame algebra over rationals: in the e-frame, ker W^{(1,2)} is cut out
-    by the integer template equations and [., e] is the frame bracket matrix,
-    which involves only the boundary metric.
+    Pure frame algebra over rationals: in the e-frame, ker W^{(1,2)} is spanned by
+    the 6 columns of the integer basis M12 Z, and [., e] is the frame bracket
+    matrix, which involves only the boundary metric; the count is
+    6 - rank(B(g) M12 Z).
     """
-    rows = [*_kernel_equation_rows((1, 2)), *frame_bracket_matrix(g).tolist()]
-    return 18 - exactla.rank(rows)
+    return 6 - exactla.rank((frame_bracket_matrix(g) @ _Z12).tolist())
 
 
 def kernel_intersection_dim(gdiag) -> int:
@@ -539,10 +521,8 @@ def exact_sequence_check(e: np.ndarray, sig: Signature) -> ExactSequenceReport:
 
 
 def phi_pairing_det_exact(gdiag):
-    """det of K21^T B(g) K12 with integer template bases, exact (a Fraction).
+    """det(Z^T M21^T B(g) M12 Z) in the integer Sym(3) basis Z, exact (a Fraction).
 
     Nonzero iff phi_e is an isomorphism at that boundary metric.
     """
-    Z12 = np.array(integer_kernel_basis((1, 2))).T
-    Z21 = np.array(integer_kernel_basis((2, 1)))
-    return exactla.det((Z21 @ frame_bracket_matrix(np.diag(gdiag)) @ Z12).tolist())
+    return exactla.det((_Z21.T @ frame_bracket_matrix(np.diag(gdiag)) @ _Z12).tolist())

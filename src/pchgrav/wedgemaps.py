@@ -5,14 +5,17 @@ coefficient matrices of W_e^{(p,k)} and decides their ranks and kernels
 through singular values with an explicit gap policy.  The kernel/complement
 split that the reduction applies, with its projectors p, p' and p^dagger,
 is the e-adapted frame of `reduction.PhiFrame`: in the frame
-{e_1, e_2, e_3, e_n} the wedge matrices are universal integer templates;
-their kernels have the explicit descriptions
+{e_1, e_2, e_3, e_n} the wedge matrices are universal integer templates, and
+both kernels are copies of Sym(3), the symmetric 3x3 matrices, through the
+integer isometries `M12` and `M21` on the integer basis `SYM3`.  That one
+description builds the kernel templates, their projectors and the exact
+counts of `reduction`.  The kernels' equations
 
     (1,2):  X_a^{n b} = 0  and  sum_a X_a^{a b} = 0,
     (2,1):  X_{ab}^n = 0   and  sum_a X_{ab}^a = 0,
 
-which provide an independent membership check for the numerically computed
-kernels.
+(`kernel_equations`) provide an independent membership check for it and for
+the numerically computed kernels.
 """
 
 from __future__ import annotations
@@ -200,23 +203,18 @@ def kernel_equations(shape: tuple) -> np.ndarray:
     return E
 
 
-def _orthonormal_nullspace(E: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of ker E (columns)."""
-    _, sv, vh = np.linalg.svd(E)
-    rank = int((sv > 1e-10 * sv[0]).sum()) if len(sv) else 0
-    basis = vh[rank:].T
-    # fix signs: make the largest-magnitude entry of each column positive
-    idx = np.argmax(np.abs(basis), axis=0)
-    signs = np.sign(basis[idx, np.arange(basis.shape[1])])
-    return basis * signs
-
-
-#: orthonormal e-frame kernel templates (columns), per shape
-KERNEL_TEMPLATES = {
-    (1, 2): _orthonormal_nullspace(kernel_equations((1, 2))),
-    (2, 1): _orthonormal_nullspace(kernel_equations((2, 1))),
-    (1, 1): np.zeros((12, 0)),
-}
+#: Both kernels are copies of Sym(3) through the integer isometries M12 (18, 9) and
+#: M21 (12, 9) on vec(S) = S.reshape(9): on ker W^{(1,2)}, X_a^{bc} = eps^{bcd} S_ad,
+#: zero on the pairs (b, n); on ker W^{(2,1)}, X_{ab}^c = eps_{abd} T^{dc}, zero at c = n
+_EPS = fiber.wedge_signs(3, 2, 1)[:, :, 0]
+_SPATIAL_PAIRS = np.eye(6, dtype=int)[:, [PAIR_INDEX[p] for p in COMP_BASIS[2]]]
+M12 = np.kron(np.eye(3, dtype=int), _SPATIAL_PAIRS @ _EPS)
+M21 = np.kron(_EPS, np.eye(4, 3, dtype=int))
+#: the integer basis Z (9, 6) of Sym(3): vec E_ii, then vec(E_ij + E_ji) over the pairs
+#: of COMP_BASIS[2], so Z^T Z = diag(1, 1, 1, 2, 2, 2)
+_UNIT = np.eye(3, dtype=int)
+SYM3 = np.stack([np.outer(_UNIT[i], _UNIT[j]) | np.outer(_UNIT[j], _UNIT[i])
+                 for i, j in [(0, 0), (1, 1), (2, 2), *COMP_BASIS[2]]], axis=-1).reshape(9, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +278,7 @@ def kernel_basis(e: np.ndarray, shape: tuple) -> WedgeKernel:
         raise ValueError(f"per-site coframe must be 3x4, got a stack of shape {e.shape}")
     M = wedge_matrix(e, shape)
     _, sv, vh = np.linalg.svd(M)
-    rank = M.shape[-1] - KERNEL_TEMPLATES[shape].shape[1]    # the rank of W at a coframe
+    rank = M.shape[-1] - (0 if shape == (1, 1) else SYM3.shape[1])   # the rank at a coframe
     cut, gap = decide_rank(sv, f"W^{shape}")
     off = cut != rank
     if np.any(off):

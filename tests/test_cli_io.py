@@ -92,6 +92,34 @@ def test_grid_validation():
     validate_config({"grid_n": [2], "suites": ["halfshell"]})
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_repeated_suite_exit_2(tmp_path, capsys, threads):
+    # a repeated suite would write each of its rows twice under one id
+    cfgp = write_cfg(tmp_path, {"suites": ["algebra", "algebra"]})
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--config", str(cfgp), "--out", str(out),
+                     "--threads", threads]) == 2
+    assert "$.suites[1]" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=r"\$\.suites\[2\]"):
+        validate_config({"suites": ["eh", "algebra", "eh"]})
+
+
+@pytest.mark.parametrize("grid_n", [[8, 12, 16], [4, 6, 10], [8, 16, 24], [4, 8, 12, 16]])
+def test_non_doubling_ladder_exit_2(tmp_path, capsys, grid_n):
+    # the eh order windows 3.2-4.8 assume halving: (12/8)^2 = 2.25 would read as a failure
+    cfgp = write_cfg(tmp_path, {"suites": ["eh"], "grid_n": grid_n})
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--config", str(cfgp), "--out", str(out)]) == 2
+    assert "$.grid_n:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid_n", [[8], [8, 12], [16, 8, 8, 32], [4, 8, 16, 24], [6, 12, 24]])
+def test_doubling_or_short_ladders_accepted(grid_n):
+    assert validate_config({"grid_n": grid_n}).grid_n == grid_n
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ConfigError, match="unknown suite"):
         validate_config({"suites": ["bogus"]})

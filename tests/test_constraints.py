@@ -204,7 +204,7 @@ def test_tangency_of_hamiltonian_flow(offshell_state):
     res = {}
     for t in (1e-3, 2e-3):
         e2 = Coframe(st.e.field + t * X.de, st.sig)
-        # sup norm of p(d_omega e) in the orthonormal kernel-template coordinates
+        # sup norm of p(d_omega e) in the orthonormal Sym(3) kernel coordinates
         d = cov_deriv(e2.field, st.omega + t * X.domega, st.sig).data
         res[t] = np.abs(phi_frame(e2.data, st.sig).kernel_coords(d)).max()
     assert res[2e-3] / res[1e-3] > 3.0   # second-order violation only

@@ -380,9 +380,9 @@ def test_eh_ladder_evaluates_no_J_on_the_finest_state(monkeypatch):
     out = eh.compare_pch_eh(st, (), ())
     assert grids == [] and set(out) == {"ricci_mutual", "momentum_mutual",
                                         "gamma_residual", "k_asymmetry"}
-    rows = run_eh(validate_config({"suites": ["eh"], "grid_n": [4, 6, 10]}))
-    assert rows[0].values["levels"] == [4, 6, 10]
-    assert set(grids) == {4, 6}
+    rows = run_eh(validate_config({"suites": ["eh"], "grid_n": [4, 8, 16]}))
+    assert rows[0].values["levels"] == [4, 8, 16]
+    assert set(grids) == {4, 8}
 
 
 def test_omega_tilde_row_builds_one_frame_per_state(monkeypatch):

@@ -118,11 +118,11 @@ def test_phi_frobenius_bound_closed_form(signs):
 
 
 def _phi_inverse_matrix(g):
-    """phi_e^-1 in the template coordinates (..., 6, 6) as the kernel chain applies it: the
-    Sym(3) inverse between mat R21 and R12 vec, on each unit vector."""
-    T = red._R21.T.reshape(6, 3, 3)                        # mat(R21 e_j), j first
+    """phi_e^-1 in the kernel coordinates (..., 6, 6) as the kernel chain applies it: the
+    Sym(3) inverse in the orthonormal Sym(3) basis Y = Z D^-1/2, on each unit vector."""
+    T = red._SYM_HAT.T.reshape(6, 3, 3)                    # mat(Y e_j), j first
     S = red._phi_inverse(T, g[..., None, :, :], wm.inv3(g)[1][..., None])
-    return np.swapaxes(S.reshape(S.shape[:-2] + (9,)) @ red._R12.T, -1, -2)
+    return np.swapaxes(S.reshape(S.shape[:-2] + (9,)) @ red._SYM_HAT, -1, -2)
 
 
 def _phi_inverse_error(g):
@@ -197,10 +197,10 @@ def test_phi_is_minus_the_tensor_cross_product(rational):
     M12 vec(S) to M21 vec(-S x g), so the image lies in ker W^{(2,1)} and p21 acts as 1."""
     rng = np.random.Generator(np.random.Philox(key=24))
     g, S = _exact_symmetric(rng, 20, rational), _exact_symmetric(rng, 20, rational)
-    X = S.reshape(20, 9) @ red.M12.T
+    X = S.reshape(20, 9) @ wm.M12.T
     assert not (X @ wm.wedge_matrix(np.eye(3, 4), (1, 2)).T.astype(int)).any()
     image = np.einsum("sij,sj->si", red.frame_bracket_matrix(g), X)
-    assert image.tolist() == ((-_cross(S, g)).reshape(20, 9) @ red.M21.T).tolist()
+    assert image.tolist() == ((-_cross(S, g)).reshape(20, 9) @ wm.M21.T).tolist()
 
 
 def test_phi_inverse_formula_is_exact():
@@ -214,8 +214,8 @@ def test_phi_inverse_formula_is_exact():
     S = red._phi_inverse(T, g, det[det != 0])
     assert np.array_equal(S, np.swapaxes(S, -1, -2))
     assert (-_cross(S, g)).tolist() == T.tolist()
-    image = np.einsum("sij,sj->si", red.frame_bracket_matrix(g), S.reshape(-1, 9) @ red.M12.T)
-    assert image.tolist() == (T.reshape(-1, 9) @ red.M21.T).tolist()
+    image = np.einsum("sij,sj->si", red.frame_bracket_matrix(g), S.reshape(-1, 9) @ wm.M12.T)
+    assert image.tolist() == (T.reshape(-1, 9) @ wm.M21.T).tolist()
 
 
 def _coframes_with_metric(s, middle, n):
@@ -433,14 +433,38 @@ def test_kernel_intersection_embedded_crosscheck():
 EXACT_METRICS = ((1, 1, 1), (1, 1, -1), (1, 1, 0), (1, -1, 0), (1, 0, 0), (0, 0, 0))
 
 
-def test_kernel_intersection_caches_hold_between_counts():
-    # the integer rows and bases are built once and shared: a count must not extend them
+def test_kernel_intersection_counts_repeat():
+    # the counts and the pairing determinant read only fixed integer templates
     det = red.phi_pairing_det_exact((1, 1, 1))
     for _ in range(2):
         assert [red.kernel_intersection_dim(g) for g in EXACT_METRICS] == [0, 0, 2, 2, 3, 6]
     e = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]
     assert red.kernel_intersection_dim_from_coframe(e, LORENTZIAN) == 2
     assert red.phi_pairing_det_exact((1, 1, 1)) == det == -16
+
+
+def _intersection_dim_by_equations(g):
+    """The count from the kernel's equations: 18 - rank of the integer equation rows of
+    ker W^{(1,2)} stacked on the bracket rows B(g)."""
+    from pchgrav import exactla
+
+    rows = [*wm.kernel_equations((1, 2)).astype(int).tolist(),
+            *red.frame_bracket_matrix(g).tolist()]
+    return 18 - exactla.rank(rows)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["exact-metrics", "fraction"])
+def test_kernel_intersection_count_matches_the_equation_route(rational):
+    """6 - rank(B(g) M12 Z) equals 18 - rank(equation rows and B(g)), on the tabulated
+    diagonal metrics and on random Fraction metrics of ranks one, two and three."""
+    if rational:
+        gs = list(_exact_symmetric(np.random.Generator(np.random.Philox(key=26)), 12, True))
+        gs[::3] = [np.outer(g[0], g[0]) for g in gs[::3]]             # rank one
+        gs[1::3] = [np.outer(g[0], g[0]) - np.outer(g[1], g[1]) for g in gs[1::3]]
+    else:
+        gs = [np.diag(d) for d in EXACT_METRICS]
+    got = [red._kernel_intersection_dim_exact(g) for g in gs]
+    assert got == [_intersection_dim_by_equations(g) for g in gs]
 
 
 def test_kernel_intersection_exact_rational_inputs():

@@ -5,6 +5,10 @@ projectors are those of the e-adapted frame (`reduction.PhiFrame`), as dense
 per-site matrices of their applies.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -137,9 +141,9 @@ def test_injectivity_surjectivity_statements():
 
 def _complement_basis(kern, S):
     """u-frame columns of the e-frame orthogonal complement of the kernel columns kern,
-    with S the dense e-frame to u-frame transform."""
+    with S the dense e-frame to u-frame transform: the null space of kern_e^T by SVD."""
     kern_e = np.linalg.solve(S, kern)
-    return S @ (wm._orthonormal_nullspace(kern_e.T) if kern_e.shape[1] else np.eye(len(S)))
+    return S @ np.linalg.svd(kern_e.T)[2][kern_e.shape[1]:].T
 
 
 def test_projector_algebra():
@@ -168,6 +172,48 @@ def test_kernel_membership_by_explicit_equations():
         # the SVD kernel, moved into e-frame coordinates by the frame's inverse transform
         k_e = S_inv @ wm.kernel_basis(e, shape).kernel_basis
         assert np.abs(wm.kernel_equations(shape) @ k_e).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1)])
+def test_kernels_are_sym3_through_integer_isometries(shape):
+    """M^T M = 1_9, and M Z spans ker W^{(p,k)}: the kernel's equations annihilate it
+    in integers, and it has the kernel's dimension 6."""
+    M = wm.M12 if shape == (1, 2) else wm.M21
+    assert M.dtype.kind == "i" and wm.SYM3.dtype.kind == "i"
+    assert (M.T @ M == np.eye(9, dtype=int)).all()
+    assert (wm.SYM3.T @ wm.SYM3 == np.diag([1, 1, 1, 2, 2, 2])).all()
+    assert not (wm.kernel_equations(shape).astype(int) @ M @ wm.SYM3).any()
+    assert exactla.rank((M @ wm.SYM3).tolist()) == 6
+
+
+@pytest.mark.parametrize("P,Q", [("_P12_E", "_Q12_E"), ("_P21_E", None)])
+def test_kernel_template_projectors_are_exact(P, Q):
+    """The e-frame kernel projectors M Z D^-1 Z^T M^T and their complements are exactly
+    idempotent and complementary (compared with ==), and fix the orthonormal template."""
+    P = getattr(red, P)
+    Q = np.eye(len(P)) - P if Q is None else getattr(red, Q)
+    assert set(np.unique(P)) <= {-0.5, 0.0, 0.5, 1.0}
+    assert (P @ P == P).all() and (P == P.T).all()
+    assert (Q @ Q == Q).all() and (P + Q == np.eye(len(P))).all()
+    assert not (P @ Q).any() and not (Q @ P).any()
+    K = red.K12HAT if len(P) == 18 else red.K21HAT
+    assert np.abs(P @ K - K).max() <= 1e-15 and np.abs(K.T @ K - np.eye(6)).max() <= 1e-15
+
+
+def test_import_makes_no_svd_call():
+    """The e-frame templates are built from integer tables: importing pchgrav makes no
+    numpy.linalg.svd call (counted in a fresh interpreter)."""
+    code = ("import numpy as np\n"
+            "calls, svd = [], np.linalg.svd\n"
+            "np.linalg.svd = lambda *a, **k: calls.append(1) or svd(*a, **k)\n"
+            "import pchgrav\n"
+            "print(len(calls))\n")
+    # the child imports the same package as the tests, installed or not
+    src = os.path.dirname(os.path.dirname(wm.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == ["0"]
 
 
 def test_rank_decision_error_near_degenerate():
