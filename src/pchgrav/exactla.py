@@ -1,8 +1,9 @@
 """Small exact linear algebra over Fractions (rank, null space, determinant).
 
 Used wherever a rank decision must be bit-certain: kernel-dimension counting
-at exactly constructed degenerate boundary metrics, and exact-arithmetic spot
-checks of the projector and pairing templates.  The only Fraction arithmetic
+at exactly constructed degenerate boundary metrics, exact-arithmetic spot
+checks of the projector and pairing templates, and the Gram inverses of the
+e-frame wedge templates' pseudo-inverses.  The only Fraction arithmetic
 of the package: rows of integers (Python or numpy) or Fractions are converted
 on entry.
 """
@@ -58,6 +59,15 @@ def nullspace(mat: list) -> list:
             v[c] = -red[r][f]
         basis.append(v)
     return basis
+
+
+def inverse(mat: list) -> list:
+    """Inverse of a square matrix (rows of integers or Fractions), exact; ValueError if singular."""
+    n = len(mat)
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in red]
 
 
 def det(mat: list) -> Fraction:

@@ -7,7 +7,9 @@ T_gamma.  All operations broadcast over arbitrary leading axes, so whole grids
 of fiber values can be processed in one call.  Every wedge, bracket and action
 product, of fiber values or of whole form fields, is one call of the
 contraction kernel `bilinear` on a combined structure tensor from
-`product_tensor`.
+`product_tensor`.  Those tensors are signed selections, and the kernel
+multiplies only their nonzero entries, gathered by a plan built once per
+tensor (and per transposed view).
 
 Conventions (fixed once, used everywhere):
   * basis u_1..u_4 of V, eta = diag(1,1,1,1) or diag(1,1,1,-1) (any diagonal
@@ -54,11 +56,13 @@ def _merge_sign(a: tuple, b: tuple):
     return tuple(sorted(merged)), sign
 
 
+@lru_cache(maxsize=None)
 def wedge_signs(n: int, k: int, m: int) -> np.ndarray:
     """S[i, j, o]: sign of basis_k[i] ^ basis_m[j] along basis_{k+m}[o] of an n-space.
 
     Bases are the sorted index tuples `combinations(range(n), k)`; n = 4 gives
     the fiber wedge on Lambda^* V, n = 3 the coordinate wedge of forms on T^3.
+    Built on first use, read-only.
     """
     basis = {g: list(combinations(range(n), g)) for g in (k, m, k + m)}
     out_index = {t: i for i, t in enumerate(basis[k + m])}
@@ -68,6 +72,7 @@ def wedge_signs(n: int, k: int, m: int) -> np.ndarray:
             merged, sign = _merge_sign(a, b)
             if merged is not None:
                 S[i, j, out_index[merged]] = sign
+    S.flags.writeable = False
     return S
 
 
@@ -208,12 +213,46 @@ def product_tensor(p: int, q: int, k: int, m: int, sig: Signature | None = None)
     return T
 
 
+#: plans of the read-only structure tensors, keyed by the array that owns their memory
+#: and the view's layout, so a transposed view made at each call finds its plan; the
+#: oldest plan leaves first
+_PLANS: dict = {}
+_PLAN_LIMIT = 64
+
+
+def _build_plan(T: np.ndarray):
+    """(a, b, S): the nonzero (a, b) pairs of T, ordered by output, and S[o, k] = T[a_k, b_k, o]."""
+    a, b = np.nonzero(T.any(axis=2))
+    order = np.argsort((T[a, b] != 0).argmax(axis=1), kind="stable")
+    a, b = a[order], b[order]
+    return a, b, np.ascontiguousarray(T[a, b].T)
+
+
+def _plan(T: np.ndarray):
+    """The plan of T, cached when T is read-only and a view of all of its owner's entries,
+    which its shape and strides then fix."""
+    owner = T if T.base is None else T.base
+    if T.flags.writeable or getattr(owner, "size", None) != T.size:
+        return _build_plan(T)
+    key = (id(owner), T.shape, T.strides)
+    hit = _PLANS.get(key)
+    if hit is None:
+        if len(_PLANS) >= _PLAN_LIMIT:
+            del _PLANS[next(iter(_PLANS))]
+        hit = _PLANS[key] = (owner, _build_plan(T))   # the owner is held: its id stays its own
+    return hit[1]
+
+
 def bilinear(T: np.ndarray, x, y) -> np.ndarray:
     """sum_ab T[a, b, o] x[..., a] y[..., b], broadcasting over leading axes.
 
-    The one path for floats and integers (integer operands stay exact): the
-    sites are contracted in blocks with the operand of more components against
-    T first, so the per-site intermediate is (fewer components) x (output dim).
+    The signed-gather kernel.  A structure tensor is a signed selection (entries
+    +-1, at most one nonzero a per (b, o)), so only its nnz nonzero (a, b) pairs
+    are multiplied: per block of sites, x and y are copied to component rows,
+    the planned rows are gathered and multiplied into P (nnz, sites), and one
+    S @ P with the (O, nnz) entry matrix S of the plan sums them into the
+    outputs, written as (S @ P)^T straight into the result.  One path for
+    floats and integers (integer operands stay exact).
     """
     x = np.asarray(x)
     y = np.asarray(y)
@@ -222,17 +261,16 @@ def bilinear(T: np.ndarray, x, y) -> np.ndarray:
         lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
         x, y = np.broadcast_to(x, lead + (A,)), np.broadcast_to(y, lead + (B,))
     lead = x.shape[:-1]
-    if A < B:
-        T, x, y, A, B = T.transpose(1, 0, 2), y, x, B, A
-    x = x.reshape(-1, A)
-    y = y.reshape(-1, B)
-    out = np.empty((x.shape[0], O), dtype=np.result_type(x, y, T))
-    T2 = T.reshape(A, B * O).astype(out.dtype)
-    buf = np.empty((min(SITE_BLOCK, x.shape[0]), B * O), dtype=out.dtype)   # one block at a time
+    dtype = np.result_type(x, y, T)
+    x = x.reshape(-1, A).astype(dtype, copy=False)
+    y = y.reshape(-1, B).astype(dtype, copy=False)
+    a, b, S = _plan(T)
+    S = S.astype(dtype, copy=False)
+    out = np.empty((x.shape[0], O), dtype=dtype)
     for blk in site_blocks(x.shape[0]):
-        xs = x[blk]
-        t = np.matmul(xs, T2, out=buf[:len(xs)]).reshape(-1, B, O)
-        np.einsum("sbo,sb->so", t, y[blk], out=out[blk])
+        P = x[blk].T.take(a, axis=0)
+        P *= y[blk].T.take(b, axis=0)
+        np.matmul(P.T, S.T, out=out[blk])
     return out.reshape(lead + (O,))
 
 

@@ -186,13 +186,20 @@ class PhiSingularError(wedgemaps.ConditioningError, RuntimeError):
 _P12_E = _Z12 / _D @ _Z12.T
 _Q12_E = np.eye(18) - _P12_E           # the template complement, for p12'
 _P21_E = _Z21 / _D @ _Z21.T
-_W11_TEMPLATE = wedgemaps.wedge_matrix(np.eye(3, 4), (1, 1))
 _W12_TEMPLATE = wedgemaps.wedge_matrix(np.eye(3, 4), (1, 2))
-_W11_PINV_E = np.linalg.pinv(_W11_TEMPLATE)                          # (12, 18)
-#: the projector W11_E W11_E^+ onto im W^{(1,1)}
-_P11DAG_E = _W11_TEMPLATE @ _W11_PINV_E
-#: template inverse of W^{(1,2)} onto the complement of its kernel, (1 - P12_E) W12_E^+
-_W12_PINV_E = _Q12_E @ np.linalg.pinv(_W12_TEMPLATE)                 # (18, 12)
+#: the template pseudo-inverse W^T (W W^T)^-1 of the surjective W^{(1,2)} (18, 12), onto
+#: the complement of its kernel; exact, as W W^T has an inverse of quarters
+_W12_PINV_E = _W12_TEMPLATE.T @ np.array(
+    exactla.inverse((_W12_TEMPLATE @ _W12_TEMPLATE.T).astype(int).tolist()), dtype=float)
+#: the Tr pairing's graded symmetry Tr(e ^ v ^ X) = Tr(v ^ e ^ X) reads W11_E =
+#: PG12 W12_E^T PG11 with the signed permutations PG of `wedgemaps.dual_pairing_matrix`,
+#: so W11_E^+ = PG11^T W12_E^+T PG12^T (12, 18), and N = PG12 M12 Z is an integer basis
+#: of ker W11_E^T with N^T N = D: the projector W11_E W11_E^+ = 1 - N D^-1 N^T onto
+#: im W^{(1,1)}.  All three are exact, with entries 0, +-1/2 and +-1
+_PG12, _PG11 = wedgemaps.dual_pairing_matrix(1, 2), wedgemaps.dual_pairing_matrix(1, 1)
+_W11_PINV_E = _PG11.T @ _W12_PINV_E.T @ _PG12.T
+_N11 = _PG12 @ _Z12
+_P11DAG_E = np.eye(18) - _N11 / _D @ _N11.T
 #: Jacobi's complementary-minor identity (Horn & Johnson, Matrix Analysis, 0.8.4):
 #: Lambda^k(P^-1)[I, J] = (-1)^(|I| + |J|) Lambda^(4-k)P[J^c, I^c] / det P, with |I|
 #: the index sum of I and I^c its complement.  The pairs (`fiber.PAIRS`) are ordered

@@ -186,9 +186,10 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     bad = write_cfg(tmp_path, {"gamma": 0}, "bad.json")
     assert cli.main(["verify", "--config", str(bad)]) == 2
 
-    # deliberately unreachable tolerance forces a check failure -> exit 1
+    # a floor no finite residual reaches forces a check failure -> exit 1, whatever the
+    # roundoff of the computed residuals
     strict = write_cfg(tmp_path, {"suites": ["algebra"], "seed": 1,
-                                  "tolerances": {"star_cyclic": 1e-30}}, "strict.json")
+                                  "tolerances": {"morphism_floor": 1e30}}, "strict.json")
     assert cli.main(["verify", "--config", str(strict)]) == 1
 
 

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -289,6 +289,74 @@ def test_kernel_blocks_match_one_shot_contraction():
     x, y = RNG.normal(size=(n, n, n, 18)), RNG.normal(size=(n, n, n, 18))
     ref = np.einsum("abo,...a,...b->...o", T, x, y)
     assert np.abs(fiber.bilinear(T, x, y) - ref).max() <= 1e-13
+
+
+# --- the signed-gather kernel against the dense contraction ------------------------
+
+ADAPTED = fiber.Signature((1, 1, -1, 1))   # the adapted frame of a time-like span
+
+
+def dense(T, x, y):
+    return np.einsum("abo,...a,...b->...o", T, x, y)
+
+
+def assert_matches_dense(T, x, y):
+    """bilinear equals the dense contraction to 1e-15 of the sum of |terms| per output."""
+    got, ref = fiber.bilinear(T, x, y), dense(T, x, y)
+    scale = dense(np.abs(T), np.abs(x), np.abs(y))
+    assert got.shape == ref.shape and (np.abs(got - ref) <= 1e-15 * scale).all()
+
+
+@pytest.mark.parametrize("p,q", FORM_PAIRS)
+def test_kernel_matches_dense_contraction(p, q):
+    tensors = [fiber.product_tensor(p, q, k, m) for k, m in GRADE_PAIRS]
+    tensors += [fiber.product_tensor(p, q, 2, m, sig) for m in (1, 2) for sig in SIGS + (ADAPTED,)]
+    for T in tensors:
+        # a signed selection: entries +-1, at most one nonzero a per (b, o)
+        assert set(np.unique(T)) <= {-1, 0, 1} and (np.count_nonzero(T, axis=0) <= 1).all()
+        A, B, _ = T.shape
+        assert_matches_dense(T, RNG.normal(size=(37, A)), RNG.normal(size=(37, B)))
+
+
+@pytest.mark.parametrize("perm", list(permutations(range(3))), ids=str)
+def test_kernel_matches_dense_on_transposed_views(perm):
+    for args in ((1, 1, 2, 1, LORENTZIAN), (1, 1, 2, 2, EUCLIDEAN), (1, 2, 1, 2, None)):
+        T = fiber.product_tensor(*args).transpose(perm)
+        A, B, _ = T.shape
+        assert_matches_dense(T, RNG.normal(size=(3, 5, A)), RNG.normal(size=(3, 5, B)))
+
+
+def test_kernel_matches_dense_under_broadcasting():
+    T = fiber.product_tensor(1, 1, 2, 2, ADAPTED)
+    y = RNG.normal(size=(1, 3, 18))
+    assert_matches_dense(T, RNG.normal(size=(4, 1, 18)), y)
+    assert_matches_dense(T, RNG.normal(size=18), y)
+    assert_matches_dense(T.transpose(2, 1, 0), y, RNG.normal(size=(4, 1, 18)))
+
+
+def test_kernel_int64_is_exact():
+    """Products up to 9e16 (past 2^53): the integer path never goes through floats."""
+    for args in ((1, 1, 2, 2, LORENTZIAN), (1, 1, 1, 1, None), (0, 1, 2, 2, ADAPTED)):
+        for T in (fiber.product_tensor(*args), fiber.product_tensor(*args).transpose(1, 2, 0)):
+            A, B, _ = T.shape
+            x = RNG.integers(-3 * 10**8, 3 * 10**8, size=(9, A))
+            y = RNG.integers(-3 * 10**8, 3 * 10**8, size=(9, B))
+            got = fiber.bilinear(T, x, y)
+            assert got.dtype == np.int64 and np.array_equal(got, dense(T, x, y))
+
+
+def test_plan_cache_stays_bounded_under_fresh_views():
+    """A transposed view made at each call finds the plan of its layout; a writeable
+    tensor's plan is built and not kept."""
+    T = fiber.product_tensor(1, 1, 2, 1, LORENTZIAN)
+    x, y = RNG.normal(size=(5, 12)), RNG.normal(size=(5, 12))
+    fiber._PLANS.clear()   # below its bound, so that a leak would show
+    fiber.bilinear(T.transpose(1, 2, 0), x, y)
+    size = len(fiber._PLANS)
+    for _ in range(100):
+        fiber.bilinear(T.transpose(1, 2, 0), x, y)
+        fiber.bilinear(np.array(T.transpose(1, 2, 0)), x, y)
+    assert len(fiber._PLANS) == size == 1
 
 
 # --- the transposed action tensor ---------------------------------------------

@@ -8,6 +8,7 @@ per-site matrices of their applies.
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -200,12 +201,40 @@ def test_kernel_template_projectors_are_exact(P, Q):
     assert np.abs(P @ K - K).max() <= 1e-15 and np.abs(K.T @ K - np.eye(6)).max() <= 1e-15
 
 
+def test_wedge_template_solves_are_exact():
+    """p11's template W11_E W11_E^+ and the template pseudo-inverses of W^{(1,1)} and
+    W^{(1,2)} are exact (compared with ==) and equal numpy's pinv to roundoff."""
+    W11 = wm.wedge_matrix(np.eye(3, 4), (1, 1))
+    W12 = wm.wedge_matrix(np.eye(3, 4), (1, 2))
+    P, W11P, W12P = red._P11DAG_E, red._W11_PINV_E, red._W12_PINV_E
+    for M in (P, W11P, W12P):
+        assert set(np.unique(M)) <= {-1.0, -0.5, 0.0, 0.5, 1.0}
+    assert (W11P @ W11 == np.eye(12)).all() and (W11 @ W11P == P).all()
+    assert (P @ P == P).all() and (P == P.T).all() and not (W11.T @ (np.eye(18) - P)).any()
+    assert (W12 @ W12P == np.eye(12)).all() and (red._Q12_E @ W12P == W12P).all()
+    assert np.abs(W11P - np.linalg.pinv(W11)).max() <= 1e-15
+    assert np.abs(W12P - np.linalg.pinv(W12)).max() <= 1e-15
+
+
+def test_exact_inverse():
+    M = [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+    inv = exactla.inverse(M)
+    assert inv == [[Fraction(3, 4), Fraction(-1, 4), Fraction(-1, 4)],
+                   [Fraction(-1, 4), Fraction(3, 4), Fraction(-1, 4)],
+                   [Fraction(-1, 4), Fraction(-1, 4), Fraction(3, 4)]]
+    with pytest.raises(ValueError, match="singular"):
+        exactla.inverse([[1, 2], [2, 4]])
+
+
 def test_import_makes_no_svd_call():
     """The e-frame templates are built from integer tables: importing pchgrav makes no
-    numpy.linalg.svd call (counted in a fresh interpreter)."""
-    code = ("import numpy as np\n"
-            "calls, svd = [], np.linalg.svd\n"
-            "np.linalg.svd = lambda *a, **k: calls.append(1) or svd(*a, **k)\n"
+    SVD, counted in a fresh interpreter under both names, numpy.linalg.svd and the
+    numpy.linalg._linalg.svd that pinv and matrix_rank call."""
+    code = ("import numpy as np, numpy.linalg._linalg as la\n"
+            "calls = []\n"
+            "def counted(svd):\n"
+            "    return lambda *a, **k: calls.append(1) or svd(*a, **k)\n"
+            "np.linalg.svd, la.svd = counted(np.linalg.svd), counted(la.svd)\n"
             "import pchgrav\n"
             "print(len(calls))\n")
     # the child imports the same package as the tests, installed or not
