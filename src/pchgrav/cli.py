@@ -58,9 +58,9 @@ def _cmd_verify(args) -> int:
 def _load_fields(args):
     """(Coframe, connection, signature) from the field files of `reduce` and `omega-tilde`.
 
-    A malformed file raises a ConfigError that names it: unreadable, not a
-    nondegenerate coframe, not a bivector-valued 1-form, on another grid, or
-    with a signature header that differs from the coframe's.
+    A malformed file raises a ConfigError that names it: unreadable, holding a
+    NaN or infinity, not a nondegenerate coframe, not a bivector-valued 1-form,
+    on another grid, or with a signature header that differs from the coframe's.
     """
     try:
         e_field, e_hdr = load_field(args.coframe)

@@ -308,7 +308,7 @@ def a_map(state: BoundaryState, de: FormField) -> np.ndarray:
 
 def b_map(state: BoundaryState, c: FormField) -> np.ndarray:
     """B(c) = -phi^{-1} p [c, e] in kernel coordinates, pointwise."""
-    return state.frame.kernel_correction(reduction.bracket_with_e(c, state.e).data)
+    return state.frame.kernel_correction(action_wedge(c, state.e.field, state.e.sig).data)
 
 
 def kernel_field_from_coords(coords: np.ndarray, pack: reduction.PhiFrame,

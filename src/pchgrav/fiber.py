@@ -292,12 +292,7 @@ TR_GRAM2 = wedge_signs(4, 2, 2)[:, :, 0].astype(float)
 
 def t_gamma(b: np.ndarray, gamma: float, sig: Signature) -> np.ndarray:
     """Holst twist T_gamma(b) = b + (1/gamma) star b; gamma = inf gives identity."""
-    if gamma == 0:
-        raise ValueError("gamma must be nonzero")
-    b = np.asarray(b)
-    if np.isinf(gamma):
-        return b.copy()
-    return b + hodge_star2(b, sig) / gamma
+    return np.asarray(b) @ t_gamma_endo_matrix(gamma, sig).T
 
 
 def t_gamma_endo_matrix(gamma: float, sig: Signature) -> np.ndarray:

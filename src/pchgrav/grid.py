@@ -159,8 +159,6 @@ class FormField:
         expected = (self.grid.n,) * 3 + (NCOMP[self.p], GRADE_DIMS[self.grade])
         if self.data.shape != expected:
             raise ValueError(f"data shape {self.data.shape}, expected {expected}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("non-finite field values")
 
     @staticmethod
     def zeros(grid: Grid3, p: int, grade: int) -> "FormField":
@@ -360,4 +358,8 @@ def load_field(path):
     n, p, grade = header["n"], header["p"], header["grade"]
     shape = (n, n, n, NCOMP[p], GRADE_DIMS[grade])
     data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    # outside numbers enter through field files (config numbers are checked in `config`),
+    # so the finiteness scan is here and not in every FormField construction
+    if not np.isfinite(data).all():
+        raise ValueError("non-finite field values")
     return FormField(Grid3(n), p, grade, data), header

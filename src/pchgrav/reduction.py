@@ -50,11 +50,6 @@ def bracket_matrix(e: np.ndarray, sig: Signature) -> np.ndarray:
                                  e.reshape(e.shape[:-2] + (12,)))
 
 
-def bracket_with_e(v: FormField, e: Coframe) -> FormField:
-    """[v, e] as a field: bilinear, onto Omega^2(V) for nondegenerate g."""
-    return action_wedge(v, e.field, e.sig)
-
-
 def frame_bracket_matrix(g: np.ndarray) -> np.ndarray:
     """Batched e-frame matrix of v -> [v,e] from the boundary metric g (..., 3, 3).
 

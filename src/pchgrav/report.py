@@ -24,8 +24,8 @@ class CheckRow:
     anchor: str                 # mathematical anchor of the check, or "plumbing"
     inputs_digest: str          # hash of (seed, suite, row id), not of the drawn inputs
     values: dict
-    tolerance: float | None
-    passed: bool
+    decisions: list             # one per condition: key, relation, bound, limit, passed
+    passed: bool                # the conjunction of the decisions
     runtime_s: float
 
     def as_dict(self) -> dict:
@@ -76,7 +76,7 @@ class ConstraintReport:
         }
 
 
-CSV_FIELDS = ["id", "anchor", "inputs_digest", "values", "tolerance", "passed", "runtime_s"]
+CSV_FIELDS = ["id", "anchor", "inputs_digest", "values", "decisions", "passed", "runtime_s"]
 
 
 def write_report(report: ConstraintReport, path, fmt: str = "json"):
@@ -91,6 +91,7 @@ def write_report(report: ConstraintReport, path, fmt: str = "json"):
             for r in report.rows:
                 d = r.as_dict()
                 d["values"] = json.dumps(d["values"], sort_keys=True)
+                d["decisions"] = json.dumps(d["decisions"], sort_keys=True)
                 writer.writerow(d)
     else:
         raise ValueError(f"unknown report format {fmt!r}")

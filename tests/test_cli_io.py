@@ -141,7 +141,7 @@ def test_report_roundtrip_and_csv(tmp_path):
     write_report(rep, cpath, "csv")
     lines = cpath.read_text().splitlines()
     assert len(lines) == len(rep.rows) + 1
-    assert lines[0].startswith("id,anchor,")
+    assert lines[0] == "id,anchor,inputs_digest,values,decisions,passed,runtime_s"
 
 
 def test_anchor_field_always_present():
@@ -152,8 +152,8 @@ def test_anchor_field_always_present():
 
 def test_determinism_contract():
     cfg = validate_config({"suites": ["algebra", "kernels", "reduction"], "seed": 42})
-    v1 = [r.values for r in run_suites(cfg).rows]
-    v2 = [r.values for r in run_suites(cfg, threads=2).rows]
+    v1 = [(r.values, r.decisions) for r in run_suites(cfg).rows]
+    v2 = [(r.values, r.decisions) for r in run_suites(cfg, threads=2).rows]
     assert json.dumps(v1, sort_keys=True, default=str) == json.dumps(v2, sort_keys=True, default=str)
 
 
@@ -291,6 +291,30 @@ def test_cli_bad_connection_file_exit_2(tmp_path, capsys, command, p, grade, n, 
     err = capsys.readouterr().err
     assert "bad-omega.pchf" in err and why in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["omega-tilde", "reduce"])
+@pytest.mark.parametrize("fmt", ["binary", "json"])
+def test_cli_non_finite_field_file_exit_2(tmp_path, capsys, command, fmt):
+    from pchgrav.fiber import LORENTZIAN
+    from pchgrav.grid import FormField, Grid3, save_field
+
+    g = Grid3(4)
+    e = np.broadcast_to(np.eye(3, 4), (4, 4, 4, 3, 4)).copy()
+    om = np.zeros((4, 4, 4, 3, 6))
+    good_e, good_om = e.copy(), om.copy()
+    e[1, 2, 3, 0, 0] = np.inf
+    om[3, 2, 1, 2, 5] = np.nan
+    for bad, (ef, of) in (("e-inf", (e, good_om)), ("omega-nan", (good_e, om))):
+        epath, opath = tmp_path / f"{bad}-e.pchf", tmp_path / f"{bad}-om.pchf"
+        save_field(FormField(g, 1, 1, ef), epath, sig=LORENTZIAN, fmt=fmt)
+        save_field(FormField(g, 1, 2, of), opath, sig=LORENTZIAN, fmt=fmt)
+        out = tmp_path / f"{bad}-out"
+        assert cli.main([command, "--coframe", str(epath), "--connection", str(opath),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (epath.name if bad == "e-inf" else opath.name) in err
+        assert "non-finite field values" in err and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["omega-tilde", "reduce"])

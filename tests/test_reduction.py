@@ -9,7 +9,7 @@ import pytest
 from pchgrav import constraints as cst, reduction as red, wedgemaps as wm
 from pchgrav.config import TOLERANCES
 from pchgrav.fiber import EUCLIDEAN, LORENTZIAN
-from pchgrav.grid import Coframe, FormField, Grid3, random_field_spec
+from pchgrav.grid import Coframe, FormField, Grid3, action_wedge, random_field_spec
 from pchgrav.suites import (
     acceptance_triad_spec,
     random_nondegenerate_coframe,
@@ -27,7 +27,7 @@ def test_bracket_with_e_zero():
     e = Coframe(random_field_spec(RNG, 1, 1, n_modes=1, amp=0.05,
                                   base=np.eye(3, 4)).sample(g), LORENTZIAN)
     zero = FormField.zeros(g, 1, 2)
-    assert red.bracket_with_e(zero, e).sup_norm() == 0.0
+    assert action_wedge(zero, e.field, e.sig).sup_norm() == 0.0
 
 
 def test_bracket_matrix_full_rank_and_kernel_wedge():
@@ -47,7 +47,7 @@ def test_field_and_matrix_bracket_agree():
     e = Coframe(random_field_spec(RNG, 1, 1, n_modes=1, amp=0.05,
                                   base=np.eye(3, 4)).sample(g), LORENTZIAN)
     v = random_field_spec(RNG, 1, 2, n_modes=1, amp=0.4).sample(g)
-    field = red.bracket_with_e(v, e)
+    field = action_wedge(v, e.field, e.sig)
     B = red.bracket_matrix(e.data, LORENTZIAN)
     flat = np.einsum("...ij,...j->...i", B, v.data.reshape(4, 4, 4, 18))
     assert np.abs(field.data.reshape(4, 4, 4, 12) - flat).max() <= 1e-12
