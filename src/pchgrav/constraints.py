@@ -15,8 +15,10 @@ costs one pointwise wedge; likewise its e-adapted frame, built by the first
 vector field at the state and shared by the later ones (a certification keeps
 neither the frame nor the record of its omega~ solve).  L and J are cubic in
 (e, omega), and a direction tangent to the slice moves the structural
-representative only at second order, so bracket derivatives are exact
-five-point stencils on uncertified states.
+representative only at second order, so a bracket dG(X_F) is the exact first
+variation of G's density along X_F at fixed omega, built from the state's cached
+F, torsion and e ^ e in one step (`directional_derivative`, a five-point stencil
+on uncertified shifted states, stays as the reference for generic functionals).
 
 Hamiltonian vector fields solve the defining wedge equations
 
@@ -517,28 +519,33 @@ def psi_alpha(state: BoundaryState, alpha: FormField) -> FormField:
 
 
 # ---------------------------------------------------------------------------
-# Poisson brackets by the exact stencil
+# Poisson brackets from the exact first variation
 
-#: largest constraint residual of a direction that `directional_derivative` accepts
+#: largest constraint residual of a direction that a bracket or `directional_derivative` accepts
 TANGENCY_LIMIT = 1e-9
 
 
+def _require_tangent(X: TangentVector):
+    """ValueError for a direction off the slice (constraint residual above TANGENCY_LIMIT),
+    where a derivative at fixed omega is not the slice derivative.  The residual sees only
+    a kernel-valued part in the complement input, not a wrong A or B."""
+    if not X.constraint_residual <= TANGENCY_LIMIT:
+        raise ValueError(f"direction not tangent to the structural slice: constraint "
+                         f"residual {X.constraint_residual:.3e} > {TANGENCY_LIMIT:.0e}")
+
+
 def directional_derivative(state: BoundaryState, functional, X: TangentVector):
-    """dG(X) for a functional G of degree <= 3 in (e, omega) and X tangent to the slice.
+    """dG(X) for any functional G of degree <= 3 in (e, omega) and X tangent to the slice:
+    the reference stencil for generic functionals and for the brackets' exact variation.
 
     G is evaluated on the uncertified states s + k t X, k in {+-1, +-2, +-4},
     t = 1e-2 of the state's scale over the size of X; re-certification would
     move them only at O(t^2), and the central difference
     D(a) = [8(G(s+aX) - G(s-aX)) - (G(s+2aX) - G(s-2aX))] / (12a) is exact
     for polynomials of degree <= 4.  Returns (D(t), |D(t) - D(2t)|), so the
-    error is roundoff alone.  ValueError when X.constraint_residual is above
-    TANGENCY_LIMIT: a direction with a kernel-valued part in its complement input
-    is off the slice, where the stencil is not the slice derivative.  The residual
-    cannot see a wrong A or B in the kernel part, so the check does not certify it.
+    error is roundoff alone.  Refuses a direction off the slice (`_require_tangent`).
     """
-    if not X.constraint_residual <= TANGENCY_LIMIT:
-        raise ValueError(f"direction not tangent to the structural slice: constraint "
-                         f"residual {X.constraint_residual:.3e} > {TANGENCY_LIMIT:.0e}")
+    _require_tangent(X)
     scale = max(state.e.field.sup_norm(), state.omega.sup_norm())
     t = 1e-2 * scale / max(X.de.sup_norm(), X.domega.sup_norm(), 1e-300)
     G = {k: functional(shifted_state(state, k * t, X.de, X.domega)) for k in (1, -1, 2, -2, 4, -4)}
@@ -546,20 +553,48 @@ def directional_derivative(state: BoundaryState, functional, X: TangentVector):
     return D[0], abs(D[0] - D[1])
 
 
-def functional_L(alpha: FormField):
-    return lambda s: eval_L(s, alpha)
+def density_variation(state: BoundaryState, kind: str, X: TangentVector) -> FormField:
+    """The exact first variation of the L or J density at the state along X = (de, domega),
+    from the state's cached torsion, F and e ^ e:
 
+        d(d_omega e) = d_omega de + [domega ^ e],    dF = d_omega domega,
+        dL-density   = T_gamma(de ^ d_omega e + e ^ d(d_omega e)),
+        dJ-density   = de ^ (T_gamma F + Lambda e^2) + e ^ (T_gamma dF + 2 Lambda e ^ de),
 
-def functional_J(mu: FormField):
-    return lambda s: eval_J(s, mu)
+    with d(e ^ e) = 2 e ^ de (vector-valued 1-forms commute under the wedge); T_gamma is
+    the identity at gamma = inf and the e^3 part is absent at Lambda = 0, as in `j_density`.
+    """
+    e, de, sig, gamma = state.e.field, X.de, state.sig, state.gamma
+    if kind == "L":
+        d_torsion = cov_deriv(de, state.omega, sig) + action_wedge(X.domega, e, sig)
+        return t_gamma_field(wedge_fields(de, state.torsion) + wedge_fields(e, d_torsion),
+                             gamma, sig)
+    if kind != "J":
+        raise ValueError("kind must be 'L' or 'J'")
+    F_part = t_gamma_field(state.F, gamma, sig)
+    dF_part = t_gamma_field(cov_deriv(X.domega, state.omega, sig), gamma, sig)
+    if state.Lambda != 0.0:
+        F_part = F_part + state.ee * state.Lambda
+        dF_part = dF_part + wedge_fields(e, de) * (2.0 * state.Lambda)
+    return wedge_fields(de, F_part) + wedge_fields(e, dF_part)
 
 
 def poisson_bracket(state: BoundaryState, f_kind: str, f_smear: FormField,
                     g_kind: str, g_smear: FormField):
-    """{F, G} = X_F(G) along the Hamiltonian field of F, as (value, fd_error)."""
+    """{F, G} = X_F(G) along the Hamiltonian field of F, as (value, roundoff_bound).
+
+    dG(X_F) is G's smearing wedged with `density_variation` along X_F and integrated, at
+    fixed omega: the slice derivative, as X_F is tangent to the slice (`_require_tangent`).
+    roundoff_bound = eps h^3 sum |integrand| bounds the error of the sum at one rounding
+    per integrand value; a bracket that cancels below it across sites is not resolved.
+    """
+    if g_smear.grid.n != state.grid.n:
+        raise ValueError("grid mismatch")
     X = hamiltonian_vector_field(state, f_kind, f_smear)
-    G = functional_L(g_smear) if g_kind == "L" else functional_J(g_smear)
-    return directional_derivative(state, G, X)
+    _require_tangent(X)
+    integrand = wedge_fields(g_smear, density_variation(state, g_kind, X))
+    roundoff_bound = np.finfo(float).eps * float(np.abs(integrand.data).sum()) * state.grid.h**3
+    return integrate(integrand), roundoff_bound
 
 
 def symplectic_form(state: BoundaryState, X, Y) -> float:

@@ -636,11 +636,11 @@ def run_brackets(cfg: RunConfig) -> list:
     st = random_offshell_state(rng, grid, sig, gamma, cfg.Lambda)
     alpha = cst.smear_constant(grid, 2, ac)
     alpha2 = cst.smear_constant(grid, 2, ac2)
-    br, fd_err = cst.poisson_bracket(st, "L", alpha, "L", alpha2)
+    br, roundoff_bound = cst.poisson_bracket(st, "L", alpha, "L", alpha2)
     rhs = cst.eval_L(st, cst.smear_constant(grid, 2, fiber.bracket2(ac2, ac, sig)))
     s.check("gauge-algebra", "{L_a, L_a'} = L_[a',a] off shell",
             {"bracket": br, "rhs": rhs, "rel_error": abs(br - rhs) / max(abs(rhs), 1e-300),
-             "fd_error": fd_err, "lhs_magnitude": abs(br), "rhs_magnitude": abs(rhs)},
+             "roundoff_bound": roundoff_bound, "lhs_magnitude": abs(br), "rhs_magnitude": abs(rhs)},
             ("rel_error", "<=", "bracket_ll"), ("rhs_magnitude", ">", 1e-8))
 
     spec = acceptance_triad_spec()

@@ -168,7 +168,7 @@ def test_hvf_generator_is_symplectic_gradient(offshell_state):
     X = cst.hamiltonian_vector_field(st, "L", alpha)
     for Y in _slice_tangents(st, RNG):
         w = cst.symplectic_form(st, X, Y)
-        dL, _ = cst.directional_derivative(st, cst.functional_L(alpha), Y)
+        dL, _ = cst.directional_derivative(st, lambda s: cst.eval_L(s, alpha), Y)
         assert abs(w - dL) <= 1e-9 * max(1.0, abs(dL))
 
 
@@ -190,7 +190,7 @@ def test_hvf_J_is_symplectic_gradient(shell, sig, gamma):
     X = cst.hamiltonian_vector_field(st, "J", mu)
     for Y in _slice_tangents(st, rng):
         w = cst.symplectic_form(st, X, Y)
-        dJ, _ = cst.directional_derivative(st, cst.functional_J(mu), Y)
+        dJ, _ = cst.directional_derivative(st, lambda s: cst.eval_J(s, mu), Y)
         assert abs(w - dJ) <= 1e-9 * max(1.0, abs(dJ))
 
 
@@ -271,7 +271,7 @@ def test_template_wedge_solves_match_pinv_reference(sig, gamma):
     assert np.abs(got_w - ref_w).max() <= 1e-12 * np.abs(ref_w).max()
 
 
-# --- finite-difference brackets -----------------------------------------------------
+# --- brackets and the reference stencil --------------------------------------------
 
 def test_fd_derivative_exact_on_linear_functional(offshell_state):
     from pchgrav.grid import integrate, wedge_fields
@@ -295,11 +295,41 @@ def test_fd_derivative_exact_on_linear_functional(offshell_state):
     assert err <= 1e-10 * max(1.0, abs(exact))
 
 
+BRACKET_SMEARINGS = {
+    "L": (2, [0.3, -0.2, 0.5, 0.1, -0.4, 0.2], [-0.1, 0.4, 0.2, -0.3, 0.25, 0.15]),
+    "J": (1, [0.2, -0.3, 0.4, 0.6], [0.5, 0.1, -0.2, 0.3]),
+}
+
+
+@pytest.mark.parametrize("Lambda", [0.0, 0.1])
+@pytest.mark.parametrize("sig,gamma", [
+    (LORENTZIAN, 1.0), (LORENTZIAN, 10.0), (LORENTZIAN, np.inf),
+    (EUCLIDEAN, 2.0), (EUCLIDEAN, np.inf),
+], ids=["lorentzian-1", "lorentzian-10", "lorentzian-inf", "euclidean-2", "euclidean-inf"])
+def test_bracket_variation_matches_the_reference_stencil(sig, gamma, Lambda):
+    """The exact first variation of each density along X_F is the five-point stencil
+    of the functional, to the stencil's roundoff, off shell for every pair of L and J."""
+    st = random_offshell_state(np.random.Generator(np.random.Philox(key=41)), Grid3(4),
+                               sig, gamma, Lambda)
+    for f_kind, g_kind in (("L", "L"), ("L", "J"), ("J", "J"), ("J", "L")):
+        f_grade, f_comps, _ = BRACKET_SMEARINGS[f_kind]
+        g_grade, _, g_comps = BRACKET_SMEARINGS[g_kind]
+        f_smear = cst.smear_constant(st.grid, f_grade, f_comps)
+        g_smear = cst.smear_constant(st.grid, g_grade, g_comps)
+        value, err = cst.poisson_bracket(st, f_kind, f_smear, g_kind, g_smear)
+        evaluate = cst.eval_L if g_kind == "L" else cst.eval_J
+        ref, _ = cst.directional_derivative(st, lambda s: evaluate(s, g_smear),
+                                            cst.hamiltonian_vector_field(st, f_kind, f_smear))
+        assert abs(value - ref) <= 1e-13, (f_kind, g_kind, value, ref)
+        assert 0.0 <= err <= 1e-13
+
+
 def test_stencil_needs_a_slice_tangent_direction(offshell_state):
     """A kernel-valued part added to X_omega is refused, and along it the raw stencil is
     not the derivative of the functional on the slice (the re-certified one)."""
     st = offshell_state
-    G = cst.functional_J(cst.smear_constant(st.grid, 1, [0.5, 0.1, -0.2, 0.3]))
+    mu = cst.smear_constant(st.grid, 1, [0.5, 0.1, -0.2, 0.3])
+    G = lambda s: cst.eval_J(s, mu)
     X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.2, -0.3, 0.4, 0.6]))
 
     def linearized_constraint(Y):

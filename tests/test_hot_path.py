@@ -10,8 +10,8 @@ pairing Grams) may still go through LAPACK.  The
 FD-bracket path runs no eigensolve at all (the phi_e and coframe checks clear
 well-conditioned sites by exact bounds), and the e-adapted frame holds no
 per-site array larger than 6x6 and no phi_e^-1, and builds its transposes at each
-use, holding none.  A bracket derivative evaluates the functional on six uncertified
-stencil states and solves for no structural representative.  The kernels
+use, holding none.  A bracket is the exact first variation at the state: it builds
+no shifted state and no coframe, and solves for no structural representative.  The kernels
 suite splits each shape once over a stack of coframes, and the EH ladder
 evaluates J on no state whose deviations it does not read.  Each e-adapted
 frame belongs to what it frames: a certification builds one for omega~ and
@@ -272,7 +272,7 @@ def test_make_on_shell_inverts_the_triad_once(monkeypatch):
     assert calls == [(4, 4, 4, 3, 3)] * 2
 
 
-def test_bracket_derivative_certifies_nothing_and_evaluates_six_times(monkeypatch):
+def test_bracket_certifies_nothing_and_builds_no_shifted_state(monkeypatch):
     st = _offshell_state()
     mu = cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4])
     mu2 = cst.smear_constant(st.grid, 1, [-0.1, 0.6, 0.2, -0.3])
@@ -286,16 +286,10 @@ def test_bracket_derivative_certifies_nothing_and_evaluates_six_times(monkeypatc
     monkeypatch.setattr(cst, "omega_tilde", refuse("omega_tilde"))
     monkeypatch.setattr(red, "omega_tilde", refuse("omega_tilde"))
     monkeypatch.setattr(PhiFrame, "omega_tilde", refuse("PhiFrame.omega_tilde"))
-    evaluated, functional_J = [], cst.functional_J
-
-    def counted(smearing):
-        G = functional_J(smearing)
-        return lambda s: evaluated.append(s) or G(s)
-
-    monkeypatch.setattr(cst, "functional_J", counted)
+    monkeypatch.setattr(cst, "shifted_state", refuse("shifted_state"))
+    monkeypatch.setattr(cst, "Coframe", refuse("Coframe"))
     value, err = cst.poisson_bracket(st, "J", mu, "J", mu2)
     assert np.isfinite(value) and err <= 1e-12 * max(1.0, abs(value))
-    assert len(evaluated) == 6
 
 
 def _stencil_at(st, G, X, t):
@@ -313,8 +307,8 @@ def test_bracket_stencil_is_step_independent(kind, smear, smear2):
     st = _offshell_state()
     grade = 1 if kind == "J" else 2
     X = cst.hamiltonian_vector_field(st, kind, cst.smear_constant(st.grid, grade, smear))
-    G = (cst.functional_J if kind == "J" else cst.functional_L)(
-        cst.smear_constant(st.grid, grade, smear2))
+    smearing = cst.smear_constant(st.grid, grade, smear2)
+    G = (lambda s: cst.eval_J(s, smearing)) if kind == "J" else (lambda s: cst.eval_L(s, smearing))
     value, err = cst.directional_derivative(st, G, X)
     scale = max(st.e.field.sup_norm(), st.omega.sup_norm())
     t = 1e-2 * scale / max(X.de.sup_norm(), X.domega.sup_norm())
