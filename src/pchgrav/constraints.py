@@ -23,11 +23,13 @@ on uncertified shifted states, stays as the reference for generic functionals).
 Hamiltonian vector fields solve the defining wedge equations
 
     L:  X_e = [alpha, e],        e ^ X_omega = -e ^ d_omega alpha,
-    J:  e ^ X_e      = d_omega mu ^ e + (p+ + B+)(mu ^ p' d_omega e),
+    J:  e ^ X_e      = d_omega mu ^ e + p+(mu ^ p' d_omega e),
         e ^ p'X_omega = mu ^ (F + 3 Lambda e^2) + A+(mu ^ p' d_omega e),
 
-with the kernel part of X_omega fixed by the constrained-variation relation
-p X_omega = A(X_e) + B(p' X_omega).  The projector derivative inside A is
+with the kernel part of X_omega fixed by the linearized structural constraint
+p X_omega = A(X_e).  The constrained variation B(c) = -phi^-1 p [c, e] drops out:
+[., e] maps the complement of ker W^{(1,2)} into ker p21, so B o p' = 0 and its
+adjoint vanishes with it.  The projector derivative inside A is
 exact, d_e p = [block3(dP P^-1), p] for the moving e-adapted frame P; the
 adjoints are taken with respect to the twisted integral pairing (matrix
 transposes against its Gram, with the discrete transpose of the covariant
@@ -281,7 +283,7 @@ def act_field(alpha: FormField, f: FormField, sig: Signature) -> FormField:
 
 
 # ---------------------------------------------------------------------------
-# constrained-variation maps A, B and their adjoints
+# the constrained-variation map A and its adjoint
 
 
 def _frame_velocity(frame: reduction.PhiFrame, de: np.ndarray) -> np.ndarray:
@@ -308,11 +310,6 @@ def a_map(state: BoundaryState, de: FormField) -> np.ndarray:
     return state.frame.kernel_correction(rhs)
 
 
-def b_map(state: BoundaryState, c: FormField) -> np.ndarray:
-    """B(c) = -phi^{-1} p [c, e] in kernel coordinates, pointwise."""
-    return state.frame.kernel_correction(action_wedge(c, state.e.field, state.e.sig).data)
-
-
 def kernel_field_from_coords(coords: np.ndarray, pack: reduction.PhiFrame,
                              grid: Grid3) -> FormField:
     """The kernel-valued field of kernel coordinates (..., 6), through the frame of a
@@ -329,7 +326,7 @@ def _pairing_gram_22_12(gamma: float, sig: Signature) -> np.ndarray:
 #: inverse of the Gram of int Tr[Z ^ Y], Z in Omega^2(L^3), Y in Omega^1(V)
 _GRAM_23_11_INV = np.linalg.inv(wedgemaps.dual_pairing_matrix(1, 1))
 
-#: largest condition number of the twisted-pairing Gram that the adjoints accept
+#: largest condition number of T_gamma that the J field and the half-shell chart accept
 PAIRING_COND_LIMIT = 1e8
 
 
@@ -338,59 +335,25 @@ class DegeneratePairingError(wedgemaps.ConditioningError, ValueError):
     or worse conditioned than PAIRING_COND_LIMIT."""
 
 
-def _twist_inverse(matrix: np.ndarray, gamma: float, sig: Signature) -> np.ndarray:
-    """The read-only inverse of a matrix built on T_gamma, or DegeneratePairingError where its
-    condition number exceeds PAIRING_COND_LIMIT: with star^2 = 1 (the Euclidean signature)
-    T_gamma is singular at gamma = +-1, and the condition number is about 2 / |gamma -+ 1|."""
-    cond = np.linalg.cond(matrix)
+@functools.lru_cache(maxsize=16)
+def t_gamma_inverse(gamma: float, sig: Signature) -> np.ndarray:
+    """T_gamma^-1 on the ordered bivector basis, once per (gamma, signature), read-only.
+
+    DegeneratePairingError where the condition number of T_gamma exceeds
+    PAIRING_COND_LIMIT: with star^2 = 1 (the Euclidean signature) T_gamma is singular
+    at gamma = +-1, and the condition number is about 2 / |gamma -+ 1|.  The Gram of the
+    twisted pairing is T_gamma times a signed permutation, so it has the same one.
+    """
+    T = fiber.t_gamma_endo_matrix(gamma, sig)
+    cond = np.linalg.cond(T)
     if not cond <= PAIRING_COND_LIMIT:
         raise DegeneratePairingError(
             f"twisted pairing degenerate for the {sig.name} signature at gamma = {gamma}: "
             f"T_gamma = 1 + gamma^-1 star is singular or nearly so, "
             f"cond = {cond:.3e} > {PAIRING_COND_LIMIT:.0e}")
-    inv = np.linalg.inv(matrix)
+    inv = np.linalg.inv(T)
     inv.flags.writeable = False
     return inv
-
-
-@functools.lru_cache(maxsize=16)
-def _pairing_gram_inv_22_12(gamma: float, sig: Signature) -> np.ndarray:
-    """Inverse of the transposed twisted-pairing Gram, once per (gamma, signature)."""
-    return _twist_inverse(_pairing_gram_22_12(gamma, sig).T, gamma, sig)
-
-
-@functools.lru_cache(maxsize=16)
-def t_gamma_inverse(gamma: float, sig: Signature) -> np.ndarray:
-    """T_gamma^-1 on the ordered bivector basis, once per (gamma, signature)."""
-    return _twist_inverse(fiber.t_gamma_endo_matrix(gamma, sig), gamma, sig)
-
-
-def kernel_covector(state: BoundaryState, Q: FormField):
-    """The covector w on Omega^2(V) that Q pulls back through the kernel chain, and p21^T w.
-
-    Both adjoints pair Q with S12 K12 lam, lam = -phi^-1 K21^T S2v^-1 (.), under
-    the twisted pairing: w is the transposed chain applied to Q PB, as legs
-    (..., 3, 4).  `a_dagger` and `b_dagger` take the pair (w, p21^T w).
-    """
-    PB = _pairing_gram_22_12(state.gamma, state.sig)
-    w = state.frame.kernel_correction_T((_flat(Q) @ PB).reshape(Q.data.shape))
-    return w, state.frame.p21_T(w)
-
-
-def b_dagger(state: BoundaryState, cov) -> FormField:
-    """Adjoint of B o p' under the twisted pairing, applied to the `kernel_covector`
-    pair cov of Q; lands in im W^{(1,1)}.
-
-    (B o p')^T on the covector of Q: the kernel chain back to Omega^2(V), the
-    transpose of [., e] and p12'^T.  DegeneratePairingError where the pairing
-    is degenerate (T_gamma singular or nearly so).
-    """
-    PB_invT = _pairing_gram_inv_22_12(state.gamma, state.sig)
-    _, wp = cov
-    BT = fiber.product_tensor(1, 1, 2, 1, state.sig).transpose(1, 2, 0)   # [., e]^T
-    y = fiber.bilinear(BT, _flat(state.e.field), wp.reshape(wp.shape[:-2] + (12,)))
-    rhs = state.frame.p12_prime_T(y.reshape(wp.shape[:-1] + (6,)))
-    return _unflat(rhs.reshape(y.shape) @ PB_invT.T, state.grid, 2, 2)
 
 
 def _cov_deriv_transpose(Y: FormField, omega: FormField, sig: Signature) -> FormField:
@@ -410,17 +373,20 @@ def _cov_deriv_transpose(Y: FormField, omega: FormField, sig: Signature) -> Form
     return out
 
 
-def a_dagger(state: BoundaryState, cov) -> FormField:
-    """Adjoint of A under the twisted pairing, applied to the `kernel_covector` pair
-    cov of Q, as an Omega^2(L^3)-valued field.
+def a_dagger(state: BoundaryState, Q: FormField) -> FormField:
+    """Adjoint of A under the twisted pairing, applied to Q, as an Omega^2(L^3)-valued field.
 
-    <A+ Q, de>_Tr = <Q, A(de)>_T^ for all de; the pointwise part transposes
-    sitewise (the exact projector derivative contracted analytically against
-    the kernel covector and the torsion) and the d_omega part through the
-    discrete transpose of the covariant derivative.
+    <A+ Q, de>_Tr = <Q, A(de)>_T^ for all de.  Q pairs with S12 K12 lam,
+    lam = -phi^-1 K21^T S2v^-1 (.), so the transposed kernel chain takes Q PB to the
+    covector w on Omega^2(V), as legs (..., 3, 4).  The pointwise part transposes
+    sitewise (the exact projector derivative contracted analytically against w and
+    the torsion) and the d_omega part through the discrete transpose of the
+    covariant derivative.
     """
-    w, wp = cov
     frame = state.frame
+    PB = _pairing_gram_22_12(state.gamma, state.sig)
+    w = frame.kernel_correction_T((_flat(Q) @ PB).reshape(Q.data.shape))
+    wp = frame.p21_T(w)
 
     # pointwise part: w . [X, p21] d = <dP, H> with H = G P^-T and
     # G_ij = sum_c (w_ci (p21 d)_cj - (p21^T w)_ci d_cj); the dn column of dP
@@ -445,17 +411,19 @@ def a_dagger(state: BoundaryState, cov) -> FormField:
 class TangentVector:
     de: FormField
     domega: FormField
-    # sup |p X_omega - K(A X_e + B p'X_omega)| / sup |X_omega|; nan when not measured.
-    # It sees only a kernel-valued part in the complement input p'X_omega, not a wrong A or B.
+    # sup |p X_omega - K A(X_e)| / sup |X_omega|, the linearized structural constraint;
+    # nan when not measured.  Built with the A it checks, it sees a kernel-valued part in
+    # the complement input p'X_omega, not a wrong A.
     constraint_residual: float = float("nan")
     wedge_residuals: dict | None = None
 
 
 def slice_tangent(state: BoundaryState, de: FormField, dw_c: FormField) -> TangentVector:
-    """The slice tangent (de, dw_c + K(A de + B dw_c)) for dw_c = p'X_omega.  Its
-    recorded residual compares p X_omega with the kernel part the call itself built, so
-    it shows only a kernel-valued part in dw_c; a wrong A or B leaves it at roundoff."""
-    Xw_k = state.frame.kernel_field(a_map(state, de) + b_map(state, dw_c), state.grid)
+    """The slice tangent (de, dw_c + K A(de)) for dw_c = p'X_omega; B(dw_c) = 0, as
+    [dw_c, e] lies in ker p21.  Its recorded residual compares p X_omega with the kernel
+    part the call itself built, so it shows only a kernel-valued part in dw_c; a wrong A
+    leaves it at roundoff."""
+    Xw_k = state.frame.kernel_field(a_map(state, de), state.grid)
     X_omega = dw_c + Xw_k
     pX = _apply_sitewise(state.frame.p12, X_omega)
     residual = (pX - Xw_k).sup_norm() / max(X_omega.sup_norm(), 1e-300)
@@ -465,8 +433,10 @@ def slice_tangent(state: BoundaryState, de: FormField, dw_c: FormField) -> Tange
 def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormField) -> TangentVector:
     """Hamiltonian vector field of L_alpha or J_mu on the structural slice.
 
-    For J the adjoint-map corrections are assembled at every state: they vanish
-    with the torsion, which a discrete on-shell state keeps at O(h^2).
+    For J the adjoint-map corrections p+ Q and A+ Q of Q = mu ^ p' d_omega e are
+    assembled at every state: they vanish with the torsion, which a discrete on-shell
+    state keeps at O(h^2); B o p' = 0 contributes none.  DegeneratePairingError for J
+    where the twisted pairing is degenerate (`t_gamma_inverse`).
     """
     sig = state.sig
     frame = state.frame
@@ -479,16 +449,15 @@ def hamiltonian_vector_field(state: BoundaryState, kind: str, smearing: FormFiel
         rhs_w = wedge_fields(state.e.field, dal) * (-1.0)
     elif kind == "J":
         mu = smearing
+        t_gamma_inverse(state.gamma, sig)       # refuses a degenerate twisted pairing
         dmu = cov_deriv(mu, state.omega, sig)
         rhs_w12 = wedge_fields(mu, state.F)
         if state.Lambda != 0.0:
             rhs_w12 = rhs_w12 + 3.0 * state.Lambda * wedge_fields(mu, state.ee)
         Q = wedge_fields(mu, state.torsion - state.p21_torsion)
-        cov = kernel_covector(state, Q)
-        rhs_e = (wedge_fields(dmu, state.e.field)
-                 + _apply_sitewise(frame.p11_dag, Q) + b_dagger(state, cov))
-        rhs_w12 = rhs_w12 + a_dagger(state, cov)
-        del Q, cov      # freed here: the solves and wedge residuals below set the peak
+        rhs_e = wedge_fields(dmu, state.e.field) + _apply_sitewise(frame.p11_dag, Q)
+        rhs_w12 = rhs_w12 + a_dagger(state, Q)
+        del Q           # freed here: the solves and wedge residuals below set the peak
         X_e = frame.solve_w11(rhs_e)
         # e ^ p'X_omega = rhs_w12  <=>  (p'X_omega) ^ e = -rhs_w12
         Xw_c = frame.solve_complement_12(rhs_w12 * (-1.0))
@@ -528,7 +497,7 @@ TANGENCY_LIMIT = 1e-9
 def _require_tangent(X: TangentVector):
     """ValueError for a direction off the slice (constraint residual above TANGENCY_LIMIT),
     where a derivative at fixed omega is not the slice derivative.  The residual sees only
-    a kernel-valued part in the complement input, not a wrong A or B."""
+    a kernel-valued part in the complement input, not a wrong A."""
     if not X.constraint_residual <= TANGENCY_LIMIT:
         raise ValueError(f"direction not tangent to the structural slice: constraint "
                          f"residual {X.constraint_residual:.3e} > {TANGENCY_LIMIT:.0e}")

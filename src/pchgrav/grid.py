@@ -266,14 +266,14 @@ def t_gamma_field(f: FormField, gamma: float, sig: Signature) -> FormField:
 _GRAM_SCREEN = 1e-10
 
 #: the cyclic successors i+1 and i+2 of the indices 0, 1, 2
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
+NEXT = np.array([1, 2, 0])
+PREV = np.array([2, 0, 1])
 
 
 def cofactors3(a: np.ndarray) -> np.ndarray:
     """Cofactor matrix of a stack of 3x3 matrices (..., 3, 3), plain products."""
-    b, c = a[..., _NEXT, :], a[..., _PREV, :]                   # rows i+1 and i+2
-    return b[..., _NEXT] * c[..., _PREV] - b[..., _PREV] * c[..., _NEXT]
+    b, c = a[..., NEXT, :], a[..., PREV, :]                     # rows i+1 and i+2
+    return b[..., NEXT] * c[..., PREV] - b[..., PREV] * c[..., NEXT]
 
 
 class Coframe:

@@ -286,9 +286,6 @@ class PhiFrame:
         """The complement 1 - p12, through the template complement."""
         return _conj(x, self.L2P_inv_T, _Q12_E, self.L2P_T)
 
-    def p12_prime_T(self, x: np.ndarray) -> np.ndarray:
-        return _conj(x, self.L2P, _Q12_E, self.L2P_inv)
-
     def p11_dag(self, x: np.ndarray) -> np.ndarray:
         """Projector onto im W^{(1,1)} in Omega^2(L^2)."""
         return _conj(x, self.L2P_inv_T, _P11DAG_E, self.L2P_T)

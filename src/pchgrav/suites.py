@@ -221,18 +221,19 @@ def run_algebra(cfg: RunConfig) -> list:
             {"rel_error": worst, "det_pairing": dets, "det_basis_map": fdets},
             ("rel_error", "<=", "twist_determinant"), ("runtime_s", "<", 1.0))
 
+    # each identity is evaluated on all of its samples at once; a loop's samples are
+    # drawn as one array, in the order that per-sample draws would take them
     rng = s.rng()
     worst = 0.0
     pairs = 0
     for sig in (EUCLIDEAN, LORENTZIAN):
         S = fiber.star2_matrix(sig)
-        for _ in range(100):
-            a, b = rng.normal(size=6), rng.normal(size=6)
-            l1 = S @ fiber.bracket2(a, b, sig)
-            worst = max(worst,
-                        np.abs(l1 - fiber.bracket2(S @ a, b, sig)).max(),
-                        np.abs(l1 - fiber.bracket2(a, S @ b, sig)).max())
-            pairs += 1
+        a, b = np.moveaxis(rng.normal(size=(100, 2, 6)), 1, 0)
+        l1 = fiber.bracket2(a, b, sig) @ S.T
+        worst = max(worst,
+                    np.abs(l1 - fiber.bracket2(a @ S.T, b, sig)).max(),
+                    np.abs(l1 - fiber.bracket2(a, b @ S.T, sig)).max())
+        pairs += len(a)
     s.check("star-cyclic", "star[A,B] = [star A, B] = [A, star B]",
             {"max_residual": worst, "pairs": pairs}, ("max_residual", "<=", "star_cyclic"))
 
@@ -254,17 +255,15 @@ def run_algebra(cfg: RunConfig) -> list:
     worst_j = 0.0
     worst_d = 0.0
     for sig in (EUCLIDEAN, LORENTZIAN):
-        for _ in range(60):
-            a, b, c = (rng.normal(size=6) for _ in range(3))
-            v = rng.normal(size=4)
-            jac = (fiber.bracket2(a, fiber.bracket2(b, c, sig), sig)
-                   + fiber.bracket2(b, fiber.bracket2(c, a, sig), sig)
-                   + fiber.bracket2(c, fiber.bracket2(a, b, sig), sig))
-            worst_j = max(worst_j, np.abs(jac).max())
-            der = (fiber.act_on_vector(fiber.bracket2(a, b, sig), v, sig)
-                   - fiber.act_on_vector(a, fiber.act_on_vector(b, v, sig), sig)
-                   + fiber.act_on_vector(b, fiber.act_on_vector(a, v, sig), sig))
-            worst_d = max(worst_d, np.abs(der).max())
+        a, b, c, v = np.split(rng.normal(size=(60, 22)), [6, 12, 18], axis=1)
+        jac = (fiber.bracket2(a, fiber.bracket2(b, c, sig), sig)
+               + fiber.bracket2(b, fiber.bracket2(c, a, sig), sig)
+               + fiber.bracket2(c, fiber.bracket2(a, b, sig), sig))
+        worst_j = max(worst_j, np.abs(jac).max())
+        der = (fiber.act_on_vector(fiber.bracket2(a, b, sig), v, sig)
+               - fiber.act_on_vector(a, fiber.act_on_vector(b, v, sig), sig)
+               + fiber.act_on_vector(b, fiber.act_on_vector(a, v, sig), sig))
+        worst_d = max(worst_d, np.abs(der).max())
     s.check("bracket-axioms", "Jacobi identity and module derivation property",
             {"jacobi": worst_j, "derivation": worst_d},
             ("jacobi", "<=", "lie_axioms"), ("derivation", "<=", "lie_axioms"))
@@ -272,18 +271,16 @@ def run_algebra(cfg: RunConfig) -> list:
     rng = s.rng()
     worst = 0.0
     for (k, m) in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2)):
-        for _ in range(20):
-            a = rng.normal(size=fiber.GRADE_DIMS[k])
-            b = rng.normal(size=fiber.GRADE_DIMS[m])
-            ab = fiber.wedge_comps(k, m, a, b)
-            ba = fiber.wedge_comps(m, k, b, a)
-            worst = max(worst, np.abs(ab - (-1.0) ** (k * m) * ba).max())
+        dk = fiber.GRADE_DIMS[k]
+        a, b = np.split(rng.normal(size=(20, dk + fiber.GRADE_DIMS[m])), [dk], axis=1)
+        ab = fiber.wedge_comps(k, m, a, b)
+        ba = fiber.wedge_comps(m, k, b, a)
+        worst = max(worst, np.abs(ab - (-1.0) ** (k * m) * ba).max())
     # associativity on triples of vectors
-    for _ in range(20):
-        x, y, z = (rng.normal(size=4) for _ in range(3))
-        l = fiber.wedge_comps(2, 1, fiber.wedge_comps(1, 1, x, y), z)
-        r = fiber.wedge_comps(1, 2, x, fiber.wedge_comps(1, 1, y, z))
-        worst = max(worst, np.abs(l - r).max())
+    x, y, z = np.moveaxis(rng.normal(size=(20, 3, 4)), 1, 0)
+    l = fiber.wedge_comps(2, 1, fiber.wedge_comps(1, 1, x, y), z)
+    r = fiber.wedge_comps(1, 2, x, fiber.wedge_comps(1, 1, y, z))
+    worst = max(worst, np.abs(l - r).max())
     gram_rank = np.linalg.matrix_rank(fiber.TR_GRAM2)
     s.check("wedge-axioms", "graded anticommutativity, associativity, nondegenerate pairing",
             {"max_residual": worst, "tr_gram_rank": int(gram_rank)},
@@ -294,16 +291,15 @@ def run_algebra(cfg: RunConfig) -> list:
     worst_cyc = 0.0
     for sig in (EUCLIDEAN, LORENTZIAN):
         for g in (0.5, 2.0, np.inf):
-            for _ in range(25):
-                a, b = rng.normal(size=6), rng.normal(size=6)
-                ta, tb = fiber.t_gamma(a, g, sig), fiber.t_gamma(b, g, sig)
-                worst_sym = max(worst_sym, abs(
-                    fiber.tr_quad(fiber.wedge_comps(2, 2, ta, b))
-                    - fiber.tr_quad(fiber.wedge_comps(2, 2, a, tb))))
-                l1 = fiber.t_gamma(fiber.bracket2(a, b, sig), g, sig)
-                worst_cyc = max(worst_cyc,
-                                np.abs(l1 - fiber.bracket2(ta, b, sig)).max(),
-                                np.abs(l1 - fiber.bracket2(a, tb, sig)).max())
+            a, b = np.moveaxis(rng.normal(size=(25, 2, 6)), 1, 0)
+            ta, tb = fiber.t_gamma(a, g, sig), fiber.t_gamma(b, g, sig)
+            worst_sym = max(worst_sym, np.abs(
+                fiber.tr_quad(fiber.wedge_comps(2, 2, ta, b))
+                - fiber.tr_quad(fiber.wedge_comps(2, 2, a, tb))).max())
+            l1 = fiber.t_gamma(fiber.bracket2(a, b, sig), g, sig)
+            worst_cyc = max(worst_cyc,
+                            np.abs(l1 - fiber.bracket2(ta, b, sig)).max(),
+                            np.abs(l1 - fiber.bracket2(a, tb, sig)).max())
     s.check("twist-symmetry", "Tr[T(a)^b] = Tr[a^T(b)]; T[a,b] = [Ta,b] = [a,Tb]",
             {"pairing_symmetry": worst_sym, "bracket_compat": worst_cyc},
             *((k, "<=", "twist_symmetry") for k in ("pairing_symmetry", "bracket_compat")))
@@ -677,8 +673,10 @@ def run_brackets(cfg: RunConfig) -> list:
     st = random_offshell_state(rng, grid, sig, gamma, cfg.Lambda)
     de = random_field_spec(rng, 1, 1, n_modes=1, amp=0.1, base=0.1).sample(grid)
     dw = random_field_spec(rng, 1, 2, n_modes=1, amp=0.1).sample(grid)
-    Y = cst.slice_tangent(st, de, cst._apply_sitewise(st.frame.p12_prime, dw))
-    probe = cst._unflat(cst._flat(de) @ cst._GRAM_23_11_INV, grid, 2, 3)
+    Y = cst.slice_tangent(st, de, FormField(grid, 1, 2, st.frame.p12_prime(dw.data)))
+    gram_inv = np.linalg.inv(wm.dual_pairing_matrix(1, 1))
+    probe = FormField(grid, 2, 3, (de.data.reshape(de.data.shape[:3] + (12,)) @ gram_inv)
+                      .reshape(de.data.shape))
 
     def linear_functional(state):
         return integrate(wedge_fields(probe, state.e.field))
@@ -809,7 +807,7 @@ def run_eh(cfg: RunConfig) -> list:
 def run_halfshell(cfg: RunConfig) -> list:
     s = _Suite("halfshell", cfg)
     sig = s.sig
-    gamma = cfg.gamma if not math.isinf(cfg.gamma) else 1.0
+    gamma = cfg.gamma
     grid = Grid3(2)
 
     rng = s.rng()

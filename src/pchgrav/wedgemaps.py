@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fiber
 from .fiber import PAIR_INDEX, Signature, site_blocks
-from .grid import _NEXT, _PREV, COMP_BASIS
+from .grid import COMP_BASIS, NEXT, PREV
 
 SHAPES = ((1, 1), (1, 2), (2, 1))
 
@@ -78,8 +78,8 @@ def _two_product(x, y):
 
 def _inv3_block(m, inv, det):
     """`inv3` of one block, entry-major: m[i, j] is the array of a[i, j] over the sites."""
-    b, c = m[_NEXT], m[_PREV]                                   # rows i+1 and i+2
-    x, y, u, v = b[:, _NEXT], c[:, _PREV], b[:, _PREV], c[:, _NEXT]
+    b, c = m[NEXT], m[PREV]                                     # rows i+1 and i+2
+    x, y, u, v = b[:, NEXT], c[:, PREV], b[:, PREV], c[:, NEXT]
     cof = x * y - u * v                                         # cofactor of a[i, j]
     # the first-row cofactors set det; with exact products a minor of nearly
     # parallel rows keeps its accuracy, so det stays within kappa eps

@@ -193,6 +193,19 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(strict)]) == 1
 
 
+@pytest.mark.parametrize("signature", ["euclidean", "lorentzian"])
+def test_cli_verify_halfshell_at_gamma_infinity(tmp_path, signature):
+    # the suite runs at the configured gamma: T_inf is the identity, so the Euclidean
+    # twist that is singular at gamma = 1 is not met
+    cfgp = write_cfg(tmp_path, {"signature": signature, "gamma": "infinity",
+                                "suites": ["halfshell"]})
+    out = tmp_path / "rep.json"
+    assert cli.main(["verify", "--config", str(cfgp), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 5 and all(r["passed"] for r in rows)
+    assert json.loads(out.read_text())["config"]["gamma"] == "infinity"
+
+
 def test_cli_verify_conditioning_failure_exit_3(tmp_path, monkeypatch, capsys):
     from pchgrav import ehdata, suites
     from pchgrav.fiber import LORENTZIAN

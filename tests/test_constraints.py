@@ -250,10 +250,9 @@ def test_template_wedge_solves_match_pinv_reference(sig, gamma):
     # the off-shell right-hand sides that hamiltonian_vector_field solves for
     d = st.torsion
     Q = wedge_fields(mu, d - cst._apply_sitewise(frame.p21, d))
-    cov = cst.kernel_covector(st, Q)
     rhs_e = (wedge_fields(cov_deriv(mu, st.omega, sig), st.e.field) * (-1.0)
-             + cst._apply_sitewise(frame.p11_dag, Q) + cst.b_dagger(st, cov))
-    rhs_w = (wedge_fields(mu, st.F) + cst.a_dagger(st, cov)) * (-1.0)
+             + cst._apply_sitewise(frame.p11_dag, Q))
+    rhs_w = (wedge_fields(mu, st.F) + cst.a_dagger(st, Q)) * (-1.0)
 
     def apply(M, f):
         return np.einsum("...ij,...j->...i", M, f.data.reshape(4, 4, 4, -1))
@@ -333,9 +332,11 @@ def test_stencil_needs_a_slice_tangent_direction(offshell_state):
     X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.2, -0.3, 0.4, 0.6]))
 
     def linearized_constraint(Y):
-        # the linearization of p d_omega e = 0 along Y, in kernel coordinates
-        coords = cst.a_map(st, Y.de) + cst.b_map(st, Y.domega)
-        return st.frame.kernel_field(coords, st.grid).sup_norm() / Y.domega.sup_norm()
+        # the linearization K(A Y_e + B Y_omega) of p d_omega e = 0 along Y, with
+        # B o p' = 0 and K B k = -k on kernel-valued k: K A(Y_e) - p Y_omega
+        pY = FormField(st.grid, 1, 2, st.frame.p12(Y.domega.data))
+        return ((st.frame.kernel_field(cst.a_map(st, Y.de), st.grid) - pY).sup_norm()
+                / Y.domega.sup_norm())
 
     kern = st.frame.kernel_field(RNG.normal(size=(4, 4, 4, 6)), st.grid)
     bad = dataclasses.replace(X, domega=X.domega + kern)

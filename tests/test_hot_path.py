@@ -214,9 +214,9 @@ def test_no_public_function_takes_a_frame_beside_its_coframe():
     assert takes_frame == ["pchgrav.constraints.kernel_field_from_coords"]
 
 
-def _j_field_phi_solves(st, monkeypatch) -> list:
-    """The phi_e^-1 applications of one J Hamiltonian vector field at st, each with the
-    kernel chain method that made it (None outside them) and its Sym(3) operand shape."""
+def _field_phi_solves(st, monkeypatch, kind="J") -> list:
+    """The phi_e^-1 applications of one Hamiltonian vector field of the kind at st, each with
+    the kernel chain method that made it (None outside them) and its Sym(3) operand shape."""
     solves, callers, phi_inverse = [], [], red._phi_inverse
 
     def counted_inverse(T, g, det_g):
@@ -237,25 +237,33 @@ def _j_field_phi_solves(st, monkeypatch) -> list:
     monkeypatch.setattr(red, "_phi_inverse", counted_inverse)
     for name in ("kernel_correction", "kernel_correction_T"):
         monkeypatch.setattr(PhiFrame, name, counted(name))
-    X = cst.hamiltonian_vector_field(st, "J", cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4]))
+    smearing = (cst.smear_constant(st.grid, 1, [0.3, -0.2, 0.5, 0.4]) if kind == "J" else
+                cst.smear_constant(st.grid, 2, [0.3, -0.2, 0.5, 0.1, -0.4, 0.2]))
+    X = cst.hamiltonian_vector_field(st, kind, smearing)
     assert max(X.wedge_residuals.values()) <= 1e-12
     return sorted(solves)
 
 
-# A(X_e), B(p' X_omega) and the adjoint covector shared by A+ and B+, each through
-# the Sym(3) formula for phi_e^-1 (the guard refuses a per-site np.linalg.solve)
-THREE_PHI_SOLVES = [("kernel_correction", (3, 3))] * 2 + [("kernel_correction_T", (3, 3))]
+# A(X_e) and the adjoint covector of A+, each through the Sym(3) formula for phi_e^-1
+# (the guard refuses a per-site np.linalg.solve); B o p' = 0 takes none
+TWO_PHI_SOLVES = [("kernel_correction", (3, 3)), ("kernel_correction_T", (3, 3))]
 
 
-def test_offshell_j_field_solves_phi_three_times(lapack_guard, monkeypatch):
-    assert _j_field_phi_solves(_offshell_state(), monkeypatch) == THREE_PHI_SOLVES
+def test_offshell_j_field_solves_phi_twice(lapack_guard, monkeypatch):
+    assert _field_phi_solves(_offshell_state(), monkeypatch) == TWO_PHI_SOLVES
 
 
-def test_onshell_j_field_solves_phi_three_times(lapack_guard, monkeypatch):
+def test_onshell_j_field_solves_phi_twice(lapack_guard, monkeypatch):
     # the adjoint corrections are assembled on shell too: the discrete on-shell
     # state keeps O(h^2) torsion
     st = cst.make_on_shell(acceptance_triad_spec(), Grid3(4), 1.0, LORENTZIAN, Lambda=0.1)
-    assert _j_field_phi_solves(st, monkeypatch) == THREE_PHI_SOLVES
+    assert _field_phi_solves(st, monkeypatch) == TWO_PHI_SOLVES
+
+
+def test_l_field_solves_phi_once(lapack_guard, monkeypatch):
+    # A(X_e) alone: the L field has no adjoint correction
+    assert (_field_phi_solves(_offshell_state(), monkeypatch, "L")
+            == [("kernel_correction", (3, 3))])
 
 
 def test_make_on_shell_inverts_the_triad_once(monkeypatch):

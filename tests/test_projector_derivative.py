@@ -111,7 +111,7 @@ def test_a_map_matches_central_difference(offshell):
 def test_a_dagger_matches_central_difference(offshell):
     st = offshell
     Q = random_field_spec(RNG, 2, 2, n_modes=2, amp=0.3).sample(st.grid)
-    got = cst.a_dagger(st, cst.kernel_covector(st, Q))
+    got = cst.a_dagger(st, Q)
     assert _rel(got.data, _fd_a_dagger(st, Q).data) <= 1e-8
 
 
@@ -139,7 +139,7 @@ def test_pack_applies_and_transposes_match_dense_projectors(frame_and_dense):
         for apply, ref in applies:
             want = np.einsum("...ij,...j->...i", ref, flat)
             assert _rel(apply(x).reshape(flat.shape), want) <= 1e-13
-    assert hasattr(frame, "p12_prime_T") and hasattr(frame, "p21_T")
+    assert hasattr(frame, "p21_T")
 
 
 def test_pack_projectors_are_idempotent(frame_and_dense):
@@ -226,3 +226,41 @@ def test_jacobi_l2p_inv_is_the_inverse(sig, draw):
     assert (err <= 10 * kappa * eps).all()
     res = np.abs(pf.L2P_inv @ pf.L2P - np.eye(6)).max(axis=(-2, -1))
     assert (res <= 10 * kappa * eps).all()
+
+
+def test_bracket_with_e_maps_the_template_complement_into_ker_p21():
+    """P21_E B(g) (1 - P12_E) = 0 in integers on the six symmetric unit metrics, so by
+    linearity in g at every boundary metric: B o p' = 0 for B(c) = -phi^-1 p [c, e]."""
+    twice_p21, twice_q12 = 2 * red._P21_E, 2 * (np.eye(18) - red._P12_E)
+    assert np.array_equal(twice_p21, np.round(twice_p21))
+    assert np.array_equal(twice_q12, np.round(twice_q12))
+    twice_p21, twice_q12 = np.round(twice_p21).astype(int), np.round(twice_q12).astype(int)
+    for c, d in zip(*np.triu_indices(3)):
+        unit = np.zeros((3, 3), dtype=int)
+        unit[c, d] = unit[d, c] = 1
+        bracket = red.frame_bracket_matrix(unit)
+        assert bracket.dtype.kind == "i" and bracket.any()
+        assert not (twice_p21 @ bracket @ twice_q12).any(), (c, d)
+
+
+@pytest.mark.parametrize("sig,draw", [
+    (LORENTZIAN, None), (EUCLIDEAN, None), (LORENTZIAN, _timelike_span),
+], ids=["lorentzian", "euclidean", "timelike-span"])
+def test_kernel_coordinates_of_the_complement_bracket_vanish(sig, draw):
+    """At random coframes the kernel coordinates of [p12' c, e] are at roundoff relative to
+    the bracket, and those of [p12 c, e] (phi_e of the kernel part, an isomorphism) are
+    not.  The random Lorentzian frames reach cond(P) ~ 900, hence the 1e-12."""
+    rng = np.random.Generator(np.random.Philox(key=1975))
+    e = (draw(64) if draw else
+         np.stack([random_nondegenerate_coframe(rng, sig) for _ in range(64)]))
+    frame = red.phi_frame(e, sig)
+    c = rng.normal(size=(64, 3, 6))
+    bracket = red.bracket_matrix(e, sig)
+
+    def kernel_share(x):
+        """sup |kernel coordinates of [x, e]| / sup |[x, e]| at each site."""
+        b = (bracket @ x.reshape(64, 18)[..., None]).reshape(64, 3, 4)
+        return np.abs(frame.kernel_coords(b)).max(axis=-1) / np.abs(b).max(axis=(-2, -1))
+
+    assert kernel_share(frame.p12_prime(c)).max() <= 1e-12
+    assert kernel_share(frame.p12(c)).min() >= 0.1
