@@ -4,9 +4,7 @@ Each test reads its rows, by id, from the session's one `pchgrav verify` run
 on the default config (Lorentzian, gamma = 1); criterion 4 also reads the
 `kernels` suite run Euclidean with gamma = 2.  Every bound is pinned here and
 asserted on the rows' values, not taken from a row's verdict, which uses the
-configurable `config.TOLERANCES`.  A verdict is asserted as well only where
-it has a conjunct the values lack: the kernel table's dims and ranks, and the
-exact sequence's image dimension.
+configurable `config.TOLERANCES`.
 
 Criterion 5 contains one sub-case, the kernel-intersection dimension at
 boundary-metric signature (1,0,0), whose tabulated value 4 (from dim K =
@@ -98,9 +96,9 @@ def test_criterion_4_kernel_dimension_table(rows, euclidean_rows):
     min_gap = min(v["min_gap"] for v in vals)
     worst_proj = max(v["projector_residual"] for v in vals)
     worst_eq = max(v["explicit_equation_residual"] for v in vals)
-    # the verdicts carry the dims 0/6/6 and ranks 12/12/6, which the values do not
-    ok = (all(row["passed"] for row in table) and min_gap >= 1e6 and count >= 100
-          and worst_proj <= 1e-12 and worst_eq <= 1e-12)
+    ok = (all(v["kernel_dims"] == {"(1, 1)": 0, "(1, 2)": 6, "(2, 1)": 6} for v in vals)
+          and all(v["ranks"] == {"(1, 1)": 12, "(1, 2)": 12, "(2, 1)": 6} for v in vals)
+          and min_gap >= 1e6 and count >= 100 and worst_proj <= 1e-12 and worst_eq <= 1e-12)
     assert report("4 (kernel table)", ok,
                   f"{count} coframes over both signatures, dims 0/6/6 ranks 12/12/6, "
                   f"min gap {min_gap:.1e}, projectors {worst_proj:.1e}, "
@@ -127,10 +125,8 @@ def test_criterion_5_kernel_intersection_100(rows):
 
 
 def test_criterion_6_exact_sequence(rows):
-    row = rows["reduction/exact-sequence"]
-    v = row["values"]
-    # the verdict carries the image dimension 6, which the values do not
-    ok = (row["passed"] and v["sites"] >= 100 and v["wedge_residual"] <= 1e-12
+    v = rows["reduction/exact-sequence"]["values"]
+    ok = (v["image_dims"] == [6] and v["sites"] >= 100 and v["wedge_residual"] <= 1e-12
           and v["containment_residual"] <= 1e-10)
     assert report("6 (exact sequence)", ok,
                   f"{v['sites']} coframes; e^[v,e] {v['wedge_residual']:.1e}; "

@@ -8,9 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pchgrav import cli
 from pchgrav.config import ConfigError, load_config, validate_config
+from pchgrav.fiber import SITE_BLOCK
 from pchgrav.report import write_report
 from pchgrav.suites import run_suites
 
@@ -191,6 +193,48 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     strict = write_cfg(tmp_path, {"suites": ["algebra"], "seed": 1,
                                   "tolerances": {"morphism_floor": 1e30}}, "strict.json")
     assert cli.main(["verify", "--config", str(strict)]) == 1
+
+
+def test_cli_verify_names_the_failing_decisions(tmp_path, capsys):
+    import re
+
+    cfgp = write_cfg(tmp_path, {"suites": ["algebra"], "seed": 1,
+                                "tolerances": {"morphism_floor": 1e30}})
+    out = tmp_path / "rep.json"
+    assert cli.main(["verify", "--config", str(cfgp), "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fail = [line for line in lines if line.startswith("[FAIL]")]
+    assert len(fail) == 1
+    assert re.fullmatch(r"\[FAIL\] algebra/twist-morphism  \(\d+\.\d{3}s\)  "
+                        + "; ".join(f"lorentz_{g} >= morphism_floor \\(limit 1e\\+30\\)"
+                                    for g in (0.5, 1.0, 2.0)), fail[0])
+    # a passing row names no decision, and the report keeps its rows' fields
+    assert re.fullmatch(r"\[PASS\] algebra/twist-determinants  \(\d+\.\d{3}s\)", lines[0])
+    rows = json.loads(out.read_text())["rows"]
+    assert all(set(r) == {"id", "anchor", "inputs_digest", "values", "decisions", "passed",
+                          "runtime_s"} for r in rows)
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce", "omega-tilde"])
+@pytest.mark.parametrize("out,why", [("missing/out", "does not exist"), (".", "is a directory")],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command, out, why):
+    from pchgrav.grid import FormField, Grid3
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the --out directory was checked")
+
+    if command == "verify":
+        args = ["--config", str(write_cfg(tmp_path, {"suites": ["algebra"]}))]
+    else:
+        args = _field_files(tmp_path, FormField.zeros(Grid3(4), 1, 2))
+    for name in ("load_config", "run_suites", "load_field", "omega_tilde"):
+        monkeypatch.setattr(cli, name, no_work)
+    out = tmp_path / out
+    assert cli.main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and why in err
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("signature", ["euclidean", "lorentzian"])
@@ -459,35 +503,94 @@ def test_reduce_files_are_the_old_writers_bytes(tmp_path):
     assert cout.read_bytes() == buf.getvalue().encode()
 
 
-def test_reduce_writers_keep_the_repr_forms():
-    # the float forms where a hand-rolled formatter drifts from repr
+def _old_csv(sites, table):
     import csv
     import io
 
-    edge = [-0.0, 1e-05, 1e+16, 5e-324, 0.1 + 0.2, 1.0, -2.5e-300, 1.7976931348623157e308]
-    big = np.array(edge * 3).reshape(2, 2, 2, 3)
-    small = np.array(edge).reshape(2, 2, 2)
-    head = {"n": 2, "signature": "lorentzian", "eta00": -1.0, "gamma_block_residual": 5e-324}
-    tables = {"g": big, "R_scalar": small}
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([*site, *row.tolist()] for site, row in zip(sites, table))
+    return buf.getvalue()
+
+
+def _new_csv(sites, table):
+    import io
+
+    buf = io.StringIO(newline="")
+    cli._write_rows_csv(buf, sites, table)
+    return buf.getvalue()
+
+
+def _new_json(head, tables):
+    import io
 
     buf = io.StringIO()
     cli._write_tables_json(buf, head, tables)
-    want = json.dumps({**head, "tables": {k: t.tolist() for k, t in tables.items()}})
-    assert buf.getvalue() == want
-    back = json.loads(buf.getvalue())["tables"]
-    assert all(np.array_equal(np.array(back[k]), t) and
+    return buf.getvalue()
+
+
+def test_reduce_writers_keep_the_repr_forms():
+    # the float forms where a hand-rolled formatter drifts from repr, +0.0 beside -0.0,
+    # entries repeated and mirrored as in a symmetric tensor, and the non-finite values
+    import csv
+    import io
+
+    edge = np.array([-0.0, 0.0, 1e-05, 1e+16, 5e-324, 0.1 + 0.2, 1.0, -2.5e-300,
+                     1.7976931348623157e308, np.inf, -np.inf, np.nan])
+    upper = np.triu(np.arange(72).reshape(8, 3, 3) % edge.size)
+    big = edge[upper + np.triu(upper, 1).swapaxes(-1, -2)].reshape(2, 2, 2, 3, 3)
+    small = edge[[1, 0, 9, 10, 11, 0, 1, 11]].reshape(2, 2, 2)
+    assert (big == big.swapaxes(-1, -2))[~np.isnan(big)].all()
+    head = {"n": 2, "signature": "lorentzian", "eta00": -1.0, "gamma_block_residual": 5e-324}
+    tables = {"g": big, "R_scalar": small}
+
+    text = _new_json(head, tables)
+    assert text == json.dumps({**head, "tables": {k: t.tolist() for k, t in tables.items()}})
+    assert "-0.0, 0.0" in text and "Infinity, -Infinity, NaN" in text
+    back = json.loads(text)["tables"]
+    assert all(np.array_equal(np.array(back[k]), t, equal_nan=True) and
                (np.signbit(np.array(back[k])) == np.signbit(t)).all() for k, t in tables.items())
 
     table = np.concatenate([big.reshape(8, -1), small.reshape(8, 1)], axis=1)
     sites = np.indices((2, 2, 2)).reshape(3, -1).T.tolist()
-    buf = io.StringIO(newline="")
-    cli._write_rows_csv(buf, sites, table)
-    want = io.StringIO(newline="")
-    csv.writer(want).writerows([*site, *row.tolist()]
-                               for site, row in zip(np.ndindex(2, 2, 2), table))
-    assert buf.getvalue() == want.getvalue()
-    rows = [[float(x) for x in r[3:]] for r in csv.reader(io.StringIO(buf.getvalue(), newline=""))]
-    assert np.array_equal(rows, table) and (np.signbit(rows) == np.signbit(table)).all()
+    text = _new_csv(sites, table)
+    assert text == _old_csv(np.ndindex(2, 2, 2), table)
+    assert "-0.0,0.0" in text and ",inf,-inf,nan" in text
+    rows = [[float(x) for x in r[3:]] for r in csv.reader(io.StringIO(text, newline=""))]
+    assert np.array_equal(rows, table, equal_nan=True)
+    assert (np.signbit(rows) == np.signbit(table)).all()
+    # the same rows again and again, across the writer's blocks of SITE_BLOCK rows
+    tiled = np.tile(table, (SITE_BLOCK // len(table) + 1, 1))
+    sites = [[r, 0, 1] for r in range(len(tiled))]
+    assert _new_csv(sites, tiled) == _old_csv(sites, tiled)
+
+
+#: bit patterns of float64 edges: signed zeros, the extreme subnormals and normals,
+#: the infinities, and NaNs with sign and payload
+_EDGE_BITS = np.array([0, 1 << 63, 1, (1 << 52) - 1, 1 << 52, 0x7FEFFFFFFFFFFFFF,
+                       0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                       0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000000123],
+                      dtype=np.uint64).view(np.int64).tolist()
+#: any float64 bit pattern, drawing the edges, subnormals and NaN payloads more often
+_BITS = (st.integers(-(1 << 63), (1 << 63) - 1) | st.sampled_from(_EDGE_BITS)
+         | st.integers(1, (1 << 52) - 1) | st.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reduce_writers_match_json_and_csv_on_any_bits(data):
+    # each drawn pattern stands twice, so every text is gathered to more than one entry
+    shape = data.draw(st.lists(st.integers(1, 3), max_size=3), label="shape")
+    bits = data.draw(st.lists(_BITS, min_size=math.prod(shape), max_size=math.prod(shape)),
+                     label="bits")
+    values = np.array(bits + bits[::-1], dtype=np.int64).view(np.float64)
+
+    table = values.reshape(2, *shape)
+    want = json.dumps({"n": 2, "tables": {"t": table.tolist()}})
+    assert _new_json({"n": 2}, {"t": table}) == want
+
+    table = values.reshape(-1, shape[-1] if shape else 1)
+    sites = [[r, r % 3, -r] for r in range(len(table))]
+    assert _new_csv(sites, table) == _old_csv(sites, table)
 
 
 @pytest.mark.parametrize("count", ["0", "-4"])
